@@ -81,11 +81,12 @@ def recover_pressure(
     if source.degree < 1:
         raise ValueError("pressure recovery needs a source of degree >= 1")
     scale = l2_norm(source)
-    residual = l2_norm(helmholtz_project(source))
+    coclosed = helmholtz_project(source)
+    residual = l2_norm(coclosed)
     if residual > tol_div * max(scale, 1e-300):
         raise ConsistencyError(
             f"source is not an exact field: |P source| = {residual:.3e} "
             f"exceeds {tol_div:.1e} * |source| = {tol_div * scale:.3e}"
         )
-    cleaned = source - helmholtz_project(source)
+    cleaned = source - coclosed
     return codifferential(parametrix(cleaned))

@@ -9,13 +9,27 @@ M2 : E^i x E^i -> E^(i-1).  Its polarization
 
     B(w, v) = M1(d w, v) + M1(d v, w) + d (M2(w, v) + M2(v, w))
 
-satisfies B(v, v) = 2 N(v) and N(w + v) - N(w) - N(v) = B(w, v) exactly,
-because both sides run through the same dealiased product pipeline.
+satisfies B(v, v) = 2 N(v) bit for bit and N(w + v) - N(w) - N(v) =
+B(w, v) to rounding, because both run through one kernel.
 
-Pointwise products are evaluated physically on the two-thirds dealiased
-band: inputs are masked, multiplied on the grid, transformed back, and
-masked again, which keeps quadratic products of band-limited fields
-alias-free.
+The kernel applies the two-thirds rule once per input and once per output
+(Orszag 1971) and transforms each physical array exactly once, with real
+transforms on the half spectrum ``c[..., :res//2 + 1]``:
+
+1. each input is masked to the band and checked for Hermitian symmetry on
+   the band box (``FieldIntegrityError`` above 1e-10, as ``to_physical``);
+2. d of each input is formed on the half spectrum;
+3. ``irfftn`` brings every input component and every derivative component
+   to the grid;
+4. the products are contracted over the nonzero tensor entries only, one
+   output component at a time; in B each half-quadratic M(a, b) has its own
+   buffer and the two are added afterwards, so B(v, v) = 2 N(v) exactly;
+5. ``rfftn`` takes every output component back, the band mask is applied
+   once, d is applied to the M2 output, and the full spectrum is rebuilt
+   from the half spectrum by conjugate reflection.
+
+For the ``navier-stokes-i1`` preset that is 6 component transforms per N on
+T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
 
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
@@ -24,7 +38,8 @@ as half the dot product, so N(u) = (u . grad) u on degree-1 fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -32,10 +47,15 @@ import numpy as np
 from .hodge import helmholtz_project
 from .norms import BochnerIndex, TimeSeriesSolution, bochner_norm
 from .spectral import (
+    FieldIntegrityError,
     FormField,
     SpectralGrid,
+    _accumulate,
+    _band_box,
+    _derivative_symbol,
+    _insertion_table,
+    _is_hermitian,
     dealias,
-    exterior_derivative,
     inner_product,
     multi_indices,
     random_form,
@@ -57,6 +77,8 @@ class BilinearMap:
     degree_second: int
     degree_out: int
     tensor: np.ndarray
+    # Nonzero entries ((a, b, value), ...) of each output component c.
+    _entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (
@@ -71,6 +93,11 @@ class BilinearMap:
                 f"{expected} on T^{self.n}"
             )
         object.__setattr__(self, "tensor", arr)
+        object.__setattr__(self, "_entries", tuple(
+            tuple((int(a), int(b), float(arr[a, b, c]))
+                  for a, b in zip(*np.nonzero(arr[:, :, c])))
+            for c in range(arr.shape[2])
+        ))
 
     @property
     def operator_norm(self) -> float:
@@ -80,7 +107,8 @@ class BilinearMap:
 
     def apply_fibre(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Contract stacked pointwise data (ncomp, ...) bilinearly."""
-        return np.einsum("abc,a...,b...->c...", self.tensor, a, b)
+        shape = np.broadcast_shapes(np.shape(a)[1:], np.shape(b)[1:])
+        return np.stack([_contract(entries, a, b, shape) for entries in self._entries])
 
 
 @dataclass(frozen=True)
@@ -163,28 +191,134 @@ def get_preset(name: str, n: int, degree: int = 1) -> NonlinearityConfig:
 # -- evaluation -------------------------------------------------------------
 
 
-def _product(bmap: BilinearMap, a: FormField, b: FormField) -> FormField:
-    """Dealiased pointwise bilinear product of two fields."""
-    grid = a.grid
-    if grid != b.grid:
-        raise ValueError("product arguments live on different grids")
-    if a.degree != bmap.degree_first or b.degree != bmap.degree_second:
-        raise ValueError("field degrees do not match the bilinear map")
-    a_phys = np.stack(to_physical(dealias(a)))
-    b_phys = np.stack(to_physical(dealias(b)))
-    out_phys = bmap.apply_fibre(a_phys, b_phys)
-    return dealias(FormField.from_physical(grid, bmap.degree_out, list(out_phys)))
+def _contract(entries, a, b, shape) -> np.ndarray:
+    """One output component: the sum of value * a[i] * b[j] over its entries."""
+    acc = None
+    for i, j, value in entries:
+        term = a[i] * b[j]
+        if value != 1.0:
+            term *= value
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return np.zeros(shape) if acc is None else acc
 
 
-def _half_quadratic(a: FormField, b: FormField, cfg: NonlinearityConfig) -> FormField:
-    """Q(a, b) = M1(d a, b) + d M2(a, b); N(v) = Q(v, v)."""
-    grid = a.grid
-    out = FormField.zeros(grid, cfg.degree)
-    if cfg.m1 is not None and a.degree < grid.n:
-        out = out + _product(cfg.m1, exterior_derivative(a), b)
-    if cfg.m2 is not None:
-        out = out + exterior_derivative(_product(cfg.m2, a, b))
+@dataclass(frozen=True)
+class _Band:
+    """Index data of the kernel: the half of the band box.
+
+    The band box (``spectral._band_box``) holds the modes with every
+    |k_j| <= L = res // 3.  Its half, k_last = 0..L, is all the kernel keeps
+    of a field's spectrum; the rest of the box is its conjugate reflection.
+    """
+
+    limit: int
+    axes: tuple[int, ...]
+    box: tuple[np.ndarray, ...]  # np.ix_ of the band box in the full spectrum
+    half: tuple[np.ndarray, ...]  # np.ix_ of the box's half, k_last = 0..L
+    tail: tuple[np.ndarray, ...]  # np.ix_ of the box's rest, k_last = -L..-1
+    reflect: tuple[np.ndarray, ...]  # np.ix_ into the half of -k, k in the tail
+    half_shape: tuple[int, ...]  # shape of an rfftn half spectrum
+
+
+@lru_cache(maxsize=None)
+def _band(grid: SpectralGrid) -> _Band:
+    n, res, limit = grid.n, grid.res, grid.res // 3
+    box = _band_box(grid)
+    lead = box[:-1]
+    minus = (-np.arange(2 * limit + 1)) % (2 * limit + 1)
+    return _Band(
+        limit=limit,
+        axes=tuple(range(n)),
+        box=box,
+        half=np.ix_(*(i.ravel() for i in lead), np.arange(limit + 1)),
+        tail=np.ix_(*(i.ravel() for i in lead), np.arange(res - limit, res)),
+        reflect=np.ix_(*([minus] * (n - 1)), np.arange(limit, 0, -1)),
+        half_shape=grid.shape[:-1] + (res // 2 + 1,),
+    )
+
+
+def _band_halves(u: FormField, band: _Band) -> list[np.ndarray]:
+    """The band half of every component, checked to be a real field's."""
+    halves = []
+    for c in u.components:
+        box = c[band.box]
+        if not _is_hermitian(box, 1e-10):
+            raise FieldIntegrityError("coefficients are not Hermitian symmetric")
+        halves.append(box[..., :band.limit + 1])
+    return halves
+
+
+def _apply_d(grid: SpectralGrid, degree: int, halves, out) -> list:
+    """Add d of a degree-``degree`` field, given by its band halves, into ``out``."""
+    keep = halves[0].shape[-1]
+    for out_idx, in_idx, axis, sign in _insertion_table(grid.n, degree):
+        symbol = _derivative_symbol(grid, axis, sign, False, True)[..., :keep]
+        _accumulate(out, out_idx, symbol * halves[in_idx])
     return out
+
+
+def _quadratic(cfg: NonlinearityConfig, *fields: FormField) -> FormField:
+    """Q(v, v) of one field, or Q(w, v) + Q(v, w) of two.
+
+    Q(a, b) = M1(d a, b) + d M2(a, b).  See the module docstring for the
+    steps and the transform budget.
+    """
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("product arguments live on different grids")
+    band = _band(grid)
+    degree = cfg.degree
+    use_m1 = cfg.m1 is not None and degree < grid.n
+
+    spectrum = np.zeros(band.half_shape, dtype=np.complex128)
+
+    def physical(half):
+        # Every call writes the same band positions; the rest stays zero.
+        spectrum[band.half] = half
+        return np.fft.irfftn(spectrum, s=grid.shape, axes=band.axes, norm="forward")
+
+    values, derivs = [], []
+    for f in fields:
+        halves = _band_halves(f, band)
+        values.append([physical(h) for h in halves])
+        if use_m1:
+            d_halves = _apply_d(grid, degree, halves,
+                                [None] * grid.component_count(degree + 1))
+            derivs.append([physical(h) for h in d_halves])
+    pairs = ((0, 0),) if len(fields) == 1 else ((0, 1), (1, 0))
+
+    def spectral(entries, first, second):
+        # Each pair's product in its own buffer, summed afterwards: then
+        # B(v, v) is the exact double of N(v).
+        prod = None
+        for i, j in pairs:
+            term = _contract(entries, first[i], second[j], grid.shape)
+            if prod is None:
+                prod = term
+            else:
+                prod += term
+        return np.fft.rfftn(prod, axes=band.axes, norm="forward")[band.half]
+
+    out = [None] * grid.component_count(degree)
+    if use_m1:
+        out = [spectral(e, derivs, values) for e in cfg.m1._entries]
+    m2 = [spectral(e, values, values) for e in cfg.m2._entries] if cfg.m2 else []
+    del values, derivs, spectrum  # free the grid arrays before the outputs
+    if m2:
+        out = _apply_d(grid, degree - 1, m2, out)
+    return FormField(grid, degree, tuple(_full_spectrum(h, grid, band) for h in out))
+
+
+def _full_spectrum(half: np.ndarray | None, grid: SpectralGrid, band: _Band) -> np.ndarray:
+    """fftn-layout coefficients of a real band-limited field from its band half."""
+    full = np.zeros(grid.shape, dtype=np.complex128)
+    if half is not None:
+        full[band.half] = half
+        full[band.tail] = np.conj(half[band.reflect])
+    return full
 
 
 def nonlinear_term(v: FormField, cfg: NonlinearityConfig) -> FormField:
@@ -196,7 +330,7 @@ def nonlinear_term(v: FormField, cfg: NonlinearityConfig) -> FormField:
         )
     if cfg.is_zero:
         return FormField.zeros(v.grid, v.degree)
-    return _half_quadratic(v, v, cfg)
+    return _quadratic(cfg, v)
 
 
 def bilinear_term(w: FormField, v: FormField, cfg: NonlinearityConfig) -> FormField:
@@ -205,7 +339,7 @@ def bilinear_term(w: FormField, v: FormField, cfg: NonlinearityConfig) -> FormFi
         raise ValueError("field degrees do not match the nonlinearity degree")
     if cfg.is_zero:
         return FormField.zeros(v.grid, v.degree)
-    return _half_quadratic(w, v, cfg) + _half_quadratic(v, w, cfg)
+    return _quadratic(cfg, w, v)
 
 
 def convective_term(w: FormField, u: FormField) -> FormField:

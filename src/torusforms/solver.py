@@ -28,6 +28,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -47,15 +48,17 @@ from .spectral import (
     ConsistencyError,
     FormField,
     SpectralGrid,
+    _accumulate,
+    _band_box,
+    _derivative_symbol,
     _insertion_table,
+    _inverse_squares,
     codifferential,
-    dealias,
     fractional_power,
     hodge_laplacian,
     inner_product,
     l2_norm,
     load_field,
-    remove_harmonic,
     save_field,
 )
 
@@ -171,14 +174,61 @@ def format_solver_config(cfg: SolverConfig) -> str:
 # -- state-space projection ---------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _band_parametrix(grid: SpectralGrid) -> np.ndarray:
+    """1/|k|^2 (zero at k = 0) on the box of the dealiasing band."""
+    return _inverse_squares(grid.k_squared[_band_box(grid)])
+
+
 def project_state(u: FormField) -> FormField:
     """Orthogonal projection onto the solver state space.
 
     Dealiased band, divergence-free (kernel of the codifferential), zero
     mean; the harmonic mode is excluded so the diffusion semigroup is a
-    strict contraction on states.
+    strict contraction on states.  One pass of delta d (mask |k|^-2 u)
+    through the insertion table, on the band box only: inside the band it
+    makes the operations of remove_harmonic(helmholtz_project(dealias(u)))
+    in their order, so the two agree bit for bit.
     """
-    return remove_harmonic(helmholtz_project(dealias(u)))
+    out = FormField.zeros(u.grid, u.degree)
+    box = _band_box(u.grid)
+    for full, part in zip(out.components, _band_projection(u)):
+        full[box] = part
+    return out
+
+
+def _negated_projection(q: FormField) -> FormField:
+    """-project_state(q), written over the arrays of q.
+
+    For a right-hand side's fresh N(u) or B(w, u), which nothing else
+    holds: the step then allocates no further field for it.
+    """
+    box = _band_box(q.grid)
+    for full, part in zip(q.components, _band_projection(q)):
+        full.fill(0.0)
+        full[box] = np.negative(part, out=part)
+    return q
+
+
+def _band_projection(u: FormField) -> list[np.ndarray]:
+    """project_state(u) on the band box, one array per component."""
+    grid, degree = u.grid, u.degree
+    if degree == grid.n:
+        return [np.zeros(_band_parametrix(grid).shape, dtype=np.complex128)
+                for _ in u.components]
+    box = _band_box(grid)
+    mult = _band_parametrix(grid)
+    phi = [mult * c[box] for c in u.components]
+    table = _insertion_table(grid.n, degree)
+    dphi = [None] * grid.component_count(degree + 1)
+    for out_idx, in_idx, axis, sign in table:
+        _accumulate(dphi, out_idx,
+                    _derivative_symbol(grid, axis, sign, False, True) * phi[in_idx])
+    proj = [None] * grid.component_count(degree)
+    for in_idx, out_idx, axis, sign in table:
+        _accumulate(proj, out_idx,
+                    _derivative_symbol(grid, axis, sign, True, True) * dphi[in_idx])
+    return proj
 
 
 def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
@@ -196,6 +246,18 @@ def _decay_multiplier(grid: SpectralGrid, mu: float, tau: float) -> np.ndarray:
 
 def _apply_multiplier(u: FormField, mult: np.ndarray) -> FormField:
     return FormField(u.grid, u.degree, tuple(c * mult for c in u.components))
+
+
+def _field_decay(grid: SpectralGrid, mu: float):
+    """``apply_decay`` for field states; builds each multiplier once per tau."""
+    multipliers: dict[float, np.ndarray] = {}
+
+    def apply(u: FormField, tau: float) -> FormField:
+        if tau not in multipliers:
+            multipliers[tau] = _decay_multiplier(grid, mu, tau)
+        return _apply_multiplier(u, multipliers[tau])
+
+    return apply
 
 
 # -- data samplers -------------------------------------------------------------
@@ -274,7 +336,8 @@ def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard):
 
 
 def _field_guard(u: FormField, j: int) -> None:
-    if not np.isfinite(l2_norm(u)) or l2_norm(u) > BLOWUP_THRESHOLD:
+    norm = l2_norm(u)
+    if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
         raise SolverDivergenceError(
             f"trajectory norm exceeded {BLOWUP_THRESHOLD:.0e} at step {j + 1}"
         )
@@ -391,8 +454,7 @@ def solve_linearized(
 
     states = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        lambda u, tau: _apply_multiplier(u, _decay_multiplier(grid, cfg.mu, tau)),
-        rhs, _field_guard,
+        _field_decay(grid, cfg.mu), rhs, _field_guard,
     )
     stored = _stored_indices(cfg.steps, store_every)
 
@@ -459,7 +521,7 @@ def solve_nonlinear(
     state0 = project_state(u0)
 
     def rhs(j, midpoint, u):
-        out = project_state(nonlinear_term(u, ns)) * (-1.0)
+        out = _negated_projection(nonlinear_term(u, ns))
         fj = f.sample(j, midpoint)
         if fj is not None:
             out = out + project_state(fj)
@@ -467,13 +529,18 @@ def solve_nonlinear(
 
     states = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        lambda u, tau: _apply_multiplier(u, _decay_multiplier(grid, cfg.mu, tau)),
-        rhs, _field_guard,
+        _field_decay(grid, cfg.mu), rhs, _field_guard,
     )
     stored = _stored_indices(cfg.steps, store_every)
+    # N(u) at each stored sample, evaluated once for the derivative cache
+    # and the pressure source.
+    quad_cache: dict[int, FormField] = {}
 
     def quad_at(j, u):
-        return project_state(nonlinear_term(u, ns))
+        quad = nonlinear_term(u, ns)
+        if with_pressure:
+            quad_cache[j] = quad
+        return project_state(quad)
 
     def quad_deriv(j, u, du):
         return project_state(bilinear_term(u, du, ns))
@@ -487,7 +554,8 @@ def solve_nonlinear(
         p_first = []
         for idx, i in enumerate(stored):
             u = states[i]
-            src = nonlinear_term(u, ns) * (-1.0)
+            quad = quad_cache.pop(i) if i in quad_cache else nonlinear_term(u, ns)
+            src = quad * (-1.0)
             fi = f.at(i)
             if fi is not None:
                 src = src + fi
@@ -1004,16 +1072,14 @@ def newton_local_inverse(
         converged = norm <= cfg.newton_tol
 
     times = cfg.times()
-    p_list = [
-        _pressure_from_source(
-            (f_cells[min(j, cfg.steps - 1)]) - nonlinear_term(states[j], ns)
-        )
-        for j in range(len(states))
-    ]
+    p_list = []
     dt1 = []
     for j, u in enumerate(states):
-        du = hodge_laplacian(u) * (-cfg.mu) - project_state(nonlinear_term(u, ns))
-        dt1.append(du + f_cells[min(j, cfg.steps - 1)])
+        quad = nonlinear_term(u, ns)
+        f_cell = f_cells[min(j, cfg.steps - 1)]
+        p_list.append(_pressure_from_source(f_cell - quad))
+        du = hodge_laplacian(u) * (-cfg.mu) - project_state(quad)
+        dt1.append(du + f_cell)
     sol = TimeSeriesSolution(times, states, p=p_list, dt_cache={1: dt1})
     return NewtonResult(sol, history, converged)
 

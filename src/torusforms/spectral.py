@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb
 from numbers import Real
@@ -94,34 +94,44 @@ class SpectralGrid:
         """Integer wavenumbers along one axis in fftn layout."""
         return np.rint(np.fft.fftfreq(self.res) * self.res).astype(np.int64)
 
+    def _axis_mesh(self, axis: int) -> np.ndarray:
+        """axis_modes shaped (1, .., res, .., 1) to broadcast along ``axis``."""
+        shape = [1] * self.n
+        shape[axis] = self.res
+        return self.axis_modes.reshape(shape)
+
     @cached_property
     def wavevectors(self) -> np.ndarray:
         """Stacked integer wavevector meshes, shape (n, res, ..., res)."""
         axes = [self.axis_modes] * self.n
         return np.stack(np.meshgrid(*axes, indexing="ij"))
 
+    # The multipliers below broadcast the per-axis modes instead of reading
+    # ``wavevectors``, so a grid that only steps and projects never holds
+    # the n full integer meshes.
+
     @cached_property
     def k_squared(self) -> np.ndarray:
-        return np.sum(self.wavevectors.astype(np.float64) ** 2, axis=0)
+        return reduce(np.add, (self._axis_mesh(j).astype(np.float64) ** 2
+                               for j in range(self.n)))
 
     @cached_property
     def inv_k_squared(self) -> np.ndarray:
         """1/|k|^2 with the zero mode mapped to zero (parametrix multiplier)."""
-        k2 = self.k_squared
-        out = np.zeros_like(k2)
-        np.divide(1.0, k2, out=out, where=k2 > 0)
-        return out
+        return _inverse_squares(self.k_squared)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Keep-mask of the two-thirds rule: drop modes with any |k_j| > res/3."""
         limit = self.res / 3.0
-        return np.all(np.abs(self.wavevectors) <= limit, axis=0)
+        return reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= limit
+                                       for j in range(self.n)))
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
         """Modes containing the unpaired frequency res/2 along any axis."""
-        return np.any(np.abs(self.wavevectors) == self.res // 2, axis=0)
+        return reduce(np.logical_or, (np.abs(self._axis_mesh(j)) == self.res // 2
+                                      for j in range(self.n)))
 
     def meshes(self) -> list[np.ndarray]:
         """Physical coordinate meshes x_1..x_n."""
@@ -132,12 +142,59 @@ class SpectralGrid:
         return comb(self.n, degree)
 
 
-def _conjugate_reflection(coeff: np.ndarray) -> np.ndarray:
-    """conj(c(-k)) in fftn layout; equals c(k) for real fields."""
-    out = np.conj(coeff)
-    for axis in range(out.ndim):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
+def _inverse_squares(k2: np.ndarray) -> np.ndarray:
+    """1/k2 where k2 > 0, zero elsewhere."""
+    out = np.zeros_like(k2)
+    np.divide(1.0, k2, out=out, where=k2 > 0)
     return out
+
+
+def _is_hermitian(coeff: np.ndarray, tol: float) -> bool:
+    """c(k) = conj(c(-k)) up to ``tol`` times max(max |c|, 1).
+
+    Works on any array in fftn layout, also on a band box whose axes hold
+    the modes 0..L, -L..-1.
+    """
+    scale = max(np.max(np.abs(coeff)), 1.0)
+    gap = coeff[np.ix_(*((-np.arange(m)) % m for m in coeff.shape))]
+    np.conjugate(gap, out=gap)
+    np.subtract(coeff, gap, out=gap)
+    return not np.max(np.abs(gap)) > tol * scale
+
+
+def _accumulate(out: list, idx: int, term: np.ndarray) -> None:
+    """out[idx] += term, where None stands for a zero not yet allocated."""
+    if out[idx] is None:
+        out[idx] = term
+    else:
+        out[idx] += term
+
+
+@lru_cache(maxsize=None)
+def _band_box(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
+    """np.ix_ index of the box of the two-thirds band.
+
+    The box holds the modes 0..L, -L..-1 (fftn order) on every axis, with
+    L = res // 3; the dealiasing mask is zero outside it.
+    """
+    limit = grid.res // 3
+    return np.ix_(*([np.r_[0:limit + 1, grid.res - limit:grid.res]] * grid.n))
+
+
+@lru_cache(maxsize=None)
+def _derivative_symbol(
+    grid: SpectralGrid, axis: int, sign: int, adjoint: bool, band: bool = False
+) -> np.ndarray:
+    """The multiplier (sign * i) k_axis of d, or its conjugate for the adjoint.
+
+    Shaped (1, .., res, .., 1) so it broadcasts along ``axis`` of a
+    coefficient array, or along ``axis`` of the band box with ``band``.
+    """
+    modes = grid._axis_mesh(axis)
+    if band:
+        modes = np.take(modes, _band_box(grid)[axis].ravel(), axis=axis)
+    factor = sign * -1j if adjoint else sign * 1j
+    return factor * modes
 
 
 @dataclass(frozen=True)
@@ -210,11 +267,7 @@ class FormField:
         return complex(self.components[component][idx])
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        for c in self.components:
-            scale = max(np.max(np.abs(c)), 1.0)
-            if np.max(np.abs(c - _conjugate_reflection(c))) > tol * scale:
-                return False
-        return True
+        return all(_is_hermitian(c, tol) for c in self.components)
 
     def stack(self) -> np.ndarray:
         """Components stacked into one (ncomp, res, ..., res) array."""
@@ -276,12 +329,18 @@ def to_physical(u: FormField, check: bool = True) -> list[np.ndarray]:
     """Real sample arrays of every component.
 
     Raises FieldIntegrityError when coefficients are not Hermitian
-    symmetric (the field would not be real).
+    symmetric (the field would not be real).  The samples are the real
+    inverse transform (irfftn) of the half spectrum k_last >= 0, which
+    relies on that symmetry for the other half.
     """
     if check and not u.is_hermitian(tol=1e-10):
         raise FieldIntegrityError("coefficients are not Hermitian symmetric")
-    size = u.grid.res**u.grid.n
-    return [np.real(np.fft.ifftn(c) * size) for c in u.components]
+    grid = u.grid
+    half = grid.res // 2 + 1
+    return [
+        np.fft.irfftn(c[..., :half], s=grid.shape, axes=tuple(range(grid.n)), norm="forward")
+        for c in u.components
+    ]
 
 
 def from_physical(
@@ -304,9 +363,8 @@ def exterior_derivative(u: FormField) -> FormField:
         np.zeros(grid.shape, dtype=np.complex128)
         for _ in range(grid.component_count(u.degree + 1))
     ]
-    kvecs = grid.wavevectors
     for out_idx, in_idx, axis, sign in _insertion_table(grid.n, u.degree):
-        out[out_idx] += (sign * 1j) * kvecs[axis] * u.components[in_idx]
+        out[out_idx] += _derivative_symbol(grid, axis, sign, False) * u.components[in_idx]
     return FormField(grid, u.degree + 1, tuple(out))
 
 
@@ -324,9 +382,8 @@ def codifferential(u: FormField) -> FormField:
         np.zeros(grid.shape, dtype=np.complex128)
         for _ in range(grid.component_count(u.degree - 1))
     ]
-    kvecs = grid.wavevectors
     for in_idx, out_idx, axis, sign in _insertion_table(grid.n, u.degree - 1):
-        out[out_idx] += (sign * -1j) * kvecs[axis] * u.components[in_idx]
+        out[out_idx] += _derivative_symbol(grid, axis, sign, True) * u.components[in_idx]
     return FormField(grid, u.degree - 1, tuple(out))
 
 

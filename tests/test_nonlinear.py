@@ -7,9 +7,13 @@ the exact quadratic expansion) are checked to rounding because the
 implementation evaluates both sides through the same dealiased products.
 """
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import torusforms.nonlinear as nonlinear_module
 
 from oracles import convective_term_fd, quadrature_inner
 from torusforms.hodge import helmholtz_project
@@ -32,6 +36,7 @@ from torusforms.nonlinear import (
 )
 from torusforms.spectral import (
     TWO_PI,
+    FieldIntegrityError,
     FormField,
     SpectralGrid,
     exterior_derivative,
@@ -227,6 +232,77 @@ class TestPolarization:
         defect = l2_norm(lhs - nonlinear_term(h, cfg) * eps**2)
         scale = max(l2_norm(nonlinear_term(u, cfg)), 1.0)
         assert defect <= 1e-12 * scale
+
+
+class TestTransformBudget:
+    """Each input and derivative component goes to the grid once, each
+    output component comes back once."""
+
+    @staticmethod
+    def _counting_numpy(monkeypatch) -> list[str]:
+        calls: list[str] = []
+        fft = types.ModuleType("numpy.fft")
+        fft.__dict__.update(vars(np.fft))
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+                     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft"):
+            def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            setattr(fft, name, counted)
+        proxy = types.ModuleType("numpy")
+        proxy.__dict__.update(vars(np))
+        proxy.fft = fft
+        monkeypatch.setattr(nonlinear_module, "np", proxy)
+        return calls
+
+    @pytest.mark.parametrize("grid, n_budget, b_budget", [(G2, 6, 9), (G3, 10, 16)])
+    def test_component_transforms_per_call(self, monkeypatch, grid, n_budget, b_budget):
+        w, v = _pair(grid, 41)
+        cfg = _ns(grid)
+        calls = self._counting_numpy(monkeypatch)
+        nonlinear_term(v, cfg)
+        assert len(calls) == n_budget
+        assert calls.count("rfftn") == grid.n + 1  # M1 and M2 outputs
+        calls.clear()
+        bilinear_term(w, v, cfg)
+        assert len(calls) == b_budget
+        assert calls.count("rfftn") == grid.n + 1
+
+
+class TestInputIntegrity:
+    @staticmethod
+    def _broken(grid: SpectralGrid, k: tuple[int, ...]) -> tuple[FormField, FormField]:
+        """A real field, and the same field with one unpaired mode at k."""
+        u, _ = _pair(grid, 43)
+        comps = [c.copy() for c in u.components]
+        comps[0][tuple(kj % grid.res for kj in k)] += 0.3j
+        return u, FormField(grid, 1, tuple(comps))
+
+    @pytest.mark.parametrize("grid", [G2, G3])
+    def test_in_band_asymmetry_rejected(self, grid):
+        k = (1, 2) if grid.n == 2 else (1, -2, 3)
+        u, broken = self._broken(grid, k)
+        cfg = _ns(grid)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            nonlinear_term(broken, cfg)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            bilinear_term(u, broken, cfg)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            bilinear_term(broken, u, cfg)
+
+    @pytest.mark.parametrize("grid", [G2, G3])
+    def test_asymmetry_outside_band_is_dealiased_away(self, grid):
+        # Dealias first, then check: a mode the two-thirds rule drops never
+        # reaches the check or the product.
+        k = (grid.res // 3 + 1,) + (1,) * (grid.n - 1)
+        u, broken = self._broken(grid, k)
+        cfg = _ns(grid)
+        for a, b in zip(nonlinear_term(broken, cfg).components,
+                        nonlinear_term(u, cfg).components):
+            assert np.array_equal(a, b)
+        for a, b in zip(bilinear_term(broken, u, cfg).components,
+                        bilinear_term(u, u, cfg).components):
+            assert np.array_equal(a, b)
 
 
 class TestTrilinear:

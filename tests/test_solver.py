@@ -9,6 +9,8 @@ algebraic identities of the discrete quadratic forward map.
 import numpy as np
 import pytest
 
+import torusforms.hodge as hodge_module
+import torusforms.solver as solver_module
 from oracles import observed_order, taylor_green_pressure, taylor_green_velocity
 from torusforms.nonlinear import navier_stokes_config, nonlinear_term, zero_config
 from torusforms.solver import (
@@ -34,11 +36,13 @@ from torusforms.solver import (
     solve_linearized,
     solve_nonlinear,
 )
+from torusforms.hodge import helmholtz_project
 from torusforms.spectral import (
     ConsistencyError,
     FormField,
     SpectralGrid,
     codifferential,
+    dealias,
     exterior_derivative,
     fractional_power,
     harmonic_projection,
@@ -179,6 +183,58 @@ class TestGalerkinBasis:
         basis = build_basis(G16, 1, 4)
         with pytest.raises(ValueError, match="permutation"):
             basis.reordered([0, 0, 1, 2])
+
+
+class TestProjectState:
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 16), SpectralGrid(3, 12)])
+    def test_equals_composed_projections_exactly(self, grid):
+        # The one-pass projector makes the composed projections' floating-
+        # point operations inside the band, so even generic (non-real,
+        # out-of-band) coefficients give identical bits.
+        rng = np.random.default_rng(71)
+        for degree in range(grid.n + 1):
+            count = grid.component_count(degree)
+            for u in (
+                random_form(grid, degree, rng, kmax=grid.res / 2),
+                FormField(grid, degree, tuple(
+                    rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                    for _ in range(count))),
+            ):
+                fused = project_state(u)
+                composed = remove_harmonic(helmholtz_project(dealias(u)))
+                for a, b in zip(fused.components, composed.components):
+                    assert np.array_equal(a, b)
+
+
+class TestEvaluationCounts:
+    def test_nonlinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
+        # 4 rk2 steps make 8 stage evaluations; the 3 stored samples share
+        # one evaluation between the derivative cache and the pressure.
+        calls = []
+
+        def counted(u, cfg):
+            calls.append(1)
+            return nonlinear_term(u, cfg)
+
+        monkeypatch.setattr(solver_module, "nonlinear_term", counted)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2, derivatives=1)
+        assert len(calls) == 8 + 3
+
+    def test_pressure_source_projected_twice(self, monkeypatch):
+        calls = []
+
+        def counted(u):
+            calls.append(1)
+            return helmholtz_project(u)
+
+        monkeypatch.setattr(solver_module, "helmholtz_project", counted)
+        monkeypatch.setattr(hodge_module, "helmholtz_project", counted)
+        source = nonlinear_term(_two_band_state(G16), NS2)
+        p = solver_module._pressure_from_source(source)
+        assert len(calls) == 2
+        grad_part = source - helmholtz_project(source)
+        assert l2_norm(exterior_derivative(p) - grad_part) <= 1e-12 * l2_norm(grad_part)
 
 
 class TestExactDecay:
