@@ -19,7 +19,10 @@ with Q the advection or nonlinear term.
 Cached time derivatives attached to solutions are obtained by
 substituting the evolution equation (and its differentiated form), never
 by finite differences; the finite-difference formulas in the residual
-diagnostics measure scheme accuracy and are intentional.
+diagnostics measure scheme accuracy and are intentional.  One pass over
+the stored samples evaluates Q(u), and where the solver has it
+Q'(u) du/dt, once per sample: P Q enters the derivative cache and
+(I - P)(f - Q) the pressure, likewise for their time derivatives.
 """
 
 from __future__ import annotations
@@ -248,14 +251,19 @@ def _apply_multiplier(u: FormField, mult: np.ndarray) -> FormField:
     return FormField(u.grid, u.degree, tuple(c * mult for c in u.components))
 
 
-def _field_decay(grid: SpectralGrid, mu: float):
-    """``apply_decay`` for field states; builds each multiplier once per tau."""
+def _lawson_decay(multiplier, scale=np.multiply):
+    """``apply_decay`` of ``_run_scheme``: scale(state, multiplier(tau)).
+
+    For field states (``_decay_multiplier``, scale ``_apply_multiplier``)
+    and coefficient vectors (exp(-mu tau lam) of the basis eigenvalues)
+    alike; builds each multiplier once per tau.
+    """
     multipliers: dict[float, np.ndarray] = {}
 
-    def apply(u: FormField, tau: float) -> FormField:
+    def apply(state, tau: float):
         if tau not in multipliers:
-            multipliers[tau] = _decay_multiplier(grid, mu, tau)
-        return _apply_multiplier(u, multipliers[tau])
+            multipliers[tau] = multiplier(tau)
+        return scale(state, multipliers[tau])
 
     return apply
 
@@ -343,6 +351,15 @@ def _field_guard(u: FormField, j: int) -> None:
         )
 
 
+def _coefficient_guard(g: np.ndarray, j: int) -> None:
+    norm = float(np.linalg.norm(g))
+    if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
+        raise SolverDivergenceError(
+            f"coefficient norm exceeded {BLOWUP_THRESHOLD:.0e} "
+            f"at step {j + 1} (m = {g.size})"
+        )
+
+
 def _stored_indices(steps: int, store_every: int) -> list[int]:
     if store_every < 1 or store_every > steps:
         raise ValueError("store_every must lie in [1, steps]")
@@ -355,49 +372,62 @@ def _stored_indices(steps: int, store_every: int) -> list[int]:
 # -- field-space solvers --------------------------------------------------------
 
 
-def _package_solution(
-    states,
-    times,
-    stored,
-    mu,
-    f_sampler,
-    quad_term,
-    quad_derivative,
-    f_dt_sampler,
-    derivatives,
-):
-    """Assemble a TimeSeriesSolution with equation-substituted derivatives.
+def _sample_pass(
+    states, times, stored, mu, f, quad, derivatives, with_pressure,
+    quad_dt=None, f_dt=None,
+) -> TimeSeriesSolution:
+    """The stored samples with equation-substituted derivatives and pressures.
 
-    ``quad_term(j, u)`` is the projected advection/nonlinear term P Q(u)
-    at sample index j; ``quad_derivative(j, u, du)`` is its derivative
-    P Q'(u) du along the trajectory.  Pressure series are attached by the
-    callers, which know the unprojected source.
+    ``quad(i, u)`` is the unprojected term Q(u) at sample index i and
+    ``quad_dt(u, du)`` its derivative Q'(u) du along the trajectory (None
+    where the solver has none).  Each is evaluated at most once per
+    sample: -P Q enters the derivative cache, f - Q the pressure source,
+    and likewise Q'(u) du and df/dt for the second derivative and the
+    pressure's first.
     """
     u_list = [states[i] for i in stored]
-    t_list = times[stored]
-
-    dt_cache: dict[int, list[FormField]] = {}
-    if derivatives >= 1:
-        first = []
-        for idx, i in enumerate(stored):
-            u = u_list[idx]
-            du = hodge_laplacian(u) * (-mu) - quad_term(i, u)
-            fi = f_sampler.at(i)
-            if fi is not None:
-                du = du + project_state(fi)
+    with_q = derivatives >= 1 or with_pressure
+    with_dq = quad_dt is not None and (
+        derivatives == 2 or (derivatives == 1 and with_pressure))
+    first, second, p_list, p_first = [], [], [], []
+    for i, u in zip(stored, u_list):
+        if not with_q:
+            break
+        q, fi = quad(i, u), f.at(i)
+        if derivatives >= 1:
+            du = _substituted(u, q, fi, mu)
             first.append(du)
-        dt_cache[1] = first
-    if derivatives >= 2:
-        second = []
-        for idx, i in enumerate(stored):
-            u, du = u_list[idx], dt_cache[1][idx]
-            ddu = hodge_laplacian(du) * (-mu) - quad_derivative(i, u, du)
-            dfi = f_dt_sampler.at(i)
-            if dfi is not None:
-                ddu = ddu + project_state(dfi)
-            second.append(ddu)
-        dt_cache[2] = second
-    return TimeSeriesSolution(t_list, u_list, dt_cache=dt_cache)
+        if with_pressure:
+            p_list.append(_pressure(q, fi))
+        if not with_dq:
+            continue
+        dq, dfi = quad_dt(u, du), f_dt.at(i)
+        if derivatives >= 2:
+            second.append(_substituted(du, dq, dfi, mu))
+        if with_pressure:
+            p_first.append(_pressure(dq, dfi))
+    dt_cache = {d: s for d, s in ((1, first), (2, second)) if d <= derivatives}
+    return TimeSeriesSolution(
+        times[stored], u_list, p=p_list if with_pressure else None,
+        dt_cache=dt_cache, p_dt_cache={1: p_first} if p_first else {},
+    )
+
+
+def _substituted(u: FormField, q: FormField, fu: FormField | None,
+                 mu: float) -> FormField:
+    """-mu Lap u - P q + P fu: the time derivative the equation assigns."""
+    du = hodge_laplacian(u) * (-mu) - project_state(q)
+    if fu is not None:
+        du = du + project_state(fu)
+    return du
+
+
+def _pressure(q: FormField, fu: FormField | None) -> FormField:
+    """Pressure of the source fu - q."""
+    src = q * (-1.0)
+    if fu is not None:
+        src = src + fu
+    return _pressure_from_source(src)
 
 
 def _pressure_from_source(source: FormField) -> FormField:
@@ -439,14 +469,14 @@ def solve_linearized(
     f = _Sampler(f_series, times, "forcing")
     state0 = project_state(u0)
 
-    def quad(j, midpoint, u):
+    def advection(j, midpoint, u):
         wj = w.sample(j, midpoint)
         if wj is None:
             return FormField.zeros(grid, u.degree)
-        return project_state(bilinear_term(wj, u, ns))
+        return bilinear_term(wj, u, ns)
 
     def rhs(j, midpoint, u):
-        out = quad(j, midpoint, u) * (-1.0)
+        out = project_state(advection(j, midpoint, u)) * (-1.0)
         fj = f.sample(j, midpoint)
         if fj is not None:
             out = out + project_state(fj)
@@ -454,38 +484,14 @@ def solve_linearized(
 
     states = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        _field_decay(grid, cfg.mu), rhs, _field_guard,
+        _lawson_decay(lambda tau: _decay_multiplier(grid, cfg.mu, tau),
+                      _apply_multiplier),
+        rhs, _field_guard,
     )
-    stored = _stored_indices(cfg.steps, store_every)
-
-    def quad_at(j, u):
-        return quad(j, False, u)
-
-    def quad_deriv(j, u, du):  # unused (derivatives <= 1)
-        raise NotImplementedError
-
-    sol = _package_solution(
-        states, times, stored, cfg.mu, f, quad_at, quad_deriv,
-        _Sampler(None, times, "forcing derivative"), derivatives,
+    return _sample_pass(
+        states, times, _stored_indices(cfg.steps, store_every), cfg.mu, f,
+        lambda i, u: advection(i, False, u), derivatives, with_pressure,
     )
-    if with_pressure:
-        p_list = []
-        for i in stored:
-            u = states[i]
-            src = _linearized_source(f, w, i, u, ns, grid)
-            p_list.append(_pressure_from_source(src))
-        sol.p = p_list
-    return sol
-
-
-def _linearized_source(f, w, j, u, ns, grid):
-    wj = w.at(j)
-    src = FormField.zeros(grid, u.degree) if wj is None else bilinear_term(wj, u, ns)
-    src = src * (-1.0)
-    fj = f.at(j)
-    if fj is not None:
-        src = src + fj
-    return src
 
 
 def solve_nonlinear(
@@ -529,48 +535,15 @@ def solve_nonlinear(
 
     states = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        _field_decay(grid, cfg.mu), rhs, _field_guard,
+        _lawson_decay(lambda tau: _decay_multiplier(grid, cfg.mu, tau),
+                      _apply_multiplier),
+        rhs, _field_guard,
     )
-    stored = _stored_indices(cfg.steps, store_every)
-    # N(u) at each stored sample, evaluated once for the derivative cache
-    # and the pressure source.
-    quad_cache: dict[int, FormField] = {}
-
-    def quad_at(j, u):
-        quad = nonlinear_term(u, ns)
-        if with_pressure:
-            quad_cache[j] = quad
-        return project_state(quad)
-
-    def quad_deriv(j, u, du):
-        return project_state(bilinear_term(u, du, ns))
-
-    sol = _package_solution(
-        states, times, stored, cfg.mu, f, quad_at, quad_deriv, f_dt,
-        derivatives,
+    return _sample_pass(
+        states, times, _stored_indices(cfg.steps, store_every), cfg.mu, f,
+        lambda i, u: nonlinear_term(u, ns), derivatives, with_pressure,
+        quad_dt=lambda u, du: bilinear_term(u, du, ns), f_dt=f_dt,
     )
-    if with_pressure:
-        p_list = []
-        p_first = []
-        for idx, i in enumerate(stored):
-            u = states[i]
-            quad = quad_cache.pop(i) if i in quad_cache else nonlinear_term(u, ns)
-            src = quad * (-1.0)
-            fi = f.at(i)
-            if fi is not None:
-                src = src + fi
-            p_list.append(_pressure_from_source(src))
-            if derivatives >= 1:
-                du = sol.dt_cache[1][idx]
-                dsrc = bilinear_term(u, du, ns) * (-1.0)
-                dfi = f_dt.at(i)
-                if dfi is not None:
-                    dsrc = dsrc + dfi
-                p_first.append(_pressure_from_source(dsrc))
-        sol.p = p_list
-        if derivatives >= 1:
-            sol.p_dt_cache[1] = p_first
-    return sol
 
 
 # -- Galerkin basis -------------------------------------------------------------
@@ -773,6 +746,16 @@ def assemble_linearized(
     return LinearizedOperator(basis, mu, times, mats, w_series)
 
 
+def _forcing_coefficients(f: _Sampler, basis: GalerkinBasis) -> np.ndarray:
+    """Basis coefficients of the forcing at every time-grid point."""
+    fvec = np.zeros((len(f.times), basis.m))
+    for j in range(len(f.times)):
+        fj = f.at(j)
+        if fj is not None:
+            fvec[j] = basis.project(fj)
+    return fvec
+
+
 def apply_inverse(
     op: LinearizedOperator,
     f_series,
@@ -794,12 +777,7 @@ def apply_inverse(
         raise ValueError("operator was sampled on a different time grid")
     basis = op.basis
     _check_initial(u0)
-    f = _Sampler(f_series, times, "forcing")
-    fvec = np.zeros((len(times), basis.m))
-    for j in range(len(times)):
-        fj = f.at(j)
-        if fj is not None:
-            fvec[j] = basis.project(fj)
+    fvec = _forcing_coefficients(_Sampler(f_series, times, "forcing"), basis)
     expl = op.explicit_part
 
     def rhs(j, midpoint, g):
@@ -812,21 +790,10 @@ def apply_inverse(
             mat, vec = expl[j], fvec[j]
         return vec - mat.T @ g
 
-    lam = basis.eigenvalues
-
-    def decay(g, tau):
-        return g * np.exp(-op.mu * tau * lam)
-
-    def guard(g, j):
-        norm = float(np.linalg.norm(g))
-        if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
-            raise SolverDivergenceError(
-                f"coefficient norm exceeded {BLOWUP_THRESHOLD:.0e} at step {j + 1}"
-            )
-
     g_states = _run_scheme(
         cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
-        decay, rhs, guard,
+        _lawson_decay(lambda tau: np.exp(-op.mu * tau * basis.eigenvalues)),
+        rhs, _coefficient_guard,
     )
     stored = _stored_indices(cfg.steps, store_every)
     u_list = [basis.synthesize(g_states[i]) for i in stored]
@@ -1120,11 +1087,7 @@ def galerkin_convergence_study(
     bounded = []
     for m in ms:
         basis = build_basis(grid, cfg.degree, m)
-        fvec = np.zeros((len(times), basis.m))
-        for j in range(len(times)):
-            fj = f.at(j)
-            if fj is not None:
-                fvec[j] = basis.project(fj)
+        fvec = _forcing_coefficients(f, basis)
 
         def rhs(j, midpoint, g, basis=basis, fvec=fvec):
             u = basis.synthesize(g)
@@ -1133,22 +1096,11 @@ def galerkin_convergence_study(
                 return 0.5 * (fvec[j] + fvec[j + 1]) - gn
             return fvec[j] - gn
 
-        lam = basis.eigenvalues
-
-        def decay(g, tau, lam=lam):
-            return g * np.exp(-cfg.mu * tau * lam)
-
-        def guard(g, j):
-            norm = float(np.linalg.norm(g))
-            if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
-                raise SolverDivergenceError(
-                    f"coefficient norm exceeded {BLOWUP_THRESHOLD:.0e} "
-                    f"at step {j + 1} (m = {basis.m})"
-                )
-
         g_states = _run_scheme(
             cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
-            decay, rhs, guard,
+            _lawson_decay(lambda tau, lam=basis.eigenvalues:
+                          np.exp(-cfg.mu * tau * lam)),
+            rhs, _coefficient_guard,
         )
         fields = [basis.synthesize(g) for g in g_states]
         trajectories.append(fields)
@@ -1206,8 +1158,13 @@ def load_solution(directory) -> TimeSeriesSolution:
                 f"manifest columns {reader.fieldnames} != {list(MANIFEST_COLUMNS)}"
             )
         for j, row in enumerate(reader):
+            name = row["file"]
+            if name in ("", ".", "..") or Path(name).name != name:
+                raise ValueError(
+                    f"manifest row {j + 1}: file {name!r} is not a bare file name"
+                )
             times.append(float(row["t"]))
-            u_list.append(load_field(directory / row["file"]))
+            u_list.append(load_field(directory / name))
             p_path = directory / f"p_{j:05d}.hpform"
             if p_path.exists():
                 p_list.append(load_field(p_path))

@@ -204,7 +204,6 @@ class FormField:
     grid: SpectralGrid
     degree: int
     components: tuple[np.ndarray, ...]
-    time_tag: float | None = None
 
     def __post_init__(self):
         if not 0 <= self.degree <= self.grid.n:
@@ -318,14 +317,11 @@ class FormField:
             self.grid, self.degree, tuple(c.copy() for c in self.components)
         )
 
-    def with_time(self, t: float) -> "FormField":
-        return FormField(self.grid, self.degree, self.components, time_tag=t)
-
 
 # -- transforms -----------------------------------------------------------
 
 
-def to_physical(u: FormField, check: bool = True) -> list[np.ndarray]:
+def to_physical(u: FormField) -> list[np.ndarray]:
     """Real sample arrays of every component.
 
     Raises FieldIntegrityError when coefficients are not Hermitian
@@ -333,7 +329,7 @@ def to_physical(u: FormField, check: bool = True) -> list[np.ndarray]:
     inverse transform (irfftn) of the half spectrum k_last >= 0, which
     relies on that symmetry for the other half.
     """
-    if check and not u.is_hermitian(tol=1e-10):
+    if not u.is_hermitian(tol=1e-10):
         raise FieldIntegrityError("coefficients are not Hermitian symmetric")
     grid = u.grid
     half = grid.res // 2 + 1
@@ -579,39 +575,10 @@ def load_field(path) -> FormField:
         raw = fh.read(expected)
         if len(raw) != expected:
             raise FieldIntegrityError("snapshot payload truncated")
+        if fh.read(1):
+            raise FieldIntegrityError("snapshot has bytes after its payload")
         flat = np.frombuffer(raw, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise FieldIntegrityError("snapshot holds non-finite samples")
     samples = flat.reshape((count,) + grid.shape)
     return FormField.from_physical(grid, degree, list(samples))
-
-
-class DeRhamComplex:
-    """Thin handle bundling a grid with the complex operations.
-
-    Alternative elliptic complexes can provide the same method set; the
-    rest of the package only needs derivative/coderivative/laplacian,
-    the harmonic projection, the parametrix and the inner product.
-    """
-
-    def __init__(self, grid: SpectralGrid):
-        self.grid = grid
-
-    def derivative(self, u: FormField) -> FormField:
-        return exterior_derivative(u)
-
-    def coderivative(self, u: FormField) -> FormField:
-        return codifferential(u)
-
-    def laplacian(self, u: FormField) -> FormField:
-        return hodge_laplacian(u)
-
-    def harmonic_projection(self, u: FormField) -> FormField:
-        return harmonic_projection(u)
-
-    def parametrix(self, u: FormField) -> FormField:
-        return parametrix(u)
-
-    def fractional_power(self, u: FormField, s: float) -> FormField:
-        return fractional_power(u, s)
-
-    def inner(self, u: FormField, v: FormField) -> float:
-        return inner_product(u, v)

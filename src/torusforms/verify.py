@@ -23,7 +23,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -120,21 +120,26 @@ class CheckRecord:
         }
 
 
-def _upper(check_id: str, anchor: str, value: float, tol: float,
-           runtime: float = 0.0) -> CheckRecord:
+def _upper(check_id: str, anchor: str, value: float, tol: float) -> CheckRecord:
     status = "pass" if math.isfinite(value) and value <= tol else "fail"
-    return CheckRecord(check_id, anchor, status, float(value), tol, runtime)
+    return CheckRecord(check_id, anchor, status, float(value), tol)
 
 
-def _lower(check_id: str, anchor: str, value: float, floor: float,
-           runtime: float = 0.0) -> CheckRecord:
+def _lower(check_id: str, anchor: str, value: float, floor: float) -> CheckRecord:
     status = "pass" if math.isfinite(value) and value >= floor else "fail"
-    return CheckRecord(check_id, anchor, status, float(value), floor, runtime)
+    return CheckRecord(check_id, anchor, status, float(value), floor)
 
 
-def _measured(check_id: str, anchor: str, value: float,
-              runtime: float = 0.0) -> CheckRecord:
-    return CheckRecord(check_id, anchor, "measured", float(value), None, runtime)
+def _measured(check_id: str, anchor: str, value: float) -> CheckRecord:
+    return CheckRecord(check_id, anchor, "measured", float(value), None)
+
+
+def _timed(run: Callable[..., list[CheckRecord]], *args) -> list[CheckRecord]:
+    """Call a suite or experiment and stamp its wall time on every record."""
+    start = time.perf_counter()
+    records = run(*args)
+    elapsed = time.perf_counter() - start
+    return [replace(r, runtime=elapsed) for r in records]
 
 
 @dataclass(frozen=True)
@@ -227,7 +232,6 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
     cases = _sweep_cases()
     per_case = -(-fields // len(cases))
     worst: dict[str, float] = {}
-    start = time.perf_counter()
 
     def bump(key, value):
         worst[key] = max(worst.get(key, 0.0), value)
@@ -291,7 +295,6 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
             probe_gap = max(probe_gap, l2_norm(harmonic_projection(e) - e))
         bump(f"harmonic-rank-n{n}", probe_gap)
 
-    elapsed = time.perf_counter() - start
     records = []
     for key in sorted(worst):
         anchor = {
@@ -304,7 +307,7 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
             "fractional": "gradient-multiplier",
             "split": "norm-equivalence",
         }[key.split("-")[0]]
-        records.append(_upper(f"complex/{key}", anchor, worst[key], 1e-12, elapsed))
+        records.append(_upper(f"complex/{key}", anchor, worst[key], 1e-12))
     return records
 
 
@@ -315,7 +318,6 @@ def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
     cases = _sweep_cases()
     per_case = -(-fields // len(cases))
     worst: dict[str, float] = {}
-    start = time.perf_counter()
 
     def bump(key, value):
         worst[key] = max(worst.get(key, 0.0), value)
@@ -358,14 +360,13 @@ def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
                     rec = recover_pressure(exterior_derivative(q))
                     bump(f"pressure-roundtrip-n{n}",
                          _rel(l2_norm(rec - q), l2_norm(q)))
-    elapsed = time.perf_counter() - start
     records = []
     for key in sorted(worst):
         anchor = ("pressure-gradient-inversion" if key.startswith("pressure")
                   else "projection-formula" if key.startswith("projection")
                   else "hodge-decomposition")
         tol = 1e-10 if key.startswith("pressure") else 1e-12
-        records.append(_upper(f"hodge/{key}", anchor, worst[key], tol, elapsed))
+        records.append(_upper(f"hodge/{key}", anchor, worst[key], tol))
     return records
 
 
@@ -373,7 +374,6 @@ def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
     """Norm equivalences, Bochner-refinement order, integral envelopes."""
     res = int(sizes["res"])
     records = []
-    start = time.perf_counter()
     grid = SpectralGrid(2, res)
     worst_tilde = 0.0
     worst_two_ways = 0.0
@@ -450,9 +450,7 @@ def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
     records.append(_upper("norms/embedding-ratio-stability",
                           "parabolic-embedding",
                           abs(ratios[1] / ratios[0] - 1.0), 0.10))
-    elapsed = time.perf_counter() - start
-    return [CheckRecord(r.id, r.anchor, r.status, r.value, r.tol, elapsed)
-            for r in records]
+    return records
 
 
 def _gn_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
@@ -467,7 +465,6 @@ def _nonlinearity_suite(rng: np.random.Generator,
     """Bilinear-map bounds, polarization, dealiasing, cancellation."""
     pairs = max(10, int(sizes["fields"]) // 4)
     records = []
-    start = time.perf_counter()
 
     worst_pointwise = 0.0
     for n in (2, 3):
@@ -566,9 +563,7 @@ def _nonlinearity_suite(rng: np.random.Generator,
         worst_change = max(worst_change, abs(vals[1] / vals[0] - 1.0))
     records.append(_upper("nonlinearity/continuity-stability",
                           "bilinear-continuity", worst_change, 0.10))
-    elapsed = time.perf_counter() - start
-    return [CheckRecord(r.id, r.anchor, r.status, r.value, r.tol, elapsed)
-            for r in records]
+    return records
 
 
 def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
@@ -578,7 +573,6 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
     u0 = _two_band_state(grid)
     ns = navier_stokes_config(2)
     records = []
-    start = time.perf_counter()
 
     # exact-solution reproduction at benchmark settings
     bench_res = int(sizes["res"])
@@ -586,13 +580,7 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
     cfg = SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=bench_res, scheme="imex-rk2")
     sol = solve_nonlinear(None, taylor_green_state(bench_grid), cfg,
                           store_every=cfg.steps // 10, derivatives=0)
-    vel_err = 0.0
-    pre_err = 0.0
-    for t, u, p in zip(sol.times, sol.u, sol.p):
-        exact_u = taylor_green_state(bench_grid, float(t), cfg.mu)
-        exact_p = taylor_green_pressure_field(bench_grid, float(t), cfg.mu)
-        vel_err = max(vel_err, _rel(l2_norm(u - exact_u), l2_norm(exact_u)))
-        pre_err = max(pre_err, _rel(l2_norm(p - exact_p), l2_norm(exact_p)))
+    vel_err, pre_err = _vortex_errors(sol, bench_grid, cfg.mu)
     records.append(_upper("solver/vortex-velocity-error",
                           "exact-vortex-solution", vel_err, 1e-5))
     records.append(_upper("solver/vortex-pressure-error",
@@ -600,15 +588,9 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
 
     # self-convergence orders under step halving
     for scheme, floor in (("imex-euler", 0.9), ("imex-rk2", 1.9)):
-        finals = []
-        for dt in (4e-3, 2e-3, 1e-3):
-            c = SolverConfig(mu=0.1, T=0.24, dt=dt, res=res, scheme=scheme)
-            s = solve_nonlinear(None, u0, c, store_every=c.steps,
-                                derivatives=0, with_pressure=False)
-            finals.append(s.u[-1])
-        diffs = [l2_norm(a - b) for a, b in zip(finals, finals[1:])]
         records.append(_lower(f"solver/convergence-{scheme}-order",
-                              "scheme-accuracy", _observed_order(diffs), floor))
+                              "scheme-accuracy",
+                              _self_convergence_order(scheme, res), floor))
 
     # divergence-free invariance and energy laws on one trajectory
     cfg = SolverConfig(mu=0.2, T=0.2, dt=2e-3, res=res, scheme="imex-rk2")
@@ -754,9 +736,32 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
     decay = study.cauchy_differences[:-1] / study.cauchy_differences[1:]
     records.append(_lower("solver/galerkin-cauchy-min", "galerkin-uniform-bounds",
                           float(np.min(decay)), 2.0))
-    elapsed = time.perf_counter() - start
-    return [CheckRecord(r.id, r.anchor, r.status, r.value, r.tol, elapsed)
-            for r in records]
+    return records
+
+
+def _vortex_errors(sol: TimeSeriesSolution, grid: SpectralGrid,
+                   mu: float) -> tuple[float, float]:
+    """Worst relative velocity and pressure errors against the vortex."""
+    vel_err = 0.0
+    pre_err = 0.0
+    for t, u, p in zip(sol.times, sol.u, sol.p):
+        exact_u = taylor_green_state(grid, float(t), mu)
+        exact_p = taylor_green_pressure_field(grid, float(t), mu)
+        vel_err = max(vel_err, _rel(l2_norm(u - exact_u), l2_norm(exact_u)))
+        pre_err = max(pre_err, _rel(l2_norm(p - exact_p), l2_norm(exact_p)))
+    return vel_err, pre_err
+
+
+def _self_convergence_order(scheme: str, res: int) -> float:
+    """Observed order of the two-band state's final value under step halving."""
+    u0 = _two_band_state(SpectralGrid(2, res))
+    finals = []
+    for dt in (4e-3, 2e-3, 1e-3):
+        c = SolverConfig(mu=0.1, T=0.24, dt=dt, res=res, scheme=scheme)
+        finals.append(solve_nonlinear(None, u0, c, store_every=c.steps,
+                                      derivatives=0, with_pressure=False).u[-1])
+    diffs = [l2_norm(a - b) for a, b in zip(finals, finals[1:])]
+    return _observed_order(diffs)
 
 
 # -- interpolation-ratio survey -------------------------------------------------
@@ -896,28 +901,15 @@ def _taylor_green_experiment(spec: ExperimentSpec) -> list[CheckRecord]:
         records.append(_upper("taylor-green/energy-monotone",
                               "energy-identity", max(rises, 0.0), 1e-13))
     if not custom:
-        vel_err = 0.0
-        pre_err = 0.0
-        for t, u, p in zip(sol.times, sol.u, sol.p):
-            exact_u = taylor_green_state(grid, float(t), cfg.mu)
-            exact_p = taylor_green_pressure_field(grid, float(t), cfg.mu)
-            vel_err = max(vel_err, _rel(l2_norm(u - exact_u), l2_norm(exact_u)))
-            pre_err = max(pre_err, _rel(l2_norm(p - exact_p), l2_norm(exact_p)))
+        vel_err, pre_err = _vortex_errors(sol, grid, cfg.mu)
         records.append(_upper("taylor-green/velocity-error",
                               "exact-vortex-solution", vel_err, 1e-5))
         records.append(_upper("taylor-green/pressure-error",
                               "exact-vortex-solution", pre_err, 1e-4))
-        small = SpectralGrid(2, 16)
-        finals = []
-        for dt in (4e-3, 2e-3, 1e-3):
-            c = SolverConfig(mu=0.1, T=0.24, dt=dt, res=16, scheme=cfg.scheme)
-            finals.append(solve_nonlinear(None, _two_band_state(small), c,
-                                          store_every=c.steps, derivatives=0,
-                                          with_pressure=False).u[-1])
-        diffs = [l2_norm(a - b) for a, b in zip(finals, finals[1:])]
         floor = 1.9 if cfg.scheme == "imex-rk2" else 0.9
         records.append(_lower("taylor-green/convergence-order",
-                              "scheme-accuracy", _observed_order(diffs), floor))
+                              "scheme-accuracy",
+                              _self_convergence_order(cfg.scheme, 16), floor))
     if spec.out_dir is not None:
         save_solution(sol, Path(spec.out_dir) / "solution")
         emit_plot_data(sol, ("energy", "grad-energy"), spec.out_dir)
@@ -953,7 +945,7 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
     if spec.checks is not None and len(spec.checks) == 0:
         return VerificationReport(spec.name, spec.seed, ())
     try:
-        records = EXPERIMENTS[spec.name](spec)
+        records = _timed(EXPERIMENTS[spec.name], spec)
     except SolverDivergenceError:
         records = [CheckRecord(f"{spec.name}/solver-divergence", "plumbing",
                                "fail", 1.0, 0.0)]
@@ -994,10 +986,11 @@ def verify_all(seed: int = 0, sizes: Mapping | None = None) -> VerificationRepor
     workers = thread_count()
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, rng, opts) for fn, rng, opts in jobs]
+            futures = [pool.submit(_timed, fn, rng, opts)
+                       for fn, rng, opts in jobs]
             chunks = [f.result() for f in futures]
     else:
-        chunks = [fn(rng, opts) for fn, rng, opts in jobs]
+        chunks = [_timed(fn, rng, opts) for fn, rng, opts in jobs]
     records = sorted((r for chunk in chunks for r in chunk),
                      key=lambda r: r.id)
     return VerificationReport("verify-all", seed, tuple(records))

@@ -12,7 +12,12 @@ import pytest
 import torusforms.hodge as hodge_module
 import torusforms.solver as solver_module
 from oracles import observed_order, taylor_green_pressure, taylor_green_velocity
-from torusforms.nonlinear import navier_stokes_config, nonlinear_term, zero_config
+from torusforms.nonlinear import (
+    bilinear_term,
+    navier_stokes_config,
+    nonlinear_term,
+    zero_config,
+)
 from torusforms.solver import (
     GalerkinBasis,
     SolverConfig,
@@ -220,6 +225,36 @@ class TestEvaluationCounts:
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2, derivatives=1)
         assert len(calls) == 8 + 3
+
+    def _count_bilinear(self, monkeypatch):
+        calls = []
+
+        def counted(w, u, cfg):
+            calls.append(1)
+            return bilinear_term(w, u, cfg)
+
+        monkeypatch.setattr(solver_module, "bilinear_term", counted)
+        return calls
+
+    def test_bilinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
+        # 4 rk2 steps make 8 stage evaluations of B(w, u); the 3 stored
+        # samples share one between the derivative cache and the pressure.
+        calls = self._count_bilinear(monkeypatch)
+        w = _two_band_state(G16)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        sol = solve_linearized(w, None, _two_band_state(G16), cfg, store_every=2)
+        assert len(sol.u) == len(sol.p) == len(sol.dt_cache[1]) == 3
+        assert len(calls) == 8 + 3
+
+    def test_derivative_term_once_per_stored_sample(self, monkeypatch):
+        # B(u, du/dt) feeds both the second derivative and the pressure's
+        # first derivative; stepping itself only evaluates N.
+        calls = self._count_bilinear(monkeypatch)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        sol = solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2,
+                              derivatives=2)
+        assert len(sol.dt_cache[2]) == len(sol.p_dt_cache[1]) == 3
+        assert len(calls) == 3
 
     def test_pressure_source_projected_twice(self, monkeypatch):
         calls = []
@@ -492,6 +527,14 @@ class TestApplyInverse:
         sol = apply_inverse(op, None, FormField.zeros(G16, 1), cfg)
         assert all(l2_norm(u) == 0.0 for u in sol.u)
 
+    def test_blowup_guard_raises(self):
+        basis = build_basis(G16, 1, 8)
+        cfg = SolverConfig(mu=0.2, T=0.2, dt=0.1, res=16)
+        op = assemble_linearized(None, cfg.mu, basis, cfg.times(), NS2)
+        huge = basis.fields[0] * 1e15
+        with pytest.raises(SolverDivergenceError, match="coefficient norm exceeded"):
+            apply_inverse(op, huge, FormField.zeros(G16, 1), cfg)
+
     def test_time_grid_mismatch_rejected(self):
         basis = build_basis(G16, 1, 8)
         op = assemble_linearized(None, 0.2, basis, np.linspace(0, 1, 5), NS2)
@@ -661,3 +704,17 @@ class TestSolutionIO:
         (run / "manifest.csv").write_text("time,file\n0.0,u_00000.hpform\n")
         with pytest.raises(ValueError, match="manifest columns"):
             load_solution(run)
+
+    @pytest.mark.parametrize("escape", ["../outside.hpform", "absolute"])
+    def test_manifest_file_must_be_a_bare_name(self, tmp_path, escape):
+        cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16)
+        sol = solve_nonlinear(None, _taylor_green(G16), cfg, with_pressure=False)
+        save_solution(sol, tmp_path / "run")
+        outside = tmp_path / "outside.hpform"
+        outside.write_bytes((tmp_path / "run" / "u_00001.hpform").read_bytes())
+        name = str(outside) if escape == "absolute" else escape
+        manifest = tmp_path / "run" / "manifest.csv"
+        manifest.write_text(
+            manifest.read_text().replace("u_00001.hpform", name))
+        with pytest.raises(ValueError, match="manifest row 2"):
+            load_solution(tmp_path / "run")

@@ -424,6 +424,23 @@ class TestSnapshotIO:
         with pytest.raises(FieldIntegrityError):
             load_field(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "field.bin"
+        save_field(FormField.zeros(SpectralGrid(2, 8), 1), path)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(FieldIntegrityError, match="after its payload"):
+            load_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, tmp_path, bad):
+        path = tmp_path / "field.bin"
+        save_field(FormField.zeros(SpectralGrid(2, 8), 1), path)
+        raw = bytearray(path.read_bytes())
+        raw[19:27] = np.array([bad], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FieldIntegrityError, match="non-finite"):
+            load_field(path)
+
 
 class TestFieldArithmetic:
     def test_linearity_of_derivative(self):
