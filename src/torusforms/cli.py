@@ -3,11 +3,15 @@
 Every subcommand builds a verification report, prints it as JSON on
 stdout (or, when ``--out`` is given, writes ``report.json`` there and
 prints one human-readable line per check instead), and exits nonzero iff
-any pass/fail check failed.  Flags shared by all subcommands:
+any pass/fail check failed.  With ``--out`` it also writes
+``timings.json``, which maps each check id to the wall time in seconds of
+the suite, experiment or command that made the check.  Flags shared by
+all subcommands:
 
     --config FILE   structured text solver configuration
     --seed INT      random seed (default 0)
     --out DIR       output directory for solutions, CSV files, report.json
+                    and timings.json
     --res/--dt/--mu/--preset   override the corresponding config entry
 """
 
@@ -15,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -81,10 +87,20 @@ def _resolve_config(args, default: SolverConfig) -> SolverConfig:
     return cfg
 
 
+def _command_report(name: str, args, records) -> VerificationReport:
+    """The report of checks a command made itself, each stamped with the
+    command's wall time."""
+    elapsed = time.perf_counter() - args.started
+    return VerificationReport(name, args.seed, tuple(
+        dataclasses.replace(r, runtime=elapsed) for r in records))
+
+
 def _finish(report: VerificationReport, out_dir: Path | None) -> int:
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_report(report, out_dir / "report.json")
+        timings = {check.id: check.runtime for check in report.checks}
+        (out_dir / "timings.json").write_text(json.dumps(timings, indent=2) + "\n")
         for check in report.checks:
             tol = "-" if check.tol is None else f"{check.tol:g}"
             print(f"{check.status:8s} {check.id:45s} "
@@ -116,7 +132,7 @@ def _cmd_solve_linear(args) -> int:
     if args.out is not None:
         save_solution(sol, args.out / "solution")
         emit_plot_data(sol, ("energy", "grad-energy"), args.out)
-    report = VerificationReport("solve-linear", args.seed, tuple(records))
+    report = _command_report("solve-linear", args, records)
     return _finish(report, args.out)
 
 
@@ -168,7 +184,7 @@ def _cmd_norms(args) -> int:
             series.append((float(t), "grad-energy",
                            l2_norm(fractional_power(u, 1)) ** 2))
         write_norm_series(args.out / "series.csv", series)
-    report = VerificationReport("norms", args.seed, tuple(records))
+    report = _command_report("norms", args, records)
     return _finish(report, args.out)
 
 
@@ -182,8 +198,8 @@ def _cmd_gn_survey(args) -> int:
     if args.out is not None:
         emit_plot_data(None, ("gn-ratios",), args.out,
                        gn_ratios=survey.ratios)
-    report = VerificationReport("gn-survey", args.seed,
-                                tuple(sorted(records, key=lambda r: r.id)))
+    report = _command_report("gn-survey", args,
+                             sorted(records, key=lambda r: r.id))
     return _finish(report, args.out)
 
 
@@ -227,7 +243,7 @@ def _cmd_newton(args) -> int:
     if args.out is not None:
         emit_plot_data(None, ("newton-residuals",), args.out,
                        newton_residuals=residual_history)
-    report = VerificationReport("newton", args.seed, tuple(records))
+    report = _command_report("newton", args, records)
     return _finish(report, args.out)
 
 
@@ -273,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     return args.func(args)
 
 

@@ -31,6 +31,12 @@ transforms on the half spectrum ``c[..., :res//2 + 1]``:
 For the ``navier-stokes-i1`` preset that is 6 component transforms per N on
 T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
 
+Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves with any
+leading batch axes, which broadcast: the Galerkin assembly transforms w once
+and a whole block of basis fields in each transform.  ``nonlinear_term``
+and ``bilinear_term`` wrap them for single fields, with step 1 and the
+rebuilt full spectrum.
+
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
 as half the dot product, so N(u) = (u . grad) u on degree-1 fields.
@@ -215,12 +221,13 @@ class _Band:
     """
 
     limit: int
-    axes: tuple[int, ...]
+    axes: tuple[int, ...]  # the last n axes, after any batch axes
     box: tuple[np.ndarray, ...]  # np.ix_ of the band box in the full spectrum
     half: tuple[np.ndarray, ...]  # np.ix_ of the box's half, k_last = 0..L
     tail: tuple[np.ndarray, ...]  # np.ix_ of the box's rest, k_last = -L..-1
     reflect: tuple[np.ndarray, ...]  # np.ix_ into the half of -k, k in the tail
     half_shape: tuple[int, ...]  # shape of an rfftn half spectrum
+    half_box: tuple[int, ...]  # shape of the box's half
 
 
 @lru_cache(maxsize=None)
@@ -231,17 +238,33 @@ def _band(grid: SpectralGrid) -> _Band:
     minus = (-np.arange(2 * limit + 1)) % (2 * limit + 1)
     return _Band(
         limit=limit,
-        axes=tuple(range(n)),
+        axes=tuple(range(-n, 0)),
         box=box,
         half=np.ix_(*(i.ravel() for i in lead), np.arange(limit + 1)),
         tail=np.ix_(*(i.ravel() for i in lead), np.arange(res - limit, res)),
         reflect=np.ix_(*([minus] * (n - 1)), np.arange(limit, 0, -1)),
         half_shape=grid.shape[:-1] + (res // 2 + 1,),
+        half_box=(2 * limit + 1,) * (n - 1) + (limit + 1,),
     )
 
 
-def _band_halves(u: FormField, band: _Band) -> list[np.ndarray]:
+def _half_position(grid: SpectralGrid, modes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Where the band wavevectors ``modes`` (rows of n integers) sit in a
+    band half.
+
+    A mode with k_last < 0 is not in the half; its coefficient is the
+    conjugate of the one at -k, which is.  Returns the index tuple into the
+    last n axes of a band half and the mask of the modes read through that
+    conjugation.
+    """
+    mirrored = modes[:, -1] < 0
+    inside = np.where(mirrored[:, None], -modes, modes)
+    return tuple(inside.T % (2 * _band(grid).limit + 1)), mirrored
+
+
+def _band_halves(u: FormField) -> list[np.ndarray]:
     """The band half of every component, checked to be a real field's."""
+    band = _band(u.grid)
     halves = []
     for c in u.components:
         box = c[band.box]
@@ -260,64 +283,85 @@ def _apply_d(grid: SpectralGrid, degree: int, halves, out) -> list:
     return out
 
 
-def _quadratic(cfg: NonlinearityConfig, *fields: FormField) -> FormField:
-    """Q(v, v) of one field, or Q(w, v) + Q(v, w) of two.
+def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list, list]:
+    """One input of the kernel on the grid: its components and, where M1
+    needs it, the components of its d.
 
-    Q(a, b) = M1(d a, b) + d M2(a, b).  See the module docstring for the
-    steps and the transform budget.
+    ``halves`` are band halves, one per component, with any leading batch
+    axes; the transforms run over the last n axes.
     """
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("product arguments live on different grids")
     band = _band(grid)
-    degree = cfg.degree
-    use_m1 = cfg.m1 is not None and degree < grid.n
-
-    spectrum = np.zeros(band.half_shape, dtype=np.complex128)
+    spectrum = np.zeros(halves[0].shape[:-grid.n] + band.half_shape,
+                        dtype=np.complex128)
 
     def physical(half):
         # Every call writes the same band positions; the rest stays zero.
-        spectrum[band.half] = half
+        spectrum[(Ellipsis,) + band.half] = half
         return np.fft.irfftn(spectrum, s=grid.shape, axes=band.axes, norm="forward")
 
-    values, derivs = [], []
-    for f in fields:
-        halves = _band_halves(f, band)
-        values.append([physical(h) for h in halves])
-        if use_m1:
-            d_halves = _apply_d(grid, degree, halves,
-                                [None] * grid.component_count(degree + 1))
-            derivs.append([physical(h) for h in d_halves])
-    pairs = ((0, 0),) if len(fields) == 1 else ((0, 1), (1, 0))
+    values = [physical(h) for h in halves]
+    derivs = []
+    if cfg.m1 is not None and cfg.degree < grid.n:
+        d_halves = _apply_d(grid, cfg.degree, halves,
+                            [None] * grid.component_count(cfg.degree + 1))
+        derivs = [physical(h) for h in d_halves]
+    return values, derivs
+
+
+def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
+    """Band halves of Q(v, v) for one input, of Q(w, v) + Q(v, w) for two.
+
+    Q(a, b) = M1(d a, b) + d M2(a, b); each input comes from ``_on_grid``
+    and may carry leading batch axes, which broadcast.  See the module
+    docstring for the steps and the transform budget.
+    """
+    band = _band(grid)
+    values = [v for v, _ in inputs]
+    derivs = [d for _, d in inputs]
+    shape = np.broadcast_shapes(*(v[0].shape for v in values))
+    pairs = ((0, 0),) if len(inputs) == 1 else ((0, 1), (1, 0))
 
     def spectral(entries, first, second):
         # Each pair's product in its own buffer, summed afterwards: then
         # B(v, v) is the exact double of N(v).
         prod = None
         for i, j in pairs:
-            term = _contract(entries, first[i], second[j], grid.shape)
+            term = _contract(entries, first[i], second[j], shape)
             if prod is None:
                 prod = term
             else:
                 prod += term
-        return np.fft.rfftn(prod, axes=band.axes, norm="forward")[band.half]
+        return np.fft.rfftn(prod, axes=band.axes, norm="forward")[(Ellipsis,) + band.half]
 
-    out = [None] * grid.component_count(degree)
-    if use_m1:
+    out = [None] * grid.component_count(cfg.degree)
+    if cfg.m1 is not None and cfg.degree < grid.n:
         out = [spectral(e, derivs, values) for e in cfg.m1._entries]
-    m2 = [spectral(e, values, values) for e in cfg.m2._entries] if cfg.m2 else []
-    del values, derivs, spectrum  # free the grid arrays before the outputs
-    if m2:
-        out = _apply_d(grid, degree - 1, m2, out)
-    return FormField(grid, degree, tuple(_full_spectrum(h, grid, band) for h in out))
+    if cfg.m2 is not None:
+        m2 = [spectral(e, values, values) for e in cfg.m2._entries]
+        out = _apply_d(grid, cfg.degree - 1, m2, out)
+    zero = shape[:-grid.n] + band.half_box
+    return [np.zeros(zero, dtype=np.complex128) if h is None else h for h in out]
 
 
-def _full_spectrum(half: np.ndarray | None, grid: SpectralGrid, band: _Band) -> np.ndarray:
+def _quadratic_field(cfg: NonlinearityConfig, *fields: FormField) -> FormField:
+    """``_quadratic`` of checked real fields, as a field."""
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ValueError("product arguments live on different grids")
+    halves = [_band_halves(f) for f in fields]
+    # The grid arrays are freed when _quadratic returns, before the outputs
+    # grow to full spectra.
+    out = _quadratic(cfg, grid, *(_on_grid(cfg, grid, h) for h in halves))
+    band = _band(grid)
+    return FormField(grid, cfg.degree,
+                     tuple(_full_spectrum(h, grid, band) for h in out))
+
+
+def _full_spectrum(half: np.ndarray, grid: SpectralGrid, band: _Band) -> np.ndarray:
     """fftn-layout coefficients of a real band-limited field from its band half."""
     full = np.zeros(grid.shape, dtype=np.complex128)
-    if half is not None:
-        full[band.half] = half
-        full[band.tail] = np.conj(half[band.reflect])
+    full[band.half] = half
+    full[band.tail] = np.conj(half[band.reflect])
     return full
 
 
@@ -330,7 +374,7 @@ def nonlinear_term(v: FormField, cfg: NonlinearityConfig) -> FormField:
         )
     if cfg.is_zero:
         return FormField.zeros(v.grid, v.degree)
-    return _quadratic(cfg, v)
+    return _quadratic_field(cfg, v)
 
 
 def bilinear_term(w: FormField, v: FormField, cfg: NonlinearityConfig) -> FormField:
@@ -339,7 +383,7 @@ def bilinear_term(w: FormField, v: FormField, cfg: NonlinearityConfig) -> FormFi
         raise ValueError("field degrees do not match the nonlinearity degree")
     if cfg.is_zero:
         return FormField.zeros(v.grid, v.degree)
-    return _quadratic(cfg, w, v)
+    return _quadratic_field(cfg, w, v)
 
 
 def convective_term(w: FormField, u: FormField) -> FormField:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -42,7 +42,13 @@ import numpy as np
 from .hodge import helmholtz_project, recover_pressure
 from .norms import TimeSeriesSolution
 from .nonlinear import (
+    PRESETS,
     NonlinearityConfig,
+    _band,
+    _band_halves,
+    _half_position,
+    _on_grid,
+    _quadratic,
     bilinear_term,
     get_preset,
     nonlinear_term,
@@ -103,6 +109,15 @@ class SolverConfig:
             raise ValueError("dt must divide the horizon T into whole steps")
         if self.newton_max_iter < 1 or self.newton_tol <= 0:
             raise ValueError("newton parameters must be positive")
+        if self.n not in (2, 3):
+            raise ValueError(f"n (torus dimension) must be 2 or 3, got {self.n}")
+        if self.res < 4 or self.res % 2 != 0:
+            raise ValueError(f"res must be even and >= 4, got {self.res}")
+        if not 0 <= self.degree <= self.n:
+            raise ValueError(f"degree must lie in 0..{self.n}, got {self.degree}")
+        if self.preset not in PRESETS:
+            raise ValueError(f"preset must be one of {PRESETS}, got {self.preset!r}")
+        self.nonlinearity()  # a preset that does not fit the degree fails here
 
     @property
     def steps(self) -> int:
@@ -603,25 +618,6 @@ def _canonical_modes(grid: SpectralGrid) -> list[tuple[int, ...]]:
     return modes
 
 
-def _trig_field(grid, degree, k, xi, kind) -> FormField:
-    """Unit-norm real eigenfield sqrt(2) {cos,sin}(k.x) xi."""
-    comps = [np.zeros(grid.shape, dtype=np.complex128)
-             for _ in range(grid.component_count(degree))]
-    pos = tuple(kj % grid.res for kj in k)
-    neg = tuple(-kj % grid.res for kj in k)
-    half = np.sqrt(2.0) / 2.0
-    for c_idx, amp in enumerate(xi):
-        if amp == 0.0:
-            continue
-        if kind == "cos":
-            comps[c_idx][pos] += half * amp
-            comps[c_idx][neg] += half * amp
-        else:
-            comps[c_idx][pos] += -1j * half * amp
-            comps[c_idx][neg] += 1j * half * amp
-    return FormField(grid, degree, tuple(comps))
-
-
 @dataclass(frozen=True)
 class GalerkinBasis:
     """Ordered orthonormal divergence-free eigenfields of the Laplacian.
@@ -630,46 +626,115 @@ class GalerkinBasis:
     (positive leading nonzero component) and orthonormal fibre vectors
     xi in the divergence-free kernel; ordering is (|k|^2, k lexicographic,
     cos before sin, fibre index).  Eigenvalue of field j is |k_j|^2.
+
+    Field j lives on the two modes +-k_j, so the basis stores only its mode
+    data: ``modes`` (m, n), ``fibres`` (m, ncomp), ``sine`` (m,) and
+    ``eigenvalues`` (m,).  Its coefficient at +k_j is ``phase_j xi_j`` and
+    at -k_j the conjugate, with phase sqrt(2)/2 for cos and -i sqrt(2)/2
+    for sin; ``project`` gathers and ``synthesize`` scatters at +-k_j.
     """
 
     grid: SpectralGrid
     degree: int
-    fields: tuple[FormField, ...]
+    modes: np.ndarray
+    fibres: np.ndarray
+    sine: np.ndarray
     eigenvalues: np.ndarray
-    _flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.fields) == 0:
+        modes = np.asarray(self.modes, dtype=np.int64).reshape(-1, self.grid.n)
+        if len(modes) == 0:
             raise ValueError("basis needs at least one field")
-        flat = np.stack([f.stack().ravel() for f in self.fields])
-        object.__setattr__(self, "_flat", flat)
+        ncomp = self.grid.component_count(self.degree)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "fibres", np.asarray(
+            self.fibres, dtype=np.float64).reshape(len(modes), ncomp))
+        object.__setattr__(self, "sine", np.asarray(self.sine, dtype=bool))
         object.__setattr__(
             self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64)
         )
 
     @property
     def m(self) -> int:
-        return len(self.fields)
+        return len(self.modes)
+
+    @property
+    def fields(self) -> tuple[FormField, ...]:
+        """The basis fields, synthesized on every access."""
+        return tuple(self.synthesize(e) for e in np.eye(self.m))
+
+    @cached_property
+    def _phase(self) -> np.ndarray:
+        return np.where(self.sine, -1j * (np.sqrt(2.0) / 2.0), np.sqrt(2.0) / 2.0)
+
+    @cached_property
+    def _full_index(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Where +k_j and -k_j sit in fftn-layout coefficients."""
+        res = self.grid.res
+        return tuple(self.modes.T % res), tuple(-self.modes.T % res)
+
+    @cached_property
+    def _half_index(self) -> tuple[tuple[tuple, np.ndarray], ...]:
+        """``_half_position`` of +k_j and of -k_j: the kernel's layout."""
+        return tuple(_half_position(self.grid, q) for q in (self.modes, -self.modes))
+
+    def _coefficients(self, at_plus: np.ndarray, at_minus: np.ndarray) -> np.ndarray:
+        """(u, b_j) from u's coefficients at +k_j and -k_j, shape (..., m, ncomp)."""
+        phase = self._phase[:, None]
+        pair = np.conj(phase) * at_plus + phase * at_minus
+        return np.sum(self.fibres * pair.real, axis=-1)
 
     def project(self, u: FormField) -> np.ndarray:
         """Coefficients (u, b_j) of the basis expansion."""
-        return np.real(self._flat.conj() @ u.stack().ravel())
+        plus, minus = self._full_index
+        return self._coefficients(
+            np.stack([c[plus] for c in u.components], axis=-1),
+            np.stack([c[minus] for c in u.components], axis=-1),
+        )
+
+    def _project_halves(self, halves: list[np.ndarray]) -> np.ndarray:
+        """``project`` of real fields given by band halves with a leading
+        block axis: rows (B, m)."""
+        at = []
+        for index, mirrored in self._half_index:
+            values = np.stack([h[(slice(None),) + index] for h in halves], axis=-1)
+            values[:, mirrored] = np.conj(values[:, mirrored])
+            at.append(values)
+        return self._coefficients(*at)
 
     def synthesize(self, coeffs: np.ndarray) -> FormField:
-        data = np.asarray(coeffs, dtype=np.float64) @ self._flat
-        shape = (self.grid.component_count(self.degree),) + self.grid.shape
-        comps = data.reshape(shape)
-        return FormField(self.grid, self.degree, tuple(np.array(c) for c in comps))
+        plus, minus = self._full_index
+        amp = np.asarray(coeffs, dtype=np.float64) * self._phase
+        comps = []
+        for xi in self.fibres.T:
+            c = np.zeros(self.grid.shape, dtype=np.complex128)
+            np.add.at(c, plus, amp * xi)
+            np.add.at(c, minus, np.conj(amp) * xi)
+            comps.append(c)
+        return FormField(self.grid, self.degree, tuple(comps))
+
+    def _halves(self, block: slice) -> list[np.ndarray]:
+        """Band halves of the fields in ``block``, one array (B, ...) per
+        component: real fields by construction."""
+        phase = self._phase[block]
+        rows = np.arange(len(phase))
+        shape = (len(phase),) + _band(self.grid).half_box
+        halves = [np.zeros(shape, dtype=np.complex128)
+                  for _ in range(self.fibres.shape[1])]
+        for (index, mirrored), value in zip(self._half_index, (phase, np.conj(phase))):
+            keep = ~mirrored[block]
+            at = (rows[keep],) + tuple(i[block][keep] for i in index)
+            for h, xi in zip(halves, self.fibres[block].T):
+                h[at] = value[keep] * xi[keep]
+        return halves
 
     def reordered(self, permutation: Sequence[int]) -> "GalerkinBasis":
         perm = list(permutation)
         if sorted(perm) != list(range(self.m)):
             raise ValueError("not a permutation of the basis indices")
-        return GalerkinBasis(
-            self.grid, self.degree,
-            tuple(self.fields[i] for i in perm),
-            self.eigenvalues[perm],
-        )
+        return GalerkinBasis(self.grid, self.degree, self.modes[perm],
+                             self.fibres[perm], self.sine[perm],
+                             self.eigenvalues[perm])
 
 
 def build_basis(grid: SpectralGrid, degree: int, m: int | None = None) -> GalerkinBasis:
@@ -681,25 +746,26 @@ def build_basis(grid: SpectralGrid, degree: int, m: int | None = None) -> Galerk
     """
     if not 0 <= degree <= grid.n:
         raise ValueError("degree out of range")
-    fields: list[FormField] = []
-    eigs: list[float] = []
+    modes, fibres, sine, eigs = [], [], [], []
     for k in _canonical_modes(grid):
         kvec = np.array(k, dtype=np.float64)
         fibre = _kernel_basis(_divergence_matrix(grid.n, degree, kvec))
         lam = float(np.dot(kvec, kvec))
-        for kind in ("cos", "sin"):
+        for is_sine in (False, True):
             for xi in fibre:
-                fields.append(_trig_field(grid, degree, k, xi, kind))
+                modes.append(k)
+                fibres.append(xi)
+                sine.append(is_sine)
                 eigs.append(lam)
-        if m is not None and len(fields) >= m:
+        if m is not None and len(modes) >= m:
             break
     if m is None:
-        m = len(fields)
-    if m > len(fields):
+        m = len(modes)
+    if m > len(modes):
         raise ValueError(
-            f"truncation m = {m} exceeds the band-limited dimension {len(fields)}"
+            f"truncation m = {m} exceeds the band-limited dimension {len(modes)}"
         )
-    return GalerkinBasis(grid, degree, tuple(fields[:m]), np.array(eigs[:m]))
+    return GalerkinBasis(grid, degree, modes[:m], fibres[:m], sine[:m], eigs[:m])
 
 
 # -- linearized operator and its inverse ----------------------------------------
@@ -721,6 +787,16 @@ class LinearizedOperator:
         return self.matrices - self.mu * np.diag(self.basis.eigenvalues)
 
 
+# The assembly passes the basis fields through the kernel in blocks whose
+# grid arrays (components, derivatives, products and their transforms, some
+# 16 real arrays a field) take about 1 MB: 32 fields at T^2 res 16.
+_BLOCK_BYTES = 2**20
+
+
+def _block_size(grid: SpectralGrid) -> int:
+    return max(1, _BLOCK_BYTES // (16 * 8 * grid.res**grid.n))
+
+
 def assemble_linearized(
     w_series, mu: float, basis: GalerkinBasis, times: np.ndarray,
     ns_cfg: NonlinearityConfig,
@@ -738,12 +814,33 @@ def assemble_linearized(
             continue
         wj = w.at(jt)
         mats[jt] = diffusion
-        if wj is None:
-            continue
-        for kk in range(m):
-            bterm = bilinear_term(wj, basis.fields[kk], ns_cfg)
-            mats[jt, kk, :] += basis.project(bterm)
+        if wj is not None and not ns_cfg.is_zero:
+            mats[jt] += _advection_rows(wj, basis, ns_cfg)
     return LinearizedOperator(basis, mu, times, mats, w_series)
+
+
+def _advection_rows(w: FormField, basis: GalerkinBasis,
+                    ns_cfg: NonlinearityConfig) -> np.ndarray:
+    """The matrix of (B(w, b_k), b_j), row k.
+
+    w is checked and transformed once; the basis fields go through the
+    kernel a block at a time, and B's band halves are projected by a
+    gather, without building a field.
+    """
+    if w.degree != ns_cfg.degree or basis.degree != ns_cfg.degree:
+        raise ValueError("field degrees do not match the nonlinearity degree")
+    grid = basis.grid
+    if w.grid != grid:
+        raise ValueError("product arguments live on different grids")
+    w_grid = _on_grid(ns_cfg, grid, _band_halves(w))
+    rows = np.empty((basis.m, basis.m))
+    step = _block_size(grid)
+    for start in range(0, basis.m, step):
+        block = slice(start, start + step)
+        out = _quadratic(ns_cfg, grid, w_grid,
+                         _on_grid(ns_cfg, grid, basis._halves(block)))
+        rows[block] = basis._project_halves(out)
+    return rows
 
 
 def _forcing_coefficients(f: _Sampler, basis: GalerkinBasis) -> np.ndarray:

@@ -568,7 +568,10 @@ def load_field(path) -> FormField:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise FieldIntegrityError(f"bad snapshot magic {magic!r}")
-        n, degree, res = struct.unpack("<iii", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise FieldIntegrityError("snapshot header truncated")
+        n, degree, res = struct.unpack("<iii", header)
         grid = SpectralGrid(n, res)
         count = grid.component_count(degree)
         expected = count * res**n * 8

@@ -11,8 +11,7 @@ Reports serialize to the JSON schema
 
 with status one of pass / fail / measured (measured records carry no
 tolerance).  All randomness flows from explicit seeds, so a fixed seed
-yields a bit-identical report on one platform; the thread count set by
-the TORUSFORMS_THREADS environment variable only affects wall time.
+yields a bit-identical report on one platform.
 """
 
 from __future__ import annotations
@@ -20,9 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -87,16 +84,6 @@ from .spectral import (
 )
 
 REPORT_STATUSES = ("pass", "fail", "measured")
-
-
-def thread_count() -> int:
-    """Worker count from TORUSFORMS_THREADS (default 1, i.e. serial)."""
-    raw = os.environ.get("TORUSFORMS_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TORUSFORMS_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, value)
 
 
 @dataclass(frozen=True)
@@ -975,23 +962,12 @@ _SUITES = (
 def verify_all(seed: int = 0, sizes: Mapping | None = None) -> VerificationReport:
     """Run every module's invariant suite and merge the sorted records.
 
-    Suites run concurrently when TORUSFORMS_THREADS > 1; each suite owns
-    an independent generator spawned from the seed, so the merged report
-    does not depend on scheduling.
+    Each suite owns an independent generator spawned from the seed.
     """
     opts = _merged_sizes(sizes)
     children = np.random.SeedSequence(seed).spawn(len(_SUITES))
-    jobs = [(fn, np.random.default_rng(child), opts)
-            for (_, fn), child in zip(_SUITES, children)]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_timed, fn, rng, opts)
-                       for fn, rng, opts in jobs]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [_timed(fn, rng, opts) for fn, rng, opts in jobs]
-    records = sorted((r for chunk in chunks for r in chunk),
+    records = sorted((r for (_, fn), child in zip(_SUITES, children)
+                      for r in _timed(fn, np.random.default_rng(child), opts)),
                      key=lambda r: r.id)
     return VerificationReport("verify-all", seed, tuple(records))
 

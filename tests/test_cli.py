@@ -69,6 +69,20 @@ class TestReportSchema:
         assert list(report.keys()) == ["experiment", "seed", "checks"]
 
 
+class TestTimings:
+    @pytest.mark.parametrize("argv", [
+        ["hodge", "--res", "16"],
+        ["solve-linear", "--res", "16", "--dt", "0.01"],
+    ])
+    def test_timings_beside_report(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert list(report.keys()) == ["experiment", "seed", "checks"]
+        assert list(timings) == [c["id"] for c in report["checks"]]
+        assert all(isinstance(t, float) and t > 0.0 for t in timings.values())
+
+
 class TestSolveLinear:
     def test_artifacts_and_determinism(self, tmp_path, capsys):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -6,10 +6,13 @@ equations), scheme self-convergence under step halving, and exact
 algebraic identities of the discrete quadratic forward map.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import torusforms.hodge as hodge_module
+import torusforms.nonlinear as nonlinear_module
 import torusforms.solver as solver_module
 from oracles import observed_order, taylor_green_pressure, taylor_green_velocity
 from torusforms.nonlinear import (
@@ -127,6 +130,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="bad value"):
             parse_solver_config("mu = fast\nT = 1.0\ndt = 0.5\n")
 
+    @pytest.mark.parametrize("line, field", [
+        ("n = 5", r"n \(torus dimension\)"),
+        ("res = 7", "res"),
+        ("res = 2", "res"),
+        ("degree = 4", "degree"),
+        ("preset = nope", "preset"),
+        ("degree = 2", "preset"),  # navier-stokes-i1 is a degree-1 map
+    ])
+    def test_bad_values_rejected_at_parse(self, line, field):
+        with pytest.raises(ValueError, match=field):
+            parse_solver_config(f"mu = 1.0\nT = 1.0\ndt = 0.5\n{line}\n")
+
     def test_format_round_trip(self, tmp_path):
         cfg = SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=48, scheme="imex-euler")
         path = tmp_path / "solver.cfg"
@@ -179,6 +194,39 @@ class TestGalerkinBasis:
         u = project_state(random_form(G16, 1, np.random.default_rng(2)))
         back = basis.synthesize(basis.project(u))
         assert l2_norm(back - u) <= 1e-12 * max(l2_norm(u), 1.0)
+
+    @pytest.mark.parametrize("grid, m", [(G16, None), (G16, 7), (SpectralGrid(3, 8), None)])
+    def test_gather_and_scatter_match_oracles(self, grid, m):
+        # project is a gather and synthesize a scatter at +-k; the oracles
+        # are the L2 pairing with every field and the sum of the fields.
+        basis = build_basis(grid, 1, m)
+        rng = np.random.default_rng(17)
+        u = random_form(grid, 1, rng)
+        fields = basis.fields
+        paired = np.array([inner_product(u, b) for b in fields])
+        assert np.max(np.abs(basis.project(u) - paired)) <= 1e-14
+        g = rng.standard_normal(basis.m)
+        total = FormField.zeros(grid, 1)
+        for gj, b in zip(g, fields):
+            total = total + b * gj
+        got = basis.synthesize(g)
+        for a, b in zip(got.components, total.components):
+            assert np.max(np.abs(a - b)) <= 1e-14
+
+    def test_mode_indexed_storage(self):
+        # Nothing of size m x res^n is stored; the full 3-D res-32 band
+        # (m = 18520) would need about 29 GB as dense fields.
+        grid = SpectralGrid(3, 32)
+        tracemalloc.start()
+        try:
+            basis = build_basis(grid, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.m == 18520
+        assert peak < 64 * 2**20
+        arrays = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
+        assert arrays and max(a.size for a in arrays) < basis.m * grid.res**grid.n
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -472,6 +520,39 @@ class TestLinearizedOperator:
         assert np.max(np.abs(diffusion - diffusion.T)) == 0.0
         assert np.array_equal(op.matrices[0], op.matrices[1])
         assert np.array_equal(op.matrices[0], op.matrices[2])
+
+    @pytest.mark.parametrize("grid, reorder", [
+        (G16, False), (G16, True), (SpectralGrid(3, 8), False), (SpectralGrid(3, 8), True),
+    ])
+    def test_matches_per_field_reference(self, grid, reorder):
+        rng = np.random.default_rng(23)
+        ns = navier_stokes_config(grid.n)
+        times = np.linspace(0.0, 0.1, 3)
+        w = [project_state(random_form(grid, 1, rng)) for _ in times]
+        basis = build_basis(grid, 1)
+        if reorder:
+            basis = basis.reordered(rng.permutation(basis.m))
+        op = assemble_linearized(w, 0.4, basis, times, ns)
+        fields = basis.fields
+        for wj, mat in zip(w, op.matrices):
+            ref = np.array([basis.project(bilinear_term(wj, b, ns)) for b in fields])
+            ref += 0.4 * np.diag(basis.eigenvalues)
+            assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_makes_no_bilinear_term_call(self, monkeypatch):
+        calls = []
+
+        def counted(w, u, cfg):
+            calls.append(1)
+            return bilinear_term(w, u, cfg)
+
+        monkeypatch.setattr(solver_module, "bilinear_term", counted)
+        monkeypatch.setattr(nonlinear_module, "bilinear_term", counted)
+        rng = np.random.default_rng(29)
+        w = [project_state(random_form(G16, 1, rng)) for _ in range(2)]
+        op = assemble_linearized(w, 0.3, build_basis(G16, 1), [0.0, 0.1], NS2)
+        assert np.any(op.explicit_part != 0.0)
+        assert calls == []
 
 
 class TestApplyInverse:

@@ -424,6 +424,12 @@ class TestSnapshotIO:
         with pytest.raises(FieldIntegrityError):
             load_field(path)
 
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "field.bin"
+        path.write_bytes(b"HPFORM1\x02\x00")
+        with pytest.raises(FieldIntegrityError, match="header truncated"):
+            load_field(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "field.bin"
         save_field(FormField.zeros(SpectralGrid(2, 8), 1), path)

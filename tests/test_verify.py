@@ -31,7 +31,6 @@ from torusforms.verify import (
     solution_norm_rows,
     taylor_green_pressure_field,
     taylor_green_state,
-    thread_count,
     verify_all,
     write_norm_series,
     write_norm_table,
@@ -203,26 +202,11 @@ class TestVerifyAll:
         passes = lambda rep: {c.id for c in rep.checks if c.status == "pass"}
         assert passes(small) == passes(doubled)
 
-    def test_thread_count_does_not_change_report(self, monkeypatch):
-        serial = verify_all(seed=6, sizes=SMALL_SIZES)
-        monkeypatch.setenv("TORUSFORMS_THREADS", "3")
-        threaded = verify_all(seed=6, sizes=SMALL_SIZES)
-        assert serial.to_json() == threaded.to_json()
-
     def test_size_validation(self):
         with pytest.raises(ValueError, match="unknown size"):
             verify_all(sizes={"resolution": 32})
         with pytest.raises(ValueError, match="positive"):
             verify_all(sizes={"fields": 0})
-
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.delenv("TORUSFORMS_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("TORUSFORMS_THREADS", "5")
-        assert thread_count() == 5
-        monkeypatch.setenv("TORUSFORMS_THREADS", "many")
-        with pytest.raises(ValueError, match="TORUSFORMS_THREADS"):
-            thread_count()
 
     def test_default_sizes_cover_required_sweep(self):
         assert DEFAULT_SIZES["res"] == 32
