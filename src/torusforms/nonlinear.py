@@ -33,9 +33,10 @@ T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
 
 Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves with any
 leading batch axes, which broadcast: the Galerkin assembly transforms w once
-and a whole block of basis fields in each transform.  ``nonlinear_term``
-and ``bilinear_term`` wrap them for single fields, with step 1 and the
-rebuilt full spectrum.
+and a whole block of basis fields in each transform, and the field solvers
+step their band-half states through them.  ``nonlinear_term`` and
+``bilinear_term`` wrap them for single fields, with step 1 and the rebuilt
+full spectrum.
 
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
@@ -70,12 +71,14 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearMap:
     """Constant-coefficient fibre map E^d1 x E^d2 -> E^dout.
 
     ``tensor[a, b, c]`` multiplies component a of the first argument with
-    component b of the second and adds into output component c.
+    component b of the second and adds into output component c.  Compared
+    by identity (``==`` is ``is``, ``hash`` the object's id), as the
+    tensor array has no single truth value.
     """
 
     n: int
@@ -84,7 +87,7 @@ class BilinearMap:
     degree_out: int
     tensor: np.ndarray
     # Nonzero entries ((a, b, value), ...) of each output component c.
-    _entries: tuple = field(init=False, repr=False, compare=False)
+    _entries: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         expected = (
@@ -117,9 +120,12 @@ class BilinearMap:
         return np.stack([_contract(entries, a, b, shape) for entries in self._entries])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearityConfig:
-    """Degree-i quadratic nonlinearity assembled from two bilinear maps."""
+    """Degree-i quadratic nonlinearity assembled from two bilinear maps.
+
+    Compared by identity, like its ``BilinearMap``s.
+    """
 
     degree: int
     m1: BilinearMap | None = None

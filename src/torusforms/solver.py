@@ -12,6 +12,11 @@ Equations integrated (all terms projected onto the state space):
     linearized:  d/dt u = -mu Lap u - P B(w, u) + P f
     nonlinear:   d/dt u = -mu Lap u - P N(u)    + P f
 
+The field solvers step the band half k_last = 0..L (L = res // 3) of the
+state, one (ncomp, 2L+1, ..., L+1) complex array: the integrating factor
+acts mode by mode, so the half carries the whole scheme.  Fields are
+rebuilt only at the stored samples.
+
 The pressure has no evolution equation; it is recovered at sample times
 from the complementary projection of the source, d p = (I - P)(f - Q(u))
 with Q the advection or nonlinear term.
@@ -46,6 +51,7 @@ from .nonlinear import (
     NonlinearityConfig,
     _band,
     _band_halves,
+    _full_spectrum,
     _half_position,
     _on_grid,
     _quadratic,
@@ -193,9 +199,15 @@ def format_solver_config(cfg: SolverConfig) -> str:
 
 
 @lru_cache(maxsize=None)
+def _band_k_squared(grid: SpectralGrid) -> np.ndarray:
+    """|k|^2 on the box of the dealiasing band."""
+    return grid.k_squared[_band_box(grid)]
+
+
+@lru_cache(maxsize=None)
 def _band_parametrix(grid: SpectralGrid) -> np.ndarray:
     """1/|k|^2 (zero at k = 0) on the box of the dealiasing band."""
-    return _inverse_squares(grid.k_squared[_band_box(grid)])
+    return _inverse_squares(_band_k_squared(grid))
 
 
 def project_state(u: FormField) -> FormField:
@@ -210,43 +222,37 @@ def project_state(u: FormField) -> FormField:
     """
     out = FormField.zeros(u.grid, u.degree)
     box = _band_box(u.grid)
-    for full, part in zip(out.components, _band_projection(u)):
+    parts = [c[box] for c in u.components]
+    for full, part in zip(out.components, _band_projection(u.grid, u.degree, parts)):
         full[box] = part
     return out
 
 
-def _negated_projection(q: FormField) -> FormField:
-    """-project_state(q), written over the arrays of q.
-
-    For a right-hand side's fresh N(u) or B(w, u), which nothing else
-    holds: the step then allocates no further field for it.
-    """
-    box = _band_box(q.grid)
-    for full, part in zip(q.components, _band_projection(q)):
-        full.fill(0.0)
-        full[box] = np.negative(part, out=part)
-    return q
-
-
-def _band_projection(u: FormField) -> list[np.ndarray]:
-    """project_state(u) on the band box, one array per component."""
-    grid, degree = u.grid, u.degree
+def _band_projection(grid: SpectralGrid, degree: int, parts) -> list[np.ndarray]:
+    """project_state of components given on the band box or on its half
+    (k_last = 0..L): the multipliers are cut to the parts' last axis."""
+    keep = parts[0].shape[-1]
     if degree == grid.n:
-        return [np.zeros(_band_parametrix(grid).shape, dtype=np.complex128)
-                for _ in u.components]
-    box = _band_box(grid)
-    mult = _band_parametrix(grid)
-    phi = [mult * c[box] for c in u.components]
+        return [np.zeros(parts[0].shape, dtype=np.complex128) for _ in parts]
+    mult = _band_parametrix(grid)[..., :keep]
+    phi = [mult * p for p in parts]
     table = _insertion_table(grid.n, degree)
     dphi = [None] * grid.component_count(degree + 1)
     for out_idx, in_idx, axis, sign in table:
-        _accumulate(dphi, out_idx,
-                    _derivative_symbol(grid, axis, sign, False, True) * phi[in_idx])
+        symbol = _derivative_symbol(grid, axis, sign, False, True)[..., :keep]
+        _accumulate(dphi, out_idx, symbol * phi[in_idx])
     proj = [None] * grid.component_count(degree)
     for in_idx, out_idx, axis, sign in table:
-        _accumulate(proj, out_idx,
-                    _derivative_symbol(grid, axis, sign, True, True) * dphi[in_idx])
+        symbol = _derivative_symbol(grid, axis, sign, True, True)[..., :keep]
+        _accumulate(proj, out_idx, symbol * dphi[in_idx])
     return proj
+
+
+def _projected_half(u: FormField, grid: SpectralGrid, degree: int) -> np.ndarray:
+    """project_state(u) as a solver state, after the Hermitian check."""
+    if u.grid != grid or u.degree != degree:
+        raise ValueError("data live on a different grid or degree than the state")
+    return np.stack(_band_projection(grid, degree, _band_halves(u)))
 
 
 def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
@@ -266,19 +272,19 @@ def _apply_multiplier(u: FormField, mult: np.ndarray) -> FormField:
     return FormField(u.grid, u.degree, tuple(c * mult for c in u.components))
 
 
-def _lawson_decay(multiplier, scale=np.multiply):
-    """``apply_decay`` of ``_run_scheme``: scale(state, multiplier(tau)).
+def _lawson_decay(multiplier):
+    """``apply_decay`` of ``_run_scheme``: state * multiplier(tau).
 
-    For field states (``_decay_multiplier``, scale ``_apply_multiplier``)
-    and coefficient vectors (exp(-mu tau lam) of the basis eigenvalues)
-    alike; builds each multiplier once per tau.
+    For band-half field states (exp(-mu tau |k|^2) on the half) and
+    coefficient vectors (exp(-mu tau lam) of the basis eigenvalues) alike;
+    builds each multiplier once per tau.
     """
     multipliers: dict[float, np.ndarray] = {}
 
     def apply(state, tau: float):
         if tau not in multipliers:
             multipliers[tau] = multiplier(tau)
-        return scale(state, multipliers[tau])
+        return state * multipliers[tau]
 
     return apply
 
@@ -297,7 +303,6 @@ class _Sampler:
 
     def __init__(self, data, times: np.ndarray, what: str):
         self.times = times
-        self.what = what
         self.data = data
         if isinstance(data, FormField) or data is None or callable(data):
             return
@@ -313,26 +318,15 @@ class _Sampler:
     def is_zero(self) -> bool:
         return self.data is None
 
-    def at(self, j: int) -> FormField | None:
-        if self.data is None:
-            return None
-        if isinstance(self.data, FormField):
-            return self.data
-        if callable(self.data):
-            return self.data(float(self.times[j]))
-        return self.data[j]
-
-    def mid(self, j: int) -> FormField | None:
-        if self.data is None:
-            return None
-        if isinstance(self.data, FormField):
-            return self.data
-        if callable(self.data):
-            return self.data(float(0.5 * (self.times[j] + self.times[j + 1])))
-        return (self.data[j] + self.data[j + 1]) * 0.5
-
-    def sample(self, j: int, midpoint: bool) -> FormField | None:
-        return self.mid(j) if midpoint else self.at(j)
+    def sample(self, j: int, midpoint: bool = False) -> FormField | None:
+        """The value at t_j, or at the midpoint of [t_j, t_j+1]."""
+        data = self.data
+        if data is None or isinstance(data, FormField):
+            return data
+        if callable(data):
+            t = 0.5 * (self.times[j] + self.times[j + 1]) if midpoint else self.times[j]
+            return data(float(t))
+        return (data[j] + data[j + 1]) * 0.5 if midpoint else data[j]
 
 
 # -- generic Lawson stepping ---------------------------------------------------
@@ -358,8 +352,17 @@ def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard):
     return states
 
 
-def _field_guard(u: FormField, j: int) -> None:
-    norm = l2_norm(u)
+def _half_norm(state: np.ndarray) -> float:
+    """L2 norm of the real field with band halves ``state``: the k_last = 0
+    plane counts once, every other plane twice (no Nyquist mode is in the
+    band)."""
+    plane = state[..., 0]
+    total = 2.0 * np.vdot(state, state).real - np.vdot(plane, plane).real
+    return float(np.sqrt(max(total, 0.0)))
+
+
+def _half_guard(state: np.ndarray, j: int) -> None:
+    norm = _half_norm(state)
     if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
         raise SolverDivergenceError(
             f"trajectory norm exceeded {BLOWUP_THRESHOLD:.0e} at step {j + 1}"
@@ -387,11 +390,75 @@ def _stored_indices(steps: int, store_every: int) -> list[int]:
 # -- field-space solvers --------------------------------------------------------
 
 
-def _sample_pass(
-    states, times, stored, mu, f, quad, derivatives, with_pressure,
-    quad_dt=None, f_dt=None,
-) -> TimeSeriesSolution:
-    """The stored samples with equation-substituted derivatives and pressures.
+def _stepped_fields(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField,
+                    f: _Sampler, w: _Sampler | None, stored: list[int]) -> list[FormField]:
+    """P u0 stepped by ``_run_scheme`` on its band half; the fields at ``stored``.
+
+    A stage evaluates Q (N(u) for ``w`` None, else B(w, u), zero where w_j
+    is None) from the state, projects and negates Q's halves in place and
+    adds the projected forcing.
+    """
+    grid, degree = cfg.grid(), u0.degree
+    state0 = _projected_half(u0, grid, degree)
+    forcing = _per_stage(f, lambda fj: _projected_half(fj, grid, degree))
+    # The kernel's inputs besides the state: (w on the grid,) for B, () for N.
+    w_input = (_per_stage(w, lambda wj: (_advection_grid(wj, grid, degree, ns),))
+               if w is not None and not ns.is_zero else lambda j, midpoint: ())
+    k_squared = _band_k_squared(grid)[..., :grid.res // 3 + 1]
+
+    def rhs(j, midpoint, state):
+        inputs = None if ns.is_zero else w_input(j, midpoint)
+        q = (np.zeros_like(state) if inputs is None
+             else _quadratic(ns, grid, *inputs, _on_grid(ns, grid, state)))
+        out = np.empty_like(state)
+        for o, part in zip(out, _band_projection(grid, degree, q)):
+            np.negative(part, out=o)
+        fj = forcing(j, midpoint)
+        if fj is not None:
+            out += fj
+        return out
+
+    states = _run_scheme(
+        cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
+        _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * k_squared)),
+        rhs, _half_guard,
+    )
+    band = _band(grid)
+    return [FormField(grid, degree, tuple(_full_spectrum(h, grid, band) for h in states[i]))
+            for i in stored]
+
+
+def _per_stage(data: _Sampler | None, prepare):
+    """(j, midpoint) -> prepare(data.sample(j, midpoint)), None for no data:
+    a constant field is prepared once, before the first step, any other
+    sample when a stage draws it."""
+    if data is None or data.is_zero:
+        return lambda j, midpoint: None
+    if isinstance(data.data, FormField):
+        constant = prepare(data.data)
+        return lambda j, midpoint: constant
+
+    def stage(j, midpoint):
+        sample = data.sample(j, midpoint)
+        return None if sample is None else prepare(sample)
+
+    return stage
+
+
+def _advection_grid(w: FormField, grid: SpectralGrid, degree: int,
+                    ns_cfg: NonlinearityConfig) -> tuple[list, list]:
+    """w checked and on the grid: the first input of B(w, v), v of ``degree``."""
+    if w.degree != ns_cfg.degree or degree != ns_cfg.degree:
+        raise ValueError("field degrees do not match the nonlinearity degree")
+    if w.grid != grid:
+        raise ValueError("product arguments live on different grids")
+    return _on_grid(ns_cfg, grid, _band_halves(w))
+
+
+def _sample_pass(u_list, times, stored, mu, f, quad, derivatives, with_pressure,
+                 quad_dt=None, f_dt=None) -> TimeSeriesSolution:
+    """The fields ``u_list`` at ``stored`` with equation-substituted
+    derivatives and pressures.
 
     ``quad(i, u)`` is the unprojected term Q(u) at sample index i and
     ``quad_dt(u, du)`` its derivative Q'(u) du along the trajectory (None
@@ -400,15 +467,12 @@ def _sample_pass(
     and likewise Q'(u) du and df/dt for the second derivative and the
     pressure's first.
     """
-    u_list = [states[i] for i in stored]
     with_q = derivatives >= 1 or with_pressure
     with_dq = quad_dt is not None and (
         derivatives == 2 or (derivatives == 1 and with_pressure))
     first, second, p_list, p_first = [], [], [], []
-    for i, u in zip(stored, u_list):
-        if not with_q:
-            break
-        q, fi = quad(i, u), f.at(i)
+    for i, u in zip(stored, u_list if with_q else []):
+        q, fi = quad(i, u), f.sample(i)
         if derivatives >= 1:
             du = _substituted(u, q, fi, mu)
             first.append(du)
@@ -416,7 +480,7 @@ def _sample_pass(
             p_list.append(_pressure(q, fi))
         if not with_dq:
             continue
-        dq, dfi = quad_dt(u, du), f_dt.at(i)
+        dq, dfi = quad_dt(u, du), f_dt.sample(i)
         if derivatives >= 2:
             second.append(_substituted(du, dq, dfi, mu))
         if with_pressure:
@@ -476,36 +540,17 @@ def solve_linearized(
     """
     if derivatives > 1:
         raise ValueError("linearized solves cache derivatives up to order 1")
-    grid = cfg.grid()
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     _check_initial(u0)
     times = cfg.times()
     w = _Sampler(w_series, times, "advection field")
     f = _Sampler(f_series, times, "forcing")
-    state0 = project_state(u0)
+    stored = _stored_indices(cfg.steps, store_every)
 
-    def advection(j, midpoint, u):
-        wj = w.sample(j, midpoint)
-        if wj is None:
-            return FormField.zeros(grid, u.degree)
-        return bilinear_term(wj, u, ns)
-
-    def rhs(j, midpoint, u):
-        out = project_state(advection(j, midpoint, u)) * (-1.0)
-        fj = f.sample(j, midpoint)
-        if fj is not None:
-            out = out + project_state(fj)
-        return out
-
-    states = _run_scheme(
-        cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        _lawson_decay(lambda tau: _decay_multiplier(grid, cfg.mu, tau),
-                      _apply_multiplier),
-        rhs, _field_guard,
-    )
     return _sample_pass(
-        states, times, _stored_indices(cfg.steps, store_every), cfg.mu, f,
-        lambda i, u: advection(i, False, u), derivatives, with_pressure,
+        _stepped_fields(cfg, ns, u0, f, w, stored), times, stored, cfg.mu, f,
+        lambda i, u: _quadratic_at(u, i, w, ns, False) or FormField.zeros(u.grid, u.degree),
+        derivatives, with_pressure,
     )
 
 
@@ -526,36 +571,21 @@ def solve_nonlinear(
     equation and therefore needs df/dt: pass ``f_dt_series`` for
     time-dependent forcing (None means df/dt = 0).
     """
-    grid = cfg.grid()
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     if derivatives > 2:
         raise ValueError("derivative caching supports orders up to 2")
+    if u0.degree != ns.degree:
+        raise ValueError(f"field degree {u0.degree} does not match nonlinearity degree "
+                         f"{ns.degree}")
     _check_initial(u0)
     times = cfg.times()
     f = _Sampler(f_series, times, "forcing")
     f_dt = _Sampler(f_dt_series, times, "forcing derivative")
-    if derivatives >= 2 and not (f.is_zero or isinstance(f.data, FormField) or callable(f.data)):
-        if f_dt_series is None:
-            raise ValueError(
-                "second derivatives of a sampled forcing need f_dt_series"
-            )
-    state0 = project_state(u0)
-
-    def rhs(j, midpoint, u):
-        out = _negated_projection(nonlinear_term(u, ns))
-        fj = f.sample(j, midpoint)
-        if fj is not None:
-            out = out + project_state(fj)
-        return out
-
-    states = _run_scheme(
-        cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        _lawson_decay(lambda tau: _decay_multiplier(grid, cfg.mu, tau),
-                      _apply_multiplier),
-        rhs, _field_guard,
-    )
+    if derivatives >= 2 and isinstance(f.data, list) and f_dt_series is None:
+        raise ValueError("second derivatives of a sampled forcing need f_dt_series")
+    stored = _stored_indices(cfg.steps, store_every)
     return _sample_pass(
-        states, times, _stored_indices(cfg.steps, store_every), cfg.mu, f,
+        _stepped_fields(cfg, ns, u0, f, None, stored), times, stored, cfg.mu, f,
         lambda i, u: nonlinear_term(u, ns), derivatives, with_pressure,
         quad_dt=lambda u, du: bilinear_term(u, du, ns), f_dt=f_dt,
     )
@@ -618,7 +648,7 @@ def _canonical_modes(grid: SpectralGrid) -> list[tuple[int, ...]]:
     return modes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GalerkinBasis:
     """Ordered orthonormal divergence-free eigenfields of the Laplacian.
 
@@ -632,6 +662,7 @@ class GalerkinBasis:
     ``eigenvalues`` (m,).  Its coefficient at +k_j is ``phase_j xi_j`` and
     at -k_j the conjugate, with phase sqrt(2)/2 for cos and -i sqrt(2)/2
     for sin; ``project`` gathers and ``synthesize`` scatters at +-k_j.
+    Compared by identity: ``==`` is ``is`` and ``hash`` the object's id.
     """
 
     grid: SpectralGrid
@@ -812,7 +843,7 @@ def assemble_linearized(
         if constant_w and jt > 0:
             mats[jt] = mats[0]
             continue
-        wj = w.at(jt)
+        wj = w.sample(jt)
         mats[jt] = diffusion
         if wj is not None and not ns_cfg.is_zero:
             mats[jt] += _advection_rows(wj, basis, ns_cfg)
@@ -827,12 +858,8 @@ def _advection_rows(w: FormField, basis: GalerkinBasis,
     kernel a block at a time, and B's band halves are projected by a
     gather, without building a field.
     """
-    if w.degree != ns_cfg.degree or basis.degree != ns_cfg.degree:
-        raise ValueError("field degrees do not match the nonlinearity degree")
     grid = basis.grid
-    if w.grid != grid:
-        raise ValueError("product arguments live on different grids")
-    w_grid = _on_grid(ns_cfg, grid, _band_halves(w))
+    w_grid = _advection_grid(w, grid, basis.degree, ns_cfg)
     rows = np.empty((basis.m, basis.m))
     step = _block_size(grid)
     for start in range(0, basis.m, step):
@@ -847,7 +874,7 @@ def _forcing_coefficients(f: _Sampler, basis: GalerkinBasis) -> np.ndarray:
     """Basis coefficients of the forcing at every time-grid point."""
     fvec = np.zeros((len(f.times), basis.m))
     for j in range(len(f.times)):
-        fj = f.at(j)
+        fj = f.sample(j)
         if fj is not None:
             fvec[j] = basis.project(fj)
     return fvec
@@ -929,25 +956,15 @@ def discrete_residual(
     f = _Sampler(f_series, times, "forcing")
     w = _Sampler(w_series, times, "advection field")
     worst = 0.0
-    indices = range(len(times) - 1) if cfg.scheme == "imex-euler" else range(
-        1, len(times) - 1
-    )
-    for j in indices:
-        u = sol.u[j]
-        if cfg.scheme == "imex-euler":
-            dt = times[j + 1] - times[j]
-            du = (sol.u[j + 1] - u) * (1.0 / dt)
-        else:
-            dt = times[j + 1] - times[j - 1]
-            du = (sol.u[j + 1] - sol.u[j - 1]) * (1.0 / dt)
+    euler = cfg.scheme == "imex-euler"
+    for j in range(0 if euler else 1, len(times) - 1):
+        u, lo = sol.u[j], j if euler else j - 1
+        du = (sol.u[j + 1] - sol.u[lo]) * (1.0 / (times[j + 1] - times[lo]))
         res = du + hodge_laplacian(u) * cfg.mu
-        if nonlinear:
-            res = res + project_state(nonlinear_term(u, ns))
-        else:
-            wj = w.at(j)
-            if wj is not None:
-                res = res + project_state(bilinear_term(wj, u, ns))
-        fj = f.at(j)
+        q = _quadratic_at(u, j, w, ns, nonlinear)
+        if q is not None:
+            res = res + project_state(q)
+        fj = f.sample(j)
         if fj is not None:
             res = res - project_state(fj)
         worst = max(worst, l2_norm(res))
@@ -977,21 +994,25 @@ def energy_identity_residual(
         u = sol.u[j]
         dE = (energies[j + 1] - energies[j - 1]) / (times[j + 1] - times[j - 1])
         rhs = 0.0
-        fj = f.at(j)
+        fj = f.sample(j)
         if fj is not None:
             rhs += 2.0 * inner_product(fj, u)
-        if nonlinear or w.at(j) is not None:
-            if ns_cfg is None:
-                raise ValueError("the quadratic term needs a nonlinearity config")
-        if nonlinear:
-            rhs -= 2.0 * inner_product(nonlinear_term(u, ns_cfg), u)
-        else:
-            wj = w.at(j)
-            if wj is not None:
-                rhs -= 2.0 * inner_product(bilinear_term(wj, u, ns_cfg), u)
+        if (nonlinear or w.sample(j) is not None) and ns_cfg is None:
+            raise ValueError("the quadratic term needs a nonlinearity config")
+        q = _quadratic_at(u, j, w, ns_cfg, nonlinear)
+        if q is not None:
+            rhs -= 2.0 * inner_product(q, u)
         grad = l2_norm(fractional_power(u, 1)) ** 2
         worst = max(worst, abs(dE + 2.0 * mu * grad - rhs))
     return worst
+
+
+def _quadratic_at(u, j, w: _Sampler, ns, nonlinear: bool) -> FormField | None:
+    """Q(u) at sample j: N(u), else B(w_j, u), None where w_j is None."""
+    if nonlinear:
+        return nonlinear_term(u, ns)
+    wj = w.sample(j)
+    return None if wj is None else bilinear_term(wj, u, ns)
 
 
 def lions_identity_residual(sol: TimeSeriesSolution) -> float:
@@ -1028,16 +1049,20 @@ def discrete_forward_data(
 ) -> tuple[list[FormField], FormField]:
     """Data (P f cells, u0) reproduced by the imex-euler trajectory."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    grid = states[0].grid
-    dt = cfg.T / cfg.steps
+    quads = (nonlinear_term(u, ns) for u in states[:-1])
+    return _euler_cells(states, quads, cfg), states[0]
+
+
+def _euler_cells(states, quads, cfg: SolverConfig) -> list[FormField]:
+    """The cells (E^-1 s_j+1 - s_j)/dt + P q_j, j < steps, of the discrete
+    forward map (q_j = N(s_j)) and of its derivative (q_j = B(u_j, s_j));
+    ``quads`` is drawn after the length check."""
     if len(states) != cfg.steps + 1:
         raise ValueError("trajectory length does not match the configuration")
-    inv = _decay_multiplier(grid, cfg.mu, -dt)
-    cells = []
-    for j in range(cfg.steps):
-        cell = (_apply_multiplier(states[j + 1], inv) - states[j]) * (1.0 / dt)
-        cells.append(cell + project_state(nonlinear_term(states[j], ns)))
-    return cells, states[0]
+    dt = cfg.T / cfg.steps
+    inv = _decay_multiplier(states[0].grid, cfg.mu, -dt)
+    return [(_apply_multiplier(states[j + 1], inv) - states[j]) * (1.0 / dt)
+            + project_state(q) for j, q in enumerate(quads)]
 
 
 def discrete_linearized_data(
@@ -1046,14 +1071,8 @@ def discrete_linearized_data(
 ) -> tuple[list[FormField], FormField]:
     """Derivative of the discrete forward map at ``states`` along ``directions``."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    grid = states[0].grid
-    dt = cfg.T / cfg.steps
-    inv = _decay_multiplier(grid, cfg.mu, -dt)
-    cells = []
-    for j in range(cfg.steps):
-        cell = (_apply_multiplier(directions[j + 1], inv) - directions[j]) * (1.0 / dt)
-        cells.append(cell + project_state(bilinear_term(states[j], directions[j], ns)))
-    return cells, directions[0]
+    quads = (bilinear_term(states[j], directions[j], ns) for j in range(cfg.steps))
+    return _euler_cells(directions, quads, cfg), directions[0]
 
 
 def _solve_linearized_cells(
@@ -1084,11 +1103,13 @@ class NewtonResult:
 
 
 def _data_residual(f_cells, u0, states, cfg, ns):
-    cells, head = discrete_forward_data(states, cfg, ns)
+    """Residual cells, initial residual, their max norm and N(u_j), j < steps."""
+    quads = [nonlinear_term(u, ns) for u in states[:-1]]
+    cells = _euler_cells(states, quads, cfg)
     r_cells = [f_cells[j] - cells[j] for j in range(len(cells))]
-    r0 = u0 - head
+    r0 = u0 - states[0]
     norm = max([l2_norm(c) for c in r_cells] + [l2_norm(r0)])
-    return r_cells, r0, norm
+    return r_cells, r0, norm, quads
 
 
 def newton_local_inverse(
@@ -1123,7 +1144,7 @@ def newton_local_inverse(
             raise ValueError("need one forcing cell per time step")
     u0p = project_state(u0_target)
 
-    r_cells, r0, norm = _data_residual(f_cells, u0p, states, cfg, ns)
+    r_cells, r0, norm, quads = _data_residual(f_cells, u0p, states, cfg, ns)
     history = [norm]
     converged = norm <= cfg.newton_tol
     for _ in range(cfg.newton_max_iter):
@@ -1131,20 +1152,19 @@ def newton_local_inverse(
             break
         delta = _solve_linearized_cells(states, r_cells, r0, cfg, ns)
         states = [states[j] + delta[j] for j in range(len(states))]
-        r_cells, r0, norm = _data_residual(f_cells, u0p, states, cfg, ns)
+        r_cells, r0, norm, quads = _data_residual(f_cells, u0p, states, cfg, ns)
         history.append(norm)
         converged = norm <= cfg.newton_tol
 
-    times = cfg.times()
-    p_list = []
-    dt1 = []
-    for j, u in enumerate(states):
-        quad = nonlinear_term(u, ns)
+    # The last residual evaluated N at every final state but the last.
+    quads.append(nonlinear_term(states[-1], ns))
+    p_list, dt1 = [], []
+    for j, (u, quad) in enumerate(zip(states, quads)):
         f_cell = f_cells[min(j, cfg.steps - 1)]
         p_list.append(_pressure_from_source(f_cell - quad))
         du = hodge_laplacian(u) * (-cfg.mu) - project_state(quad)
         dt1.append(du + f_cell)
-    sol = TimeSeriesSolution(times, states, p=p_list, dt_cache={1: dt1})
+    sol = TimeSeriesSolution(cfg.times(), states, p=p_list, dt_cache={1: dt1})
     return NewtonResult(sol, history, converged)
 
 

@@ -197,9 +197,13 @@ def _derivative_symbol(
     return factor * modes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FormField:
-    """Differential form of fixed degree stored spectrally on a grid."""
+    """Differential form of fixed degree stored spectrally on a grid.
+
+    Compared by identity: ``==`` is ``is`` and ``hash`` is the object's
+    id, because arrays of coefficients have no single truth value.
+    """
 
     grid: SpectralGrid
     degree: int

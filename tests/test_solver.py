@@ -47,6 +47,7 @@ from torusforms.solver import (
 from torusforms.hodge import helmholtz_project
 from torusforms.spectral import (
     ConsistencyError,
+    FieldIntegrityError,
     FormField,
     SpectralGrid,
     codifferential,
@@ -59,10 +60,12 @@ from torusforms.spectral import (
     l2_norm,
     random_form,
     remove_harmonic,
+    to_physical,
 )
 
 G16 = SpectralGrid(2, 16)
 NS2 = navier_stokes_config(2)
+NS = {2: NS2, 3: navier_stokes_config(3)}
 
 
 def _taylor_green(grid: SpectralGrid, t: float = 0.0, mu: float = 0.1) -> FormField:
@@ -259,40 +262,175 @@ class TestProjectState:
                     assert np.array_equal(a, b)
 
 
+def _reference_lawson(cfg, u0, quad, forcing):
+    """The Lawson schemes on full fields: project_state, full-spectrum Q
+    and exp(-mu tau |k|^2) on the whole grid, every state kept."""
+    grid = cfg.grid()
+    dt = cfg.T / cfg.steps
+
+    def decay(u, tau):
+        mult = np.exp(-cfg.mu * tau * grid.k_squared)
+        return FormField(grid, u.degree, tuple(c * mult for c in u.components))
+
+    def rhs(j, midpoint, u):
+        out = -project_state(quad(j, midpoint, u))
+        fj = forcing(j, midpoint)
+        return out if fj is None else out + project_state(fj)
+
+    u = project_state(u0)
+    states = [u]
+    for j in range(cfg.steps):
+        if cfg.scheme == "imex-euler":
+            u = decay(u + rhs(j, False, u) * dt, dt)
+        else:
+            mid = decay(u + rhs(j, False, u) * (0.5 * dt), 0.5 * dt)
+            u = decay(u, dt) + decay(rhs(j, True, mid), 0.5 * dt) * dt
+        states.append(u)
+    return states
+
+
+def _assert_same_states(got, expected):
+    """Byte-identical samples and half-spectrum coefficients k_last >= 0."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        half = a.grid.res // 2 + 1
+        for x, y in zip(a.components, b.components):
+            assert x[..., :half].tobytes() == y[..., :half].tobytes()
+        for x, y in zip(to_physical(a), to_physical(b)):
+            assert x.tobytes() == y.tobytes()
+
+
+def _non_hermitian(u: FormField) -> FormField:
+    """u with one unpaired in-band mode on a component that keeps delta u."""
+    comps = [c.copy() for c in u.components]
+    comps[1][(1,) + (0,) * (u.grid.n - 1)] += 0.3j
+    return FormField(u.grid, u.degree, tuple(comps))
+
+
+class TestBandHalfState:
+    GRIDS = [G16, SpectralGrid(3, 8)]
+
+    @staticmethod
+    def _data(grid):
+        rng = np.random.default_rng(29)
+        u0 = project_state(random_form(grid, 1, rng, kmax=grid.res / 3)) * 2.0
+        f = random_form(grid, 1, rng, kmax=grid.res / 3)
+        w = project_state(random_form(grid, 1, rng, kmax=grid.res / 3))
+        return u0, f, w
+
+    @staticmethod
+    def _forcing(kind, f, times):
+        """The forcing as the solver takes it and as the reference draws it."""
+        if kind == "constant":
+            return f, lambda j, midpoint: f
+        call = lambda t: f * float(np.cos(3.0 * t))  # noqa: E731
+        return call, lambda j, midpoint: call(
+            float(0.5 * (times[j] + times[j + 1])) if midpoint else float(times[j]))
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
+    @pytest.mark.parametrize("forcing", ["constant", "callable"])
+    def test_nonlinear_matches_full_field_reference(self, grid, scheme, forcing):
+        u0, f, _ = self._data(grid)
+        cfg = SolverConfig(mu=0.1, T=0.04, dt=0.01, res=grid.res, n=grid.n, scheme=scheme)
+        f_series, f_ref = self._forcing(forcing, f, cfg.times())
+        sol = solve_nonlinear(f_series, u0, cfg, derivatives=0, with_pressure=False)
+        ref = _reference_lawson(cfg, u0, lambda j, mid, u: nonlinear_term(u, NS[grid.n]), f_ref)
+        _assert_same_states(sol.u, ref)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
+    @pytest.mark.parametrize("forcing", ["constant", "callable"])
+    @pytest.mark.parametrize("advection", ["constant", "sampled"])
+    def test_linearized_matches_full_field_reference(self, grid, scheme, forcing, advection):
+        u0, f, w = self._data(grid)
+        cfg = SolverConfig(mu=0.1, T=0.04, dt=0.01, res=grid.res, n=grid.n, scheme=scheme)
+        times = cfg.times()
+        f_series, f_ref = self._forcing(forcing, f, times)
+        if advection == "constant":
+            w_series, w_ref = w, lambda j, midpoint: w
+        else:
+            w_series = [w * float(1.0 + 0.5 * t) for t in times]
+            w_ref = lambda j, midpoint: (  # noqa: E731
+                (w_series[j] + w_series[j + 1]) * 0.5 if midpoint else w_series[j])
+        sol = solve_linearized(w_series, f_series, u0, cfg, derivatives=0,
+                               with_pressure=False)
+        ref = _reference_lawson(
+            cfg, u0, lambda j, mid, u: bilinear_term(w_ref(j, mid), u, NS[grid.n]), f_ref)
+        _assert_same_states(sol.u, ref)
+
+    @pytest.mark.parametrize("preset", ["navier-stokes-i1", "zero"])
+    @pytest.mark.parametrize("broken", ["u0", "forcing"])
+    def test_non_hermitian_data_rejected_before_stepping(self, monkeypatch, preset, broken):
+        def never(*args):
+            raise AssertionError("stepping started")
+
+        monkeypatch.setattr(solver_module, "_run_scheme", never)
+        u0 = _two_band_state(G16)
+        f = FormField.zeros(G16, 1)
+        if broken == "u0":
+            u0 = _non_hermitian(u0)
+        else:
+            f = _non_hermitian(f)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16, preset=preset)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            solve_nonlinear(f, u0, cfg)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            solve_linearized(_two_band_state(G16), f, u0, cfg)
+
+    @pytest.mark.parametrize("grid", [G16, SpectralGrid(2, 32), SpectralGrid(3, 8),
+                                      SpectralGrid(3, 12)])
+    def test_half_norm_is_parseval(self, grid):
+        # The k_last = 0 plane counts once, every other plane twice.
+        u = project_state(random_form(grid, 1, np.random.default_rng(31), kmax=grid.res / 3))
+        state = solver_module._projected_half(u, grid, 1)
+        band = nonlinear_module._band(grid)
+        rebuilt = FormField(grid, 1, tuple(
+            nonlinear_module._full_spectrum(h, grid, band) for h in state))
+        expected = l2_norm(rebuilt)
+        assert abs(solver_module._half_norm(state) - expected) <= 1e-14 * expected
+
+
 class TestEvaluationCounts:
-    def test_nonlinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
-        # 4 rk2 steps make 8 stage evaluations; the 3 stored samples share
-        # one evaluation between the derivative cache and the pressure.
+    @staticmethod
+    def _count(monkeypatch, name):
+        """Record the calls of the solver module's ``name``."""
         calls = []
+        original = getattr(solver_module, name)
 
-        def counted(u, cfg):
+        def counted(*args):
             calls.append(1)
-            return nonlinear_term(u, cfg)
+            return original(*args)
 
-        monkeypatch.setattr(solver_module, "nonlinear_term", counted)
-        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
-        solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2, derivatives=1)
-        assert len(calls) == 8 + 3
-
-    def _count_bilinear(self, monkeypatch):
-        calls = []
-
-        def counted(w, u, cfg):
-            calls.append(1)
-            return bilinear_term(w, u, cfg)
-
-        monkeypatch.setattr(solver_module, "bilinear_term", counted)
+        monkeypatch.setattr(solver_module, name, counted)
         return calls
 
+    def test_nonlinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
+        # 4 rk2 steps make 8 stage kernel passes on the band-half state; the
+        # 3 stored samples share one evaluation of N between the derivative
+        # cache and the pressure.
+        stages = self._count(monkeypatch, "_quadratic")
+        samples = self._count(monkeypatch, "nonlinear_term")
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2, derivatives=1)
+        assert len(stages) == 8
+        assert len(samples) == 3
+
+    def _count_bilinear(self, monkeypatch):
+        return self._count(monkeypatch, "bilinear_term")
+
     def test_bilinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
-        # 4 rk2 steps make 8 stage evaluations of B(w, u); the 3 stored
-        # samples share one between the derivative cache and the pressure.
-        calls = self._count_bilinear(monkeypatch)
+        # 4 rk2 steps make 8 stage kernel passes of B(w, u); the 3 stored
+        # samples share one B(w, u) between the derivative cache and the
+        # pressure.
+        stages = self._count(monkeypatch, "_quadratic")
+        samples = self._count_bilinear(monkeypatch)
         w = _two_band_state(G16)
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         sol = solve_linearized(w, None, _two_band_state(G16), cfg, store_every=2)
         assert len(sol.u) == len(sol.p) == len(sol.dt_cache[1]) == 3
-        assert len(calls) == 8 + 3
+        assert len(stages) == 8
+        assert len(samples) == 3
 
     def test_derivative_term_once_per_stored_sample(self, monkeypatch):
         # B(u, du/dt) feeds both the second derivative and the pressure's
@@ -710,6 +848,18 @@ class TestNewton:
         assert not result.converged
         assert len(result.residual_history) == 2
 
+    def test_final_pass_reuses_the_last_residual(self, monkeypatch):
+        # Three residuals of steps evaluations each, then N at the last
+        # state only: the last residual has N at every other final state.
+        cfg, base, f_cells = self._base(steps=4)
+        rng = np.random.default_rng(9)
+        bump = project_state(random_form(G16, 1, rng, kmax=2, mean_free=True))
+        seed = [u + bump * (1e-3 / l2_norm(bump)) for u in base.u]
+        calls = TestEvaluationCounts._count(monkeypatch, "nonlinear_term")
+        result = newton_local_inverse(f_cells, base.u[0], seed, cfg)
+        assert result.iterations == 2
+        assert len(calls) == cfg.steps * 3 + 1
+
     def test_usage_errors(self):
         cfg, base, f_cells = self._base(steps=10)
         rk2 = SolverConfig(mu=0.1, T=0.02, dt=2e-3, res=16, scheme="imex-rk2")
@@ -799,3 +949,20 @@ class TestSolutionIO:
             manifest.read_text().replace("u_00001.hpform", name))
         with pytest.raises(ValueError, match="manifest row 2"):
             load_solution(tmp_path / "run")
+
+
+class TestIdentitySemantics:
+    @pytest.mark.parametrize("make", [
+        lambda: random_form(G16, 1, np.random.default_rng(5)),
+        lambda: build_basis(G16, 1, 4),
+        lambda: nonlinear_module.interior_product_map(2),
+        lambda: navier_stokes_config(2),
+    ], ids=["FormField", "GalerkinBasis", "BilinearMap", "NonlinearityConfig"])
+    def test_equality_is_identity(self, make):
+        # Equal-valued instances hold equal arrays, which have no single
+        # truth value: == is identity and hash the object id.
+        a, b = make(), make()
+        assert a != b and not a == b
+        assert a == a
+        assert hash(a) == hash(a) != hash(b)
+        assert len({a, b, a}) == 2
