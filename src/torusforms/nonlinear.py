@@ -33,10 +33,10 @@ T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
 
 Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves with any
 leading batch axes, which broadcast: the Galerkin assembly transforms w once
-and a whole block of basis fields in each transform, and the field solvers
-step their band-half states through them.  ``nonlinear_term`` and
-``bilinear_term`` wrap them for single fields, with step 1 and the rebuilt
-full spectrum.
+and a whole block of basis fields in each transform.  ``nonlinear_term``
+and ``bilinear_term`` wrap them for single fields, with step 1 and the
+rebuilt full spectrum, and for ``BandHalves`` states, without either: the
+field solvers step their states through that form.
 
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
@@ -371,22 +371,73 @@ def _full_spectrum(half: np.ndarray, grid: SpectralGrid, band: _Band) -> np.ndar
     return full
 
 
-def nonlinear_term(v: FormField, cfg: NonlinearityConfig) -> FormField:
-    """N(v) = M1(d v, v) + d M2(v, v)."""
+class BandHalves:
+    """A real field held as the band halves of its components.
+
+    ``halves`` stacks the half k_last = 0..L (L = res // 3) of every
+    component's band box, shape (ncomp, 2L+1, ..., L+1); the rest of the box
+    is its conjugate reflection, and the field has no modes outside the box.
+    ``nonlinear_term`` and ``bilinear_term`` take such states in place of
+    fields and return the band halves of the result in the same layout.
+    With ``keep`` the grid values are made on first use and kept, so a state
+    used in many products is transformed once per nonlinearity.
+    """
+
+    def __init__(self, grid: SpectralGrid, degree: int, halves: np.ndarray,
+                 keep: bool = False):
+        self.grid, self.degree, self.halves = grid, degree, halves
+        self._kept = {} if keep else None
+
+    @classmethod
+    def of(cls, u: FormField, keep: bool = False) -> "BandHalves":
+        """The band halves of the field u, after its Hermitian check."""
+        return cls(u.grid, u.degree, np.stack(_band_halves(u)), keep)
+
+    def on_grid(self, cfg: NonlinearityConfig) -> tuple[list, list]:
+        if self._kept is None:
+            return _on_grid(cfg, self.grid, self.halves)
+        if cfg not in self._kept:
+            self._kept[cfg] = _on_grid(cfg, self.grid, self.halves)
+        return self._kept[cfg]
+
+
+def _quadratic_halves(cfg: NonlinearityConfig, *states: BandHalves) -> np.ndarray:
+    """``_quadratic`` of band-half states, stacked like its inputs."""
+    grid = states[0].grid
+    if any(s.grid != grid for s in states):
+        raise ValueError("product arguments live on different grids")
+    if cfg.is_zero:
+        return np.zeros_like(states[-1].halves)
+    return np.stack(_quadratic(cfg, grid, *(s.on_grid(cfg) for s in states)))
+
+
+def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig):
+    """N(v) = M1(d v, v) + d M2(v, v); its band halves for ``BandHalves`` v."""
     if v.degree != cfg.degree:
         raise ValueError(
             f"field degree {v.degree} does not match nonlinearity degree "
             f"{cfg.degree}"
         )
+    if isinstance(v, BandHalves):
+        return _quadratic_halves(cfg, v)
     if cfg.is_zero:
         return FormField.zeros(v.grid, v.degree)
     return _quadratic_field(cfg, v)
 
 
-def bilinear_term(w: FormField, v: FormField, cfg: NonlinearityConfig) -> FormField:
-    """Polarization B(w, v) = N(w + v) - N(w) - N(v), evaluated directly."""
+def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
+                  cfg: NonlinearityConfig):
+    """Polarization B(w, v) = N(w + v) - N(w) - N(v), evaluated directly.
+
+    w and v are both fields or both ``BandHalves``; for the latter the
+    result is B's band halves.
+    """
     if w.degree != cfg.degree or v.degree != cfg.degree:
         raise ValueError("field degrees do not match the nonlinearity degree")
+    if isinstance(w, BandHalves) != isinstance(v, BandHalves):
+        raise TypeError("bilinear_term takes two fields or two BandHalves")
+    if isinstance(v, BandHalves):
+        return _quadratic_halves(cfg, w, v)
     if cfg.is_zero:
         return FormField.zeros(v.grid, v.degree)
     return _quadratic_field(cfg, w, v)

@@ -14,8 +14,9 @@ Equations integrated (all terms projected onto the state space):
 
 The field solvers step the band half k_last = 0..L (L = res // 3) of the
 state, one (ncomp, 2L+1, ..., L+1) complex array: the integrating factor
-acts mode by mode, so the half carries the whole scheme.  Fields are
-rebuilt only at the stored samples.
+acts mode by mode, so the half carries the whole scheme.  A stage passes
+the state to nonlinear_term or bilinear_term as ``BandHalves`` and gets
+the band halves of Q back.  Fields are rebuilt only at the stored samples.
 
 The pressure has no evolution equation; it is recovered at sample times
 from the complementary projection of the source, d p = (I - P)(f - Q(u))
@@ -48,6 +49,7 @@ from .hodge import helmholtz_project, recover_pressure
 from .norms import TimeSeriesSolution
 from .nonlinear import (
     PRESETS,
+    BandHalves,
     NonlinearityConfig,
     _band,
     _band_halves,
@@ -264,10 +266,6 @@ def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
             )
 
 
-def _decay_multiplier(grid: SpectralGrid, mu: float, tau: float) -> np.ndarray:
-    return np.exp(-mu * tau * grid.k_squared)
-
-
 def _apply_multiplier(u: FormField, mult: np.ndarray) -> FormField:
     return FormField(u.grid, u.degree, tuple(c * mult for c in u.components))
 
@@ -394,22 +392,24 @@ def _stepped_fields(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField,
                     f: _Sampler, w: _Sampler | None, stored: list[int]) -> list[FormField]:
     """P u0 stepped by ``_run_scheme`` on its band half; the fields at ``stored``.
 
-    A stage evaluates Q (N(u) for ``w`` None, else B(w, u), zero where w_j
-    is None) from the state, projects and negates Q's halves in place and
-    adds the projected forcing.
+    u0 is checked to be divergence-free and Hermitian first.  A stage
+    evaluates Q (N(u) for ``w`` None, else B(w, u), zero where w_j is None)
+    on the state as ``BandHalves``, which also checks the degrees, projects
+    and negates Q's halves in place and adds the projected forcing.
     """
     grid, degree = cfg.grid(), u0.degree
+    _check_initial(u0)
     state0 = _projected_half(u0, grid, degree)
     forcing = _per_stage(f, lambda fj: _projected_half(fj, grid, degree))
-    # The kernel's inputs besides the state: (w on the grid,) for B, () for N.
-    w_input = (_per_stage(w, lambda wj: (_advection_grid(wj, grid, degree, ns),))
-               if w is not None and not ns.is_zero else lambda j, midpoint: ())
+    advection = _per_stage(w, lambda wj: BandHalves.of(wj, keep=True))
     k_squared = _band_k_squared(grid)[..., :grid.res // 3 + 1]
 
     def rhs(j, midpoint, state):
-        inputs = None if ns.is_zero else w_input(j, midpoint)
-        q = (np.zeros_like(state) if inputs is None
-             else _quadratic(ns, grid, *inputs, _on_grid(ns, grid, state)))
+        u, wj = BandHalves(grid, degree, state), advection(j, midpoint)
+        if w is None:
+            q = nonlinear_term(u, ns)
+        else:
+            q = np.zeros_like(state) if wj is None else bilinear_term(wj, u, ns)
         out = np.empty_like(state)
         for o, part in zip(out, _band_projection(grid, degree, q)):
             np.negative(part, out=o)
@@ -443,16 +443,6 @@ def _per_stage(data: _Sampler | None, prepare):
         return None if sample is None else prepare(sample)
 
     return stage
-
-
-def _advection_grid(w: FormField, grid: SpectralGrid, degree: int,
-                    ns_cfg: NonlinearityConfig) -> tuple[list, list]:
-    """w checked and on the grid: the first input of B(w, v), v of ``degree``."""
-    if w.degree != ns_cfg.degree or degree != ns_cfg.degree:
-        raise ValueError("field degrees do not match the nonlinearity degree")
-    if w.grid != grid:
-        raise ValueError("product arguments live on different grids")
-    return _on_grid(ns_cfg, grid, _band_halves(w))
 
 
 def _sample_pass(u_list, times, stored, mu, f, quad, derivatives, with_pressure,
@@ -541,7 +531,6 @@ def solve_linearized(
     if derivatives > 1:
         raise ValueError("linearized solves cache derivatives up to order 1")
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    _check_initial(u0)
     times = cfg.times()
     w = _Sampler(w_series, times, "advection field")
     f = _Sampler(f_series, times, "forcing")
@@ -574,10 +563,6 @@ def solve_nonlinear(
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     if derivatives > 2:
         raise ValueError("derivative caching supports orders up to 2")
-    if u0.degree != ns.degree:
-        raise ValueError(f"field degree {u0.degree} does not match nonlinearity degree "
-                         f"{ns.degree}")
-    _check_initial(u0)
     times = cfg.times()
     f = _Sampler(f_series, times, "forcing")
     f_dt = _Sampler(f_dt_series, times, "forcing derivative")
@@ -859,7 +844,11 @@ def _advection_rows(w: FormField, basis: GalerkinBasis,
     gather, without building a field.
     """
     grid = basis.grid
-    w_grid = _advection_grid(w, grid, basis.degree, ns_cfg)
+    if w.degree != ns_cfg.degree or basis.degree != ns_cfg.degree:
+        raise ValueError("field degrees do not match the nonlinearity degree")
+    if w.grid != grid:
+        raise ValueError("product arguments live on different grids")
+    w_grid = _on_grid(ns_cfg, grid, _band_halves(w))
     rows = np.empty((basis.m, basis.m))
     step = _block_size(grid)
     for start in range(0, basis.m, step):
@@ -1060,7 +1049,7 @@ def _euler_cells(states, quads, cfg: SolverConfig) -> list[FormField]:
     if len(states) != cfg.steps + 1:
         raise ValueError("trajectory length does not match the configuration")
     dt = cfg.T / cfg.steps
-    inv = _decay_multiplier(states[0].grid, cfg.mu, -dt)
+    inv = np.exp(cfg.mu * dt * states[0].grid.k_squared)
     return [(_apply_multiplier(states[j + 1], inv) - states[j]) * (1.0 / dt)
             + project_state(q) for j, q in enumerate(quads)]
 
@@ -1081,7 +1070,7 @@ def _solve_linearized_cells(
     """Exactly invert the linearized discrete map by forward substitution."""
     grid = states[0].grid
     dt = cfg.T / cfg.steps
-    dec = _decay_multiplier(grid, cfg.mu, dt)
+    dec = np.exp(-cfg.mu * dt * grid.k_squared)
     out = [v0]
     for j in range(cfg.steps):
         explicit = rhs_cells[j] - project_state(bilinear_term(states[j], out[j], ns))

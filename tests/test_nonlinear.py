@@ -269,6 +269,51 @@ class TestTransformBudget:
         assert calls.count("rfftn") == grid.n + 1
 
 
+class TestBandHalves:
+    """The band-half form of N and B: the field form's halves, bit for bit."""
+
+    @staticmethod
+    def _halves(u: FormField) -> np.ndarray:
+        return np.stack(nonlinear_module._band_halves(u))
+
+    @pytest.mark.parametrize("grid", [G2, G3])
+    def test_matches_field_form(self, grid):
+        w, v = _pair(grid, 47)
+        cfg = _ns(grid)
+        wh, vh = nonlinear_module.BandHalves.of(w), nonlinear_module.BandHalves.of(v)
+        n = nonlinear_term(vh, cfg)
+        b = bilinear_term(wh, vh, cfg)
+        assert n.tobytes() == self._halves(nonlinear_term(v, cfg)).tobytes()
+        assert b.tobytes() == self._halves(bilinear_term(w, v, cfg)).tobytes()
+        zero = nonlinear_term(vh, zero_config(1))
+        assert zero.shape == vh.halves.shape and not np.any(zero)
+
+    def test_kept_state_is_transformed_once(self, monkeypatch):
+        w, v = _pair(G2, 53)
+        cfg = _ns(G2)
+        wh = nonlinear_module.BandHalves.of(w, keep=True)
+        calls = TestTransformBudget._counting_numpy(monkeypatch)
+        vh = nonlinear_module.BandHalves.of(v)
+        bilinear_term(wh, vh, cfg)
+        assert len(calls) == 9
+        calls.clear()
+        bilinear_term(wh, vh, cfg)
+        assert len(calls) == 9 - 3  # w and its d stay on the grid
+
+    def test_mismatches_rejected(self):
+        _, v = _pair(G2, 59)
+        cfg = _ns(G2)
+        vh = nonlinear_module.BandHalves.of(v)
+        scalar = random_form(G2, 0, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="degree"):
+            nonlinear_term(nonlinear_module.BandHalves.of(scalar), cfg)
+        other = nonlinear_module.BandHalves.of(_pair(G3, 61)[0])
+        with pytest.raises(ValueError, match="different grids"):
+            bilinear_term(other, vh, cfg)
+        with pytest.raises(TypeError, match="two fields or two BandHalves"):
+            bilinear_term(v, vh, cfg)
+
+
 class TestInputIntegrity:
     @staticmethod
     def _broken(grid: SpectralGrid, k: tuple[int, ...]) -> tuple[FormField, FormField]:

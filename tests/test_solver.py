@@ -378,6 +378,17 @@ class TestBandHalfState:
         with pytest.raises(FieldIntegrityError, match="Hermitian"):
             solve_linearized(_two_band_state(G16), f, u0, cfg)
 
+    def test_degree_mismatch_names_both_degrees(self):
+        # The stages' nonlinear_term and bilinear_term check the degrees at
+        # the first stage, before any step is stored.
+        u0 = random_form(G16, 0, np.random.default_rng(37), kmax=4)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        with pytest.raises(ValueError, match="field degree 0 does not match "
+                                             "nonlinearity degree 1"):
+            solve_nonlinear(None, u0, cfg)
+        with pytest.raises(ValueError, match="degrees do not match"):
+            solve_linearized(_two_band_state(G16), None, u0, cfg)
+
     @pytest.mark.parametrize("grid", [G16, SpectralGrid(2, 32), SpectralGrid(3, 8),
                                       SpectralGrid(3, 12)])
     def test_half_norm_is_parseval(self, grid):
@@ -394,43 +405,43 @@ class TestBandHalfState:
 class TestEvaluationCounts:
     @staticmethod
     def _count(monkeypatch, name):
-        """Record the calls of the solver module's ``name``."""
+        """Record the calls of the solver module's ``name``: "stage" for a
+        band-half state in the last field argument, else "sample"."""
         calls = []
         original = getattr(solver_module, name)
 
         def counted(*args):
-            calls.append(1)
+            stage = isinstance(args[-2], nonlinear_module.BandHalves)
+            calls.append("stage" if stage else "sample")
             return original(*args)
 
         monkeypatch.setattr(solver_module, name, counted)
         return calls
 
     def test_nonlinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
-        # 4 rk2 steps make 8 stage kernel passes on the band-half state; the
+        # 4 rk2 steps make 8 stage evaluations on the band-half state; the
         # 3 stored samples share one evaluation of N between the derivative
         # cache and the pressure.
-        stages = self._count(monkeypatch, "_quadratic")
-        samples = self._count(monkeypatch, "nonlinear_term")
+        calls = self._count(monkeypatch, "nonlinear_term")
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2, derivatives=1)
-        assert len(stages) == 8
-        assert len(samples) == 3
+        assert calls.count("stage") == 8
+        assert calls.count("sample") == 3
 
     def _count_bilinear(self, monkeypatch):
         return self._count(monkeypatch, "bilinear_term")
 
     def test_bilinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
-        # 4 rk2 steps make 8 stage kernel passes of B(w, u); the 3 stored
-        # samples share one B(w, u) between the derivative cache and the
-        # pressure.
-        stages = self._count(monkeypatch, "_quadratic")
-        samples = self._count_bilinear(monkeypatch)
+        # 4 rk2 steps make 8 stage evaluations of B(w, u) on the band-half
+        # state; the 3 stored samples share one B(w, u) between the
+        # derivative cache and the pressure.
+        calls = self._count_bilinear(monkeypatch)
         w = _two_band_state(G16)
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         sol = solve_linearized(w, None, _two_band_state(G16), cfg, store_every=2)
         assert len(sol.u) == len(sol.p) == len(sol.dt_cache[1]) == 3
-        assert len(stages) == 8
-        assert len(samples) == 3
+        assert calls.count("stage") == 8
+        assert calls.count("sample") == 3
 
     def test_derivative_term_once_per_stored_sample(self, monkeypatch):
         # B(u, du/dt) feeds both the second derivative and the pressure's
