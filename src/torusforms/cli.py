@@ -52,7 +52,6 @@ from .verify import (
     write_norm_series,
     write_norm_table,
     write_report,
-    _lower,
     _measured,
     _rel,
     _upper,

@@ -69,24 +69,22 @@ def hodge_decompose(u: FormField) -> HodgeDecomposition:
     return HodgeDecomposition(exact, coexact, harmonic_projection(u))
 
 
-def recover_pressure(
-    source: FormField, tol_div: float = 1e-10
-) -> FormField:
+def recover_pressure(source: FormField) -> FormField:
     """Potential p with d p = source for a source in the exact range.
 
     Returns p = delta phi source, the unique potential that is coclosed
     and orthogonal to harmonics.  The source must be (numerically) free
-    of any coclosed part: ``|P source| <= tol_div * |source|``.
+    of any coclosed part: ``|P source| <= 1e-10 * |source|``.
     """
     if source.degree < 1:
         raise ValueError("pressure recovery needs a source of degree >= 1")
     scale = l2_norm(source)
     coclosed = helmholtz_project(source)
     residual = l2_norm(coclosed)
-    if residual > tol_div * max(scale, 1e-300):
+    if residual > 1e-10 * max(scale, 1e-300):
         raise ConsistencyError(
             f"source is not an exact field: |P source| = {residual:.3e} "
-            f"exceeds {tol_div:.1e} * |source| = {tol_div * scale:.3e}"
+            f"exceeds 1.0e-10 * |source| = {1e-10 * scale:.3e}"
         )
     cleaned = source - coclosed
     return codifferential(parametrix(cleaned))

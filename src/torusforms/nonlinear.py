@@ -16,17 +16,20 @@ The kernel applies the two-thirds rule once per input and once per output
 (Orszag 1971) and transforms each physical array exactly once, with real
 transforms on the half spectrum ``c[..., :res//2 + 1]``:
 
-1. each input is masked to the band and checked for Hermitian symmetry on
-   the band box (``FieldIntegrityError`` above 1e-10, as ``to_physical``);
+1. each input field enters as ``BandHalves.of``: the half of its band box,
+   after a Hermitian check on the box (``FieldIntegrityError`` above 1e-10,
+   as ``to_physical``, under every preset); a ``BandHalves`` state enters
+   as it is;
 2. d of each input is formed on the half spectrum;
 3. ``irfftn`` brings every input component and every derivative component
    to the grid;
 4. the products are contracted over the nonzero tensor entries only, one
    output component at a time; in B each half-quadratic M(a, b) has its own
    buffer and the two are added afterwards, so B(v, v) = 2 N(v) exactly;
-5. ``rfftn`` takes every output component back, the band mask is applied
-   once, d is applied to the M2 output, and the full spectrum is rebuilt
-   from the half spectrum by conjugate reflection.
+5. ``rfftn`` takes every output component back, the band half is kept,
+   and d is applied to the M2 output; a field result leaves through
+   ``BandHalves.field``, which rebuilds the full spectrum by conjugate
+   reflection, a state's result as its stacked band halves.
 
 For the ``navier-stokes-i1`` preset that is 6 component transforms per N on
 T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
@@ -34,9 +37,10 @@ T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
 Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves with any
 leading batch axes, which broadcast: the Galerkin assembly transforms w once
 and a whole block of basis fields in each transform.  ``nonlinear_term``
-and ``bilinear_term`` wrap them for single fields, with step 1 and the
-rebuilt full spectrum, and for ``BandHalves`` states, without either: the
-field solvers step their states through that form.
+and ``bilinear_term`` share one body for fields and ``BandHalves`` states
+alike: fields enter through ``BandHalves.of`` and the result leaves through
+``field``, states skip both; the field solvers step their states through
+that form.
 
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
@@ -268,18 +272,6 @@ def _half_position(grid: SpectralGrid, modes: np.ndarray) -> tuple[tuple, np.nda
     return tuple(inside.T % (2 * _band(grid).limit + 1)), mirrored
 
 
-def _band_halves(u: FormField) -> list[np.ndarray]:
-    """The band half of every component, checked to be a real field's."""
-    band = _band(u.grid)
-    halves = []
-    for c in u.components:
-        box = c[band.box]
-        if not _is_hermitian(box, 1e-10):
-            raise FieldIntegrityError("coefficients are not Hermitian symmetric")
-        halves.append(box[..., :band.limit + 1])
-    return halves
-
-
 def _apply_d(grid: SpectralGrid, degree: int, halves, out) -> list:
     """Add d of a degree-``degree`` field, given by its band halves, into ``out``."""
     keep = halves[0].shape[-1]
@@ -349,49 +341,49 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
     return [np.zeros(zero, dtype=np.complex128) if h is None else h for h in out]
 
 
-def _quadratic_field(cfg: NonlinearityConfig, *fields: FormField) -> FormField:
-    """``_quadratic`` of checked real fields, as a field."""
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("product arguments live on different grids")
-    halves = [_band_halves(f) for f in fields]
-    # The grid arrays are freed when _quadratic returns, before the outputs
-    # grow to full spectra.
-    out = _quadratic(cfg, grid, *(_on_grid(cfg, grid, h) for h in halves))
-    band = _band(grid)
-    return FormField(grid, cfg.degree,
-                     tuple(_full_spectrum(h, grid, band) for h in out))
-
-
-def _full_spectrum(half: np.ndarray, grid: SpectralGrid, band: _Band) -> np.ndarray:
-    """fftn-layout coefficients of a real band-limited field from its band half."""
-    full = np.zeros(grid.shape, dtype=np.complex128)
-    full[band.half] = half
-    full[band.tail] = np.conj(half[band.reflect])
-    return full
-
-
 class BandHalves:
     """A real field held as the band halves of its components.
 
-    ``halves`` stacks the half k_last = 0..L (L = res // 3) of every
-    component's band box, shape (ncomp, 2L+1, ..., L+1); the rest of the box
-    is its conjugate reflection, and the field has no modes outside the box.
-    ``nonlinear_term`` and ``bilinear_term`` take such states in place of
-    fields and return the band halves of the result in the same layout.
-    With ``keep`` the grid values are made on first use and kept, so a state
-    used in many products is transformed once per nonlinearity.
+    ``halves`` holds, one array per component, the half k_last = 0..L
+    (L = res // 3) of the component's band box, shape (2L+1, ..., L+1); the
+    rest of the box is its conjugate reflection, and the field has no modes
+    outside the box.  Any per-component sequence will do: ``of`` gathers a
+    stacked (ncomp, 2L+1, ..., L+1) array, the field solvers step one, and
+    the kernel returns a list.  ``nonlinear_term`` and ``bilinear_term``
+    take such states in place of fields and return the band halves of the
+    result, stacked.  With ``keep`` the grid values are made on first use
+    and kept, so a state used in many products is transformed once per
+    nonlinearity.
     """
 
-    def __init__(self, grid: SpectralGrid, degree: int, halves: np.ndarray,
-                 keep: bool = False):
+    def __init__(self, grid: SpectralGrid, degree: int, halves, keep: bool = False):
         self.grid, self.degree, self.halves = grid, degree, halves
         self._kept = {} if keep else None
 
     @classmethod
     def of(cls, u: FormField, keep: bool = False) -> "BandHalves":
-        """The band halves of the field u, after its Hermitian check."""
-        return cls(u.grid, u.degree, np.stack(_band_halves(u)), keep)
+        """The band halves of the field u, after its Hermitian check on the
+        band box (``FieldIntegrityError`` above 1e-10, as ``to_physical``)."""
+        band = _band(u.grid)
+        halves = np.empty((len(u.components),) + band.half_box, dtype=np.complex128)
+        for half, c in zip(halves, u.components):
+            box = c[band.box]
+            if not _is_hermitian(box, 1e-10):
+                raise FieldIntegrityError("coefficients are not Hermitian symmetric")
+            half[...] = box[..., :band.limit + 1]
+        return cls(u.grid, u.degree, halves, keep)
+
+    def field(self) -> FormField:
+        """The field in fftn layout: each half and its conjugate reflection
+        on the band box, zero outside it."""
+        band = _band(self.grid)
+        comps = []
+        for half in self.halves:
+            full = np.zeros(self.grid.shape, dtype=np.complex128)
+            full[band.half] = half
+            full[band.tail] = np.conj(half[band.reflect])
+            comps.append(full)
+        return FormField(self.grid, self.degree, tuple(comps))
 
     def on_grid(self, cfg: NonlinearityConfig) -> tuple[list, list]:
         if self._kept is None:
@@ -401,14 +393,21 @@ class BandHalves:
         return self._kept[cfg]
 
 
-def _quadratic_halves(cfg: NonlinearityConfig, *states: BandHalves) -> np.ndarray:
-    """``_quadratic`` of band-half states, stacked like its inputs."""
-    grid = states[0].grid
-    if any(s.grid != grid for s in states):
+def _quadratic_term(cfg: NonlinearityConfig, *args):
+    """``_quadratic`` of fields or of ``BandHalves``: a field enters through
+    ``BandHalves.of`` and leaves through ``field``, states give and get
+    stacked band halves."""
+    grid = args[0].grid
+    if any(a.grid != grid for a in args):
         raise ValueError("product arguments live on different grids")
+    states = [a if isinstance(a, BandHalves) else BandHalves.of(a) for a in args]
     if cfg.is_zero:
-        return np.zeros_like(states[-1].halves)
-    return np.stack(_quadratic(cfg, grid, *(s.on_grid(cfg) for s in states)))
+        out = [np.zeros_like(h) for h in states[-1].halves]
+    else:
+        out = _quadratic(cfg, grid, *(s.on_grid(cfg) for s in states))
+    if isinstance(args[-1], BandHalves):
+        return np.stack(out)
+    return BandHalves(grid, cfg.degree, out).field()
 
 
 def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig):
@@ -418,11 +417,7 @@ def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig):
             f"field degree {v.degree} does not match nonlinearity degree "
             f"{cfg.degree}"
         )
-    if isinstance(v, BandHalves):
-        return _quadratic_halves(cfg, v)
-    if cfg.is_zero:
-        return FormField.zeros(v.grid, v.degree)
-    return _quadratic_field(cfg, v)
+    return _quadratic_term(cfg, v)
 
 
 def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
@@ -436,11 +431,7 @@ def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
         raise ValueError("field degrees do not match the nonlinearity degree")
     if isinstance(w, BandHalves) != isinstance(v, BandHalves):
         raise TypeError("bilinear_term takes two fields or two BandHalves")
-    if isinstance(v, BandHalves):
-        return _quadratic_halves(cfg, w, v)
-    if cfg.is_zero:
-        return FormField.zeros(v.grid, v.degree)
-    return _quadratic_field(cfg, w, v)
+    return _quadratic_term(cfg, w, v)
 
 
 def convective_term(w: FormField, u: FormField) -> FormField:
@@ -506,8 +497,6 @@ def continuity_bound_survey(
     s: int,
     seed: int = 0,
     kmax: float | None = None,
-    horizon: float = 1.0,
-    samples: int = 9,
 ) -> ContinuityReport:
     """Sample the continuity constant of B on stationary random pairs.
 
@@ -516,10 +505,10 @@ def continuity_bound_survey(
 
         |B(w, v)|_{for, (k, s-1)} / (|w|_{vel, (k+2, s-1)} |v|_{vel, (k+2, s-1)})
 
-    on a stationary trajectory of the given horizon.  The band defaults to
-    res/6 so quadratic products stay fully resolved; surveys at different
-    resolutions then sample the same field class and their maxima are
-    directly comparable.
+    on a stationary trajectory, sampled at 9 times on [0, 1].  The band
+    defaults to res/6 so quadratic products stay fully resolved; surveys at
+    different resolutions then sample the same field class and their maxima
+    are directly comparable.
     """
     n = grid.n
     if not 2 * s + k > n / 2.0 - 1.0:
@@ -529,7 +518,7 @@ def continuity_bound_survey(
     if kmax is None:
         kmax = grid.res / 6.0
     rng = np.random.default_rng(seed)
-    times = np.linspace(0.0, horizon, samples)
+    times = np.linspace(0.0, 1.0, 9)
     sub = s - 1
 
     def stationary(field: FormField) -> TimeSeriesSolution:

@@ -52,8 +52,6 @@ from .nonlinear import (
     BandHalves,
     NonlinearityConfig,
     _band,
-    _band_halves,
-    _full_spectrum,
     _half_position,
     _on_grid,
     _quadratic,
@@ -254,7 +252,7 @@ def _projected_half(u: FormField, grid: SpectralGrid, degree: int) -> np.ndarray
     """project_state(u) as a solver state, after the Hermitian check."""
     if u.grid != grid or u.degree != degree:
         raise ValueError("data live on a different grid or degree than the state")
-    return np.stack(_band_projection(grid, degree, _band_halves(u)))
+    return np.stack(_band_projection(grid, degree, BandHalves.of(u).halves))
 
 
 def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
@@ -423,9 +421,7 @@ def _stepped_fields(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField,
         _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * k_squared)),
         rhs, _half_guard,
     )
-    band = _band(grid)
-    return [FormField(grid, degree, tuple(_full_spectrum(h, grid, band) for h in states[i]))
-            for i in stored]
+    return [BandHalves(grid, degree, states[i]).field() for i in stored]
 
 
 def _per_stage(data: _Sampler | None, prepare):
@@ -556,9 +552,10 @@ def solve_nonlinear(
 ) -> TimeSeriesSolution:
     """Integrate d/dt u = -mu Lap u - P N(u) + P f, u(0) = P u0.
 
-    Second-order derivative caching substitutes the differentiated
-    equation and therefore needs df/dt: pass ``f_dt_series`` for
-    time-dependent forcing (None means df/dt = 0).
+    The second derivative and the pressure's first substitute the
+    differentiated equation and need df/dt: ``f_dt_series``, or None for
+    no or constant forcing (for time-dependent forcing None leaves
+    ``p_dt_cache`` empty, and ``derivatives=2`` raises).
     """
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     if derivatives > 2:
@@ -566,13 +563,16 @@ def solve_nonlinear(
     times = cfg.times()
     f = _Sampler(f_series, times, "forcing")
     f_dt = _Sampler(f_dt_series, times, "forcing derivative")
-    if derivatives >= 2 and isinstance(f.data, list) and f_dt_series is None:
-        raise ValueError("second derivatives of a sampled forcing need f_dt_series")
+    no_f_dt = f_dt.is_zero and not (f.is_zero or isinstance(f.data, FormField))
+    if derivatives >= 2 and no_f_dt:
+        raise ValueError(
+            "second derivatives of a time-dependent forcing need f_dt_series")
     stored = _stored_indices(cfg.steps, store_every)
     return _sample_pass(
         _stepped_fields(cfg, ns, u0, f, None, stored), times, stored, cfg.mu, f,
         lambda i, u: nonlinear_term(u, ns), derivatives, with_pressure,
-        quad_dt=lambda u, du: bilinear_term(u, du, ns), f_dt=f_dt,
+        quad_dt=None if no_f_dt else lambda u, du: bilinear_term(u, du, ns),
+        f_dt=f_dt,
     )
 
 
@@ -795,7 +795,6 @@ class LinearizedOperator:
     mu: float
     times: np.ndarray
     matrices: np.ndarray
-    w_series: object = None
 
     @property
     def explicit_part(self) -> np.ndarray:
@@ -832,7 +831,7 @@ def assemble_linearized(
         mats[jt] = diffusion
         if wj is not None and not ns_cfg.is_zero:
             mats[jt] += _advection_rows(wj, basis, ns_cfg)
-    return LinearizedOperator(basis, mu, times, mats, w_series)
+    return LinearizedOperator(basis, mu, times, mats)
 
 
 def _advection_rows(w: FormField, basis: GalerkinBasis,
@@ -848,7 +847,7 @@ def _advection_rows(w: FormField, basis: GalerkinBasis,
         raise ValueError("field degrees do not match the nonlinearity degree")
     if w.grid != grid:
         raise ValueError("product arguments live on different grids")
-    w_grid = _on_grid(ns_cfg, grid, _band_halves(w))
+    w_grid = BandHalves.of(w).on_grid(ns_cfg)
     rows = np.empty((basis.m, basis.m))
     step = _block_size(grid)
     for start in range(0, basis.m, step):

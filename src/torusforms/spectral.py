@@ -272,10 +272,6 @@ class FormField:
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(_is_hermitian(c, tol) for c in self.components)
 
-    def stack(self) -> np.ndarray:
-        """Components stacked into one (ncomp, res, ..., res) array."""
-        return np.stack(self.components)
-
     # -- arithmetic -------------------------------------------------------
 
     def _check_compatible(self, other: "FormField"):
@@ -314,11 +310,6 @@ class FormField:
     def __neg__(self) -> "FormField":
         return FormField(
             self.grid, self.degree, tuple(-c for c in self.components)
-        )
-
-    def copy(self) -> "FormField":
-        return FormField(
-            self.grid, self.degree, tuple(c.copy() for c in self.components)
         )
 
 

@@ -39,6 +39,7 @@ from torusforms.spectral import (
     FieldIntegrityError,
     FormField,
     SpectralGrid,
+    dealias,
     exterior_derivative,
     inner_product,
     l2_norm,
@@ -274,7 +275,7 @@ class TestBandHalves:
 
     @staticmethod
     def _halves(u: FormField) -> np.ndarray:
-        return np.stack(nonlinear_module._band_halves(u))
+        return np.stack(nonlinear_module.BandHalves.of(u).halves)
 
     @pytest.mark.parametrize("grid", [G2, G3])
     def test_matches_field_form(self, grid):
@@ -287,6 +288,17 @@ class TestBandHalves:
         assert b.tobytes() == self._halves(bilinear_term(w, v, cfg)).tobytes()
         zero = nonlinear_term(vh, zero_config(1))
         assert zero.shape == vh.halves.shape and not np.any(zero)
+
+    @pytest.mark.parametrize("grid", [G2, G3])
+    def test_field_round_trips_through_of(self, grid):
+        rng = np.random.default_rng(67)
+        for degree in range(grid.n + 1):
+            v = random_form(grid, degree, rng)
+            halves = nonlinear_module.BandHalves.of(v).halves
+            u = nonlinear_module.BandHalves(grid, degree, halves).field()
+            assert u.grid == grid and u.degree == degree
+            assert nonlinear_module.BandHalves.of(u).halves.tobytes() == halves.tobytes()
+            assert l2_norm(u - dealias(v)) <= 1e-14 * l2_norm(v)
 
     def test_kept_state_is_transformed_once(self, monkeypatch):
         w, v = _pair(G2, 53)
@@ -328,6 +340,18 @@ class TestInputIntegrity:
         k = (1, 2) if grid.n == 2 else (1, -2, 3)
         u, broken = self._broken(grid, k)
         cfg = _ns(grid)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            nonlinear_term(broken, cfg)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            bilinear_term(u, broken, cfg)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            bilinear_term(broken, u, cfg)
+
+    @pytest.mark.parametrize("grid", [G2, G3])
+    def test_zero_preset_checks_fields(self, grid):
+        k = (1, 2) if grid.n == 2 else (1, -2, 3)
+        u, broken = self._broken(grid, k)
+        cfg = zero_config(1)
         with pytest.raises(FieldIntegrityError, match="Hermitian"):
             nonlinear_term(broken, cfg)
         with pytest.raises(FieldIntegrityError, match="Hermitian"):

@@ -395,9 +395,7 @@ class TestBandHalfState:
         # The k_last = 0 plane counts once, every other plane twice.
         u = project_state(random_form(grid, 1, np.random.default_rng(31), kmax=grid.res / 3))
         state = solver_module._projected_half(u, grid, 1)
-        band = nonlinear_module._band(grid)
-        rebuilt = FormField(grid, 1, tuple(
-            nonlinear_module._full_spectrum(h, grid, band) for h in state))
+        rebuilt = nonlinear_module.BandHalves(grid, 1, state).field()
         expected = l2_norm(rebuilt)
         assert abs(solver_module._half_norm(state) - expected) <= 1e-14 * expected
 
@@ -582,6 +580,32 @@ class TestSecondDerivativeCache:
         f = [FormField.zeros(G16, 1)] * (cfg.steps + 1)
         with pytest.raises(ValueError, match="f_dt_series"):
             solve_nonlinear(f, FormField.zeros(G16, 1), cfg, derivatives=2)
+
+    def test_time_dependent_forcing_without_derivative_series(self, monkeypatch):
+        # f(t) = t d phi is a pure gradient: u stays zero, p = t phi and
+        # dp/dt = phi.  Without df/dt the pressure's derivative is unknown,
+        # so it is left out, not made up from B(u, du/dt) alone.
+        x, y = G16.meshes()
+        phi = FormField.from_physical(G16, 0, [np.cos(x) * np.sin(2 * y)])
+        dphi = exterior_derivative(phi)
+        cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16, preset="zero")
+        u0 = FormField.zeros(G16, 1)
+        calls = []
+        original = solver_module.bilinear_term
+        monkeypatch.setattr(solver_module, "bilinear_term",
+                            lambda *args: calls.append(1) or original(*args))
+        scale = l2_norm(phi)
+        for f in (lambda t: dphi * t, [dphi * float(t) for t in cfg.times()]):
+            sol = solve_nonlinear(f, u0, cfg, derivatives=1)
+            for t, p in zip(sol.times, sol.p):
+                assert l2_norm(p - phi * float(t)) <= 1e-15 * scale
+            assert sol.p_dt_cache == {} and not calls
+            with pytest.raises(ValueError, match="f_dt_series"):
+                solve_nonlinear(f, u0, cfg, derivatives=2)
+            sol = solve_nonlinear(f, u0, cfg, derivatives=1, f_dt_series=lambda t: dphi)
+            for dp in sol.p_dt_cache[1]:
+                assert l2_norm(dp - phi) <= 1e-15 * scale
+            calls.clear()
 
 
 class TestSchemeOrders:
