@@ -29,9 +29,7 @@ import numpy as np
 from .nonlinear import PRESETS, get_preset
 from .solver import (
     SolverConfig,
-    discrete_forward_data,
     load_solver_config,
-    newton_local_inverse,
     project_state,
     save_solution,
     solve_linearized,
@@ -53,6 +51,7 @@ from .verify import (
     write_norm_table,
     write_report,
     _measured,
+    _newton_openness,
     _rel,
     _upper,
 )
@@ -206,34 +205,18 @@ def _cmd_newton(args) -> int:
     cfg = _resolve_config(
         args,
         SolverConfig(mu=0.1, T=0.1, dt=2e-3, res=16, scheme="imex-euler"))
-    grid = cfg.grid()
     ns = get_preset(cfg.preset, cfg.n, cfg.degree)
-    base = solve_nonlinear(None, taylor_green_state(grid, 0.0, cfg.mu), cfg, ns,
-                           derivatives=0, with_pressure=False)
-    f_cells, _ = discrete_forward_data(base.u, cfg, ns)
-    rng = np.random.default_rng(args.seed)
-    direction = project_state(random_form(grid, cfg.degree, rng, kmax=2,
-                                          mean_free=True))
-    direction = direction * (1.0 / l2_norm(direction))
-    residual_history = []
-    displacements = []
-    iterations = 0
-    for eps in (1e-3, 5e-4):
-        target = [c + direction * eps for c in f_cells]
-        result = newton_local_inverse(target, base.u[0], base, cfg, ns)
-        if eps == 1e-3:
-            residual_history = result.residual_history
-            iterations = result.iterations
-            if args.out is not None:
-                save_solution(result.solution, args.out / "solution")
-        displacements.append(
-            max(l2_norm(a - b) for a, b in zip(result.solution.u, base.u)))
+    _, _, results, displacements = _newton_openness(
+        cfg, ns, np.random.default_rng(args.seed))
+    residual_history = results[0].residual_history
+    if args.out is not None:
+        save_solution(results[0].solution, args.out / "solution")
     ratio = displacements[1] / max(displacements[0], 1e-300)
     records = [
         _upper("newton/residual", "local-inversion",
                residual_history[-1], 1e-8),
         _upper("newton/iterations", "local-inversion",
-               float(iterations), 6.0),
+               float(results[0].iterations), 6.0),
         _upper("newton/displacement-deviation", "local-inversion",
                abs(ratio - 0.5), 0.1),
         _upper("newton/contraction-factor", "local-inversion",

@@ -12,11 +12,14 @@ Equations integrated (all terms projected onto the state space):
     linearized:  d/dt u = -mu Lap u - P B(w, u) + P f
     nonlinear:   d/dt u = -mu Lap u - P N(u)    + P f
 
-The field solvers step the band half k_last = 0..L (L = res // 3) of the
-state, one (ncomp, 2L+1, ..., L+1) complex array: the integrating factor
-acts mode by mode, so the half carries the whole scheme.  A stage passes
-the state to nonlinear_term or bilinear_term as ``BandHalves`` and gets
-the band halves of Q back.  Fields are rebuilt only at the stored samples.
+The field solvers and the Newton inversion of the discrete forward map
+step the band half k_last = 0..L (L = res // 3) of the state, one
+(ncomp, 2L+1, ..., L+1) complex array: the integrating factor acts mode by
+mode, so the half carries the whole scheme.  Fields enter through
+``BandHalves.of`` (the Hermitian check; modes outside the band box are
+dropped), a stage passes the state to nonlinear_term or bilinear_term as
+``BandHalves`` and gets the band halves of Q back, and fields are rebuilt
+by ``BandHalves.field`` only where they leave.
 
 The pressure has no evolution equation; it is recovered at sample times
 from the complementary projection of the source, d p = (I - P)(f - Q(u))
@@ -104,6 +107,10 @@ class SolverConfig:
     n: int = 2
 
     def __post_init__(self):
+        for key, value in (("mu", self.mu), ("T", self.T), ("dt", self.dt),
+                           ("newton.tol", self.newton_tol)):
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.mu <= 0:
             raise ValueError("viscosity mu must be positive")
         if self.T <= 0 or self.dt <= 0:
@@ -204,6 +211,11 @@ def _band_k_squared(grid: SpectralGrid) -> np.ndarray:
     return grid.k_squared[_band_box(grid)]
 
 
+def _half_k_squared(grid: SpectralGrid) -> np.ndarray:
+    """|k|^2 on the band half k_last = 0..L."""
+    return _band_k_squared(grid)[..., :grid.res // 3 + 1]
+
+
 @lru_cache(maxsize=None)
 def _band_parametrix(grid: SpectralGrid) -> np.ndarray:
     """1/|k|^2 (zero at k = 0) on the box of the dealiasing band."""
@@ -262,10 +274,6 @@ def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
             raise ConsistencyError(
                 f"initial datum is not divergence-free: |delta u0| = {div:.3e}"
             )
-
-
-def _apply_multiplier(u: FormField, mult: np.ndarray) -> FormField:
-    return FormField(u.grid, u.degree, tuple(c * mult for c in u.components))
 
 
 def _lawson_decay(multiplier):
@@ -400,7 +408,6 @@ def _stepped_fields(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField,
     state0 = _projected_half(u0, grid, degree)
     forcing = _per_stage(f, lambda fj: _projected_half(fj, grid, degree))
     advection = _per_stage(w, lambda wj: BandHalves.of(wj, keep=True))
-    k_squared = _band_k_squared(grid)[..., :grid.res // 3 + 1]
 
     def rhs(j, midpoint, state):
         u, wj = BandHalves(grid, degree, state), advection(j, midpoint)
@@ -418,7 +425,7 @@ def _stepped_fields(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField,
 
     states = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * k_squared)),
+        _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid))),
         rhs, _half_guard,
     )
     return [BandHalves(grid, degree, states[i]).field() for i in stored]
@@ -694,29 +701,22 @@ class GalerkinBasis:
         """``_half_position`` of +k_j and of -k_j: the kernel's layout."""
         return tuple(_half_position(self.grid, q) for q in (self.modes, -self.modes))
 
-    def _coefficients(self, at_plus: np.ndarray, at_minus: np.ndarray) -> np.ndarray:
-        """(u, b_j) from u's coefficients at +k_j and -k_j, shape (..., m, ncomp)."""
-        phase = self._phase[:, None]
-        pair = np.conj(phase) * at_plus + phase * at_minus
-        return np.sum(self.fibres * pair.real, axis=-1)
-
     def project(self, u: FormField) -> np.ndarray:
-        """Coefficients (u, b_j) of the basis expansion."""
-        plus, minus = self._full_index
-        return self._coefficients(
-            np.stack([c[plus] for c in u.components], axis=-1),
-            np.stack([c[minus] for c in u.components], axis=-1),
-        )
+        """Coefficients (u, b_j) of the basis expansion, read from u's band
+        halves after its Hermitian check (``BandHalves.of``)."""
+        return self._project_halves(BandHalves.of(u).halves[:, None])[0]
 
     def _project_halves(self, halves: list[np.ndarray]) -> np.ndarray:
         """``project`` of real fields given by band halves with a leading
-        block axis: rows (B, m)."""
+        block axis: rows (B, m), from the coefficients at +k_j and -k_j."""
         at = []
         for index, mirrored in self._half_index:
             values = np.stack([h[(slice(None),) + index] for h in halves], axis=-1)
             values[:, mirrored] = np.conj(values[:, mirrored])
             at.append(values)
-        return self._coefficients(*at)
+        phase = self._phase[:, None]
+        pair = np.conj(phase) * at[0] + phase * at[1]
+        return np.sum(self.fibres * pair.real, axis=-1)
 
     def synthesize(self, coeffs: np.ndarray) -> FormField:
         plus, minus = self._full_index
@@ -1028,53 +1028,52 @@ def lions_identity_residual(sol: TimeSeriesSolution) -> float:
 #     P f^n = (E^{-1} u^{n+1} - u^n)/dt + P N(u^n),   E = exp(-mu dt Lap).
 # It is exactly invertible (forward substitution) and exactly quadratic,
 # so its Newton iteration has an exact derivative and converges
-# quadratically inside the contraction neighbourhood.
+# quadratically inside the contraction neighbourhood.  Trajectories are
+# band-half states, entered through BandHalves.of (Hermitian check, modes
+# outside the band box dropped) and not projected: in-band gradient parts
+# are carried.
+
+
+def _band_trajectory(states: Sequence[FormField], cfg: SolverConfig,
+                     keep: bool = False) -> list[BandHalves]:
+    if len(states) != cfg.steps + 1:
+        raise ValueError("trajectory length does not match the configuration")
+    return [BandHalves.of(u, keep) for u in states]
+
+
+def _euler_cells(states: list[BandHalves], quads, cfg: SolverConfig) -> list[BandHalves]:
+    """The cells (E^-1 s_j+1 - s_j)/dt + P q_j, j < steps, of the discrete
+    forward map (q_j = N(s_j)) and of its derivative (q_j = B(u_j, s_j))."""
+    grid, degree = states[0].grid, states[0].degree
+    dt = cfg.T / cfg.steps
+    inv = np.exp(cfg.mu * dt * _half_k_squared(grid))
+    return [BandHalves(grid, degree, (states[j + 1].halves * inv - states[j].halves)
+                       * (1.0 / dt) + np.stack(_band_projection(grid, degree, q)))
+            for j, q in enumerate(quads)]
 
 
 def discrete_forward_data(
     states: Sequence[FormField], cfg: SolverConfig,
     ns_cfg: NonlinearityConfig | None = None,
 ) -> tuple[list[FormField], FormField]:
-    """Data (P f cells, u0) reproduced by the imex-euler trajectory."""
+    """Data (P f cells, u0) reproduced by the imex-euler trajectory, taken
+    on the band (Hermitian check, modes outside the band box dropped)."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    quads = (nonlinear_term(u, ns) for u in states[:-1])
-    return _euler_cells(states, quads, cfg), states[0]
-
-
-def _euler_cells(states, quads, cfg: SolverConfig) -> list[FormField]:
-    """The cells (E^-1 s_j+1 - s_j)/dt + P q_j, j < steps, of the discrete
-    forward map (q_j = N(s_j)) and of its derivative (q_j = B(u_j, s_j));
-    ``quads`` is drawn after the length check."""
-    if len(states) != cfg.steps + 1:
-        raise ValueError("trajectory length does not match the configuration")
-    dt = cfg.T / cfg.steps
-    inv = np.exp(cfg.mu * dt * states[0].grid.k_squared)
-    return [(_apply_multiplier(states[j + 1], inv) - states[j]) * (1.0 / dt)
-            + project_state(q) for j, q in enumerate(quads)]
+    states = _band_trajectory(states, cfg)
+    cells = _euler_cells(states, (nonlinear_term(u, ns) for u in states[:-1]), cfg)
+    return [c.field() for c in cells], states[0].field()
 
 
 def discrete_linearized_data(
     states: Sequence[FormField], directions: Sequence[FormField],
     cfg: SolverConfig, ns_cfg: NonlinearityConfig | None = None,
 ) -> tuple[list[FormField], FormField]:
-    """Derivative of the discrete forward map at ``states`` along ``directions``."""
+    """Derivative of the discrete forward map at ``states`` along
+    ``directions``, both taken on the band as in discrete_forward_data."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
+    states, directions = (_band_trajectory(t, cfg) for t in (states, directions))
     quads = (bilinear_term(states[j], directions[j], ns) for j in range(cfg.steps))
-    return _euler_cells(directions, quads, cfg), directions[0]
-
-
-def _solve_linearized_cells(
-    states, rhs_cells, v0, cfg, ns,
-) -> list[FormField]:
-    """Exactly invert the linearized discrete map by forward substitution."""
-    grid = states[0].grid
-    dt = cfg.T / cfg.steps
-    dec = np.exp(-cfg.mu * dt * grid.k_squared)
-    out = [v0]
-    for j in range(cfg.steps):
-        explicit = rhs_cells[j] - project_state(bilinear_term(states[j], out[j], ns))
-        out.append(_apply_multiplier(out[j] + explicit * dt, dec))
-    return out
+    return [c.field() for c in _euler_cells(directions, quads, cfg)], directions[0].field()
 
 
 @dataclass
@@ -1090,16 +1089,6 @@ class NewtonResult:
         return len(self.residual_history) - 1
 
 
-def _data_residual(f_cells, u0, states, cfg, ns):
-    """Residual cells, initial residual, their max norm and N(u_j), j < steps."""
-    quads = [nonlinear_term(u, ns) for u in states[:-1]]
-    cells = _euler_cells(states, quads, cfg)
-    r_cells = [f_cells[j] - cells[j] for j in range(len(cells))]
-    r0 = u0 - states[0]
-    norm = max([l2_norm(c) for c in r_cells] + [l2_norm(r0)])
-    return r_cells, r0, norm, quads
-
-
 def newton_local_inverse(
     f_target: Sequence[FormField] | FormField | None,
     u0_target: FormField,
@@ -1109,50 +1098,60 @@ def newton_local_inverse(
 ) -> NewtonResult:
     """Invert the discrete forward map near a seed trajectory by Newton.
 
-    ``f_target`` holds the projected forcing cells (one per step; a single
-    field or None is broadcast), ``u0_target`` the initial datum.  Each
-    update solves the exactly-linearized discrete system, so the iteration
+    ``f_target`` holds the forcing cells (one per step; a single field or
+    None is broadcast), ``u0_target`` the initial datum; both are checked
+    for Hermitian symmetry and projected.  The seed's modes outside the
+    band box are dropped and its in-band gradient part is kept.  Each
+    update solves the exactly-linearized discrete system by forward
+    substitution (one imex-euler pass of the Lawson loop), so the iteration
     is quadratically convergent near a solution; non-convergence within
     ``cfg.newton_max_iter`` is reported, not raised.
     """
     if cfg.scheme != "imex-euler":
         raise ValueError("the discrete forward map is defined for imex-euler")
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    states = list(seed.u) if isinstance(seed, TimeSeriesSolution) else list(seed)
-    if len(states) != cfg.steps + 1:
-        raise ValueError("seed trajectory length does not match the configuration")
-    grid = states[0].grid
+    states = _band_trajectory(seed.u if isinstance(seed, TimeSeriesSolution) else list(seed),
+                              cfg, keep=True)
+    grid, degree = states[0].grid, states[0].degree
     if f_target is None or isinstance(f_target, FormField):
-        base = (FormField.zeros(grid, states[0].degree)
-                if f_target is None else project_state(f_target))
-        f_cells = [base] * cfg.steps
+        f_cells = [np.zeros_like(states[0].halves) if f_target is None
+                   else _projected_half(f_target, grid, degree)] * cfg.steps
     else:
-        f_cells = [project_state(c) for c in f_target]
+        f_cells = [_projected_half(c, grid, degree) for c in f_target]
         if len(f_cells) != cfg.steps:
             raise ValueError("need one forcing cell per time step")
-    u0p = project_state(u0_target)
-
-    r_cells, r0, norm, quads = _data_residual(f_cells, u0p, states, cfg, ns)
-    history = [norm]
-    converged = norm <= cfg.newton_tol
-    for _ in range(cfg.newton_max_iter):
-        if converged:
+    u0 = _projected_half(u0_target, grid, degree)
+    decay = _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid)))
+    history = []
+    while True:
+        # N(u_j) here and B(u_j, delta_j) in the solve share u_j's grid pass.
+        quads = [nonlinear_term(u, ns) for u in states[:-1]]
+        r_cells = [f - c.halves for f, c in zip(f_cells, _euler_cells(states, quads, cfg))]
+        r0 = u0 - states[0].halves
+        history.append(max(_half_norm(r) for r in r_cells + [r0]))
+        converged = history[-1] <= cfg.newton_tol
+        if converged or len(history) > cfg.newton_max_iter:
             break
-        delta = _solve_linearized_cells(states, r_cells, r0, cfg, ns)
-        states = [states[j] + delta[j] for j in range(len(states))]
-        r_cells, r0, norm, quads = _data_residual(f_cells, u0p, states, cfg, ns)
-        history.append(norm)
-        converged = norm <= cfg.newton_tol
+
+        def explicit(j, midpoint, delta):
+            q = bilinear_term(states[j], BandHalves(grid, degree, delta), ns)
+            return r_cells[j] - np.stack(_band_projection(grid, degree, q))
+
+        delta = _run_scheme("imex-euler", r0, cfg.steps, cfg.T / cfg.steps, decay,
+                            explicit, lambda state, j: None)
+        states = [BandHalves(grid, degree, u.halves + d, keep=True)
+                  for u, d in zip(states, delta)]
 
     # The last residual evaluated N at every final state but the last.
     quads.append(nonlinear_term(states[-1], ns))
-    p_list, dt1 = [], []
-    for j, (u, quad) in enumerate(zip(states, quads)):
-        f_cell = f_cells[min(j, cfg.steps - 1)]
+    u_list, p_list, dt1 = [u.field() for u in states], [], []
+    for j, (u, quad) in enumerate(zip(u_list, quads)):
+        quad = BandHalves(grid, degree, quad).field()
+        f_cell = BandHalves(grid, degree, f_cells[min(j, cfg.steps - 1)]).field()
         p_list.append(_pressure_from_source(f_cell - quad))
         du = hodge_laplacian(u) * (-cfg.mu) - project_state(quad)
         dt1.append(du + f_cell)
-    sol = TimeSeriesSolution(cfg.times(), states, p=p_list, dt_cache={1: dt1})
+    sol = TimeSeriesSolution(cfg.times(), u_list, p=p_list, dt_cache={1: dt1})
     return NewtonResult(sol, history, converged)
 
 
@@ -1195,8 +1194,8 @@ def galerkin_convergence_study(
         fvec = _forcing_coefficients(f, basis)
 
         def rhs(j, midpoint, g, basis=basis, fvec=fvec):
-            u = basis.synthesize(g)
-            gn = basis.project(nonlinear_term(u, ns))
+            q = nonlinear_term(BandHalves.of(basis.synthesize(g)), ns)
+            gn = basis._project_halves(q[:, None])[0]
             if midpoint:
                 return 0.5 * (fvec[j] + fvec[j + 1]) - gn
             return fvec[j] - gn

@@ -683,30 +683,14 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
 
     # local inversion of the discrete map near the benchmark trajectory
     cfg_n = SolverConfig(mu=0.1, T=0.1, dt=2e-3, res=res, scheme="imex-euler")
-    base = solve_nonlinear(None, taylor_green_state(grid), cfg_n,
-                           derivatives=0, with_pressure=False)
-    f_cells, _ = discrete_forward_data(base.u, cfg_n)
+    base, f_cells, results, displacements = _newton_openness(cfg_n, ns, rng)
     exact = newton_local_inverse(f_cells, base.u[0], base, cfg_n)
     records.append(_upper("solver/newton-exact-seed-iterations",
                           "local-inversion", float(exact.iterations), 0.0))
-    direction = project_state(random_form(grid, 1, rng, kmax=2,
-                                          mean_free=True))
-    direction = direction * (1.0 / l2_norm(direction))
-    displacements = []
-    newton_iters = 0
-    newton_residual = 0.0
-    for eps_n in (1e-3, 5e-4):
-        target = [c + direction * eps_n for c in f_cells]
-        result = newton_local_inverse(target, base.u[0], base, cfg_n)
-        if eps_n == 1e-3:
-            newton_iters = result.iterations
-            newton_residual = result.residual_history[-1]
-        displacements.append(
-            max(l2_norm(a - b) for a, b in zip(result.solution.u, base.u)))
     records.append(_upper("solver/newton-iterations", "local-inversion",
-                          float(newton_iters), 6.0))
+                          float(results[0].iterations), 6.0))
     records.append(_upper("solver/newton-residual", "local-inversion",
-                          newton_residual, 1e-8))
+                          results[0].residual_history[-1], 1e-8))
     ratio = displacements[1] / displacements[0]
     records.append(_upper("solver/newton-displacement-deviation",
                           "local-inversion", abs(ratio - 0.5), 0.1))
@@ -724,6 +708,31 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
     records.append(_lower("solver/galerkin-cauchy-min", "galerkin-uniform-bounds",
                           float(np.min(decay)), 2.0))
     return records
+
+
+def _newton_openness(cfg: SolverConfig, ns, rng: np.random.Generator):
+    """The openness experiment of the local inversion on the vortex.
+
+    Steps the vortex, takes its discrete forward data, moves the forcing
+    cells by eps = 1e-3 and 5e-4 along one random unit direction (kmax 2,
+    mean-free) and inverts each by Newton from the vortex trajectory.
+    Returns the trajectory, its forcing cells, the two Newton results and
+    their largest displacements from the trajectory; halving eps should
+    halve the displacement.
+    """
+    grid = cfg.grid()
+    base = solve_nonlinear(None, taylor_green_state(grid, 0.0, cfg.mu), cfg, ns,
+                           derivatives=0, with_pressure=False)
+    f_cells, _ = discrete_forward_data(base.u, cfg, ns)
+    direction = project_state(random_form(grid, cfg.degree, rng, kmax=2,
+                                          mean_free=True))
+    direction = direction * (1.0 / l2_norm(direction))
+    results = [newton_local_inverse([c + direction * eps for c in f_cells],
+                                    base.u[0], base, cfg, ns)
+               for eps in (1e-3, 5e-4)]
+    displacements = [max(l2_norm(a - b) for a, b in zip(r.solution.u, base.u))
+                     for r in results]
+    return base, f_cells, results, displacements
 
 
 def _vortex_errors(sol: TimeSeriesSolution, grid: SpectralGrid,

@@ -140,10 +140,19 @@ class TestSolverConfig:
         ("degree = 4", "degree"),
         ("preset = nope", "preset"),
         ("degree = 2", "preset"),  # navier-stokes-i1 is a degree-1 map
+        ("mu = nan", "mu must be finite"),
+        ("mu = inf", "mu must be finite"),
+        ("T = nan", "T must be finite"),
+        ("T = inf", "T must be finite"),
+        ("dt = nan", "dt must be finite"),
+        ("newton.tol = nan", "newton.tol must be finite"),
     ])
     def test_bad_values_rejected_at_parse(self, line, field):
+        # The line under test replaces the required key it sets.
+        key = line.split()[0]
+        required = [r for r in ("mu = 1.0", "T = 1.0", "dt = 0.5") if r.split()[0] != key]
         with pytest.raises(ValueError, match=field):
-            parse_solver_config(f"mu = 1.0\nT = 1.0\ndt = 0.5\n{line}\n")
+            parse_solver_config("\n".join(required + [line]) + "\n")
 
     def test_format_round_trip(self, tmp_path):
         cfg = SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=48, scheme="imex-euler")
@@ -789,6 +798,19 @@ class TestApplyInverse:
         with pytest.raises(SolverDivergenceError, match="coefficient norm exceeded"):
             apply_inverse(op, huge, FormField.zeros(G16, 1), cfg)
 
+    def test_non_hermitian_data_rejected(self):
+        # One unpaired in-band mode: the basis coefficients are read from
+        # the band halves after the same check the field solvers make.
+        cfg = SolverConfig(mu=0.2, T=0.1, dt=0.05, res=16)
+        op = assemble_linearized(None, cfg.mu, build_basis(G16, 1, 8), cfg.times(), NS2)
+        broken = _non_hermitian(FormField.zeros(G16, 1))
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            apply_inverse(op, None, broken, cfg)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            apply_inverse(op, broken, FormField.zeros(G16, 1), cfg)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            galerkin_convergence_study(broken, _two_band_state(G16), cfg, ms=(8,))
+
     def test_time_grid_mismatch_rejected(self):
         basis = build_basis(G16, 1, 8)
         op = assemble_linearized(None, 0.2, basis, np.linspace(0, 1, 5), NS2)
@@ -816,6 +838,100 @@ class TestFrechetDerivative:
             defect = l2_norm(f_shift[j] - f_u[j] - lin[j] * eps - quadratic)
             assert defect <= 1e-12 * scale
         assert l2_norm(head_shift - head_u - head_lin * eps) <= 1e-12 * scale
+
+
+def _scaled(u: FormField, mult: np.ndarray) -> FormField:
+    return FormField(u.grid, u.degree, tuple(c * mult for c in u.components))
+
+
+def _reference_cells(states, quads, cfg):
+    """The discrete map's cells on full fields: exp(mu dt |k|^2) on the
+    whole grid and project_state."""
+    dt = cfg.T / cfg.steps
+    inv = np.exp(cfg.mu * dt * states[0].grid.k_squared)
+    return [(_scaled(states[j + 1], inv) - states[j]) * (1.0 / dt) + project_state(q)
+            for j, q in enumerate(quads)]
+
+
+def _reference_newton(f_cells, u0, states, cfg):
+    """Newton on full fields, from projected forcing cells and u0: forward
+    substitution with the full-grid decay, then the final pass."""
+    ns = cfg.nonlinearity()
+    dt = cfg.T / cfg.steps
+    dec = np.exp(-cfg.mu * dt * states[0].grid.k_squared)
+    history = []
+    while True:
+        quads = [nonlinear_term(u, ns) for u in states[:-1]]
+        r_cells = [f - c for f, c in zip(f_cells, _reference_cells(states, quads, cfg))]
+        r0 = u0 - states[0]
+        history.append(max(l2_norm(r) for r in r_cells + [r0]))
+        if history[-1] <= cfg.newton_tol or len(history) > cfg.newton_max_iter:
+            break
+        delta = [r0]
+        for j in range(cfg.steps):
+            explicit = r_cells[j] - project_state(bilinear_term(states[j], delta[j], ns))
+            delta.append(_scaled(delta[j] + explicit * dt, dec))
+        states = [u + d for u, d in zip(states, delta)]
+    quads.append(nonlinear_term(states[-1], ns))
+    p, dt1 = [], []
+    for j, (u, q) in enumerate(zip(states, quads)):
+        f = f_cells[min(j, cfg.steps - 1)]
+        p.append(solver_module._pressure_from_source(f - q))
+        dt1.append(hodge_laplacian(u) * (-cfg.mu) - project_state(q) + f)
+    return states, p, dt1, history
+
+
+class TestNewtonBandHalfState:
+    GRIDS = [G16, SpectralGrid(3, 8)]
+
+    @staticmethod
+    def _data(grid):
+        """An euler trajectory, its forcing cells, a bumped seed and a unit
+        direction, all band-limited."""
+        cfg = SolverConfig(mu=0.1, T=8e-3, dt=2e-3, res=grid.res, n=grid.n,
+                           scheme="imex-euler")
+        rng = np.random.default_rng(41)
+        u0 = project_state(random_form(grid, 1, rng, kmax=grid.res / 3)) * 2.0
+        base = solve_nonlinear(None, u0, cfg, derivatives=0, with_pressure=False)
+        f_cells, _ = discrete_forward_data(base.u, cfg)
+        unit = [project_state(random_form(grid, 1, rng, kmax=2, mean_free=True))
+                for _ in range(2)]
+        bump, direction = (v * (1.0 / l2_norm(v)) for v in unit)
+        return cfg, base, f_cells, [u + bump * 1e-3 for u in base.u], direction
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_discrete_maps_match_full_field_reference(self, grid):
+        cfg, base, _, seed, _ = self._data(grid)
+        ns = cfg.nonlinearity()
+        cells, head = discrete_forward_data(seed, cfg)
+        ref = _reference_cells(seed, [nonlinear_term(u, ns) for u in seed[:-1]], cfg)
+        _assert_same_states(cells + [head], ref + [seed[0]])
+        cells, head = discrete_linearized_data(base.u, seed, cfg)
+        ref = _reference_cells(
+            seed, [bilinear_term(u, v, ns) for u, v in zip(base.u, seed[:-1])], cfg)
+        _assert_same_states(cells + [head], ref + [seed[0]])
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("forcing", ["cells", "one", "none"])
+    def test_newton_matches_full_field_reference(self, grid, forcing):
+        cfg, base, f_cells, seed, direction = self._data(grid)
+        if forcing == "cells":
+            target = [c + direction * 1e-2 for c in f_cells]
+            ref_cells = [project_state(c) for c in target]
+        elif forcing == "one":
+            target = f_cells[0] + direction * 1e-2
+            ref_cells = [project_state(target)] * cfg.steps
+        else:
+            target, ref_cells = None, [FormField.zeros(grid, 1)] * cfg.steps
+        result = newton_local_inverse(target, base.u[0], seed, cfg)
+        u, p, dt1, history = _reference_newton(
+            ref_cells, project_state(base.u[0]), seed, cfg)
+        _assert_same_states(result.solution.u, u)
+        _assert_same_states(result.solution.p, p)
+        _assert_same_states(result.solution.dt_cache[1], dt1)
+        assert len(result.residual_history) == len(history) > 1
+        worst = max(abs(a - b) for a, b in zip(result.residual_history, history))
+        assert worst <= 1e-14 * history[0]
 
 
 class TestNewton:
@@ -894,6 +1010,43 @@ class TestNewton:
         result = newton_local_inverse(f_cells, base.u[0], seed, cfg)
         assert result.iterations == 2
         assert len(calls) == cfg.steps * 3 + 1
+
+    def test_one_grid_pass_per_iterate(self, monkeypatch):
+        # 3 residuals of 4 N(u_j) and N at the last state: 13 iterates on
+        # the grid; the 2 solves reuse u_j and transform only delta_j: 8.
+        # Transforming u_j again for B(u_j, delta_j) would make 29.
+        cfg, base, f_cells = self._base(steps=4)
+        rng = np.random.default_rng(9)
+        bump = project_state(random_form(G16, 1, rng, kmax=2, mean_free=True))
+        seed = [u + bump * (1e-3 / l2_norm(bump)) for u in base.u]
+        calls = []
+        original = nonlinear_module._on_grid
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(nonlinear_module, "_on_grid", counted)
+        result = newton_local_inverse(f_cells, base.u[0], seed, cfg)
+        assert result.iterations == 2
+        assert len(calls) == 21
+
+    @pytest.mark.parametrize("broken", ["cell", "one", "u0"])
+    def test_non_hermitian_data_rejected_before_stepping(self, monkeypatch, broken):
+        def never(*args):
+            raise AssertionError("stepping started")
+
+        cfg, base, f_cells = self._base(steps=4)
+        monkeypatch.setattr(solver_module, "nonlinear_term", never)
+        u0, target = base.u[0], list(f_cells)
+        if broken == "cell":
+            target[1] = _non_hermitian(target[1])
+        elif broken == "one":
+            target = _non_hermitian(target[0])
+        else:
+            u0 = _non_hermitian(u0)
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            newton_local_inverse(target, u0, base, cfg)
 
     def test_usage_errors(self):
         cfg, base, f_cells = self._base(steps=10)
