@@ -113,12 +113,20 @@ class TimeSeriesSolution:
         self.times = np.asarray(self.times, dtype=np.float64)
         if self.times.ndim != 1 or len(self.times) < 2:
             raise ValueError("need at least two sample times")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError(f"sample times must be finite, got {self.times}")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must increase strictly")
         if len(self.u) != len(self.times):
             raise ValueError("one velocity snapshot per sample time required")
         if self.p is not None and len(self.p) != len(self.times):
             raise ValueError("one pressure snapshot per sample time required")
+        for name, cache in (("dt_cache", self.dt_cache), ("p_dt_cache", self.p_dt_cache)):
+            for order, series in cache.items():
+                if len(series) != len(self.times):
+                    raise ValueError(
+                        f"{name}[{order}] has {len(series)} samples for "
+                        f"{len(self.times)} sample times")
 
     def derivative_series(self, j: int, of_pressure: bool = False) -> list[FormField]:
         if j == 0:

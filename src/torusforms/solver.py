@@ -29,9 +29,10 @@ Cached time derivatives attached to solutions are obtained by
 substituting the evolution equation (and its differentiated form), never
 by finite differences; the finite-difference formulas in the residual
 diagnostics measure scheme accuracy and are intentional.  One pass over
-the stored samples evaluates Q(u), and where the solver has it
-Q'(u) du/dt, once per sample: P Q enters the derivative cache and
-(I - P)(f - Q) the pressure, likewise for their time derivatives.
+the stored samples, shared by the field solvers and Newton, evaluates
+Q(u) on the band-half state, and where the solver has it Q'(u) du/dt,
+once per sample: P Q enters the derivative cache and (I - P)(f - Q) the
+pressure, likewise for their time derivatives.
 """
 
 from __future__ import annotations
@@ -240,12 +241,13 @@ def project_state(u: FormField) -> FormField:
     return out
 
 
-def _band_projection(grid: SpectralGrid, degree: int, parts) -> list[np.ndarray]:
+def _band_projection(grid: SpectralGrid, degree: int, parts) -> np.ndarray:
     """project_state of components given on the band box or on its half
-    (k_last = 0..L): the multipliers are cut to the parts' last axis."""
+    (k_last = 0..L), stacked: the multipliers are cut to the parts' last
+    axis."""
     keep = parts[0].shape[-1]
     if degree == grid.n:
-        return [np.zeros(parts[0].shape, dtype=np.complex128) for _ in parts]
+        return np.zeros((len(parts),) + parts[0].shape, dtype=np.complex128)
     mult = _band_parametrix(grid)[..., :keep]
     phi = [mult * p for p in parts]
     table = _insertion_table(grid.n, degree)
@@ -257,14 +259,14 @@ def _band_projection(grid: SpectralGrid, degree: int, parts) -> list[np.ndarray]
     for in_idx, out_idx, axis, sign in table:
         symbol = _derivative_symbol(grid, axis, sign, True, True)[..., :keep]
         _accumulate(proj, out_idx, symbol * dphi[in_idx])
-    return proj
+    return np.stack(proj)
 
 
 def _projected_half(u: FormField, grid: SpectralGrid, degree: int) -> np.ndarray:
     """project_state(u) as a solver state, after the Hermitian check."""
     if u.grid != grid or u.degree != degree:
         raise ValueError("data live on a different grid or degree than the state")
-    return np.stack(_band_projection(grid, degree, BandHalves.of(u).halves))
+    return _band_projection(grid, degree, BandHalves.of(u).halves)
 
 
 def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
@@ -394,41 +396,48 @@ def _stored_indices(steps: int, store_every: int) -> list[int]:
 # -- field-space solvers --------------------------------------------------------
 
 
-def _stepped_fields(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField,
-                    f: _Sampler, w: _Sampler | None, stored: list[int]) -> list[FormField]:
-    """P u0 stepped by ``_run_scheme`` on its band half; the fields at ``stored``.
+def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _Sampler,
+                 w: _Sampler | None, f_dt: _Sampler | None, stored: list[int],
+                 derivatives: int, with_pressure: bool) -> TimeSeriesSolution:
+    """P u0 (checked to be divergence-free and Hermitian) stepped by
+    ``_run_scheme`` on its band half, then ``_sample_pass`` at ``stored``.
 
-    u0 is checked to be divergence-free and Hermitian first.  A stage
-    evaluates Q (N(u) for ``w`` None, else B(w, u), zero where w_j is None)
-    on the state as ``BandHalves``, which also checks the degrees, projects
-    and negates Q's halves in place and adds the projected forcing.
-    """
+    A stage is -P Q + P f on the half, from the two parts the pass reuses:
+    ``quad``, Q's band halves at a ``BandHalves`` state (N(u) for ``w``
+    None, else B(w_j, u), zero where w_j is None; the kernel checks the
+    degrees), and ``forcing``, a forcing sample drawn once as the pair
+    (P f on the half, f).  With ``f_dt`` the pass also takes Q'(u) du =
+    B(u, du) and df/dt alike."""
     grid, degree = cfg.grid(), u0.degree
     _check_initial(u0)
     state0 = _projected_half(u0, grid, degree)
-    forcing = _per_stage(f, lambda fj: _projected_half(fj, grid, degree))
+    forcing, forcing_dt = (_per_stage(data, lambda fj: (_projected_half(fj, grid, degree), fj))
+                           for data in (f, f_dt))
     advection = _per_stage(w, lambda wj: BandHalves.of(wj, keep=True))
 
-    def rhs(j, midpoint, state):
-        u, wj = BandHalves(grid, degree, state), advection(j, midpoint)
+    def quad(j, u, midpoint=False):
         if w is None:
-            q = nonlinear_term(u, ns)
-        else:
-            q = np.zeros_like(state) if wj is None else bilinear_term(wj, u, ns)
-        out = np.empty_like(state)
-        for o, part in zip(out, _band_projection(grid, degree, q)):
-            np.negative(part, out=o)
+            return nonlinear_term(u, ns)
+        wj = advection(j, midpoint)
+        return np.zeros_like(u.halves) if wj is None else bilinear_term(wj, u, ns)
+
+    def rhs(j, midpoint, state):
+        out = -_band_projection(grid, degree, quad(j, BandHalves(grid, degree, state), midpoint))
         fj = forcing(j, midpoint)
-        if fj is not None:
-            out += fj
-        return out
+        return out if fj is None else out + fj[0]
 
     states = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
         _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid))),
         rhs, _half_guard,
     )
-    return [BandHalves(grid, degree, states[i]).field() for i in stored]
+    # Only the stored states stay alive through the sample pass.
+    states = [BandHalves(grid, degree, states[i]) for i in stored]
+    return _sample_pass(
+        cfg.times(), stored, states, cfg.mu, quad, lambda i: forcing(i, False),
+        derivatives, with_pressure,
+        quad_dt=None if f_dt is None else lambda u, du: bilinear_term(u, du, ns),
+        forcing_dt=lambda i: forcing_dt(i, False))
 
 
 def _per_stage(data: _Sampler | None, prepare):
@@ -448,36 +457,40 @@ def _per_stage(data: _Sampler | None, prepare):
     return stage
 
 
-def _sample_pass(u_list, times, stored, mu, f, quad, derivatives, with_pressure,
-                 quad_dt=None, f_dt=None) -> TimeSeriesSolution:
-    """The fields ``u_list`` at ``stored`` with equation-substituted
-    derivatives and pressures.
+def _sample_pass(times, stored, states, mu, quad, forcing, derivatives, with_pressure,
+                 quad_dt=None, forcing_dt=None) -> TimeSeriesSolution:
+    """The ``BandHalves`` ``states`` at time indices ``stored`` as fields,
+    with equation-substituted derivatives and pressures; the field solvers
+    and Newton share it.
 
-    ``quad(i, u)`` is the unprojected term Q(u) at sample index i and
-    ``quad_dt(u, du)`` its derivative Q'(u) du along the trajectory (None
-    where the solver has none).  Each is evaluated at most once per
-    sample: -P Q enters the derivative cache, f - Q the pressure source,
-    and likewise Q'(u) du and df/dt for the second derivative and the
-    pressure's first.
+    ``quad(i, u)`` gives Q's band halves at the state u, ``forcing(i)`` the
+    pair (P f on the half, f as a field) or None for no forcing; ``quad_dt(u,
+    du)`` and ``forcing_dt(i)`` the same for Q'(u) du and df/dt (None where
+    the solver has none).  Each is evaluated at most once per sample: P Q
+    enters the derivative cache, f - Q the pressure source, likewise Q'(u) du
+    and df/dt for the second derivative and the pressure's first.
     """
     with_q = derivatives >= 1 or with_pressure
     with_dq = quad_dt is not None and (
         derivatives == 2 or (derivatives == 1 and with_pressure))
-    first, second, p_list, p_first = [], [], [], []
-    for i, u in zip(stored, u_list if with_q else []):
-        q, fi = quad(i, u), f.sample(i)
+    u_list, first, second, p_list, p_first = [], [], [], [], []
+    for i, u in zip(stored, states):
+        u_list.append(u.field())
+        if not with_q:
+            continue
+        (pf, fi), q = forcing(i) or (None, None), quad(i, u)
         if derivatives >= 1:
-            du = _substituted(u, q, fi, mu)
+            du = _substituted(u_list[-1], q, pf, mu)
             first.append(du)
         if with_pressure:
-            p_list.append(_pressure(q, fi))
+            p_list.append(_pressure(u, q, fi))
         if not with_dq:
             continue
-        dq, dfi = quad_dt(u, du), f_dt.sample(i)
+        (pdf, dfi), dq = forcing_dt(i) or (None, None), quad_dt(u, BandHalves.of(du))
         if derivatives >= 2:
-            second.append(_substituted(du, dq, dfi, mu))
+            second.append(_substituted(du, dq, pdf, mu))
         if with_pressure:
-            p_first.append(_pressure(dq, dfi))
+            p_first.append(_pressure(u, dq, dfi))
     dt_cache = {d: s for d, s in ((1, first), (2, second)) if d <= derivatives}
     return TimeSeriesSolution(
         times[stored], u_list, p=p_list if with_pressure else None,
@@ -485,21 +498,20 @@ def _sample_pass(u_list, times, stored, mu, f, quad, derivatives, with_pressure,
     )
 
 
-def _substituted(u: FormField, q: FormField, fu: FormField | None,
+def _substituted(u: FormField, q: np.ndarray, pf: np.ndarray | None,
                  mu: float) -> FormField:
-    """-mu Lap u - P q + P fu: the time derivative the equation assigns."""
-    du = hodge_laplacian(u) * (-mu) - project_state(q)
-    if fu is not None:
-        du = du + project_state(fu)
-    return du
+    """-mu Lap u - P q + P f, the time derivative the equation assigns, from
+    the band halves of q and of P f: on fields, in this order."""
+    grid, degree = u.grid, u.degree
+    du = (hodge_laplacian(u) * (-mu)
+          - BandHalves(grid, degree, _band_projection(grid, degree, q)).field())
+    return du if pf is None else du + BandHalves(grid, degree, pf).field()
 
 
-def _pressure(q: FormField, fu: FormField | None) -> FormField:
-    """Pressure of the source fu - q."""
-    src = q * (-1.0)
-    if fu is not None:
-        src = src + fu
-    return _pressure_from_source(src)
+def _pressure(u: BandHalves, q: np.ndarray, fu: FormField | None) -> FormField:
+    """Pressure of the source fu - q, for band halves q on u's grid."""
+    src = BandHalves(u.grid, u.degree, q).field() * (-1.0)
+    return _pressure_from_source(src if fu is None else src + fu)
 
 
 def _pressure_from_source(source: FormField) -> FormField:
@@ -537,13 +549,8 @@ def solve_linearized(
     times = cfg.times()
     w = _Sampler(w_series, times, "advection field")
     f = _Sampler(f_series, times, "forcing")
-    stored = _stored_indices(cfg.steps, store_every)
-
-    return _sample_pass(
-        _stepped_fields(cfg, ns, u0, f, w, stored), times, stored, cfg.mu, f,
-        lambda i, u: _quadratic_at(u, i, w, ns, False) or FormField.zeros(u.grid, u.degree),
-        derivatives, with_pressure,
-    )
+    return _field_solve(cfg, ns, u0, f, w, None, _stored_indices(cfg.steps, store_every),
+                        derivatives, with_pressure)
 
 
 def solve_nonlinear(
@@ -574,13 +581,8 @@ def solve_nonlinear(
     if derivatives >= 2 and no_f_dt:
         raise ValueError(
             "second derivatives of a time-dependent forcing need f_dt_series")
-    stored = _stored_indices(cfg.steps, store_every)
-    return _sample_pass(
-        _stepped_fields(cfg, ns, u0, f, None, stored), times, stored, cfg.mu, f,
-        lambda i, u: nonlinear_term(u, ns), derivatives, with_pressure,
-        quad_dt=None if no_f_dt else lambda u, du: bilinear_term(u, du, ns),
-        f_dt=f_dt,
-    )
+    return _field_solve(cfg, ns, u0, f, None, None if no_f_dt else f_dt,
+                        _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
 
 
 # -- Galerkin basis -------------------------------------------------------------
@@ -653,7 +655,7 @@ class GalerkinBasis:
     data: ``modes`` (m, n), ``fibres`` (m, ncomp), ``sine`` (m,) and
     ``eigenvalues`` (m,).  Its coefficient at +k_j is ``phase_j xi_j`` and
     at -k_j the conjugate, with phase sqrt(2)/2 for cos and -i sqrt(2)/2
-    for sin; ``project`` gathers and ``synthesize`` scatters at +-k_j.
+    for sin; ``project`` gathers and ``synthesize`` scatters in the band half.
     Compared by identity: ``==`` is ``is`` and ``hash`` the object's id.
     """
 
@@ -691,12 +693,6 @@ class GalerkinBasis:
         return np.where(self.sine, -1j * (np.sqrt(2.0) / 2.0), np.sqrt(2.0) / 2.0)
 
     @cached_property
-    def _full_index(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Where +k_j and -k_j sit in fftn-layout coefficients."""
-        res = self.grid.res
-        return tuple(self.modes.T % res), tuple(-self.modes.T % res)
-
-    @cached_property
     def _half_index(self) -> tuple[tuple[tuple, np.ndarray], ...]:
         """``_half_position`` of +k_j and of -k_j: the kernel's layout."""
         return tuple(_half_position(self.grid, q) for q in (self.modes, -self.modes))
@@ -719,15 +715,21 @@ class GalerkinBasis:
         return np.sum(self.fibres * pair.real, axis=-1)
 
     def synthesize(self, coeffs: np.ndarray) -> FormField:
-        plus, minus = self._full_index
+        return BandHalves(self.grid, self.degree, self._scatter(coeffs)).field()
+
+    def _scatter(self, coeffs: np.ndarray) -> np.ndarray:
+        """Band halves of sum_j coeffs_j b_j, stacked as a solver state: the
+        coefficients at +k_j and -k_j that lie in the half, added in field
+        order."""
         amp = np.asarray(coeffs, dtype=np.float64) * self._phase
-        comps = []
-        for xi in self.fibres.T:
-            c = np.zeros(self.grid.shape, dtype=np.complex128)
-            np.add.at(c, plus, amp * xi)
-            np.add.at(c, minus, np.conj(amp) * xi)
-            comps.append(c)
-        return FormField(self.grid, self.degree, tuple(comps))
+        halves = np.zeros((self.fibres.shape[1],) + _band(self.grid).half_box,
+                          dtype=np.complex128)
+        for (index, mirrored), value in zip(self._half_index, (amp, np.conj(amp))):
+            keep = ~mirrored
+            at = tuple(i[keep] for i in index)
+            for h, xi in zip(halves, self.fibres.T):
+                np.add.at(h, at, value[keep] * xi[keep])
+        return halves
 
     def _halves(self, block: slice) -> list[np.ndarray]:
         """Band halves of the fields in ``block``, one array (B, ...) per
@@ -1048,7 +1050,7 @@ def _euler_cells(states: list[BandHalves], quads, cfg: SolverConfig) -> list[Ban
     dt = cfg.T / cfg.steps
     inv = np.exp(cfg.mu * dt * _half_k_squared(grid))
     return [BandHalves(grid, degree, (states[j + 1].halves * inv - states[j].halves)
-                       * (1.0 / dt) + np.stack(_band_projection(grid, degree, q)))
+                       * (1.0 / dt) + _band_projection(grid, degree, q))
             for j, q in enumerate(quads)]
 
 
@@ -1135,23 +1137,19 @@ def newton_local_inverse(
 
         def explicit(j, midpoint, delta):
             q = bilinear_term(states[j], BandHalves(grid, degree, delta), ns)
-            return r_cells[j] - np.stack(_band_projection(grid, degree, q))
+            return r_cells[j] - _band_projection(grid, degree, q)
 
         delta = _run_scheme("imex-euler", r0, cfg.steps, cfg.T / cfg.steps, decay,
                             explicit, lambda state, j: None)
         states = [BandHalves(grid, degree, u.halves + d, keep=True)
                   for u, d in zip(states, delta)]
 
-    # The last residual evaluated N at every final state but the last.
+    # The last residual evaluated N at every final state but the last.  The
+    # cells are P f already, not projected again, and the pressure's source.
     quads.append(nonlinear_term(states[-1], ns))
-    u_list, p_list, dt1 = [u.field() for u in states], [], []
-    for j, (u, quad) in enumerate(zip(u_list, quads)):
-        quad = BandHalves(grid, degree, quad).field()
-        f_cell = BandHalves(grid, degree, f_cells[min(j, cfg.steps - 1)]).field()
-        p_list.append(_pressure_from_source(f_cell - quad))
-        du = hodge_laplacian(u) * (-cfg.mu) - project_state(quad)
-        dt1.append(du + f_cell)
-    sol = TimeSeriesSolution(cfg.times(), u_list, p=p_list, dt_cache={1: dt1})
+    cells = f_cells + f_cells[-1:]
+    sol = _sample_pass(cfg.times(), range(len(states)), states, cfg.mu, lambda i, u: quads[i],
+                       lambda i: (cells[i], BandHalves(grid, degree, cells[i]).field()), 1, True)
     return NewtonResult(sol, history, converged)
 
 
@@ -1194,7 +1192,7 @@ def galerkin_convergence_study(
         fvec = _forcing_coefficients(f, basis)
 
         def rhs(j, midpoint, g, basis=basis, fvec=fvec):
-            q = nonlinear_term(BandHalves.of(basis.synthesize(g)), ns)
+            q = nonlinear_term(BandHalves(grid, basis.degree, basis._scatter(g)), ns)
             gn = basis._project_halves(q[:, None])[0]
             if midpoint:
                 return 0.5 * (fvec[j] + fvec[j + 1]) - gn

@@ -8,6 +8,7 @@ implementation evaluates both sides through the same dealiased products.
 """
 
 import types
+from math import comb
 
 import numpy as np
 import pytest
@@ -496,6 +497,22 @@ class TestTensorIO:
         assert (loaded.n, loaded.degree_first, loaded.degree_second,
                 loaded.degree_out) == (bmap.n, bmap.degree_first,
                                        bmap.degree_second, bmap.degree_out)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]))
+    def test_round_trip_any_tensor(self, data, n, tmp_path_factory):
+        degrees = [data.draw(st.integers(0, n)) for _ in range(3)]
+        shape = tuple(comb(n, d) for d in degrees)
+        entries = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
+        values = data.draw(st.lists(entries, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))
+        bmap = BilinearMap(n, *degrees, np.array(values).reshape(shape))
+        path = tmp_path_factory.mktemp("tensor") / "map.txt"
+        save_bilinear_map(bmap, path)
+        loaded = load_bilinear_map(path)
+        assert np.array_equal(loaded.tensor, bmap.tensor)
+        assert (loaded.n, loaded.degree_first, loaded.degree_second,
+                loaded.degree_out) == (n, *degrees)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "map.txt"

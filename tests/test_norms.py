@@ -333,3 +333,28 @@ class TestTimeSeriesValidation:
             TimeSeriesSolution(np.array([0.0, 0.0]), [zero, zero])
         with pytest.raises(ValueError):
             TimeSeriesSolution(np.array([0.0, 1.0]), [zero])
+
+    @pytest.mark.parametrize("times", [
+        [0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [np.nan, 0.5, 1.0], [-np.inf, 0.0, 1.0],
+    ])
+    def test_non_finite_times_rejected(self, times):
+        # A NaN compares False with everything, so it passes the strict
+        # increase check; the norms would then read nan or inf.
+        zero = FormField.zeros(SpectralGrid(2, 16), 1)
+        with pytest.raises(ValueError, match="sample times must be finite"):
+            TimeSeriesSolution(np.array(times), [zero] * 3)
+
+    @pytest.mark.parametrize("cache, order, length", [
+        ("dt_cache", 1, 2), ("dt_cache", 1, 5), ("dt_cache", 2, 2),
+        ("p_dt_cache", 1, 2), ("p_dt_cache", 1, 4),
+    ])
+    def test_mis_sized_cache_rejected(self, cache, order, length):
+        # Too short a cache gave a silently wrong Bochner norm, too long one
+        # a broadcast error inside the norm.
+        zero = FormField.zeros(SpectralGrid(2, 16), 1)
+        caches = {"dt_cache": {1: [zero] * 3}, "p_dt_cache": {}}
+        caches[cache][order] = [zero] * length
+        with pytest.raises(ValueError, match=rf"{cache}\[{order}\] has {length} "
+                                             "samples for 3 sample times"):
+            TimeSeriesSolution(np.array([0.0, 0.5, 1.0]), [zero] * 3, p=[zero] * 3,
+                               **caches)

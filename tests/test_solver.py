@@ -6,10 +6,12 @@ equations), scheme self-convergence under step halving, and exact
 algebraic identities of the discrete quadratic forward map.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torusforms.hodge as hodge_module
 import torusforms.nonlinear as nonlinear_module
@@ -153,6 +155,24 @@ class TestSolverConfig:
         required = [r for r in ("mu = 1.0", "T = 1.0", "dt = 0.5") if r.split()[0] != key]
         with pytest.raises(ValueError, match=field):
             parse_solver_config("\n".join(required + [line]) + "\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]))
+    def test_format_parse_round_trip(self, data, n):
+        positive = st.floats(min_value=1e-8, max_value=1e6, allow_nan=False)
+        dt = data.draw(st.floats(min_value=1e-6, max_value=10.0))
+        preset = data.draw(st.sampled_from(["navier-stokes-i1", "zero"]))
+        cfg = SolverConfig(
+            mu=data.draw(positive), T=dt * data.draw(st.integers(1, 1000)), dt=dt,
+            res=2 * data.draw(st.integers(2, 64)),
+            degree=1 if preset == "navier-stokes-i1" else data.draw(st.integers(0, n)),
+            scheme=data.draw(st.sampled_from(["imex-euler", "imex-rk2"])), preset=preset,
+            newton_max_iter=data.draw(st.integers(1, 100)),
+            newton_tol=data.draw(st.floats(min_value=1e-16, max_value=1.0)), n=n,
+        )
+        back = parse_solver_config(format_solver_config(cfg))
+        for field in dataclasses.fields(SolverConfig):
+            assert getattr(back, field.name) == getattr(cfg, field.name)
 
     def test_format_round_trip(self, tmp_path):
         cfg = SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=48, scheme="imex-euler")
@@ -298,6 +318,32 @@ def _reference_lawson(cfg, u0, quad, forcing):
     return states
 
 
+def _reference_samples(sol, mu, quad, forcing, forcing_dt=None, ns=None):
+    """Derivatives and pressures at the stored samples on full fields:
+    Q(u) = quad(j, u) of the full field u, project_state of Q and of f =
+    forcing(j), the pressure of f - Q; with ``forcing_dt`` also the second
+    derivative and the pressure's first from B(u, du/dt) and df/dt."""
+    first, second, p, p_first = [], [], [], []
+
+    def substituted(u, q, fj):
+        du = hodge_laplacian(u) * (-mu) - project_state(q)
+        return du if fj is None else du + project_state(fj)
+
+    def pressure(q, fj):
+        src = q * (-1.0)
+        return solver_module._pressure_from_source(src if fj is None else src + fj)
+
+    for j, u in enumerate(sol.u):
+        q, fj = quad(j, u), forcing(j)
+        first.append(substituted(u, q, fj))
+        p.append(pressure(q, fj))
+        if forcing_dt is not None:
+            dq, dfj = bilinear_term(u, first[-1], ns), forcing_dt(j)
+            second.append(substituted(first[-1], dq, dfj))
+            p_first.append(pressure(dq, dfj))
+    return first, second, p, p_first
+
+
 def _assert_same_states(got, expected):
     """Byte-identical samples and half-spectrum coefficients k_last >= 0."""
     assert len(got) == len(expected)
@@ -412,17 +458,26 @@ class TestBandHalfState:
 class TestEvaluationCounts:
     @staticmethod
     def _count(monkeypatch, name):
-        """Record the calls of the solver module's ``name``: "stage" for a
-        band-half state in the last field argument, else "sample"."""
-        calls = []
-        original = getattr(solver_module, name)
+        """Record the calls of the solver module's ``name``: "stage" while
+        ``_run_scheme`` runs, else "sample".  Every call takes band-half
+        states."""
+        calls, stepping = [], []
+        original, run = getattr(solver_module, name), solver_module._run_scheme
 
         def counted(*args):
-            stage = isinstance(args[-2], nonlinear_module.BandHalves)
-            calls.append("stage" if stage else "sample")
+            assert all(isinstance(a, nonlinear_module.BandHalves) for a in args[:-1])
+            calls.append("stage" if stepping else "sample")
             return original(*args)
 
+        def flagged(*args):
+            stepping.append(True)
+            try:
+                return run(*args)
+            finally:
+                stepping.pop()
+
         monkeypatch.setattr(solver_module, name, counted)
+        monkeypatch.setattr(solver_module, "_run_scheme", flagged)
         return calls
 
     def test_nonlinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
@@ -474,6 +529,67 @@ class TestEvaluationCounts:
         assert len(calls) == 2
         grad_part = source - helmholtz_project(source)
         assert l2_norm(exterior_derivative(p) - grad_part) <= 1e-12 * l2_norm(grad_part)
+
+
+class TestSamplePass:
+    """The stored samples' derivative caches and pressures, taken on the
+    band-half state, against the same formulas on full fields."""
+
+    GRIDS = [G16, SpectralGrid(3, 8)]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("forcing", ["none", "constant", "callable"])
+    def test_nonlinear_matches_full_field_reference(self, grid, forcing):
+        u0, f, _ = TestBandHalfState._data(grid)
+        ns = NS[grid.n]
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=grid.res, n=grid.n)
+        f_series = f_dt = None
+        if forcing == "constant":
+            f_series = f
+        elif forcing == "callable":
+            f_series = lambda t: f * float(np.cos(3.0 * t))  # noqa: E731
+            f_dt = lambda t: f * float(-3.0 * np.sin(3.0 * t))  # noqa: E731
+        sol = solve_nonlinear(f_series, u0, cfg, derivatives=2, f_dt_series=f_dt)
+
+        def at(data):
+            return lambda j: data(float(sol.times[j])) if callable(data) else data
+
+        first, second, p, p_first = _reference_samples(
+            sol, cfg.mu, lambda j, u: nonlinear_term(u, ns), at(f_series), at(f_dt), ns)
+        _assert_same_states(sol.dt_cache[1], first)
+        _assert_same_states(sol.dt_cache[2], second)
+        _assert_same_states(sol.p, p)
+        _assert_same_states(sol.p_dt_cache[1], p_first)
+
+    def test_callable_forcing_drawn_once_per_stage_and_sample(self):
+        # 4 rk2 steps draw f at 4 step starts and 4 midpoints; each of the
+        # 3 stored samples draws f once, for both P f and the pressure.
+        u0, f, _ = TestBandHalfState._data(G16)
+        drawn = []
+
+        def forcing(t):
+            drawn.append(t)
+            return f * float(np.cos(3.0 * t))
+
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        solve_nonlinear(forcing, u0, cfg, store_every=2, f_dt_series=lambda t: f)
+        assert len(drawn) == 8 + 3
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("advection", ["constant", "sampled"])
+    def test_linearized_matches_full_field_reference(self, grid, advection):
+        u0, f, w = TestBandHalfState._data(grid)
+        ns = NS[grid.n]
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=grid.res, n=grid.n)
+        w_series = w
+        if advection == "sampled":
+            w_series = [w * float(1.0 + 0.5 * t) for t in cfg.times()]
+        sol = solve_linearized(w_series, f, u0, cfg)
+        wj = (lambda j: w) if advection == "constant" else w_series.__getitem__
+        first, _, p, _ = _reference_samples(
+            sol, cfg.mu, lambda j, u: bilinear_term(wj(j), u, ns), lambda j: f)
+        _assert_same_states(sol.dt_cache[1], first)
+        _assert_same_states(sol.p, p)
 
 
 class TestExactDecay:
@@ -1136,6 +1252,18 @@ class TestSolutionIO:
         manifest.write_text(
             manifest.read_text().replace("u_00001.hpform", name))
         with pytest.raises(ValueError, match="manifest row 2"):
+            load_solution(tmp_path / "run")
+
+
+    def test_non_finite_manifest_time_rejected(self, tmp_path):
+        cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16)
+        sol = solve_nonlinear(None, _taylor_green(G16), cfg, with_pressure=False)
+        save_solution(sol, tmp_path / "run")
+        manifest = tmp_path / "run" / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = "nan," + lines[2].split(",", 1)[1]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="sample times must be finite"):
             load_solution(tmp_path / "run")
 
 

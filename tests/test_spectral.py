@@ -397,6 +397,23 @@ class TestDealias:
 
 
 class TestSnapshotIO:
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 3]), seed=st.integers(0, 10_000))
+    def test_round_trip_keeps_samples_bit_for_bit(self, data, n, seed, tmp_path_factory):
+        # The snapshot holds the samples: loading gives, byte for byte, the
+        # field from_physical makes of the saved field's samples.
+        res = data.draw(st.sampled_from([4, 6, 8, 12] if n == 2 else [4, 6, 8]))
+        degree = data.draw(st.integers(0, n))
+        grid = SpectralGrid(n, res)
+        u = random_form(grid, degree, np.random.default_rng(seed))
+        path = tmp_path_factory.mktemp("snapshot") / "field.bin"
+        save_field(u, path)
+        v = load_field(path)
+        assert (v.grid, v.degree) == (grid, degree)
+        expected = FormField.from_physical(grid, degree, to_physical(u))
+        for a, b in zip(v.components, expected.components):
+            assert a.tobytes() == b.tobytes()
+
     def test_round_trip(self, tmp_path):
         grid = SpectralGrid(3, 12)
         rng = np.random.default_rng(71)
