@@ -43,17 +43,17 @@ from .verify import (
     emit_plot_data,
     gn_ratio_survey,
     gn_survey_records,
+    measured_check,
+    newton_openness,
+    relative,
     run_experiment,
     solution_norm_rows,
     taylor_green_state,
+    upper_check,
     verify_all,
     write_norm_series,
     write_norm_table,
     write_report,
-    _measured,
-    _newton_openness,
-    _rel,
-    _upper,
 )
 
 
@@ -120,12 +120,12 @@ def _cmd_solve_linear(args) -> int:
     ns = get_preset(cfg.preset, cfg.n, cfg.degree)
     sol = solve_linearized(w, f, u0, cfg, ns,
                            store_every=max(1, cfg.steps // 50))
-    div = max(_rel(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
+    div = max(relative(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
     records = [
-        _upper("solve-linear/divergence-free", "state-space-constraint",
-               div, 1e-12),
-        _measured("solve-linear/final-energy", "plumbing",
-                  l2_norm(sol.u[-1]) ** 2),
+        upper_check("solve-linear/divergence-free", "state-space-constraint",
+                    div, 1e-12),
+        measured_check("solve-linear/final-energy", "plumbing",
+                       l2_norm(sol.u[-1]) ** 2),
     ]
     if args.out is not None:
         save_solution(sol, args.out / "solution")
@@ -169,7 +169,7 @@ def _cmd_norms(args) -> int:
                           store_every=max(1, cfg.steps // 50))
     rows = solution_norm_rows("norms", sol)
     records = [
-        _measured(f"norms/{name}-k{k}-s{s:g}-p{p:g}", "parabolic-norm", value)
+        measured_check(f"norms/{name}-k{k}-s{s:g}-p{p:g}", "parabolic-norm", value)
         for (_, name, k, s, p, value) in rows
     ]
     if args.out is not None:
@@ -190,9 +190,9 @@ def _cmd_gn_survey(args) -> int:
     res = args.res if args.res is not None else 32
     survey = gn_ratio_survey(seed=args.seed, trials=args.trials, res=res)
     records = list(gn_survey_records(survey))
-    records.append(_measured("gn/interpolation-doubled-max-ratio",
-                             "interpolation-inequality",
-                             survey.doubled_max_ratio))
+    records.append(measured_check("gn/interpolation-doubled-max-ratio",
+                                  "interpolation-inequality",
+                                  survey.doubled_max_ratio))
     if args.out is not None:
         emit_plot_data(None, ("gn-ratios",), args.out,
                        gn_ratios=survey.ratios)
@@ -206,21 +206,21 @@ def _cmd_newton(args) -> int:
         args,
         SolverConfig(mu=0.1, T=0.1, dt=2e-3, res=16, scheme="imex-euler"))
     ns = get_preset(cfg.preset, cfg.n, cfg.degree)
-    _, _, results, displacements = _newton_openness(
+    _, _, results, displacements = newton_openness(
         cfg, ns, np.random.default_rng(args.seed))
     residual_history = results[0].residual_history
     if args.out is not None:
         save_solution(results[0].solution, args.out / "solution")
     ratio = displacements[1] / max(displacements[0], 1e-300)
     records = [
-        _upper("newton/residual", "local-inversion",
-               residual_history[-1], 1e-8),
-        _upper("newton/iterations", "local-inversion",
-               float(results[0].iterations), 6.0),
-        _upper("newton/displacement-deviation", "local-inversion",
-               abs(ratio - 0.5), 0.1),
-        _upper("newton/contraction-factor", "local-inversion",
-               _contraction_factor(residual_history), 1e-4),
+        upper_check("newton/residual", "local-inversion",
+                    residual_history[-1], 1e-8),
+        upper_check("newton/iterations", "local-inversion",
+                    float(results[0].iterations), 6.0),
+        upper_check("newton/displacement-deviation", "local-inversion",
+                    abs(ratio - 0.5), 0.1),
+        upper_check("newton/contraction-factor", "local-inversion",
+                    _contraction_factor(residual_history), 1e-4),
     ]
     if args.out is not None:
         emit_plot_data(None, ("newton-residuals",), args.out,

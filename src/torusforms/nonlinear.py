@@ -14,12 +14,13 @@ B(w, v) to rounding, because both run through one kernel.
 
 The kernel applies the two-thirds rule once per input and once per output
 (Orszag 1971) and transforms each physical array exactly once, with real
-transforms on the half spectrum ``c[..., :res//2 + 1]``:
+transforms on the half spectrum that fields store:
 
-1. each input field enters as ``BandHalves.of``: the half of its band box,
-   after a Hermitian check on the box (``FieldIntegrityError`` above 1e-10,
-   as ``to_physical``, under every preset); a ``BandHalves`` state enters
-   as it is;
+1. each input field enters as ``BandHalves.of``: the band part of its half
+   (every |k_j| <= L = res // 3, k_last = 0..L), after the Hermitian check
+   of that part's k_last = 0 plane (``FieldIntegrityError`` above 1e-10, as
+   ``to_physical``, under every preset); a ``BandHalves`` state enters as
+   it is;
 2. d of each input is formed on the half spectrum;
 3. ``irfftn`` brings every input component and every derivative component
    to the grid;
@@ -28,8 +29,8 @@ transforms on the half spectrum ``c[..., :res//2 + 1]``:
    buffer and the two are added afterwards, so B(v, v) = 2 N(v) exactly;
 5. ``rfftn`` takes every output component back, the band half is kept,
    and d is applied to the M2 output; a field result leaves through
-   ``BandHalves.field``, which rebuilds the full spectrum by conjugate
-   reflection, a state's result as its stacked band halves.
+   ``BandHalves.field``, which writes the band halves into a zero half,
+   a state's result as its stacked band halves.
 
 For the ``navier-stokes-i1`` preset that is 6 component transforms per N on
 T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
@@ -62,10 +63,11 @@ from .spectral import (
     FormField,
     SpectralGrid,
     _accumulate,
-    _band_box,
+    _band_half,
     _derivative_symbol,
     _insertion_table,
     _is_hermitian,
+    _to_grid,
     dealias,
     inner_product,
     multi_indices,
@@ -223,38 +225,26 @@ def _contract(entries, a, b, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Band:
-    """Index data of the kernel: the half of the band box.
+    """Index data of the kernel: the band half.
 
-    The band box (``spectral._band_box``) holds the modes with every
-    |k_j| <= L = res // 3.  Its half, k_last = 0..L, is all the kernel keeps
-    of a field's spectrum; the rest of the box is its conjugate reflection.
+    The band half (``spectral._band_half``) is the part of a field's half
+    with every |k_j| <= L = res // 3; it is all the kernel keeps of a field.
     """
 
     limit: int
     axes: tuple[int, ...]  # the last n axes, after any batch axes
-    box: tuple[np.ndarray, ...]  # np.ix_ of the band box in the full spectrum
-    half: tuple[np.ndarray, ...]  # np.ix_ of the box's half, k_last = 0..L
-    tail: tuple[np.ndarray, ...]  # np.ix_ of the box's rest, k_last = -L..-1
-    reflect: tuple[np.ndarray, ...]  # np.ix_ into the half of -k, k in the tail
-    half_shape: tuple[int, ...]  # shape of an rfftn half spectrum
-    half_box: tuple[int, ...]  # shape of the box's half
+    half: tuple[np.ndarray, ...]  # np.ix_ of the band half in a field's half
+    shape: tuple[int, ...]  # shape of the band half
 
 
 @lru_cache(maxsize=None)
 def _band(grid: SpectralGrid) -> _Band:
-    n, res, limit = grid.n, grid.res, grid.res // 3
-    box = _band_box(grid)
-    lead = box[:-1]
-    minus = (-np.arange(2 * limit + 1)) % (2 * limit + 1)
+    n, limit = grid.n, grid.res // 3
     return _Band(
         limit=limit,
         axes=tuple(range(-n, 0)),
-        box=box,
-        half=np.ix_(*(i.ravel() for i in lead), np.arange(limit + 1)),
-        tail=np.ix_(*(i.ravel() for i in lead), np.arange(res - limit, res)),
-        reflect=np.ix_(*([minus] * (n - 1)), np.arange(limit, 0, -1)),
-        half_shape=grid.shape[:-1] + (res // 2 + 1,),
-        half_box=(2 * limit + 1,) * (n - 1) + (limit + 1,),
+        half=_band_half(grid),
+        shape=(2 * limit + 1,) * (n - 1) + (limit + 1,),
     )
 
 
@@ -274,9 +264,8 @@ def _half_position(grid: SpectralGrid, modes: np.ndarray) -> tuple[tuple, np.nda
 
 def _apply_d(grid: SpectralGrid, degree: int, halves, out) -> list:
     """Add d of a degree-``degree`` field, given by its band halves, into ``out``."""
-    keep = halves[0].shape[-1]
     for out_idx, in_idx, axis, sign in _insertion_table(grid.n, degree):
-        symbol = _derivative_symbol(grid, axis, sign, False, True)[..., :keep]
+        symbol = _derivative_symbol(grid, axis, sign, False, True)
         _accumulate(out, out_idx, symbol * halves[in_idx])
     return out
 
@@ -289,7 +278,7 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
     axes; the transforms run over the last n axes.
     """
     band = _band(grid)
-    spectrum = np.zeros(halves[0].shape[:-grid.n] + band.half_shape,
+    spectrum = np.zeros(halves[0].shape[:-grid.n] + grid.half_shape,
                         dtype=np.complex128)
 
     def physical(half):
@@ -337,19 +326,19 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
     if cfg.m2 is not None:
         m2 = [spectral(e, values, values) for e in cfg.m2._entries]
         out = _apply_d(grid, cfg.degree - 1, m2, out)
-    zero = shape[:-grid.n] + band.half_box
+    zero = shape[:-grid.n] + band.shape
     return [np.zeros(zero, dtype=np.complex128) if h is None else h for h in out]
 
 
 class BandHalves:
     """A real field held as the band halves of its components.
 
-    ``halves`` holds, one array per component, the half k_last = 0..L
-    (L = res // 3) of the component's band box, shape (2L+1, ..., L+1); the
-    rest of the box is its conjugate reflection, and the field has no modes
-    outside the box.  Any per-component sequence will do: ``of`` gathers a
-    stacked (ncomp, 2L+1, ..., L+1) array, the field solvers step one, and
-    the kernel returns a list.  ``nonlinear_term`` and ``bilinear_term``
+    ``halves`` holds, one array per component, the band part of the
+    component's half (every |k_j| <= L = res // 3, k_last = 0..L), shape
+    (2L+1, ..., L+1); the field has no modes outside the band.  Any
+    per-component sequence will do: ``of`` gathers a stacked (ncomp, 2L+1,
+    ..., L+1) array, the field solvers step one, and the kernel returns a
+    list.  ``nonlinear_term`` and ``bilinear_term``
     take such states in place of fields and return the band halves of the
     result, stacked.  With ``keep`` the grid values are made on first use
     and kept, so a state used in many products is transformed once per
@@ -362,28 +351,23 @@ class BandHalves:
 
     @classmethod
     def of(cls, u: FormField, keep: bool = False) -> "BandHalves":
-        """The band halves of the field u, after its Hermitian check on the
-        band box (``FieldIntegrityError`` above 1e-10, as ``to_physical``)."""
+        """The band halves of the field u, after the Hermitian check of
+        their k_last = 0 planes (``FieldIntegrityError`` above 1e-10, as
+        ``to_physical``)."""
         band = _band(u.grid)
-        halves = np.empty((len(u.components),) + band.half_box, dtype=np.complex128)
+        halves = np.empty((len(u.components),) + band.shape, dtype=np.complex128)
         for half, c in zip(halves, u.components):
-            box = c[band.box]
-            if not _is_hermitian(box, 1e-10):
+            half[...] = c[band.half]
+            if not _is_hermitian(half[..., 0], 1e-10):
                 raise FieldIntegrityError("coefficients are not Hermitian symmetric")
-            half[...] = box[..., :band.limit + 1]
         return cls(u.grid, u.degree, halves, keep)
 
     def field(self) -> FormField:
-        """The field in fftn layout: each half and its conjugate reflection
-        on the band box, zero outside it."""
-        band = _band(self.grid)
-        comps = []
-        for half in self.halves:
-            full = np.zeros(self.grid.shape, dtype=np.complex128)
-            full[band.half] = half
-            full[band.tail] = np.conj(half[band.reflect])
-            comps.append(full)
-        return FormField(self.grid, self.degree, tuple(comps))
+        """The field: each band half written into a zero half."""
+        out, band = FormField.zeros(self.grid, self.degree), _band(self.grid)
+        for c, half in zip(out.components, self.halves):
+            c[band.half] = half
+        return out
 
     def on_grid(self, cfg: NonlinearityConfig) -> tuple[list, list]:
         if self._kept is None:
@@ -439,14 +423,12 @@ def convective_term(w: FormField, u: FormField) -> FormField:
     if w.degree != 1 or u.degree != 1:
         raise ValueError("the convective term is defined for degree-1 fields")
     grid = w.grid
-    w_phys = np.stack(to_physical(dealias(w)))
-    kvecs = grid.wavevectors
+    w_phys = to_physical(dealias(w))
     comps = []
     for c in dealias(u).components:
-        grads = [np.real(np.fft.ifftn(1j * kvecs[j] * c) * c.size) for j in range(grid.n)]
         acc = np.zeros(grid.shape)
         for j in range(grid.n):
-            acc += w_phys[j] * grads[j]
+            acc += w_phys[j] * _to_grid(grid, _derivative_symbol(grid, j, 1, False) * c)
         comps.append(acc)
     return dealias(FormField.from_physical(grid, 1, comps))
 

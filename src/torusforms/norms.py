@@ -47,6 +47,7 @@ import numpy as np
 
 from .spectral import (
     FormField,
+    _parseval,
     codifferential,
     exterior_derivative,
     fractional_power,
@@ -180,14 +181,6 @@ def split_sobolev_norm(u: FormField, m: int, p: float = 2.0) -> float:
 # -- Bochner norms ------------------------------------------------------------
 
 
-def _mode_energy(u: FormField) -> np.ndarray:
-    """Per-mode squared coefficient magnitude summed over components."""
-    total = np.zeros(u.grid.shape)
-    for c in u.components:
-        total += np.abs(c) ** 2
-    return total
-
-
 def _series_tables(
     series: Sequence[FormField], orders: Sequence[int]
 ) -> tuple[dict[int, np.ndarray], np.ndarray]:
@@ -195,16 +188,14 @@ def _series_tables(
     grid = series[0].grid
     k2 = grid.k_squared
     zero = (0,) * grid.n
-    nonzero = k2 > 0
+    # |k|^(2a) off the zero mode, which |grad^a| annihilates at every order.
+    powers = {a: np.power(k2, a, out=np.zeros_like(k2), where=k2 > 0) for a in orders}
     tables = {a: np.zeros(len(series)) for a in orders}
     pi_sq = np.zeros(len(series))
     for t_idx, w in enumerate(series):
-        energy = _mode_energy(w)
-        pi_sq[t_idx] = energy[zero]
-        off = energy[nonzero]
-        k2_off = k2[nonzero]
+        pi_sq[t_idx] = sum(abs(c[zero]) ** 2 for c in w.components)
         for a in orders:
-            tables[a][t_idx] = float(np.sum(off * k2_off**a))
+            tables[a][t_idx] = sum(_parseval(c * powers[a], c) for c in w.components)
     return tables, pi_sq
 
 

@@ -16,10 +16,10 @@ The field solvers and the Newton inversion of the discrete forward map
 step the band half k_last = 0..L (L = res // 3) of the state, one
 (ncomp, 2L+1, ..., L+1) complex array: the integrating factor acts mode by
 mode, so the half carries the whole scheme.  Fields enter through
-``BandHalves.of`` (the Hermitian check; modes outside the band box are
-dropped), a stage passes the state to nonlinear_term or bilinear_term as
-``BandHalves`` and gets the band halves of Q back, and fields are rebuilt
-by ``BandHalves.field`` only where they leave.
+``BandHalves.of`` (the Hermitian check of the k_last = 0 plane; modes
+outside the band are dropped), a stage passes the state to nonlinear_term
+or bilinear_term as ``BandHalves`` and gets the band halves of Q back, and
+fields are rebuilt by ``BandHalves.field`` only where they leave.
 
 The pressure has no evolution equation; it is recovered at sample times
 from the complementary projection of the source, d p = (I - P)(f - Q(u))
@@ -68,10 +68,11 @@ from .spectral import (
     FormField,
     SpectralGrid,
     _accumulate,
-    _band_box,
+    _band_half,
     _derivative_symbol,
     _insertion_table,
     _inverse_squares,
+    _parseval,
     codifferential,
     fractional_power,
     hodge_laplacian,
@@ -207,20 +208,15 @@ def format_solver_config(cfg: SolverConfig) -> str:
 
 
 @lru_cache(maxsize=None)
-def _band_k_squared(grid: SpectralGrid) -> np.ndarray:
-    """|k|^2 on the box of the dealiasing band."""
-    return grid.k_squared[_band_box(grid)]
-
-
 def _half_k_squared(grid: SpectralGrid) -> np.ndarray:
-    """|k|^2 on the band half k_last = 0..L."""
-    return _band_k_squared(grid)[..., :grid.res // 3 + 1]
+    """|k|^2 on the band half."""
+    return grid.k_squared[_band_half(grid)]
 
 
 @lru_cache(maxsize=None)
 def _band_parametrix(grid: SpectralGrid) -> np.ndarray:
-    """1/|k|^2 (zero at k = 0) on the box of the dealiasing band."""
-    return _inverse_squares(_band_k_squared(grid))
+    """1/|k|^2 (zero at k = 0) on the band half."""
+    return _inverse_squares(_half_k_squared(grid))
 
 
 def project_state(u: FormField) -> FormField:
@@ -229,35 +225,32 @@ def project_state(u: FormField) -> FormField:
     Dealiased band, divergence-free (kernel of the codifferential), zero
     mean; the harmonic mode is excluded so the diffusion semigroup is a
     strict contraction on states.  One pass of delta d (mask |k|^-2 u)
-    through the insertion table, on the band box only: inside the band it
+    through the insertion table, on the band half only: inside the band it
     makes the operations of remove_harmonic(helmholtz_project(dealias(u)))
     in their order, so the two agree bit for bit.
     """
     out = FormField.zeros(u.grid, u.degree)
-    box = _band_box(u.grid)
-    parts = [c[box] for c in u.components]
-    for full, part in zip(out.components, _band_projection(u.grid, u.degree, parts)):
-        full[box] = part
+    band = _band_half(u.grid)
+    parts = [c[band] for c in u.components]
+    for c, part in zip(out.components, _band_projection(u.grid, u.degree, parts)):
+        c[band] = part
     return out
 
 
 def _band_projection(grid: SpectralGrid, degree: int, parts) -> np.ndarray:
-    """project_state of components given on the band box or on its half
-    (k_last = 0..L), stacked: the multipliers are cut to the parts' last
-    axis."""
-    keep = parts[0].shape[-1]
+    """project_state of components given on the band half, stacked."""
     if degree == grid.n:
         return np.zeros((len(parts),) + parts[0].shape, dtype=np.complex128)
-    mult = _band_parametrix(grid)[..., :keep]
+    mult = _band_parametrix(grid)
     phi = [mult * p for p in parts]
     table = _insertion_table(grid.n, degree)
     dphi = [None] * grid.component_count(degree + 1)
     for out_idx, in_idx, axis, sign in table:
-        symbol = _derivative_symbol(grid, axis, sign, False, True)[..., :keep]
+        symbol = _derivative_symbol(grid, axis, sign, False, True)
         _accumulate(dphi, out_idx, symbol * phi[in_idx])
     proj = [None] * grid.component_count(degree)
     for in_idx, out_idx, axis, sign in table:
-        symbol = _derivative_symbol(grid, axis, sign, True, True)[..., :keep]
+        symbol = _derivative_symbol(grid, axis, sign, True, True)
         _accumulate(proj, out_idx, symbol * dphi[in_idx])
     return np.stack(proj)
 
@@ -338,14 +331,17 @@ class _Sampler:
 # -- generic Lawson stepping ---------------------------------------------------
 
 
-def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard):
+def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard, keep=None):
     """Integrate d/dt g = L g + rhs with exact decay for L.
 
     ``apply_decay(state, tau)`` applies exp(tau L); ``rhs(j, midpoint,
     state)`` evaluates the explicit term.  Works for field states and
-    coefficient vectors alike.
+    coefficient vectors alike.  Returns the states at the time indices
+    ``keep``, in order (every state for None); no other state outlives
+    its step.
     """
-    states = [state0]
+    keep = range(steps + 1) if keep is None else frozenset(keep)
+    states = [state0] if 0 in keep else []
     u = state0
     for j in range(steps):
         if scheme == "imex-euler":
@@ -354,17 +350,14 @@ def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard):
             u_mid = apply_decay(u + rhs(j, False, u) * (0.5 * dt), 0.5 * dt)
             u = apply_decay(u, dt) + apply_decay(rhs(j, True, u_mid), 0.5 * dt) * dt
         guard(u, j)
-        states.append(u)
+        if j + 1 in keep:
+            states.append(u)
     return states
 
 
 def _half_norm(state: np.ndarray) -> float:
-    """L2 norm of the real field with band halves ``state``: the k_last = 0
-    plane counts once, every other plane twice (no Nyquist mode is in the
-    band)."""
-    plane = state[..., 0]
-    total = 2.0 * np.vdot(state, state).real - np.vdot(plane, plane).real
-    return float(np.sqrt(max(total, 0.0)))
+    """L2 norm of the real field with band halves ``state`` (``_parseval``)."""
+    return float(np.sqrt(max(_parseval(state, state), 0.0)))
 
 
 def _half_guard(state: np.ndarray, j: int) -> None:
@@ -429,10 +422,9 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _S
     states = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
         _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid))),
-        rhs, _half_guard,
+        rhs, _half_guard, stored,
     )
-    # Only the stored states stay alive through the sample pass.
-    states = [BandHalves(grid, degree, states[i]) for i in stored]
+    states = [BandHalves(grid, degree, s) for s in states]
     return _sample_pass(
         cfg.times(), stored, states, cfg.mu, quad, lambda i: forcing(i, False),
         derivatives, with_pressure,
@@ -722,7 +714,7 @@ class GalerkinBasis:
         coefficients at +k_j and -k_j that lie in the half, added in field
         order."""
         amp = np.asarray(coeffs, dtype=np.float64) * self._phase
-        halves = np.zeros((self.fibres.shape[1],) + _band(self.grid).half_box,
+        halves = np.zeros((self.fibres.shape[1],) + _band(self.grid).shape,
                           dtype=np.complex128)
         for (index, mirrored), value in zip(self._half_index, (amp, np.conj(amp))):
             keep = ~mirrored
@@ -736,7 +728,7 @@ class GalerkinBasis:
         component: real fields by construction."""
         phase = self._phase[block]
         rows = np.arange(len(phase))
-        shape = (len(phase),) + _band(self.grid).half_box
+        shape = (len(phase),) + _band(self.grid).shape
         halves = [np.zeros(shape, dtype=np.complex128)
                   for _ in range(self.fibres.shape[1])]
         for (index, mirrored), value in zip(self._half_index, (phase, np.conj(phase))):
@@ -904,18 +896,18 @@ def apply_inverse(
             mat, vec = expl[j], fvec[j]
         return vec - mat.T @ g
 
+    stored = _stored_indices(cfg.steps, store_every)
     g_states = _run_scheme(
         cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
         _lawson_decay(lambda tau: np.exp(-op.mu * tau * basis.eigenvalues)),
-        rhs, _coefficient_guard,
+        rhs, _coefficient_guard, stored,
     )
-    stored = _stored_indices(cfg.steps, store_every)
-    u_list = [basis.synthesize(g_states[i]) for i in stored]
+    u_list = [basis.synthesize(g) for g in g_states]
     dt_cache: dict[int, list[FormField]] = {}
     if derivatives >= 1:
         dt_cache[1] = [
-            basis.synthesize(fvec[i] - op.matrices[i].T @ g_states[i])
-            for i in stored
+            basis.synthesize(fvec[i] - op.matrices[i].T @ g)
+            for i, g in zip(stored, g_states)
         ]
     return TimeSeriesSolution(times[stored], u_list, dt_cache=dt_cache)
 
@@ -1032,7 +1024,7 @@ def lions_identity_residual(sol: TimeSeriesSolution) -> float:
 # so its Newton iteration has an exact derivative and converges
 # quadratically inside the contraction neighbourhood.  Trajectories are
 # band-half states, entered through BandHalves.of (Hermitian check, modes
-# outside the band box dropped) and not projected: in-band gradient parts
+# outside the band dropped) and not projected: in-band gradient parts
 # are carried.
 
 
@@ -1059,7 +1051,7 @@ def discrete_forward_data(
     ns_cfg: NonlinearityConfig | None = None,
 ) -> tuple[list[FormField], FormField]:
     """Data (P f cells, u0) reproduced by the imex-euler trajectory, taken
-    on the band (Hermitian check, modes outside the band box dropped)."""
+    on the band (Hermitian check, modes outside the band dropped)."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     states = _band_trajectory(states, cfg)
     cells = _euler_cells(states, (nonlinear_term(u, ns) for u in states[:-1]), cfg)
@@ -1103,7 +1095,7 @@ def newton_local_inverse(
     ``f_target`` holds the forcing cells (one per step; a single field or
     None is broadcast), ``u0_target`` the initial datum; both are checked
     for Hermitian symmetry and projected.  The seed's modes outside the
-    band box are dropped and its in-band gradient part is kept.  Each
+    band are dropped and its in-band gradient part is kept.  Each
     update solves the exactly-linearized discrete system by forward
     substitution (one imex-euler pass of the Lawson loop), so the iteration
     is quadratically convergent near a solution; non-convergence within

@@ -1,19 +1,32 @@
 """Spectral differential forms on the flat torus T^n (n = 2 or 3).
 
-A degree-i form is stored through the full-complex FFT coefficients of its
-components with respect to the increasing multi-index frame dx^I.  The
-coefficients are normalised as Fourier-series coefficients,
+A degree-i form is stored through the real-to-complex FFT coefficients of
+its components with respect to the increasing multi-index frame dx^I: each
+component is its ``rfftn`` half spectrum, the modes with k_last =
+0..res/2, shape ``grid.half_shape``.  The coefficients are normalised as
+Fourier-series coefficients,
 
-    u(x) = sum_k c_k exp(i k.x),      c_k = fftn(samples) / res**n,
+    u(x) = sum_k c_k exp(i k.x),      c_k = rfftn(samples) / res**n,
 
-and the torus measure is normalised to total mass one, so Parseval reads
-(u, v) = sum_k sum_I c^u_{I,k} conj(c^v_{I,k}).  With this convention
-(sin x_1, sin x_1) = 1/2.
+and a mode with k_last < 0 is the conjugate of the stored one at -k, so
+every field is real by construction.  The torus measure is normalised to
+total mass one, so Parseval reads (u, v) = sum_k sum_I c^u_{I,k}
+conj(c^v_{I,k}) over the whole spectrum; on the half the k_last = 0 plane
+counts once and every other plane twice (``_parseval``).  With this
+convention (sin x_1, sin x_1) = 1/2.
+
+The only part of a half that can break reality is its self-conjugate
+k_last = 0 plane, where c(k) = conj(c(-k)) must hold within the plane.
+That plane is checked, and only it, where coefficients leave for the grid
+(``to_physical``) and where the solvers take a field in
+(``BandHalves.of``); ``FieldIntegrityError`` names a failure.  Samples
+that enter through ``from_physical`` must be finite.
 
 The codifferential is derived as the literal spectral adjoint of the
 exterior derivative (same insertion table, conjugated multiplier), never
 from hand-written sign rules.  Nyquist modes (|k_j| = res/2) are zeroed on
-field creation so every multiplier preserves Hermitian symmetry.
+field creation, so the Nyquist plane k_last = res/2 holds nothing and
+every multiplier preserves reality.
 """
 
 from __future__ import annotations
@@ -70,7 +83,11 @@ def _insertion_table(n: int, degree: int) -> tuple[tuple[int, int, int, int], ..
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform FFT grid on the flat torus [0, 2*pi)^n."""
+    """Uniform FFT grid on the flat torus [0, 2*pi)^n.
+
+    ``shape`` is the physical grid, ``half_shape`` the stored half spectrum;
+    the multipliers below live on the half.
+    """
 
     n: int
     res: int
@@ -86,29 +103,31 @@ class SpectralGrid:
         return (self.res,) * self.n
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of an rfftn half spectrum: k_last = 0..res/2."""
+        return self.shape[:-1] + (self.res // 2 + 1,)
+
+    @property
     def spacing(self) -> float:
         return TWO_PI / self.res
 
     @cached_property
     def axis_modes(self) -> np.ndarray:
-        """Integer wavenumbers along one axis in fftn layout."""
+        """Integer wavenumbers along a leading axis in fftn layout."""
         return np.rint(np.fft.fftfreq(self.res) * self.res).astype(np.int64)
 
     def _axis_mesh(self, axis: int) -> np.ndarray:
-        """axis_modes shaped (1, .., res, .., 1) to broadcast along ``axis``."""
+        """The modes of ``axis`` in the half (k_last = 0..res/2 on the last),
+        shaped (1, .., m, .., 1) to broadcast along it."""
+        modes = self.axis_modes if axis < self.n - 1 else np.arange(self.res // 2 + 1)
         shape = [1] * self.n
-        shape[axis] = self.res
-        return self.axis_modes.reshape(shape)
+        shape[axis] = len(modes)
+        return modes.reshape(shape)
 
-    @cached_property
-    def wavevectors(self) -> np.ndarray:
-        """Stacked integer wavevector meshes, shape (n, res, ..., res)."""
-        axes = [self.axis_modes] * self.n
-        return np.stack(np.meshgrid(*axes, indexing="ij"))
-
-    # The multipliers below broadcast the per-axis modes instead of reading
-    # ``wavevectors``, so a grid that only steps and projects never holds
-    # the n full integer meshes.
+    def _box_mask(self, limit: float) -> np.ndarray:
+        """Half-spectrum modes with every |k_j| <= limit."""
+        return reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= limit
+                                       for j in range(self.n)))
 
     @cached_property
     def k_squared(self) -> np.ndarray:
@@ -123,9 +142,7 @@ class SpectralGrid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Keep-mask of the two-thirds rule: drop modes with any |k_j| > res/3."""
-        limit = self.res / 3.0
-        return reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= limit
-                                       for j in range(self.n)))
+        return self._box_mask(self.res / 3.0)
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
@@ -149,17 +166,35 @@ def _inverse_squares(k2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _is_hermitian(coeff: np.ndarray, tol: float) -> bool:
-    """c(k) = conj(c(-k)) up to ``tol`` times max(max |c|, 1).
+def _is_hermitian(plane: np.ndarray, tol: float) -> bool:
+    """c(k) = conj(c(-k)) up to ``tol`` times max(max |c|, 1), False for
+    non-finite input.
 
-    Works on any array in fftn layout, also on a band box whose axes hold
-    the modes 0..L, -L..-1.
+    Takes the k_last = 0 plane of a half spectrum, the only self-conjugate
+    part of it, in fftn layout; the plane of a band half, whose axes hold
+    the modes 0..L, -L..-1, will do too.
     """
-    scale = max(np.max(np.abs(coeff)), 1.0)
-    gap = coeff[np.ix_(*((-np.arange(m)) % m for m in coeff.shape))]
+    scale = np.max(np.abs(plane))
+    if not np.isfinite(scale):
+        return False
+    gap = plane[np.ix_(*((-np.arange(m)) % m for m in plane.shape))]
     np.conjugate(gap, out=gap)
-    np.subtract(coeff, gap, out=gap)
-    return not np.max(np.abs(gap)) > tol * scale
+    np.subtract(plane, gap, out=gap)
+    return bool(np.max(np.abs(gap)) <= tol * max(scale, 1.0))
+
+
+def _parseval(a: np.ndarray, b: np.ndarray) -> float:
+    """Re sum_k a_k conj(b_k) over the whole spectrum of two real fields,
+    from half spectra of them (a field's half or a band half): the k_last
+    = 0 plane counts once, every other plane twice for itself and its
+    conjugate.  A field's Nyquist plane is zero and adds nothing."""
+    return float(2.0 * np.vdot(b, a).real - np.vdot(b[..., 0], a[..., 0]).real)
+
+
+def _to_grid(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
+    """Samples of a half spectrum (with any leading batch axes) on the grid."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.n, 0)),
+                         norm="forward")
 
 
 def _accumulate(out: list, idx: int, term: np.ndarray) -> None:
@@ -171,14 +206,16 @@ def _accumulate(out: list, idx: int, term: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=None)
-def _band_box(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
-    """np.ix_ index of the box of the two-thirds band.
+def _band_half(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
+    """np.ix_ index of the half of the two-thirds band in a field's half.
 
-    The box holds the modes 0..L, -L..-1 (fftn order) on every axis, with
-    L = res // 3; the dealiasing mask is zero outside it.
+    The band holds the modes with every |k_j| <= L = res // 3; its half
+    has the modes 0..L, -L..-1 (fftn order) on the leading axes and
+    k_last = 0..L.  The dealiasing mask is zero outside it.
     """
     limit = grid.res // 3
-    return np.ix_(*([np.r_[0:limit + 1, grid.res - limit:grid.res]] * grid.n))
+    lead = np.r_[0:limit + 1, grid.res - limit:grid.res]
+    return np.ix_(*([lead] * (grid.n - 1)), np.arange(limit + 1))
 
 
 @lru_cache(maxsize=None)
@@ -187,12 +224,12 @@ def _derivative_symbol(
 ) -> np.ndarray:
     """The multiplier (sign * i) k_axis of d, or its conjugate for the adjoint.
 
-    Shaped (1, .., res, .., 1) so it broadcasts along ``axis`` of a
-    coefficient array, or along ``axis`` of the band box with ``band``.
+    Shaped (1, .., m, .., 1) so it broadcasts along ``axis`` of a half
+    spectrum, or along ``axis`` of a band half with ``band``.
     """
     modes = grid._axis_mesh(axis)
     if band:
-        modes = np.take(modes, _band_box(grid)[axis].ravel(), axis=axis)
+        modes = np.take(modes, _band_half(grid)[axis].ravel(), axis=axis)
     factor = sign * -1j if adjoint else sign * 1j
     return factor * modes
 
@@ -201,8 +238,10 @@ def _derivative_symbol(
 class FormField:
     """Differential form of fixed degree stored spectrally on a grid.
 
-    Compared by identity: ``==`` is ``is`` and ``hash`` is the object's
-    id, because arrays of coefficients have no single truth value.
+    Each component is its rfftn half spectrum, shape ``grid.half_shape``
+    (see the module docstring).  Compared by identity: ``==`` is ``is`` and
+    ``hash`` is the object's id, because arrays of coefficients have no
+    single truth value.
     """
 
     grid: SpectralGrid
@@ -221,8 +260,8 @@ class FormField:
                 f"components, got {len(self.components)}"
             )
         for c in self.components:
-            if c.shape != self.grid.shape:
-                raise ValueError("component shape does not match grid")
+            if c.shape != self.grid.half_shape:
+                raise ValueError("component shape is not the grid's half_shape")
             if not np.iscomplexobj(c):
                 raise ValueError("components must be complex spectral arrays")
 
@@ -231,7 +270,7 @@ class FormField:
     @staticmethod
     def zeros(grid: SpectralGrid, degree: int) -> "FormField":
         comps = tuple(
-            np.zeros(grid.shape, dtype=np.complex128)
+            np.zeros(grid.half_shape, dtype=np.complex128)
             for _ in range(grid.component_count(degree))
         )
         return FormField(grid, degree, comps)
@@ -240,7 +279,7 @@ class FormField:
     def from_coefficients(
         grid: SpectralGrid, degree: int, comps: Sequence[np.ndarray]
     ) -> "FormField":
-        """Wrap spectral coefficient arrays, zeroing Nyquist columns."""
+        """Wrap half-spectrum coefficient arrays, zeroing Nyquist modes."""
         cleaned = []
         for c in comps:
             arr = np.array(c, dtype=np.complex128)
@@ -252,25 +291,35 @@ class FormField:
     def from_physical(
         grid: SpectralGrid, degree: int, samples: Sequence[np.ndarray]
     ) -> "FormField":
-        """Build a field from real sample arrays on the grid."""
-        size = grid.res**grid.n
+        """Build a field from real sample arrays on the grid.
+
+        Raises FieldIntegrityError for NaN or infinite samples.
+        """
         comps = []
         for s in samples:
             arr = np.asarray(s, dtype=np.float64)
             if arr.shape != grid.shape:
                 raise ValueError("sample shape does not match grid")
-            comps.append(np.fft.fftn(arr) / size)
+            if not np.all(np.isfinite(arr)):
+                raise FieldIntegrityError("from_physical got non-finite samples")
+            comps.append(np.fft.rfftn(arr, norm="forward"))
         return FormField.from_coefficients(grid, degree, comps)
 
     # -- basic queries ---------------------------------------------------
 
     def coefficient(self, k: Sequence[int], component: int = 0) -> complex:
-        """Fourier coefficient at integer wavevector k."""
+        """Fourier coefficient at integer wavevector k; for k_last < 0 the
+        conjugate of the stored one at -k."""
+        if k[-1] < 0:
+            return self.coefficient([-kj for kj in k], component).conjugate()
         idx = tuple(int(kj) % self.grid.res for kj in k)
         return complex(self.components[component][idx])
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return all(_is_hermitian(c, tol) for c in self.components)
+        """Whether every component's k_last = 0 plane is finite and
+        conjugate symmetric, the only part of a half that can make the
+        field non-real."""
+        return all(_is_hermitian(c[..., 0], tol) for c in self.components)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -319,19 +368,13 @@ class FormField:
 def to_physical(u: FormField) -> list[np.ndarray]:
     """Real sample arrays of every component.
 
-    Raises FieldIntegrityError when coefficients are not Hermitian
-    symmetric (the field would not be real).  The samples are the real
-    inverse transform (irfftn) of the half spectrum k_last >= 0, which
-    relies on that symmetry for the other half.
+    The samples are the real inverse transform (irfftn) of each half.
+    Raises FieldIntegrityError when a k_last = 0 plane is not Hermitian
+    symmetric or not finite (the field would not be real).
     """
     if not u.is_hermitian(tol=1e-10):
         raise FieldIntegrityError("coefficients are not Hermitian symmetric")
-    grid = u.grid
-    half = grid.res // 2 + 1
-    return [
-        np.fft.irfftn(c[..., :half], s=grid.shape, axes=tuple(range(grid.n)), norm="forward")
-        for c in u.components
-    ]
+    return [_to_grid(u.grid, c) for c in u.components]
 
 
 def from_physical(
@@ -351,7 +394,7 @@ def exterior_derivative(u: FormField) -> FormField:
             f"exterior derivative undefined at top degree {u.degree}"
         )
     out = [
-        np.zeros(grid.shape, dtype=np.complex128)
+        np.zeros(grid.half_shape, dtype=np.complex128)
         for _ in range(grid.component_count(u.degree + 1))
     ]
     for out_idx, in_idx, axis, sign in _insertion_table(grid.n, u.degree):
@@ -370,7 +413,7 @@ def codifferential(u: FormField) -> FormField:
     if u.degree <= 0:
         raise ValueError("codifferential undefined at degree 0")
     out = [
-        np.zeros(grid.shape, dtype=np.complex128)
+        np.zeros(grid.half_shape, dtype=np.complex128)
         for _ in range(grid.component_count(u.degree - 1))
     ]
     for in_idx, out_idx, axis, sign in _insertion_table(grid.n, u.degree - 1):
@@ -456,10 +499,7 @@ def split_derivative(
 def inner_product(u: FormField, v: FormField) -> float:
     """L^2 pairing with unit-normalised measure, summed over components."""
     u._check_compatible(v)
-    total = 0.0 + 0.0j
-    for a, b in zip(u.components, v.components):
-        total += np.vdot(b, a)  # sum conj(b) * a = sum a * conj(b)
-    return float(np.real(total))
+    return float(sum(_parseval(a, b) for a, b in zip(u.components, v.components)))
 
 
 def l2_norm(u: FormField) -> float:
@@ -500,15 +540,15 @@ def resample(u: FormField, new_grid: SpectralGrid) -> FormField:
     independent Fourier-series coefficients)."""
     if new_grid.n != u.grid.n:
         raise ValueError("resampling cannot change the torus dimension")
-    old = u.grid
+    old, n = u.grid, u.grid.n
     keep = int(min(old.res, new_grid.res) // 2 - 1)
-    src_modes = [k for k in old.axis_modes if abs(k) <= keep]
-    src_idx = np.array([k % old.res for k in src_modes])
-    dst_idx = np.array([k % new_grid.res for k in src_modes])
+    lead = np.arange(-keep, keep + 1)
+    src = np.ix_(*([lead % old.res] * (n - 1)), np.arange(keep + 1))
+    dst = np.ix_(*([lead % new_grid.res] * (n - 1)), np.arange(keep + 1))
     comps = []
     for c in u.components:
-        out = np.zeros(new_grid.shape, dtype=np.complex128)
-        out[np.ix_(*([dst_idx] * new_grid.n))] = c[np.ix_(*([src_idx] * old.n))]
+        out = np.zeros(new_grid.half_shape, dtype=np.complex128)
+        out[dst] = c[src]
         comps.append(out)
     return FormField(new_grid, u.degree, tuple(comps))
 
@@ -526,16 +566,11 @@ def random_form(
     is real by construction; modes with any |k_j| > kmax are dropped
     (default kmax = res/3, inside the dealias band).
     """
-    if kmax is None:
-        kmax = grid.res / 3.0
-    band = np.all(np.abs(grid.wavevectors) <= kmax, axis=0)
+    band = grid.dealias_mask if kmax is None else grid._box_mask(kmax)
     comps = []
-    size = grid.res**grid.n
     for _ in range(grid.component_count(degree)):
         noise = rng.standard_normal(grid.shape)
-        c = np.fft.fftn(noise) / size
-        c = np.where(band, c, 0.0)
-        comps.append(c)
+        comps.append(np.where(band, np.fft.rfftn(noise, norm="forward"), 0.0))
     field = FormField.from_coefficients(grid, degree, comps)
     if mean_free:
         field = remove_harmonic(field)
@@ -576,7 +611,5 @@ def load_field(path) -> FormField:
         if fh.read(1):
             raise FieldIntegrityError("snapshot has bytes after its payload")
         flat = np.frombuffer(raw, dtype="<f8")
-    if not np.all(np.isfinite(flat)):
-        raise FieldIntegrityError("snapshot holds non-finite samples")
     samples = flat.reshape((count,) + grid.shape)
     return FormField.from_physical(grid, degree, list(samples))

@@ -81,6 +81,7 @@ from .spectral import (
     random_form,
     remove_harmonic,
     resample,
+    to_physical,
 )
 
 REPORT_STATUSES = ("pass", "fail", "measured")
@@ -107,17 +108,17 @@ class CheckRecord:
         }
 
 
-def _upper(check_id: str, anchor: str, value: float, tol: float) -> CheckRecord:
+def upper_check(check_id: str, anchor: str, value: float, tol: float) -> CheckRecord:
     status = "pass" if math.isfinite(value) and value <= tol else "fail"
     return CheckRecord(check_id, anchor, status, float(value), tol)
 
 
-def _lower(check_id: str, anchor: str, value: float, floor: float) -> CheckRecord:
+def lower_check(check_id: str, anchor: str, value: float, floor: float) -> CheckRecord:
     status = "pass" if math.isfinite(value) and value >= floor else "fail"
     return CheckRecord(check_id, anchor, status, float(value), floor)
 
 
-def _measured(check_id: str, anchor: str, value: float) -> CheckRecord:
+def measured_check(check_id: str, anchor: str, value: float) -> CheckRecord:
     return CheckRecord(check_id, anchor, "measured", float(value), None)
 
 
@@ -167,7 +168,7 @@ def _observed_order(values: Sequence[float]) -> float:
     return float(min(rates))
 
 
-def _rel(defect: float, *scales: float) -> float:
+def relative(defect: float, *scales: float) -> float:
     return defect / max(sum(scales), 1e-300)
 
 
@@ -234,48 +235,48 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
             if degree + 2 <= n:
                 du = exterior_derivative(u)
                 bump(f"dd-zero-n{n}",
-                     _rel(l2_norm(exterior_derivative(du)), h2, nu))
+                     relative(l2_norm(exterior_derivative(du)), h2, nu))
             if degree - 2 >= 0:
                 su = codifferential(u)
                 bump(f"delta-delta-zero-n{n}",
-                     _rel(l2_norm(codifferential(su)), h2, nu))
+                     relative(l2_norm(codifferential(su)), h2, nu))
             if degree + 1 <= n:
                 w = random_form(grid, degree + 1, rng)
                 du = exterior_derivative(u)
                 sw = codifferential(w)
                 gap = abs(inner_product(du, w) - inner_product(u, sw))
                 bump(f"adjoint-pairing-n{n}",
-                     _rel(gap, l2_norm(du) * l2_norm(w), nu * l2_norm(sw)))
+                     relative(gap, l2_norm(du) * l2_norm(w), nu * l2_norm(sw)))
             lap = hodge_laplacian(u)
             bump(f"laplacian-multiplier-n{n}",
-                 _rel(l2_norm(lap - fractional_power(u, 2.0)), l2_norm(lap)))
+                 relative(l2_norm(lap - fractional_power(u, 2.0)), l2_norm(lap)))
             # parametrix inverts the Laplacian off the harmonic modes
             mean_free = remove_harmonic(u)
             bump(f"parametrix-left-n{n}",
-                 _rel(l2_norm(parametrix(lap) - mean_free), nu))
+                 relative(l2_norm(parametrix(lap) - mean_free), nu))
             bump(f"parametrix-right-n{n}",
-                 _rel(l2_norm(hodge_laplacian(parametrix(u)) - mean_free), nu))
+                 relative(l2_norm(hodge_laplacian(parametrix(u)) - mean_free), nu))
             pi = harmonic_projection(u)
             bump(f"harmonic-idempotent-n{n}",
-                 _rel(l2_norm(harmonic_projection(pi) - pi), nu))
+                 relative(l2_norm(harmonic_projection(pi) - pi), nu))
             gap = abs(inner_product(pi, v) - inner_product(u, harmonic_projection(v)))
-            bump(f"harmonic-self-adjoint-n{n}", _rel(gap, nu * l2_norm(v)))
+            bump(f"harmonic-self-adjoint-n{n}", relative(gap, nu * l2_norm(v)))
             bump(f"harmonic-kills-mean-free-n{n}",
-                 _rel(l2_norm(harmonic_projection(mean_free)), nu))
+                 relative(l2_norm(harmonic_projection(mean_free)), nu))
             s, t = 1.5, 0.75
             semi = fractional_power(fractional_power(u, s), t)
             bump(f"fractional-semigroup-n{n}",
-                 _rel(l2_norm(semi - fractional_power(u, s + t)),
-                      l2_norm(fractional_power(u, s + t))))
+                 relative(l2_norm(semi - fractional_power(u, s + t)),
+                          l2_norm(fractional_power(u, s + t))))
             for m in (1, 2, 3):
                 gap = abs(split_sobolev_norm(u, m)
                           - sobolev_norm(u, SobolevIndex(float(m), 2.0)))
                 bump(f"split-gradient-parseval-n{n}",
-                     _rel(gap, sobolev_norm(u, SobolevIndex(float(m), 2.0))))
+                     relative(gap, sobolev_norm(u, SobolevIndex(float(m), 2.0))))
         # the image of Pi is exactly the constants, one per component
         probe_gap = 0.0
         for comp in range(grid.component_count(degree)):
-            coeffs = [np.zeros(grid.shape, dtype=np.complex128)
+            coeffs = [np.zeros(grid.half_shape, dtype=np.complex128)
                       for _ in range(grid.component_count(degree))]
             coeffs[comp][zero_mode] = 1.0
             e = FormField(grid, degree, tuple(coeffs))
@@ -294,7 +295,7 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
             "fractional": "gradient-multiplier",
             "split": "norm-equivalence",
         }[key.split("-")[0]]
-        records.append(_upper(f"complex/{key}", anchor, worst[key], 1e-12))
+        records.append(upper_check(f"complex/{key}", anchor, worst[key], 1e-12))
     return records
 
 
@@ -317,28 +318,28 @@ def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
             nu = l2_norm(u)
             pu = helmholtz_project(u)
             bump(f"projection-idempotent-n{n}",
-                 _rel(l2_norm(helmholtz_project(pu) - pu), nu))
+                 relative(l2_norm(helmholtz_project(pu) - pu), nu))
             gap = abs(inner_product(pu, v) - inner_product(u, helmholtz_project(v)))
-            bump(f"projection-self-adjoint-n{n}", _rel(gap, nu * l2_norm(v)))
+            bump(f"projection-self-adjoint-n{n}", relative(gap, nu * l2_norm(v)))
             bump(f"projection-orthogonal-n{n}",
-                 _rel(abs(inner_product(pu, u - pu)), nu * nu))
+                 relative(abs(inner_product(pu, u - pu)), nu * nu))
             if degree >= 1:
                 bump(f"projection-coclosed-n{n}",
-                     _rel(l2_norm(codifferential(pu)),
-                          sobolev_norm(u, SobolevIndex(1.0, 2.0))))
+                     relative(l2_norm(codifferential(pu)),
+                              sobolev_norm(u, SobolevIndex(1.0, 2.0))))
             dec = hodge_decompose(u)
             total = dec.exact + dec.coexact + dec.harmonic
-            bump(f"decomposition-reassembly-n{n}", _rel(l2_norm(total - u), nu))
+            bump(f"decomposition-reassembly-n{n}", relative(l2_norm(total - u), nu))
             pythag = abs(
                 nu**2 - l2_norm(dec.exact) ** 2 - l2_norm(dec.coexact) ** 2
                 - l2_norm(dec.harmonic) ** 2
             )
-            bump(f"decomposition-pythagoras-n{n}", _rel(pythag, nu**2))
+            bump(f"decomposition-pythagoras-n{n}", relative(pythag, nu**2))
             if degree + 1 <= n:
                 da = exterior_derivative(u)
                 dd = hodge_decompose(da)
                 bump(f"decomposition-exact-input-n{n}",
-                     _rel(l2_norm(dd.coexact) + l2_norm(dd.harmonic), l2_norm(da)))
+                     relative(l2_norm(dd.coexact) + l2_norm(dd.harmonic), l2_norm(da)))
             if degree >= 1:
                 # gradients of mean-free coclosed potentials round-trip
                 q = random_form(grid, degree - 1, rng)
@@ -346,14 +347,14 @@ def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
                 if l2_norm(q) > 0:
                     rec = recover_pressure(exterior_derivative(q))
                     bump(f"pressure-roundtrip-n{n}",
-                         _rel(l2_norm(rec - q), l2_norm(q)))
+                         relative(l2_norm(rec - q), l2_norm(q)))
     records = []
     for key in sorted(worst):
         anchor = ("pressure-gradient-inversion" if key.startswith("pressure")
                   else "projection-formula" if key.startswith("projection")
                   else "hodge-decomposition")
         tol = 1e-10 if key.startswith("pressure") else 1e-12
-        records.append(_upper(f"hodge/{key}", anchor, worst[key], tol))
+        records.append(upper_check(f"hodge/{key}", anchor, worst[key], tol))
     return records
 
 
@@ -370,18 +371,18 @@ def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
             for m in range(7):
                 ref = sobolev_norm(u, SobolevIndex(float(m), 2.0))
                 worst_tilde = max(
-                    worst_tilde, _rel(abs(split_sobolev_norm(u, m) - ref), ref))
+                    worst_tilde, relative(abs(split_sobolev_norm(u, m) - ref), ref))
             for m in (0, 1, 2):
                 quad = sobolev_norm(u, SobolevIndex(float(m), 2.0))
                 grad = (l2_norm(fractional_power(u, float(m))) if m > 0
                         else l2_norm(remove_harmonic(u)))
                 spec_val = math.hypot(grad, l2_norm(harmonic_projection(u)))
                 worst_two_ways = max(worst_two_ways,
-                                     _rel(abs(quad - spec_val), spec_val))
-    records.append(_upper("norms/tilde-equals-nabla", "norm-equivalence",
-                          worst_tilde, 1e-12))
-    records.append(_upper("norms/nabla-two-ways", "norm-equivalence",
-                          worst_two_ways, 1e-10))
+                                     relative(abs(quad - spec_val), spec_val))
+    records.append(upper_check("norms/tilde-equals-nabla", "norm-equivalence",
+                               worst_tilde, 1e-12))
+    records.append(upper_check("norms/nabla-two-ways", "norm-equivalence",
+                               worst_two_ways, 1e-10))
 
     # time-grid refinement: trapezoid integration converges at order 2
     base = build_basis(SpectralGrid(2, 16), 1, 1).fields[0]
@@ -393,16 +394,16 @@ def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
         sol = TimeSeriesSolution(times, series, dt_cache=cache)
         values.append(bochner_norm(sol, BochnerIndex(0, 1)))
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
-    records.append(_lower("norms/bochner-refinement-order", "parabolic-norm",
-                          _observed_order(diffs), 1.9))
+    records.append(lower_check("norms/bochner-refinement-order", "parabolic-norm",
+                               _observed_order(diffs), 1.9))
 
     # saturated exponential envelope: Y' = Y, A = 1, B = 1
     times = np.linspace(0.0, 1.0, 1001)
     Y = np.exp(times)
     rep = gronwall_envelope(times, np.ones_like(times), np.ones_like(times), Y)
     excess = float(np.max((Y - rep.envelope) / np.maximum(rep.envelope, 1.0)))
-    records.append(_upper("norms/gronwall-saturation", "integral-envelope",
-                          max(excess, 0.0), 1e-9))
+    records.append(upper_check("norms/gronwall-saturation", "integral-envelope",
+                               max(excess, 0.0), 1e-9))
 
     # dissipative solver energy sits under the constant envelope
     cfg = SolverConfig(mu=0.5, T=0.5, dt=0.01, res=16, preset="zero")
@@ -412,8 +413,8 @@ def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
     rep = gronwall_envelope(sol.times, np.full_like(sol.times, energies[0]),
                             np.zeros_like(sol.times), energies)
     value = 0.0 if rep.holds else 1.0
-    records.append(_upper("norms/gronwall-heat-envelope", "integral-envelope",
-                          value, 0.5))
+    records.append(upper_check("norms/gronwall-heat-envelope", "integral-envelope",
+                               value, 0.5))
 
     # embedding ratio is stable under resolution doubling (exact resample)
     grid16 = SpectralGrid(2, 16)
@@ -432,11 +433,11 @@ def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
         l2_of_sup = float(np.sqrt(np.trapezoid(sup_series**2, sol.times)))
         vel = bochner_norm(lifted, BochnerIndex(0, 1))
         ratios.append((l2_of_sup + float(np.max(ln_series))) / vel)
-    records.append(_measured("norms/embedding-ratio", "parabolic-embedding",
-                             ratios[0]))
-    records.append(_upper("norms/embedding-ratio-stability",
-                          "parabolic-embedding",
-                          abs(ratios[1] / ratios[0] - 1.0), 0.10))
+    records.append(measured_check("norms/embedding-ratio", "parabolic-embedding",
+                                  ratios[0]))
+    records.append(upper_check("norms/embedding-ratio-stability",
+                               "parabolic-embedding",
+                               abs(ratios[1] / ratios[0] - 1.0), 0.10))
     return records
 
 
@@ -460,19 +461,15 @@ def _nonlinearity_suite(rng: np.random.Generator,
             for _ in range(pairs):
                 u = random_form(grid, bmap.degree_first, rng)
                 v = random_form(grid, bmap.degree_second, rng)
-                out = bmap.apply_fibre(
-                    np.stack([np.real(np.fft.ifftn(c)) * c.size
-                              for c in u.components]),
-                    np.stack([np.real(np.fft.ifftn(c)) * c.size
-                              for c in v.components]),
-                )
+                out = bmap.apply_fibre(np.stack(to_physical(u)),
+                                       np.stack(to_physical(v)))
                 mag = np.sqrt(np.sum(out**2, axis=0))
                 bound = bmap.operator_norm * pointwise_magnitude(u) * \
                     pointwise_magnitude(v)
                 excess = float(np.max(mag - bound) / max(np.max(bound), 1e-300))
                 worst_pointwise = max(worst_pointwise, excess)
-    records.append(_upper("nonlinearity/pointwise-bound", "fibre-bound",
-                          max(worst_pointwise, 0.0), 1e-12))
+    records.append(upper_check("nonlinearity/pointwise-bound", "fibre-bound",
+                               max(worst_pointwise, 0.0), 1e-12))
 
     grid = SpectralGrid(2, 24)
     ns = navier_stokes_config(2)
@@ -498,14 +495,14 @@ def _nonlinearity_suite(rng: np.random.Generator,
             worst["convective"],
             l2_norm(nonlinear_term(v, ns) - convective_term(v, v)) / scale,
         )
-    records.append(_upper("nonlinearity/polarization", "quadratic-polarization",
-                          worst["polarization"], 1e-14))
-    records.append(_upper("nonlinearity/bilinear-linearity",
-                          "quadratic-polarization", worst["linearity"], 1e-12))
-    records.append(_upper("nonlinearity/trilinear-vanishing",
-                          "trilinear-cancellation", worst["trilinear"], 1e-10))
-    records.append(_upper("nonlinearity/convective-agreement",
-                          "advective-form", worst["convective"], 1e-12))
+    records.append(upper_check("nonlinearity/polarization", "quadratic-polarization",
+                               worst["polarization"], 1e-14))
+    records.append(upper_check("nonlinearity/bilinear-linearity",
+                               "quadratic-polarization", worst["linearity"], 1e-12))
+    records.append(upper_check("nonlinearity/trilinear-vanishing",
+                               "trilinear-cancellation", worst["trilinear"], 1e-10))
+    records.append(upper_check("nonlinearity/convective-agreement",
+                               "advective-form", worst["convective"], 1e-12))
 
     # band-limited products are aliasing-free: doubling res changes nothing
     coarse = SpectralGrid(2, 24)
@@ -517,15 +514,15 @@ def _nonlinearity_suite(rng: np.random.Generator,
         nf = nonlinear_term(resample(v, fine), ns)
         worst_alias = max(
             worst_alias,
-            _rel(l2_norm(resample(nf, coarse) - nc), l2_norm(nc)))
-    records.append(_upper("nonlinearity/dealias-consistency", "dealiasing",
-                          worst_alias, 1e-12))
+            relative(l2_norm(resample(nf, coarse) - nc), l2_norm(nc)))
+    records.append(upper_check("nonlinearity/dealias-consistency", "dealiasing",
+                               worst_alias, 1e-12))
 
     cont_seed = int(rng.integers(0, 2**32))
     survey = continuity_bound_survey(ns, SpectralGrid(2, 24), trials=40,
                                      k=0, s=1, seed=cont_seed, kmax=4.0)
-    records.append(_measured("nonlinearity/continuity-max-ratio",
-                             "bilinear-continuity", survey.max_ratio))
+    records.append(measured_check("nonlinearity/continuity-max-ratio",
+                                  "bilinear-continuity", survey.max_ratio))
     # evaluate the same ratio on exactly resampled pairs at doubled res
     times = np.linspace(0.0, 1.0, 3)
     rng2 = np.random.default_rng(cont_seed)
@@ -548,8 +545,8 @@ def _nonlinearity_suite(rng: np.random.Generator,
             )
             vals.append(num / den)
         worst_change = max(worst_change, abs(vals[1] / vals[0] - 1.0))
-    records.append(_upper("nonlinearity/continuity-stability",
-                          "bilinear-continuity", worst_change, 0.10))
+    records.append(upper_check("nonlinearity/continuity-stability",
+                               "bilinear-continuity", worst_change, 0.10))
     return records
 
 
@@ -568,32 +565,32 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
     sol = solve_nonlinear(None, taylor_green_state(bench_grid), cfg,
                           store_every=cfg.steps // 10, derivatives=0)
     vel_err, pre_err = _vortex_errors(sol, bench_grid, cfg.mu)
-    records.append(_upper("solver/vortex-velocity-error",
-                          "exact-vortex-solution", vel_err, 1e-5))
-    records.append(_upper("solver/vortex-pressure-error",
-                          "exact-vortex-solution", pre_err, 1e-4))
+    records.append(upper_check("solver/vortex-velocity-error",
+                               "exact-vortex-solution", vel_err, 1e-5))
+    records.append(upper_check("solver/vortex-pressure-error",
+                               "exact-vortex-solution", pre_err, 1e-4))
 
     # self-convergence orders under step halving
     for scheme, floor in (("imex-euler", 0.9), ("imex-rk2", 1.9)):
-        records.append(_lower(f"solver/convergence-{scheme}-order",
-                              "scheme-accuracy",
-                              _self_convergence_order(scheme, res), floor))
+        records.append(lower_check(f"solver/convergence-{scheme}-order",
+                                   "scheme-accuracy",
+                                   _self_convergence_order(scheme, res), floor))
 
     # divergence-free invariance and energy laws on one trajectory
     cfg = SolverConfig(mu=0.2, T=0.2, dt=2e-3, res=res, scheme="imex-rk2")
     sol = solve_nonlinear(None, u0, cfg)
-    div = max(_rel(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
-    records.append(_upper("solver/divergence-free-invariance",
-                          "state-space-constraint", div, 1e-12))
+    div = max(relative(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
+    records.append(upper_check("solver/divergence-free-invariance",
+                               "state-space-constraint", div, 1e-12))
     energies = [l2_norm(u) for u in sol.u]
     rises = max(b - a for a, b in zip(energies, energies[1:]))
-    records.append(_upper("solver/energy-monotone", "energy-identity",
-                          max(rises, 0.0), 1e-13))
+    records.append(upper_check("solver/energy-monotone", "energy-identity",
+                               max(rises, 0.0), 1e-13))
     grads = [l2_norm(fractional_power(u, 1)) ** 2 for u in sol.u]
     dissipated = 2 * cfg.mu * float(np.trapezoid(grads, sol.times))
     balance = abs(energies[-1] ** 2 + dissipated - energies[0] ** 2)
-    records.append(_upper("solver/energy-balance", "energy-identity",
-                          _rel(balance, energies[0] ** 2), 1e-6))
+    records.append(upper_check("solver/energy-balance", "energy-identity",
+                               relative(balance, energies[0] ** 2), 1e-6))
 
     energy_res, lions_res, pressure_res = [], [], []
     for dt in (8e-3, 4e-3, 2e-3):
@@ -609,14 +606,14 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
                 + nonlinear_term(s.u[j], ns) + exterior_derivative(s.p[j])
             worst = max(worst, l2_norm(full))
         pressure_res.append(worst)
-    records.append(_lower("solver/energy-identity-order", "energy-identity",
-                          _observed_order(energy_res), 1.9))
-    records.append(_lower("solver/lions-identity-order",
-                          "derivative-pairing-identity",
-                          _observed_order(lions_res), 1.9))
-    records.append(_lower("solver/pressure-residual-order",
-                          "pressure-reconstruction",
-                          _observed_order(pressure_res), 1.9))
+    records.append(lower_check("solver/energy-identity-order", "energy-identity",
+                               _observed_order(energy_res), 1.9))
+    records.append(lower_check("solver/lions-identity-order",
+                               "derivative-pairing-identity",
+                               _observed_order(lions_res), 1.9))
+    records.append(lower_check("solver/pressure-residual-order",
+                               "pressure-reconstruction",
+                               _observed_order(pressure_res), 1.9))
 
     # different schemes agree at the coarser scheme's order
     gaps = []
@@ -628,8 +625,8 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
                                         derivatives=0,
                                         with_pressure=False).u[-1])
         gaps.append(l2_norm(pair[0] - pair[1]))
-    records.append(_lower("solver/scheme-agreement-order", "uniqueness",
-                          _observed_order(gaps), 0.9))
+    records.append(lower_check("solver/scheme-agreement-order", "uniqueness",
+                               _observed_order(gaps), 0.9))
 
     # linearized bijection: forward-inverse round trip and uniqueness
     small = SpectralGrid(2, max(8, res // 2))
@@ -645,9 +642,9 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
             s = apply_inverse(op, f, v0, c)
             residuals.append(discrete_residual(s, c, w_series=w, f_series=f,
                                                ns_cfg=ns))
-        records.append(_lower(f"solver/roundtrip-{scheme}-order",
-                              "linearized-bijection",
-                              _observed_order(residuals), floor))
+        records.append(lower_check(f"solver/roundtrip-{scheme}-order",
+                                   "linearized-bijection",
+                                   _observed_order(residuals), floor))
     cfg_u = SolverConfig(mu=0.2, T=0.1, dt=5e-3, res=small.res,
                          scheme="imex-rk2")
     flipped = basis.reordered(list(reversed(range(basis.m))))
@@ -656,8 +653,8 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
         op = assemble_linearized(w, cfg_u.mu, b, cfg_u.times(), ns)
         ends.append(apply_inverse(op, f, v0, cfg_u,
                                   store_every=cfg_u.steps).u[-1])
-    records.append(_upper("solver/uniqueness-reordered", "uniqueness",
-                          l2_norm(ends[0] - ends[1]), 1e-10))
+    records.append(upper_check("solver/uniqueness-reordered", "uniqueness",
+                               l2_norm(ends[0] - ends[1]), 1e-10))
 
     # the discrete forward map is exactly quadratic
     cfg_f = SolverConfig(mu=0.1, T=0.05, dt=5e-3, res=res, scheme="imex-euler")
@@ -677,40 +674,40 @@ def _solver_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]
         for j in range(cfg_f.steps)
     )
     defect = max(defect, l2_norm(head_s - head_u - head_l * eps))
-    records.append(_upper("solver/frechet-exactness",
-                          "quadratic-map-derivative", _rel(defect, scale),
-                          1e-12))
+    records.append(upper_check("solver/frechet-exactness",
+                               "quadratic-map-derivative", relative(defect, scale),
+                               1e-12))
 
     # local inversion of the discrete map near the benchmark trajectory
     cfg_n = SolverConfig(mu=0.1, T=0.1, dt=2e-3, res=res, scheme="imex-euler")
-    base, f_cells, results, displacements = _newton_openness(cfg_n, ns, rng)
+    base, f_cells, results, displacements = newton_openness(cfg_n, ns, rng)
     exact = newton_local_inverse(f_cells, base.u[0], base, cfg_n)
-    records.append(_upper("solver/newton-exact-seed-iterations",
-                          "local-inversion", float(exact.iterations), 0.0))
-    records.append(_upper("solver/newton-iterations", "local-inversion",
-                          float(results[0].iterations), 6.0))
-    records.append(_upper("solver/newton-residual", "local-inversion",
-                          results[0].residual_history[-1], 1e-8))
+    records.append(upper_check("solver/newton-exact-seed-iterations",
+                               "local-inversion", float(exact.iterations), 0.0))
+    records.append(upper_check("solver/newton-iterations", "local-inversion",
+                               float(results[0].iterations), 6.0))
+    records.append(upper_check("solver/newton-residual", "local-inversion",
+                               results[0].residual_history[-1], 1e-8))
     ratio = displacements[1] / displacements[0]
-    records.append(_upper("solver/newton-displacement-deviation",
-                          "local-inversion", abs(ratio - 0.5), 0.1))
+    records.append(upper_check("solver/newton-displacement-deviation",
+                               "local-inversion", abs(ratio - 0.5), 0.1))
 
     # truncated approximations stay uniformly bounded and contract
     cfg_g = SolverConfig(mu=0.2, T=0.2, dt=5e-3, res=16)
     study = galerkin_convergence_study(
         None, _two_band_state(SpectralGrid(2, 16)), cfg_g, ms=(16, 32, 64, 120))
     first = study.bounded_quantities[0]
-    records.append(_upper("solver/galerkin-uniform-bound",
-                          "galerkin-uniform-bounds",
-                          float(np.max(study.bounded_quantities) / first - 1.0),
-                          0.05))
+    records.append(upper_check("solver/galerkin-uniform-bound",
+                               "galerkin-uniform-bounds",
+                               float(np.max(study.bounded_quantities) / first - 1.0),
+                               0.05))
     decay = study.cauchy_differences[:-1] / study.cauchy_differences[1:]
-    records.append(_lower("solver/galerkin-cauchy-min", "galerkin-uniform-bounds",
-                          float(np.min(decay)), 2.0))
+    records.append(lower_check("solver/galerkin-cauchy-min", "galerkin-uniform-bounds",
+                               float(np.min(decay)), 2.0))
     return records
 
 
-def _newton_openness(cfg: SolverConfig, ns, rng: np.random.Generator):
+def newton_openness(cfg: SolverConfig, ns, rng: np.random.Generator):
     """The openness experiment of the local inversion on the vortex.
 
     Steps the vortex, takes its discrete forward data, moves the forcing
@@ -743,8 +740,8 @@ def _vortex_errors(sol: TimeSeriesSolution, grid: SpectralGrid,
     for t, u, p in zip(sol.times, sol.u, sol.p):
         exact_u = taylor_green_state(grid, float(t), mu)
         exact_p = taylor_green_pressure_field(grid, float(t), mu)
-        vel_err = max(vel_err, _rel(l2_norm(u - exact_u), l2_norm(exact_u)))
-        pre_err = max(pre_err, _rel(l2_norm(p - exact_p), l2_norm(exact_p)))
+        vel_err = max(vel_err, relative(l2_norm(u - exact_u), l2_norm(exact_u)))
+        pre_err = max(pre_err, relative(l2_norm(p - exact_p), l2_norm(exact_p)))
     return vel_err, pre_err
 
 
@@ -829,10 +826,10 @@ def gn_ratio_survey(seed: int = 0, trials: int = 1000, res: int = 32,
 def gn_survey_records(report: GNSurveyReport) -> list[CheckRecord]:
     """Measured max ratio plus the resolution-stability verdict."""
     return [
-        _measured("gn/interpolation-max-ratio", "interpolation-inequality",
-                  report.max_ratio),
-        _upper("gn/interpolation-stability", "interpolation-inequality",
-               report.relative_change, 0.10),
+        measured_check("gn/interpolation-max-ratio", "interpolation-inequality",
+                       report.max_ratio),
+        upper_check("gn/interpolation-stability", "interpolation-inequality",
+                    report.relative_change, 0.10),
     ]
 
 
@@ -888,24 +885,24 @@ def _taylor_green_experiment(spec: ExperimentSpec) -> list[CheckRecord]:
     sol = solve_nonlinear(f, u0, cfg, ns,
                           store_every=max(1, cfg.steps // 20))
     records = []
-    div = max(_rel(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
-    records.append(_upper("taylor-green/divergence-free",
-                          "state-space-constraint", div, 1e-12))
+    div = max(relative(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
+    records.append(upper_check("taylor-green/divergence-free",
+                               "state-space-constraint", div, 1e-12))
     if f is None:
         energies = [l2_norm(u) for u in sol.u]
         rises = max(b - a for a, b in zip(energies, energies[1:]))
-        records.append(_upper("taylor-green/energy-monotone",
-                              "energy-identity", max(rises, 0.0), 1e-13))
+        records.append(upper_check("taylor-green/energy-monotone",
+                                   "energy-identity", max(rises, 0.0), 1e-13))
     if not custom:
         vel_err, pre_err = _vortex_errors(sol, grid, cfg.mu)
-        records.append(_upper("taylor-green/velocity-error",
-                              "exact-vortex-solution", vel_err, 1e-5))
-        records.append(_upper("taylor-green/pressure-error",
-                              "exact-vortex-solution", pre_err, 1e-4))
+        records.append(upper_check("taylor-green/velocity-error",
+                                   "exact-vortex-solution", vel_err, 1e-5))
+        records.append(upper_check("taylor-green/pressure-error",
+                                   "exact-vortex-solution", pre_err, 1e-4))
         floor = 1.9 if cfg.scheme == "imex-rk2" else 0.9
-        records.append(_lower("taylor-green/convergence-order",
-                              "scheme-accuracy",
-                              _self_convergence_order(cfg.scheme, 16), floor))
+        records.append(lower_check("taylor-green/convergence-order",
+                                   "scheme-accuracy",
+                                   _self_convergence_order(cfg.scheme, 16), floor))
     if spec.out_dir is not None:
         save_solution(sol, Path(spec.out_dir) / "solution")
         emit_plot_data(sol, ("energy", "grad-energy"), spec.out_dir)

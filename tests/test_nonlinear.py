@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusforms.nonlinear as nonlinear_module
+import torusforms.spectral as spectral_module
 
 from oracles import convective_term_fd, quadrature_inner
 from torusforms.hodge import helmholtz_project
@@ -35,6 +36,14 @@ from torusforms.nonlinear import (
     trilinear_form,
     zero_config,
 )
+from torusforms.solver import (
+    SolverConfig,
+    apply_inverse,
+    assemble_linearized,
+    build_basis,
+    project_state,
+    solve_nonlinear,
+)
 from torusforms.spectral import (
     TWO_PI,
     FieldIntegrityError,
@@ -48,6 +57,7 @@ from torusforms.spectral import (
     resample,
     to_physical,
 )
+from torusforms.verify import gn_ratio_survey
 
 G2 = SpectralGrid(2, 32)
 G3 = SpectralGrid(3, 16)
@@ -271,6 +281,47 @@ class TestTransformBudget:
         assert calls.count("rfftn") == grid.n + 1
 
 
+class TestHermitianCheckScope:
+    """The reality check reads only k_last = 0 planes, never a whole spectrum."""
+
+    @staticmethod
+    def _planes(monkeypatch) -> list[int]:
+        dims: list[int] = []
+        original = spectral_module._is_hermitian
+
+        def recorded(plane, tol):
+            dims.append(plane.ndim)
+            return original(plane, tol)
+
+        for module in (spectral_module, nonlinear_module):
+            monkeypatch.setattr(module, "_is_hermitian", recorded)
+        return dims
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_solver_step(self, monkeypatch, n):
+        grid = SpectralGrid(n, 8)
+        u0 = project_state(random_form(grid, 1, np.random.default_rng(5)))
+        dims = self._planes(monkeypatch)
+        solve_nonlinear(random_form(grid, 1, np.random.default_rng(6)), u0,
+                        SolverConfig(mu=0.1, T=1e-3, dt=1e-3, res=8, n=n))
+        assert dims and set(dims) == {n - 1}
+
+    def test_gn_survey_trial(self, monkeypatch):
+        dims = self._planes(monkeypatch)
+        gn_ratio_survey(seed=3, trials=1, res=16)
+        assert dims and set(dims) == {2}
+
+    def test_apply_inverse(self, monkeypatch):
+        grid = SpectralGrid(2, 8)
+        cfg = SolverConfig(mu=0.1, T=2e-3, dt=1e-3, res=8)
+        op = assemble_linearized(None, cfg.mu, build_basis(grid, 1), cfg.times(), _ns(grid))
+        rng = np.random.default_rng(7)
+        u0 = project_state(random_form(grid, 1, rng))
+        dims = self._planes(monkeypatch)
+        apply_inverse(op, random_form(grid, 1, rng), u0, cfg)
+        assert dims and set(dims) == {1}
+
+
 class TestBandHalves:
     """The band-half form of N and B: the field form's halves, bit for bit."""
 
@@ -330,7 +381,11 @@ class TestBandHalves:
 class TestInputIntegrity:
     @staticmethod
     def _broken(grid: SpectralGrid, k: tuple[int, ...]) -> tuple[FormField, FormField]:
-        """A real field, and the same field with one unpaired mode at k."""
+        """A real field, and the same field with one unpaired mode at k.
+
+        k lies in the k_last = 0 plane, the only part of a half spectrum
+        that holds both a mode and its conjugate partner.
+        """
         u, _ = _pair(grid, 43)
         comps = [c.copy() for c in u.components]
         comps[0][tuple(kj % grid.res for kj in k)] += 0.3j
@@ -338,7 +393,7 @@ class TestInputIntegrity:
 
     @pytest.mark.parametrize("grid", [G2, G3])
     def test_in_band_asymmetry_rejected(self, grid):
-        k = (1, 2) if grid.n == 2 else (1, -2, 3)
+        k = (1, 0) if grid.n == 2 else (1, -2, 0)
         u, broken = self._broken(grid, k)
         cfg = _ns(grid)
         with pytest.raises(FieldIntegrityError, match="Hermitian"):
@@ -350,7 +405,7 @@ class TestInputIntegrity:
 
     @pytest.mark.parametrize("grid", [G2, G3])
     def test_zero_preset_checks_fields(self, grid):
-        k = (1, 2) if grid.n == 2 else (1, -2, 3)
+        k = (1, 0) if grid.n == 2 else (1, -2, 0)
         u, broken = self._broken(grid, k)
         cfg = zero_config(1)
         with pytest.raises(FieldIntegrityError, match="Hermitian"):
@@ -364,7 +419,7 @@ class TestInputIntegrity:
     def test_asymmetry_outside_band_is_dealiased_away(self, grid):
         # Dealias first, then check: a mode the two-thirds rule drops never
         # reaches the check or the product.
-        k = (grid.res // 3 + 1,) + (1,) * (grid.n - 1)
+        k = (grid.res // 3 + 1,) + (1,) * (grid.n - 2) + (0,)
         u, broken = self._broken(grid, k)
         cfg = _ns(grid)
         for a, b in zip(nonlinear_term(broken, cfg).components,

@@ -52,8 +52,10 @@ class TestGrid:
     def test_dealias_mask_rule(self):
         grid = SpectralGrid(2, 32)
         limit = 32 / 3.0
-        kv = grid.wavevectors
+        kv = np.meshgrid(np.fft.fftfreq(32, 1 / 32), np.fft.rfftfreq(32, 1 / 32),
+                         indexing="ij")
         expect = np.all(np.abs(kv) <= limit, axis=0)
+        assert grid.dealias_mask.shape == grid.half_shape == (32, 17)
         assert np.array_equal(grid.dealias_mask, expect)
         # boundary: |k| = 10 kept, |k| = 11 dropped at res 32
         assert grid.dealias_mask[10, 0]
@@ -92,8 +94,8 @@ class TestTransforms:
 
     def test_non_hermitian_rejected(self):
         grid = SpectralGrid(2, 16)
-        c = np.zeros(grid.shape, dtype=np.complex128)
-        c[1, 0] = 1.0  # no conjugate partner at (-1, 0)
+        c = np.zeros(grid.half_shape, dtype=np.complex128)
+        c[1, 0] = 1.0  # no conjugate partner at (-1, 0), in the k_last = 0 plane
         u = FormField(grid, 0, (c,))
         with pytest.raises(FieldIntegrityError):
             to_physical(u)
@@ -463,6 +465,26 @@ class TestSnapshotIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(FieldIntegrityError, match="non-finite"):
             load_field(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_physical_rejects_non_finite_samples(self, bad):
+        grid = SpectralGrid(2, 8)
+        samples = np.zeros(grid.shape)
+        samples[3, 5] = bad
+        with pytest.raises(FieldIntegrityError, match="non-finite"):
+            FormField.from_physical(grid, 0, [samples])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_k_last_zero_plane_rejected(self, bad):
+        # The plane check fails on non-finite coefficients; a bare
+        # max > tol comparison would let NaN through.
+        grid = SpectralGrid(2, 8)
+        c = np.zeros(grid.half_shape, dtype=np.complex128)
+        c[2, 0] = c[-2, 0] = bad
+        u = FormField(grid, 0, (c,))
+        assert not u.is_hermitian()
+        with pytest.raises(FieldIntegrityError, match="Hermitian"):
+            to_physical(u)
 
 
 class TestFieldArithmetic:

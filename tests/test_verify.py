@@ -21,16 +21,16 @@ from torusforms.verify import (
     CheckRecord,
     ExperimentSpec,
     VerificationReport,
-    _lower,
-    _measured,
-    _upper,
     emit_plot_data,
     gn_ratio_survey,
     gn_survey_records,
+    lower_check,
+    measured_check,
     run_experiment,
     solution_norm_rows,
     taylor_green_pressure_field,
     taylor_green_state,
+    upper_check,
     verify_all,
     write_norm_series,
     write_norm_table,
@@ -49,18 +49,18 @@ def _heat_solution() -> TimeSeriesSolution:
 
 class TestCheckRecords:
     def test_direction_conventions(self):
-        assert _upper("a", "x", 1e-13, 1e-12).status == "pass"
-        assert _upper("a", "x", 1e-11, 1e-12).status == "fail"
-        assert _upper("a", "x", float("nan"), 1e-12).status == "fail"
-        assert _lower("b-order", "x", 1.95, 1.9).status == "pass"
-        assert _lower("b-order", "x", 1.2, 1.9).status == "fail"
-        m = _measured("c", "x", 0.3)
+        assert upper_check("a", "x", 1e-13, 1e-12).status == "pass"
+        assert upper_check("a", "x", 1e-11, 1e-12).status == "fail"
+        assert upper_check("a", "x", float("nan"), 1e-12).status == "fail"
+        assert lower_check("b-order", "x", 1.95, 1.9).status == "pass"
+        assert lower_check("b-order", "x", 1.2, 1.9).status == "fail"
+        m = measured_check("c", "x", 0.3)
         assert m.status == "measured" and m.tol is None
 
     def test_json_shape(self, tmp_path):
         report = VerificationReport(
             "demo", 3,
-            (_upper("a", "anchor-a", 0.0, 1.0), _measured("b", "plumbing", 2.0)),
+            (upper_check("a", "anchor-a", 0.0, 1.0), measured_check("b", "plumbing", 2.0)),
         )
         data = json.loads(report.to_json())
         assert list(data.keys()) == ["experiment", "seed", "checks"]
@@ -71,8 +71,8 @@ class TestCheckRecords:
         assert json.loads(path.read_text()) == data
 
     def test_failure_accounting(self):
-        good = _upper("a", "x", 0.0, 1.0)
-        bad = _upper("b", "x", 2.0, 1.0)
+        good = upper_check("a", "x", 0.0, 1.0)
+        bad = upper_check("b", "x", 2.0, 1.0)
         report = VerificationReport("demo", 0, (good, bad))
         assert not report.passed
         assert [c.id for c in report.failed] == ["b"]
