@@ -35,13 +35,12 @@ transforms on the half spectrum that fields store:
 For the ``navier-stokes-i1`` preset that is 6 component transforms per N on
 T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
 
-Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves with any
-leading batch axes, which broadcast: the Galerkin assembly transforms w once
-and a whole block of basis fields in each transform.  ``nonlinear_term``
-and ``bilinear_term`` share one body for fields and ``BandHalves`` states
-alike: fields enter through ``BandHalves.of`` and the result leaves through
-``field``, states skip both; the field solvers step their states through
-that form.
+Steps 2-5 (``_on_grid`` and ``_quadratic``) work on the band halves of one
+field, one array per component.  ``nonlinear_term`` and ``bilinear_term``
+share one body for fields and ``BandHalves`` states alike: fields enter
+through ``BandHalves.of`` and the result leaves through ``field``, states
+skip both; the field solvers and the coefficient-space solves step their
+states through that form.
 
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
@@ -232,7 +231,7 @@ class _Band:
     """
 
     limit: int
-    axes: tuple[int, ...]  # the last n axes, after any batch axes
+    axes: tuple[int, ...]  # the n axes of a field's half
     half: tuple[np.ndarray, ...]  # np.ix_ of the band half in a field's half
     shape: tuple[int, ...]  # shape of the band half
 
@@ -242,7 +241,7 @@ def _band(grid: SpectralGrid) -> _Band:
     n, limit = grid.n, grid.res // 3
     return _Band(
         limit=limit,
-        axes=tuple(range(-n, 0)),
+        axes=tuple(range(n)),
         half=_band_half(grid),
         shape=(2 * limit + 1,) * (n - 1) + (limit + 1,),
     )
@@ -274,16 +273,14 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
     """One input of the kernel on the grid: its components and, where M1
     needs it, the components of its d.
 
-    ``halves`` are band halves, one per component, with any leading batch
-    axes; the transforms run over the last n axes.
+    ``halves`` are band halves, one per component.
     """
     band = _band(grid)
-    spectrum = np.zeros(halves[0].shape[:-grid.n] + grid.half_shape,
-                        dtype=np.complex128)
+    spectrum = np.zeros(grid.half_shape, dtype=np.complex128)
 
     def physical(half):
         # Every call writes the same band positions; the rest stays zero.
-        spectrum[(Ellipsis,) + band.half] = half
+        spectrum[band.half] = half
         return np.fft.irfftn(spectrum, s=grid.shape, axes=band.axes, norm="forward")
 
     values = [physical(h) for h in halves]
@@ -298,14 +295,12 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
 def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
     """Band halves of Q(v, v) for one input, of Q(w, v) + Q(v, w) for two.
 
-    Q(a, b) = M1(d a, b) + d M2(a, b); each input comes from ``_on_grid``
-    and may carry leading batch axes, which broadcast.  See the module
-    docstring for the steps and the transform budget.
+    Q(a, b) = M1(d a, b) + d M2(a, b); each input comes from ``_on_grid``.
+    See the module docstring for the steps and the transform budget.
     """
     band = _band(grid)
     values = [v for v, _ in inputs]
     derivs = [d for _, d in inputs]
-    shape = np.broadcast_shapes(*(v[0].shape for v in values))
     pairs = ((0, 0),) if len(inputs) == 1 else ((0, 1), (1, 0))
 
     def spectral(entries, first, second):
@@ -313,12 +308,12 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
         # B(v, v) is the exact double of N(v).
         prod = None
         for i, j in pairs:
-            term = _contract(entries, first[i], second[j], shape)
+            term = _contract(entries, first[i], second[j], grid.shape)
             if prod is None:
                 prod = term
             else:
                 prod += term
-        return np.fft.rfftn(prod, axes=band.axes, norm="forward")[(Ellipsis,) + band.half]
+        return np.fft.rfftn(prod, axes=band.axes, norm="forward")[band.half]
 
     out = [None] * grid.component_count(cfg.degree)
     if cfg.m1 is not None and cfg.degree < grid.n:
@@ -326,8 +321,7 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
     if cfg.m2 is not None:
         m2 = [spectral(e, values, values) for e in cfg.m2._entries]
         out = _apply_d(grid, cfg.degree - 1, m2, out)
-    zero = shape[:-grid.n] + band.shape
-    return [np.zeros(zero, dtype=np.complex128) if h is None else h for h in out]
+    return [np.zeros(band.shape, dtype=np.complex128) if h is None else h for h in out]
 
 
 class BandHalves:

@@ -25,6 +25,13 @@ The pressure has no evolution equation; it is recovered at sample times
 from the complementary projection of the source, d p = (I - P)(f - Q(u))
 with Q the advection or nonlinear term.
 
+The coefficient-space solves (``apply_inverse`` and the Galerkin
+truncation study) step basis coefficients g through the same Lawson loop.
+A stage scatters g into a band-half state, makes one kernel call there
+(B(w(t), .) for the linearized operator, N for the study) and gathers P_m Q
+back.  B is bilinear, so C(t)^T g = mu lam g + P_m B(w(t), sum_k g_k b_k)
+holds exactly, and the Galerkin matrices of A' are never formed.
+
 Cached time derivatives attached to solutions are obtained by
 substituting the evolution equation (and its differentiated form), never
 by finite differences; the finite-difference formulas in the residual
@@ -57,8 +64,6 @@ from .nonlinear import (
     NonlinearityConfig,
     _band,
     _half_position,
-    _on_grid,
-    _quadratic,
     bilinear_term,
     get_preset,
     nonlinear_term,
@@ -692,15 +697,19 @@ class GalerkinBasis:
     def project(self, u: FormField) -> np.ndarray:
         """Coefficients (u, b_j) of the basis expansion, read from u's band
         halves after its Hermitian check (``BandHalves.of``)."""
-        return self._project_halves(BandHalves.of(u).halves[:, None])[0]
+        if u.grid != self.grid or u.degree != self.degree:
+            raise ValueError(
+                f"field of degree {u.degree} on {u.grid} does not match the basis "
+                f"of degree {self.degree} on {self.grid}")
+        return self._project_halves(BandHalves.of(u).halves)
 
-    def _project_halves(self, halves: list[np.ndarray]) -> np.ndarray:
-        """``project`` of real fields given by band halves with a leading
-        block axis: rows (B, m), from the coefficients at +k_j and -k_j."""
+    def _project_halves(self, halves) -> np.ndarray:
+        """``project`` of the real field with band halves ``halves``, one per
+        component: the coefficients at +k_j and -k_j, gathered."""
         at = []
         for index, mirrored in self._half_index:
-            values = np.stack([h[(slice(None),) + index] for h in halves], axis=-1)
-            values[:, mirrored] = np.conj(values[:, mirrored])
+            values = np.stack([h[index] for h in halves], axis=-1)
+            values[mirrored] = np.conj(values[mirrored])
             at.append(values)
         phase = self._phase[:, None]
         pair = np.conj(phase) * at[0] + phase * at[1]
@@ -721,21 +730,6 @@ class GalerkinBasis:
             at = tuple(i[keep] for i in index)
             for h, xi in zip(halves, self.fibres.T):
                 np.add.at(h, at, value[keep] * xi[keep])
-        return halves
-
-    def _halves(self, block: slice) -> list[np.ndarray]:
-        """Band halves of the fields in ``block``, one array (B, ...) per
-        component: real fields by construction."""
-        phase = self._phase[block]
-        rows = np.arange(len(phase))
-        shape = (len(phase),) + _band(self.grid).shape
-        halves = [np.zeros(shape, dtype=np.complex128)
-                  for _ in range(self.fibres.shape[1])]
-        for (index, mirrored), value in zip(self._half_index, (phase, np.conj(phase))):
-            keep = ~mirrored[block]
-            at = (rows[keep],) + tuple(i[block][keep] for i in index)
-            for h, xi in zip(halves, self.fibres[block].T):
-                h[at] = value[keep] * xi[keep]
         return halves
 
     def reordered(self, permutation: Sequence[int]) -> "GalerkinBasis":
@@ -781,75 +775,50 @@ def build_basis(grid: SpectralGrid, degree: int, m: int | None = None) -> Galerk
 # -- linearized operator and its inverse ----------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearizedOperator:
-    """Galerkin matrices C(t)[k, j] = mu lam_k delta_kj + (B(w(t), b_k), b_j)."""
+    """The linearized operator on the span of the basis, sampled in time.
+
+    Its Galerkin matrix C(t)[k, j] = mu lam_k delta_kj + (B(w(t), b_k), b_j)
+    acts on coefficients through its transpose, C(t)^T g = mu lam g +
+    P_m B(w(t), sum_k g_k b_k), so the operator holds what the kernel needs
+    and no matrix: the basis, mu, the sample ``times``, ``samples`` (w at
+    each time as a kept ``BandHalves``, one object for a constant w, None
+    where w is zero) and the nonlinearity ``ns_cfg``.
+    """
 
     basis: GalerkinBasis
     mu: float
     times: np.ndarray
-    matrices: np.ndarray
-
-    @property
-    def explicit_part(self) -> np.ndarray:
-        """C(t) minus the diagonal diffusion block (the explicit term)."""
-        return self.matrices - self.mu * np.diag(self.basis.eigenvalues)
-
-
-# The assembly passes the basis fields through the kernel in blocks whose
-# grid arrays (components, derivatives, products and their transforms, some
-# 16 real arrays a field) take about 1 MB: 32 fields at T^2 res 16.
-_BLOCK_BYTES = 2**20
-
-
-def _block_size(grid: SpectralGrid) -> int:
-    return max(1, _BLOCK_BYTES // (16 * 8 * grid.res**grid.n))
+    samples: tuple[BandHalves | None, ...]
+    ns_cfg: NonlinearityConfig
 
 
 def assemble_linearized(
     w_series, mu: float, basis: GalerkinBasis, times: np.ndarray,
     ns_cfg: NonlinearityConfig,
 ) -> LinearizedOperator:
-    """Sample the Galerkin matrices of the linearized operator in time."""
-    times = np.asarray(times, dtype=np.float64)
-    w = _Sampler(w_series, times, "advection field")
-    m = basis.m
-    mats = np.zeros((len(times), m, m))
-    diffusion = mu * np.diag(basis.eigenvalues)
-    constant_w = w.is_zero or isinstance(w.data, FormField)
-    for jt in range(len(times)):
-        if constant_w and jt > 0:
-            mats[jt] = mats[0]
-            continue
-        wj = w.sample(jt)
-        mats[jt] = diffusion
-        if wj is not None and not ns_cfg.is_zero:
-            mats[jt] += _advection_rows(wj, basis, ns_cfg)
-    return LinearizedOperator(basis, mu, times, mats)
+    """Sample w at ``times`` for the linearized operator.
 
-
-def _advection_rows(w: FormField, basis: GalerkinBasis,
-                    ns_cfg: NonlinearityConfig) -> np.ndarray:
-    """The matrix of (B(w, b_k), b_j), row k.
-
-    w is checked and transformed once; the basis fields go through the
-    kernel a block at a time, and B's band halves are projected by a
-    gather, without building a field.
+    Every sample is checked against the basis grid and the nonlinearity
+    degree and taken in through ``BandHalves.of`` (the Hermitian check) with
+    ``keep``, so it goes on the grid at most once, when ``apply_inverse``
+    first uses it.  A constant w is taken in once.
     """
-    grid = basis.grid
-    if w.degree != ns_cfg.degree or basis.degree != ns_cfg.degree:
-        raise ValueError("field degrees do not match the nonlinearity degree")
-    if w.grid != grid:
-        raise ValueError("product arguments live on different grids")
-    w_grid = BandHalves.of(w).on_grid(ns_cfg)
-    rows = np.empty((basis.m, basis.m))
-    step = _block_size(grid)
-    for start in range(0, basis.m, step):
-        block = slice(start, start + step)
-        out = _quadratic(ns_cfg, grid, w_grid,
-                         _on_grid(ns_cfg, grid, basis._halves(block)))
-        rows[block] = basis._project_halves(out)
-    return rows
+    times = np.asarray(times, dtype=np.float64)
+    if basis.degree != ns_cfg.degree:
+        raise ValueError("basis degree does not match the nonlinearity degree")
+
+    def take(wj: FormField) -> BandHalves:
+        if wj.grid != basis.grid or wj.degree != ns_cfg.degree:
+            raise ValueError(
+                f"advection field of degree {wj.degree} on {wj.grid} does not match "
+                f"the basis of degree {basis.degree} on {basis.grid}")
+        return BandHalves.of(wj, keep=True)
+
+    sample = _per_stage(_Sampler(w_series, times, "advection field"), take)
+    return LinearizedOperator(basis, mu, times,
+                              tuple(sample(j, False) for j in range(len(times))), ns_cfg)
 
 
 def _forcing_coefficients(f: _Sampler, basis: GalerkinBasis) -> np.ndarray:
@@ -860,6 +829,34 @@ def _forcing_coefficients(f: _Sampler, basis: GalerkinBasis) -> np.ndarray:
         if fj is not None:
             fvec[j] = basis.project(fj)
     return fvec
+
+
+def _coefficient_solve(cfg: SolverConfig, basis: GalerkinBasis, u0: FormField,
+                       fvec: np.ndarray, quad, stored=None) -> list[np.ndarray]:
+    """Coefficients of P_m u0 stepped by ``_run_scheme``, kept at ``stored``
+    (every state for None).
+
+    A stage is f_m - P_m Q(sum_k g_k b_k) (``_galerkin_term``), with the
+    forcing coefficients ``fvec`` averaged at the midpoint.
+    """
+
+    def rhs(j, midpoint, g):
+        vec = 0.5 * (fvec[j] + fvec[j + 1]) if midpoint else fvec[j]
+        return vec - _galerkin_term(basis, quad, j, g, midpoint)
+
+    return _run_scheme(
+        cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
+        _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * basis.eigenvalues)),
+        rhs, _coefficient_guard, stored,
+    )
+
+
+def _galerkin_term(basis: GalerkinBasis, quad, j: int, g: np.ndarray,
+                   midpoint: bool = False):
+    """P_m Q(sum_k g_k b_k): g scattered into a band-half state, Q's band
+    halves ``quad(j, u, midpoint)`` there (None for zero) gathered back."""
+    q = quad(j, BandHalves(basis.grid, basis.degree, basis._scatter(g)), midpoint)
+    return 0.0 if q is None else basis._project_halves(q)
 
 
 def apply_inverse(
@@ -873,8 +870,13 @@ def apply_inverse(
 ) -> TimeSeriesSolution:
     """Solve the linearized problem in coefficient space.
 
-    Returns the synthesized trajectory; equivalent to solve_linearized on
-    the same data when the basis spans the full band-limited space.
+    A stage applies C(t)^T through one ``bilinear_term`` call on the
+    scattered coefficients; at the rk2 midpoint w is the mean of its two
+    neighbouring samples, which by bilinearity is the mean of their
+    matrices.  ``cfg`` must match the operator's time grid, grid and mu.
+    Returns the synthesized trajectory, with dt_cache[1] = f_m - C(t)^T g;
+    equivalent to solve_linearized on the same data when the basis spans
+    the full band-limited space.
     """
     if derivatives > 1:
         raise ValueError("coefficient-space solves cache derivatives up to order 1")
@@ -882,31 +884,30 @@ def apply_inverse(
     if len(op.times) != len(times) or not np.allclose(op.times, times):
         raise ValueError("operator was sampled on a different time grid")
     basis = op.basis
+    if cfg.grid() != basis.grid:
+        raise ValueError(f"configuration grid {cfg.grid()} does not match the "
+                         f"operator's {basis.grid}")
+    if cfg.mu != op.mu:
+        raise ValueError(f"configuration mu = {cfg.mu} does not match the "
+                         f"operator's mu = {op.mu}")
     _check_initial(u0)
     fvec = _forcing_coefficients(_Sampler(f_series, times, "forcing"), basis)
-    expl = op.explicit_part
 
-    def rhs(j, midpoint, g):
-        # (B(w, u_m), b_j) = sum_k C~[k, j] g_k: the explicit block acts
-        # on coefficients through its transpose.
-        if midpoint:
-            mat = 0.5 * (expl[j] + expl[j + 1])
-            vec = 0.5 * (fvec[j] + fvec[j + 1])
-        else:
-            mat, vec = expl[j], fvec[j]
-        return vec - mat.T @ g
+    def quad(j, u, midpoint):
+        w = op.samples[j]
+        if midpoint and op.samples[j + 1] is not w:
+            parts = [s.halves for s in op.samples[j:j + 2] if s is not None]
+            w = BandHalves(basis.grid, basis.degree, sum(parts) * 0.5)
+        return None if w is None else bilinear_term(w, u, op.ns_cfg)
 
     stored = _stored_indices(cfg.steps, store_every)
-    g_states = _run_scheme(
-        cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
-        _lawson_decay(lambda tau: np.exp(-op.mu * tau * basis.eigenvalues)),
-        rhs, _coefficient_guard, stored,
-    )
+    g_states = _coefficient_solve(cfg, basis, u0, fvec, quad, stored)
     u_list = [basis.synthesize(g) for g in g_states]
     dt_cache: dict[int, list[FormField]] = {}
     if derivatives >= 1:
         dt_cache[1] = [
-            basis.synthesize(fvec[i] - op.matrices[i].T @ g)
+            basis.synthesize(fvec[i] - op.mu * basis.eigenvalues * g
+                             - _galerkin_term(basis, quad, i, g))
             for i, g in zip(stored, g_states)
         ]
     return TimeSeriesSolution(times[stored], u_list, dt_cache=dt_cache)
@@ -1181,21 +1182,8 @@ def galerkin_convergence_study(
     bounded = []
     for m in ms:
         basis = build_basis(grid, cfg.degree, m)
-        fvec = _forcing_coefficients(f, basis)
-
-        def rhs(j, midpoint, g, basis=basis, fvec=fvec):
-            q = nonlinear_term(BandHalves(grid, basis.degree, basis._scatter(g)), ns)
-            gn = basis._project_halves(q[:, None])[0]
-            if midpoint:
-                return 0.5 * (fvec[j] + fvec[j + 1]) - gn
-            return fvec[j] - gn
-
-        g_states = _run_scheme(
-            cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
-            _lawson_decay(lambda tau, lam=basis.eigenvalues:
-                          np.exp(-cfg.mu * tau * lam)),
-            rhs, _coefficient_guard,
-        )
+        g_states = _coefficient_solve(cfg, basis, u0, _forcing_coefficients(f, basis),
+                                      lambda j, u, midpoint: nonlinear_term(u, ns))
         fields = [basis.synthesize(g) for g in g_states]
         trajectories.append(fields)
         sup_part = max(l2_norm(fractional_power(u, order)) ** 2 for u in fields)

@@ -8,6 +8,7 @@ algebraic identities of the discrete quadratic forward map.
 
 import dataclasses
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ import torusforms.solver as solver_module
 from oracles import observed_order, taylor_green_pressure, taylor_green_velocity
 from torusforms.nonlinear import (
     bilinear_term,
+    get_preset,
     navier_stokes_config,
     nonlinear_term,
     zero_config,
@@ -822,57 +824,137 @@ class TestEnergyLaw:
             lions_identity_residual(sol)
 
 
+@lru_cache(maxsize=None)
+def _linearized_case(basis_name, w_kind):
+    """A basis, data (w, f, u0) and the dense Galerkin matrices C(t)[k, j] =
+    mu lam_k delta_kj + (B(w(t), b_k), b_j) of a linearized problem, the
+    matrices built field by field with bilinear_term."""
+    grid = SpectralGrid(3, 8) if basis_name == "t3-full" else G16
+    rng = np.random.default_rng(31)
+    basis = build_basis(grid, 1, 40 if basis_name == "t2-m40" else None)
+    if basis_name == "t2-reordered":
+        basis = basis.reordered(rng.permutation(basis.m))
+    cfg = SolverConfig(mu=0.3, T=0.02, dt=5e-3, res=grid.res, n=grid.n)
+    wa, wb, fa, fb, u0 = (project_state(random_form(grid, 1, rng)) for _ in range(5))
+    times = cfg.times()
+    w = {"none": None, "constant": wa,
+         "list": [project_state(random_form(grid, 1, rng)) for _ in times],
+         "callable": lambda t: wa + wb * t}[w_kind]
+    if w_kind == "callable":
+        samples = [w(float(t)) for t in times]
+    else:
+        samples = w if w_kind == "list" else [w] * len(times)
+    ns, fields = NS[grid.n], basis.fields
+    rows = {}
+    mats = []
+    for wj in samples:
+        if id(wj) not in rows:
+            rows[id(wj)] = (np.zeros((basis.m, basis.m)) if wj is None else
+                            np.array([basis.project(bilinear_term(wj, b, ns)) for b in fields]))
+        mats.append(cfg.mu * np.diag(basis.eigenvalues) + rows[id(wj)])
+    return basis, cfg, w, (lambda t: fa + fb * t), u0, mats
+
+
+def _dense_inverse(basis, cfg, f, u0, mats):
+    """apply_inverse by the dense matrices: _run_scheme with mat.T @ g, the
+    explicit blocks averaged at the midpoint."""
+    times = cfg.times()
+    fvec = np.array([basis.project(f(float(t))) for t in times])
+    expl = [mat - cfg.mu * np.diag(basis.eigenvalues) for mat in mats]
+
+    def rhs(j, midpoint, g):
+        if midpoint:
+            return 0.5 * (fvec[j] + fvec[j + 1]) - (0.5 * (expl[j] + expl[j + 1])).T @ g
+        return fvec[j] - expl[j].T @ g
+
+    g_states = solver_module._run_scheme(
+        cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
+        solver_module._lawson_decay(lambda tau: np.exp(-cfg.mu * tau * basis.eigenvalues)),
+        rhs, lambda g, j: None)
+    return ([basis.synthesize(g) for g in g_states],
+            [basis.synthesize(fvec[i] - mats[i].T @ g) for i, g in enumerate(g_states)])
+
+
+def _assert_close_states(got, expected, rel):
+    """Physical samples within rel of the largest expected sample."""
+    assert len(got) == len(expected)
+    scale = max(np.max(np.abs(to_physical(b))) for b in expected)
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(np.array(to_physical(a)) - to_physical(b))) <= rel * scale
+
+
 class TestLinearizedOperator:
-    def test_stokes_block_diagonal_without_advection(self):
-        basis = build_basis(G16, 1, 12)
+    """The operator holds w's samples, not matrices; apply_inverse applies
+    C(t)^T through the kernel and agrees with the dense matrices."""
+
+    @pytest.mark.parametrize("basis_name", ["t2-full", "t2-m40", "t2-reordered", "t3-full"])
+    @pytest.mark.parametrize("w_kind", ["none", "constant", "list", "callable"])
+    @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
+    def test_matches_dense_galerkin_matrices(self, basis_name, w_kind, scheme):
+        basis, cfg, w, f, u0, mats = _linearized_case(basis_name, w_kind)
+        cfg = dataclasses.replace(cfg, scheme=scheme)
+        op = assemble_linearized(w, cfg.mu, basis, cfg.times(), NS[basis.grid.n])
+        sol = apply_inverse(op, f, u0, cfg)
+        u, dt1 = _dense_inverse(basis, cfg, f, u0, mats)
+        _assert_close_states(sol.u, u, 1e-14)
+        _assert_close_states(sol.dt_cache[1], dt1, 1e-14)
+
+    @pytest.mark.parametrize("w_kind", ["none", "constant", "list"])
+    @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
+    def test_one_kernel_call_per_stage_and_sample(self, monkeypatch, w_kind, scheme):
+        basis, cfg, w, f, u0, _ = _linearized_case("t2-m40", w_kind)
+        cfg = dataclasses.replace(cfg, scheme=scheme)
+        grid_passes, products = [], []
+        on_grid, bilinear = nonlinear_module._on_grid, solver_module.bilinear_term
+        monkeypatch.setattr(nonlinear_module, "_on_grid",
+                            lambda *args: grid_passes.append(1) or on_grid(*args))
+        monkeypatch.setattr(solver_module, "bilinear_term",
+                            lambda *args: products.append(1) or bilinear(*args))
+        op = assemble_linearized(w, cfg.mu, basis, cfg.times(), NS2)
+        assert grid_passes == [] and products == []
+        apply_inverse(op, f, u0, cfg, store_every=2)
+        stages = cfg.steps * (1 if scheme == "imex-euler" else 2)
+        stored = len(range(0, cfg.steps + 1, 2))
+        expected = 0 if w_kind == "none" else stages + stored
+        assert len(products) == expected
+        # Each state goes on the grid once per product, each w sample at most
+        # once (a constant w once), and each rk2 midpoint mean of two
+        # different samples once.
+        samples = {"none": 0, "constant": 1, "list": cfg.steps + 1}[w_kind]
+        midpoints = cfg.steps if w_kind == "list" and scheme == "imex-rk2" else 0
+        assert len(grid_passes) == expected + samples + midpoints
+
+    def test_full_3d_res32_band_in_bounded_memory(self):
+        # A dense sample of C(t) would take 2.7 GB here (m = 18520).
+        grid = SpectralGrid(3, 32)
+        rng = np.random.default_rng(37)
+        w, u0 = (project_state(random_form(grid, 1, rng, kmax=4)) for _ in range(2))
+        cfg = SolverConfig(mu=0.1, T=2e-3, dt=1e-3, res=32, n=3)
+        tracemalloc.start()
+        try:
+            basis = build_basis(grid, 1)
+            op = assemble_linearized(w, cfg.mu, basis, cfg.times(), NS[3])
+            sol = apply_inverse(op, None, u0, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.m == 18520
+        assert peak < 2**30
+        assert all(np.all(np.isfinite(c)) for u in sol.u for c in u.components)
+
+    @pytest.mark.parametrize("preset", ["zero", "navier-stokes-i1"])
+    @pytest.mark.parametrize("form", ["constant", "list", "callable"])
+    @pytest.mark.parametrize("bad", ["degree", "grid"])
+    def test_every_advection_sample_checked_at_entry(self, preset, form, bad):
+        ns = get_preset(preset, 2, 1)
         times = np.linspace(0.0, 0.1, 3)
-        op = assemble_linearized(None, 0.7, basis, times, NS2)
-        for mat in op.matrices:
-            assert np.max(np.abs(mat - 0.7 * np.diag(basis.eigenvalues))) == 0.0
-
-    def test_diffusion_block_symmetric_and_constant_for_constant_advection(self):
-        rng = np.random.default_rng(11)
-        w = project_state(random_form(G16, 1, rng, kmax=2))
-        basis = build_basis(G16, 1, 12)
-        times = np.linspace(0.0, 0.1, 3)
-        op = assemble_linearized(w, 0.3, basis, times, NS2)
-        diffusion = 0.3 * np.diag(basis.eigenvalues)
-        assert np.max(np.abs(diffusion - diffusion.T)) == 0.0
-        assert np.array_equal(op.matrices[0], op.matrices[1])
-        assert np.array_equal(op.matrices[0], op.matrices[2])
-
-    @pytest.mark.parametrize("grid, reorder", [
-        (G16, False), (G16, True), (SpectralGrid(3, 8), False), (SpectralGrid(3, 8), True),
-    ])
-    def test_matches_per_field_reference(self, grid, reorder):
-        rng = np.random.default_rng(23)
-        ns = navier_stokes_config(grid.n)
-        times = np.linspace(0.0, 0.1, 3)
-        w = [project_state(random_form(grid, 1, rng)) for _ in times]
-        basis = build_basis(grid, 1)
-        if reorder:
-            basis = basis.reordered(rng.permutation(basis.m))
-        op = assemble_linearized(w, 0.4, basis, times, ns)
-        fields = basis.fields
-        for wj, mat in zip(w, op.matrices):
-            ref = np.array([basis.project(bilinear_term(wj, b, ns)) for b in fields])
-            ref += 0.4 * np.diag(basis.eigenvalues)
-            assert np.max(np.abs(mat - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    def test_makes_no_bilinear_term_call(self, monkeypatch):
-        calls = []
-
-        def counted(w, u, cfg):
-            calls.append(1)
-            return bilinear_term(w, u, cfg)
-
-        monkeypatch.setattr(solver_module, "bilinear_term", counted)
-        monkeypatch.setattr(nonlinear_module, "bilinear_term", counted)
-        rng = np.random.default_rng(29)
-        w = [project_state(random_form(G16, 1, rng)) for _ in range(2)]
-        op = assemble_linearized(w, 0.3, build_basis(G16, 1), [0.0, 0.1], NS2)
-        assert np.any(op.explicit_part != 0.0)
-        assert calls == []
+        good = project_state(random_form(G16, 1, np.random.default_rng(43)))
+        wrong = (FormField.zeros(G16, 0) if bad == "degree"
+                 else FormField.zeros(SpectralGrid(2, 32), 1))
+        w = {"constant": wrong, "list": [good, good, wrong],
+             "callable": lambda t: wrong if t > 0.05 else good}[form]
+        with pytest.raises(ValueError, match="does not match"):
+            assemble_linearized(w, 0.3, build_basis(G16, 1), times, ns)
 
 
 class TestApplyInverse:
@@ -948,6 +1030,38 @@ class TestApplyInverse:
             apply_inverse(op, broken, FormField.zeros(G16, 1), cfg)
         with pytest.raises(FieldIntegrityError, match="Hermitian"):
             galerkin_convergence_study(broken, _two_band_state(G16), cfg, ms=(8,))
+
+    MISMATCHES = {
+        "u0-grid": lambda op, cfg, f, u0, far: apply_inverse(op, f, far, cfg),
+        "forcing-grid": lambda op, cfg, f, u0, far: apply_inverse(op, far, u0, cfg),
+        "cfg-grid": lambda op, cfg, f, u0, far: apply_inverse(
+            op, f, u0, dataclasses.replace(cfg, res=32)),
+        "cfg-dimension": lambda op, cfg, f, u0, far: apply_inverse(
+            op, f, u0, dataclasses.replace(cfg, n=3)),
+        "cfg-mu": lambda op, cfg, f, u0, far: apply_inverse(
+            op, f, u0, dataclasses.replace(cfg, mu=5.0)),
+        "project-grid": lambda op, cfg, f, u0, far: op.basis.project(far),
+        "project-degree": lambda op, cfg, f, u0, far: op.basis.project(
+            FormField.zeros(G16, 0)),
+        "study-forcing-grid": lambda op, cfg, f, u0, far: galerkin_convergence_study(
+            far, u0, cfg, ms=(8,)),
+        "study-u0-grid": lambda op, cfg, f, u0, far: galerkin_convergence_study(
+            f, far, cfg, ms=(8,)),
+        "study-u0-degree": lambda op, cfg, f, u0, far: galerkin_convergence_study(
+            f, FormField.zeros(G16, 0), cfg, ms=(8,)),
+    }
+
+    @pytest.mark.parametrize("case", list(MISMATCHES))
+    def test_mismatched_input_rejected(self, case):
+        # Coefficients of a field on another grid or of another degree mean
+        # nothing, and the operator's mu is the one the solve would use.
+        w, f, u0 = self._data()
+        cfg = SolverConfig(mu=0.2, T=0.1, dt=0.05, res=16)
+        op = assemble_linearized(w, cfg.mu, build_basis(G16, 1, 8), cfg.times(), NS2)
+        far = project_state(random_form(SpectralGrid(2, 32), 1, np.random.default_rng(3),
+                                        kmax=3))
+        with pytest.raises(ValueError, match="does not match"):
+            self.MISMATCHES[case](op, cfg, f, u0, far)
 
     def test_time_grid_mismatch_rejected(self):
         basis = build_basis(G16, 1, 8)
