@@ -25,18 +25,18 @@ The pressure has no evolution equation; it is recovered at sample times
 from the complementary projection of the source, d p = (I - P)(f - Q(u))
 with Q the advection or nonlinear term.
 
-The coefficient-space solves (``apply_inverse`` and the Galerkin
-truncation study) step basis coefficients g through the same Lawson loop.
-A stage scatters g into a band-half state, makes one kernel call there
-(B(w(t), .) for the linearized operator, N for the study) and gathers P_m Q
-back.  B is bilinear, so C(t)^T g = mu lam g + P_m B(w(t), sum_k g_k b_k)
-holds exactly, and the Galerkin matrices of A' are never formed.
+The Galerkin solves (``apply_inverse`` and the truncation study) run the
+same solver on the same band-half state, with the basis projector P_m in
+place of the state-space projection: the truncated solution solves the
+P_m-projected equation, one kernel call a stage (B(w(t), .) for the
+linearized operator, N for the study).  B is bilinear, so this applies the
+Galerkin matrices C(t)^T exactly, and they are never formed.
 
 Cached time derivatives attached to solutions are obtained by
 substituting the evolution equation (and its differentiated form), never
 by finite differences; the finite-difference formulas in the residual
 diagnostics measure scheme accuracy and are intentional.  One pass over
-the stored samples, shared by the field solvers and Newton, evaluates
+the stored samples, shared by every solver, evaluates
 Q(u) on the band-half state, and where the solver has it Q'(u) du/dt,
 once per sample: P Q enters the derivative cache and (I - P)(f - Q) the
 pressure, likewise for their time derivatives.
@@ -48,7 +48,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -260,11 +260,14 @@ def _band_projection(grid: SpectralGrid, degree: int, parts) -> np.ndarray:
     return np.stack(proj)
 
 
-def _projected_half(u: FormField, grid: SpectralGrid, degree: int) -> np.ndarray:
-    """project_state(u) as a solver state, after the Hermitian check."""
+def _projected_half(u: FormField, grid: SpectralGrid, degree: int,
+                    project=None) -> np.ndarray:
+    """``project`` (project_state's for None) of u's band halves as a solver
+    state, after the grid, degree and Hermitian checks."""
     if u.grid != grid or u.degree != degree:
-        raise ValueError("data live on a different grid or degree than the state")
-    return _band_projection(grid, degree, BandHalves.of(u).halves)
+        raise ValueError(f"field of degree {u.degree} on {u.grid} does not match the "
+                         f"state of degree {degree} on {grid}")
+    return (project or partial(_band_projection, grid, degree))(BandHalves.of(u).halves)
 
 
 def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
@@ -277,12 +280,8 @@ def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
 
 
 def _lawson_decay(multiplier):
-    """``apply_decay`` of ``_run_scheme``: state * multiplier(tau).
-
-    For band-half field states (exp(-mu tau |k|^2) on the half) and
-    coefficient vectors (exp(-mu tau lam) of the basis eigenvalues) alike;
-    builds each multiplier once per tau.
-    """
+    """``apply_decay`` of ``_run_scheme``: state * multiplier(tau), the
+    multiplier (exp(-mu tau |k|^2) on the band half) built once per tau."""
     multipliers: dict[float, np.ndarray] = {}
 
     def apply(state, tau: float):
@@ -340,10 +339,9 @@ def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard, keep=None):
     """Integrate d/dt g = L g + rhs with exact decay for L.
 
     ``apply_decay(state, tau)`` applies exp(tau L); ``rhs(j, midpoint,
-    state)`` evaluates the explicit term.  Works for field states and
-    coefficient vectors alike.  Returns the states at the time indices
-    ``keep``, in order (every state for None); no other state outlives
-    its step.
+    state)`` evaluates the explicit term, on band-half states.  Returns the
+    states at the time indices ``keep``, in order (every state for None);
+    no other state outlives its step.
     """
     keep = range(steps + 1) if keep is None else frozenset(keep)
     states = [state0] if 0 in keep else []
@@ -373,15 +371,6 @@ def _half_guard(state: np.ndarray, j: int) -> None:
         )
 
 
-def _coefficient_guard(g: np.ndarray, j: int) -> None:
-    norm = float(np.linalg.norm(g))
-    if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
-        raise SolverDivergenceError(
-            f"coefficient norm exceeded {BLOWUP_THRESHOLD:.0e} "
-            f"at step {j + 1} (m = {g.size})"
-        )
-
-
 def _stored_indices(steps: int, store_every: int) -> list[int]:
     if store_every < 1 or store_every > steps:
         raise ValueError("store_every must lie in [1, steps]")
@@ -395,32 +384,35 @@ def _stored_indices(steps: int, store_every: int) -> list[int]:
 
 
 def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _Sampler,
-                 w: _Sampler | None, f_dt: _Sampler | None, stored: list[int],
-                 derivatives: int, with_pressure: bool) -> TimeSeriesSolution:
-    """P u0 (checked to be divergence-free and Hermitian) stepped by
+                 advection, f_dt: _Sampler | None, stored: list[int],
+                 derivatives: int, with_pressure: bool, project=None) -> TimeSeriesSolution:
+    """P u0 (u0 checked to be divergence-free and Hermitian) stepped by
     ``_run_scheme`` on its band half, then ``_sample_pass`` at ``stored``.
 
-    A stage is -P Q + P f on the half, from the two parts the pass reuses:
-    ``quad``, Q's band halves at a ``BandHalves`` state (N(u) for ``w``
-    None, else B(w_j, u), zero where w_j is None; the kernel checks the
-    degrees), and ``forcing``, a forcing sample drawn once as the pair
+    P is ``project`` on stacked band halves: a basis projector P_m, or the
+    state-space projection for None.  A stage is -P Q + P f on the half,
+    from the two parts the pass reuses: ``quad``, Q's band halves at a
+    ``BandHalves`` state (N(u) for ``advection`` None, else B(w_j, u) with
+    w_j = advection(j, midpoint), zero where w_j is None; the kernel checks
+    the degrees), and ``forcing``, a forcing sample drawn once as the pair
     (P f on the half, f).  With ``f_dt`` the pass also takes Q'(u) du =
     B(u, du) and df/dt alike."""
     grid, degree = cfg.grid(), u0.degree
+    project = project or partial(_band_projection, grid, degree)
     _check_initial(u0)
-    state0 = _projected_half(u0, grid, degree)
-    forcing, forcing_dt = (_per_stage(data, lambda fj: (_projected_half(fj, grid, degree), fj))
-                           for data in (f, f_dt))
-    advection = _per_stage(w, lambda wj: BandHalves.of(wj, keep=True))
+    state0 = _projected_half(u0, grid, degree, project)
+    forcing, forcing_dt = (
+        _per_stage(data, lambda fj: (_projected_half(fj, grid, degree, project), fj))
+        for data in (f, f_dt))
 
     def quad(j, u, midpoint=False):
-        if w is None:
+        if advection is None:
             return nonlinear_term(u, ns)
         wj = advection(j, midpoint)
         return np.zeros_like(u.halves) if wj is None else bilinear_term(wj, u, ns)
 
     def rhs(j, midpoint, state):
-        out = -_band_projection(grid, degree, quad(j, BandHalves(grid, degree, state), midpoint))
+        out = -project(quad(j, BandHalves(grid, degree, state), midpoint))
         fj = forcing(j, midpoint)
         return out if fj is None else out + fj[0]
 
@@ -431,7 +423,7 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _S
     )
     states = [BandHalves(grid, degree, s) for s in states]
     return _sample_pass(
-        cfg.times(), stored, states, cfg.mu, quad, lambda i: forcing(i, False),
+        cfg.times(), stored, states, cfg.mu, project, quad, lambda i: forcing(i, False),
         derivatives, with_pressure,
         quad_dt=None if f_dt is None else lambda u, du: bilinear_term(u, du, ns),
         forcing_dt=lambda i: forcing_dt(i, False))
@@ -454,11 +446,11 @@ def _per_stage(data: _Sampler | None, prepare):
     return stage
 
 
-def _sample_pass(times, stored, states, mu, quad, forcing, derivatives, with_pressure,
-                 quad_dt=None, forcing_dt=None) -> TimeSeriesSolution:
+def _sample_pass(times, stored, states, mu, project, quad, forcing, derivatives,
+                 with_pressure, quad_dt=None, forcing_dt=None) -> TimeSeriesSolution:
     """The ``BandHalves`` ``states`` at time indices ``stored`` as fields,
-    with equation-substituted derivatives and pressures; the field solvers
-    and Newton share it.
+    with equation-substituted derivatives and pressures; every solver
+    shares it, and ``project`` is its P.
 
     ``quad(i, u)`` gives Q's band halves at the state u, ``forcing(i)`` the
     pair (P f on the half, f as a field) or None for no forcing; ``quad_dt(u,
@@ -477,7 +469,7 @@ def _sample_pass(times, stored, states, mu, quad, forcing, derivatives, with_pre
             continue
         (pf, fi), q = forcing(i) or (None, None), quad(i, u)
         if derivatives >= 1:
-            du = _substituted(u_list[-1], q, pf, mu)
+            du = _substituted(u_list[-1], q, pf, mu, project)
             first.append(du)
         if with_pressure:
             p_list.append(_pressure(u, q, fi))
@@ -485,7 +477,7 @@ def _sample_pass(times, stored, states, mu, quad, forcing, derivatives, with_pre
             continue
         (pdf, dfi), dq = forcing_dt(i) or (None, None), quad_dt(u, BandHalves.of(du))
         if derivatives >= 2:
-            second.append(_substituted(du, dq, pdf, mu))
+            second.append(_substituted(du, dq, pdf, mu, project))
         if with_pressure:
             p_first.append(_pressure(u, dq, dfi))
     dt_cache = {d: s for d, s in ((1, first), (2, second)) if d <= derivatives}
@@ -496,12 +488,11 @@ def _sample_pass(times, stored, states, mu, quad, forcing, derivatives, with_pre
 
 
 def _substituted(u: FormField, q: np.ndarray, pf: np.ndarray | None,
-                 mu: float) -> FormField:
-    """-mu Lap u - P q + P f, the time derivative the equation assigns, from
-    the band halves of q and of P f: on fields, in this order."""
+                 mu: float, project) -> FormField:
+    """-mu Lap u - P q + P f (P = ``project``), the time derivative the
+    equation assigns, from the band halves of q and of P f: on fields."""
     grid, degree = u.grid, u.degree
-    du = (hodge_laplacian(u) * (-mu)
-          - BandHalves(grid, degree, _band_projection(grid, degree, q)).field())
+    du = (hodge_laplacian(u) * (-mu) - BandHalves(grid, degree, project(q)).field())
     return du if pf is None else du + BandHalves(grid, degree, pf).field()
 
 
@@ -544,10 +535,11 @@ def solve_linearized(
         raise ValueError("linearized solves cache derivatives up to order 1")
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times = cfg.times()
-    w = _Sampler(w_series, times, "advection field")
+    advection = _per_stage(_Sampler(w_series, times, "advection field"),
+                           lambda wj: BandHalves.of(wj, keep=True))
     f = _Sampler(f_series, times, "forcing")
-    return _field_solve(cfg, ns, u0, f, w, None, _stored_indices(cfg.steps, store_every),
-                        derivatives, with_pressure)
+    return _field_solve(cfg, ns, u0, f, advection, None,
+                        _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
 
 
 def solve_nonlinear(
@@ -653,7 +645,9 @@ class GalerkinBasis:
     ``eigenvalues`` (m,).  Its coefficient at +k_j is ``phase_j xi_j`` and
     at -k_j the conjugate, with phase sqrt(2)/2 for cos and -i sqrt(2)/2
     for sin; ``project`` gathers and ``synthesize`` scatters in the band half.
-    Compared by identity: ``==`` is ``is`` and ``hash`` the object's id.
+    Construction checks one fibre, sine flag and eigenvalue |k_j|^2 per
+    nonzero band mode.  Compared by identity: ``==`` is ``is`` and ``hash``
+    the object's id.
     """
 
     grid: SpectralGrid
@@ -664,17 +658,28 @@ class GalerkinBasis:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        modes = np.asarray(self.modes, dtype=np.int64).reshape(-1, self.grid.n)
+        grid = self.grid
+        modes = np.asarray(self.modes, dtype=np.int64).reshape(-1, grid.n)
         if len(modes) == 0:
             raise ValueError("basis needs at least one field")
-        ncomp = self.grid.component_count(self.degree)
         object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "fibres", np.asarray(
-            self.fibres, dtype=np.float64).reshape(len(modes), ncomp))
-        object.__setattr__(self, "sine", np.asarray(self.sine, dtype=bool))
-        object.__setattr__(
-            self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64)
-        )
+        shapes = {"fibres": (np.float64, (-1, grid.component_count(self.degree))),
+                  "sine": (bool, -1), "eigenvalues": (np.float64, -1)}
+        for name, (dtype, shape) in shapes.items():
+            value = np.asarray(getattr(self, name), dtype=dtype).reshape(shape)
+            if len(value) != len(modes):
+                raise ValueError(f"field {min(len(value), len(modes))}: {name} has "
+                                 f"{len(value)} entries for {len(modes)} modes")
+            object.__setattr__(self, name, value)
+        limit, squares = grid.res // 3, np.sum(modes**2, axis=1)
+        for problem, bad in (("is the zero mode", squares == 0),
+                             (f"lies outside the band |k_i| <= {limit}",
+                              np.any(np.abs(modes) > limit, axis=1)),
+                             ("has an eigenvalue other than |k|^2",
+                              self.eigenvalues != squares)):
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                raise ValueError(f"field {j}: mode {tuple(modes[j].tolist())} {problem}")
 
     @property
     def m(self) -> int:
@@ -697,11 +702,15 @@ class GalerkinBasis:
     def project(self, u: FormField) -> np.ndarray:
         """Coefficients (u, b_j) of the basis expansion, read from u's band
         halves after its Hermitian check (``BandHalves.of``)."""
+        return self._project_halves(BandHalves.of(self._check(u)).halves)
+
+    def _check(self, u: FormField) -> FormField:
+        """u, after checking that it lives on the basis grid and degree."""
         if u.grid != self.grid or u.degree != self.degree:
             raise ValueError(
                 f"field of degree {u.degree} on {u.grid} does not match the basis "
                 f"of degree {self.degree} on {self.grid}")
-        return self._project_halves(BandHalves.of(u).halves)
+        return u
 
     def _project_halves(self, halves) -> np.ndarray:
         """``project`` of the real field with band halves ``halves``, one per
@@ -714,6 +723,28 @@ class GalerkinBasis:
         phase = self._phase[:, None]
         pair = np.conj(phase) * at[0] + phase * at[1]
         return np.sum(self.fibres * pair.real, axis=-1)
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
+        """P_m on the band half, shape (2, ncomp, ncomp, 2L+1, ..., L+1): per
+        mode the cos fields' sum of xi xi^T (for the real part) and the sin
+        fields' (for the imaginary part), each field added at each distinct
+        half position of +-k_j, so a split shell or fibre is covered too."""
+        ncomp = self.fibres.shape[1]
+        mats = np.zeros((2, ncomp, ncomp) + _band(self.grid).shape)
+        outer = self.fibres[:, :, None] * self.fibres[:, None, :]
+        for index, mirrored in self._half_index:
+            keep = ~mirrored
+            at = tuple(i[keep] for i in index)
+            np.add.at(mats, (self.sine[keep].astype(int), slice(None), slice(None)) + at,
+                      outer[keep])
+        return mats
+
+    def _project_band(self, halves) -> np.ndarray:
+        """P_m of the real field with band halves ``halves``, stacked: C Re q
+        + i S Im q mode by mode, C and S the two fields of ``_projector``."""
+        q, (cos, sin) = np.asarray(halves), self._projector
+        return np.sum(cos * q.real, axis=1) + 1j * np.sum(sin * q.imag, axis=1)
 
     def synthesize(self, coeffs: np.ndarray) -> FormField:
         return BandHalves(self.grid, self.degree, self._scatter(coeffs)).field()
@@ -780,11 +811,12 @@ class LinearizedOperator:
     """The linearized operator on the span of the basis, sampled in time.
 
     Its Galerkin matrix C(t)[k, j] = mu lam_k delta_kj + (B(w(t), b_k), b_j)
-    acts on coefficients through its transpose, C(t)^T g = mu lam g +
-    P_m B(w(t), sum_k g_k b_k), so the operator holds what the kernel needs
-    and no matrix: the basis, mu, the sample ``times``, ``samples`` (w at
-    each time as a kept ``BandHalves``, one object for a constant w, None
-    where w is zero) and the nonlinearity ``ns_cfg``.
+    acts on the state u = sum_k g_k b_k as mu Lap u + P_m B(w(t), u), whose
+    coefficients are C(t)^T g, so the operator holds what the kernel needs
+    and no matrix: the basis (and through it P_m), mu, the sample
+    ``times``, ``samples`` (w at each time as a kept ``BandHalves``, one
+    object for a constant w, None where w is zero) and the nonlinearity
+    ``ns_cfg``.
     """
 
     basis: GalerkinBasis
@@ -821,42 +853,12 @@ def assemble_linearized(
                               tuple(sample(j, False) for j in range(len(times))), ns_cfg)
 
 
-def _forcing_coefficients(f: _Sampler, basis: GalerkinBasis) -> np.ndarray:
-    """Basis coefficients of the forcing at every time-grid point."""
-    fvec = np.zeros((len(f.times), basis.m))
-    for j in range(len(f.times)):
-        fj = f.sample(j)
-        if fj is not None:
-            fvec[j] = basis.project(fj)
-    return fvec
-
-
-def _coefficient_solve(cfg: SolverConfig, basis: GalerkinBasis, u0: FormField,
-                       fvec: np.ndarray, quad, stored=None) -> list[np.ndarray]:
-    """Coefficients of P_m u0 stepped by ``_run_scheme``, kept at ``stored``
-    (every state for None).
-
-    A stage is f_m - P_m Q(sum_k g_k b_k) (``_galerkin_term``), with the
-    forcing coefficients ``fvec`` averaged at the midpoint.
-    """
-
-    def rhs(j, midpoint, g):
-        vec = 0.5 * (fvec[j] + fvec[j + 1]) if midpoint else fvec[j]
-        return vec - _galerkin_term(basis, quad, j, g, midpoint)
-
-    return _run_scheme(
-        cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
-        _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * basis.eigenvalues)),
-        rhs, _coefficient_guard, stored,
-    )
-
-
-def _galerkin_term(basis: GalerkinBasis, quad, j: int, g: np.ndarray,
-                   midpoint: bool = False):
-    """P_m Q(sum_k g_k b_k): g scattered into a band-half state, Q's band
-    halves ``quad(j, u, midpoint)`` there (None for zero) gathered back."""
-    q = quad(j, BandHalves(basis.grid, basis.degree, basis._scatter(g)), midpoint)
-    return 0.0 if q is None else basis._project_halves(q)
+def _grid_sampled(f_series, times: np.ndarray) -> _Sampler:
+    """The Galerkin solves' forcing: a callable is sampled on the time grid,
+    so every form of forcing is the mean of its neighbours at a midpoint."""
+    if callable(f_series):
+        f_series = [f_series(float(t)) for t in times]
+    return _Sampler(f_series, times, "forcing")
 
 
 def apply_inverse(
@@ -868,49 +870,43 @@ def apply_inverse(
     store_every: int = 1,
     derivatives: int = 1,
 ) -> TimeSeriesSolution:
-    """Solve the linearized problem in coefficient space.
+    """Solve the linearized problem on the span of the basis.
 
-    A stage applies C(t)^T through one ``bilinear_term`` call on the
-    scattered coefficients; at the rk2 midpoint w is the mean of its two
-    neighbouring samples, which by bilinearity is the mean of their
-    matrices.  ``cfg`` must match the operator's time grid, grid and mu.
-    Returns the synthesized trajectory, with dt_cache[1] = f_m - C(t)^T g;
-    equivalent to solve_linearized on the same data when the basis spans
-    the full band-limited space.
+    The field solver steps P_m u0 on the band half with the basis projector
+    P_m as its projection: a stage is P_m f - P_m B(w_j, u), one
+    ``bilinear_term`` call, which applies C(t)^T to u's coefficients.  Data
+    are taken on the time grid: at an rk2 midpoint w and f (a callable f
+    too) are the means of their two neighbouring samples.  ``cfg`` must
+    match the operator's time grid, grid, mu, degree and preset (if it has
+    one).  Returns the trajectory with dt_cache[1] = P_m f - mu Lap u - P_m
+    B(w, u); equivalent to solve_linearized on the same data when the basis
+    spans the full band-limited space.
     """
     if derivatives > 1:
-        raise ValueError("coefficient-space solves cache derivatives up to order 1")
+        raise ValueError("Galerkin solves cache derivatives up to order 1")
     times = cfg.times()
     if len(op.times) != len(times) or not np.allclose(op.times, times):
         raise ValueError("operator was sampled on a different time grid")
-    basis = op.basis
-    if cfg.grid() != basis.grid:
-        raise ValueError(f"configuration grid {cfg.grid()} does not match the "
-                         f"operator's {basis.grid}")
-    if cfg.mu != op.mu:
-        raise ValueError(f"configuration mu = {cfg.mu} does not match the "
-                         f"operator's mu = {op.mu}")
-    _check_initial(u0)
-    fvec = _forcing_coefficients(_Sampler(f_series, times, "forcing"), basis)
+    basis, ns = op.basis, op.ns_cfg
+    # A custom nonlinearity has no preset name to hold cfg.preset to.
+    for what, got, expected in (("grid", cfg.grid(), basis.grid), ("mu", cfg.mu, op.mu),
+                                ("degree", cfg.degree, basis.degree),
+                                ("preset", cfg.preset, ns.tag if ns.tag in PRESETS
+                                 else cfg.preset)):
+        if got != expected:
+            raise ValueError(f"configuration {what} {got} does not match the "
+                             f"operator's {expected}")
 
-    def quad(j, u, midpoint):
+    def advection(j, midpoint):
         w = op.samples[j]
         if midpoint and op.samples[j + 1] is not w:
             parts = [s.halves for s in op.samples[j:j + 2] if s is not None]
             w = BandHalves(basis.grid, basis.degree, sum(parts) * 0.5)
-        return None if w is None else bilinear_term(w, u, op.ns_cfg)
+        return w
 
-    stored = _stored_indices(cfg.steps, store_every)
-    g_states = _coefficient_solve(cfg, basis, u0, fvec, quad, stored)
-    u_list = [basis.synthesize(g) for g in g_states]
-    dt_cache: dict[int, list[FormField]] = {}
-    if derivatives >= 1:
-        dt_cache[1] = [
-            basis.synthesize(fvec[i] - op.mu * basis.eigenvalues * g
-                             - _galerkin_term(basis, quad, i, g))
-            for i, g in zip(stored, g_states)
-        ]
-    return TimeSeriesSolution(times[stored], u_list, dt_cache=dt_cache)
+    return _field_solve(cfg, ns, basis._check(u0), _grid_sampled(f_series, times),
+                        advection, None, _stored_indices(cfg.steps, store_every),
+                        derivatives, False, basis._project_band)
 
 
 # -- residual diagnostics --------------------------------------------------------
@@ -1141,7 +1137,8 @@ def newton_local_inverse(
     # cells are P f already, not projected again, and the pressure's source.
     quads.append(nonlinear_term(states[-1], ns))
     cells = f_cells + f_cells[-1:]
-    sol = _sample_pass(cfg.times(), range(len(states)), states, cfg.mu, lambda i, u: quads[i],
+    sol = _sample_pass(cfg.times(), range(len(states)), states, cfg.mu,
+                       partial(_band_projection, grid, degree), lambda i, u: quads[i],
                        lambda i: (cells[i], BandHalves(grid, degree, cells[i]).field()), 1, True)
     return NewtonResult(sol, history, converged)
 
@@ -1169,22 +1166,22 @@ def galerkin_convergence_study(
 ) -> GalerkinStudy:
     """Solve at increasing truncation m and report stability quantities.
 
-    For each m: sup_t |grad^order u_m|^2 + mu * int |grad^(order+1) u_m|^2 dt
-    (the a-priori bounded quantity), plus sup-in-time L2 Cauchy differences
-    between consecutive truncations.
+    u_m is the field solver's trajectory under the projector P_m of the
+    first m basis fields; a callable forcing is sampled on the time grid,
+    with the mean of two neighbours at a midpoint.  For each m: sup_t
+    |grad^order u_m|^2 + mu * int |grad^(order+1) u_m|^2 dt (the a-priori
+    bounded quantity), plus sup-in-time L2 Cauchy differences between
+    consecutive truncations.
     """
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    grid = cfg.grid()
-    _check_initial(u0)
     times = cfg.times()
-    f = _Sampler(f_series, times, "forcing")
+    f = _grid_sampled(f_series, times)
     trajectories = []
     bounded = []
     for m in ms:
-        basis = build_basis(grid, cfg.degree, m)
-        g_states = _coefficient_solve(cfg, basis, u0, _forcing_coefficients(f, basis),
-                                      lambda j, u, midpoint: nonlinear_term(u, ns))
-        fields = [basis.synthesize(g) for g in g_states]
+        basis = build_basis(cfg.grid(), cfg.degree, m)
+        fields = _field_solve(cfg, ns, basis._check(u0), f, None, None, range(len(times)),
+                              0, False, basis._project_band).u
         trajectories.append(fields)
         sup_part = max(l2_norm(fractional_power(u, order)) ** 2 for u in fields)
         grads = [l2_norm(fractional_power(u, order + 1)) ** 2 for u in fields]

@@ -229,10 +229,13 @@ class TestGalerkinBasis:
         back = basis.synthesize(basis.project(u))
         assert l2_norm(back - u) <= 1e-12 * max(l2_norm(u), 1.0)
 
-    @pytest.mark.parametrize("grid, m", [(G16, None), (G16, 7), (SpectralGrid(3, 8), None)])
+    @pytest.mark.parametrize("grid, m", [(G16, None), (G16, 7), (SpectralGrid(3, 8), None),
+                                         (SpectralGrid(3, 8), 13)])
     def test_gather_and_scatter_match_oracles(self, grid, m):
         # project is a gather and synthesize a scatter at +-k; the oracles
         # are the L2 pairing with every field and the sum of the fields.
+        # The basis projector P_m is synthesize after project, also where m
+        # splits a shell (T^2, m = 7) or a fibre (T^3, m = 13).
         basis = build_basis(grid, 1, m)
         rng = np.random.default_rng(17)
         u = random_form(grid, 1, rng)
@@ -246,6 +249,33 @@ class TestGalerkinBasis:
         got = basis.synthesize(g)
         for a, b in zip(got.components, total.components):
             assert np.max(np.abs(a - b)) <= 1e-14
+        halves = nonlinear_module.BandHalves.of(u).halves
+        projected = nonlinear_module.BandHalves(grid, 1, basis._project_band(halves)).field()
+        for a, b in zip(projected.components, basis.synthesize(basis.project(u)).components):
+            assert np.max(np.abs(a - b)) <= 1e-15
+
+    @pytest.mark.parametrize("modes, fibres, sine, eigenvalues, problem", [
+        ([[7, 1]], [[0.0, 1.0]], [False], [50.0], "field 0: .* outside the band"),
+        ([[1, -6]], [[1.0, 0.0]], [False], [37.0], "field 0: .* outside the band"),
+        ([[1, 0], [0, 0]], [[0.0, 1.0], [1.0, 0.0]], [False, True], [1.0, 0.0],
+         "field 1: .* zero mode"),
+        ([[1, 0], [1, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True], [1.0, 1.0],
+         "field 1: .* eigenvalue"),
+        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False], [1.0, 1.0],
+         "field 1: sine has 1 entries for 2 modes"),
+        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True, True], [1.0, 1.0],
+         "field 2: sine has 3 entries for 2 modes"),
+        ([[1, 0], [0, 1]], [[0.0, 1.0]], [False, True], [1.0, 1.0],
+         "field 1: fibres has 1 entries"),
+        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True], [1.0],
+         "field 1: eigenvalues has 1 entries"),
+    ])
+    def test_bad_fields_rejected(self, modes, fibres, sine, eigenvalues, problem):
+        # The class is public: a mode outside the band would wrap around the
+        # band half, a short sine or eigenvalue array would broadcast, and
+        # the solves read |k|^2 from the mode, not the eigenvalue.
+        with pytest.raises(ValueError, match=problem):
+            GalerkinBasis(G16, 1, modes, fibres, sine, eigenvalues)
 
     def test_mode_indexed_storage(self):
         # Nothing of size m x res^n is stored; the full 3-D res-32 band
@@ -828,7 +858,9 @@ class TestEnergyLaw:
 def _linearized_case(basis_name, w_kind):
     """A basis, data (w, f, u0) and the dense Galerkin matrices C(t)[k, j] =
     mu lam_k delta_kj + (B(w(t), b_k), b_j) of a linearized problem, the
-    matrices built field by field with bilinear_term."""
+    matrices built field by field with bilinear_term.  In the "curved" case
+    w and f vary as sin(40 t), so a midpoint value differs from the mean of
+    its neighbours: the reference takes both on the time grid."""
     grid = SpectralGrid(3, 8) if basis_name == "t3-full" else G16
     rng = np.random.default_rng(31)
     basis = build_basis(grid, 1, 40 if basis_name == "t2-m40" else None)
@@ -837,10 +869,11 @@ def _linearized_case(basis_name, w_kind):
     cfg = SolverConfig(mu=0.3, T=0.02, dt=5e-3, res=grid.res, n=grid.n)
     wa, wb, fa, fb, u0 = (project_state(random_form(grid, 1, rng)) for _ in range(5))
     times = cfg.times()
+    shape = (lambda t: float(np.sin(40.0 * t))) if w_kind == "curved" else (lambda t: t)
     w = {"none": None, "constant": wa,
-         "list": [project_state(random_form(grid, 1, rng)) for _ in times],
-         "callable": lambda t: wa + wb * t}[w_kind]
-    if w_kind == "callable":
+         "list": [project_state(random_form(grid, 1, rng)) for _ in times]}.get(
+             w_kind, lambda t: wa + wb * shape(t))  # "callable" and "curved"
+    if callable(w):
         samples = [w(float(t)) for t in times]
     else:
         samples = w if w_kind == "list" else [w] * len(times)
@@ -852,25 +885,34 @@ def _linearized_case(basis_name, w_kind):
             rows[id(wj)] = (np.zeros((basis.m, basis.m)) if wj is None else
                             np.array([basis.project(bilinear_term(wj, b, ns)) for b in fields]))
         mats.append(cfg.mu * np.diag(basis.eigenvalues) + rows[id(wj)])
-    return basis, cfg, w, (lambda t: fa + fb * t), u0, mats
+    return basis, cfg, w, (lambda t: fa + fb * shape(t)), u0, mats
 
 
 def _dense_inverse(basis, cfg, f, u0, mats):
-    """apply_inverse by the dense matrices: _run_scheme with mat.T @ g, the
-    explicit blocks averaged at the midpoint."""
-    times = cfg.times()
+    """apply_inverse by the dense matrices, with a Lawson loop of its own:
+    exp(-mu tau lam) on the coefficients, the explicit part mat.T @ g, and
+    the forcing and the matrices averaged at the rk2 midpoint."""
+    times, dt = cfg.times(), cfg.T / cfg.steps
     fvec = np.array([basis.project(f(float(t))) for t in times])
     expl = [mat - cfg.mu * np.diag(basis.eigenvalues) for mat in mats]
+
+    def decay(g, tau):
+        return g * np.exp(-cfg.mu * tau * basis.eigenvalues)
 
     def rhs(j, midpoint, g):
         if midpoint:
             return 0.5 * (fvec[j] + fvec[j + 1]) - (0.5 * (expl[j] + expl[j + 1])).T @ g
         return fvec[j] - expl[j].T @ g
 
-    g_states = solver_module._run_scheme(
-        cfg.scheme, basis.project(u0), cfg.steps, cfg.T / cfg.steps,
-        solver_module._lawson_decay(lambda tau: np.exp(-cfg.mu * tau * basis.eigenvalues)),
-        rhs, lambda g, j: None)
+    g = basis.project(u0)
+    g_states = [g]
+    for j in range(cfg.steps):
+        if cfg.scheme == "imex-euler":
+            g = decay(g + rhs(j, False, g) * dt, dt)
+        else:
+            mid = decay(g + rhs(j, False, g) * (0.5 * dt), 0.5 * dt)
+            g = decay(g, dt) + decay(rhs(j, True, mid), 0.5 * dt) * dt
+        g_states.append(g)
     return ([basis.synthesize(g) for g in g_states],
             [basis.synthesize(fvec[i] - mats[i].T @ g) for i, g in enumerate(g_states)])
 
@@ -888,7 +930,7 @@ class TestLinearizedOperator:
     C(t)^T through the kernel and agrees with the dense matrices."""
 
     @pytest.mark.parametrize("basis_name", ["t2-full", "t2-m40", "t2-reordered", "t3-full"])
-    @pytest.mark.parametrize("w_kind", ["none", "constant", "list", "callable"])
+    @pytest.mark.parametrize("w_kind", ["none", "constant", "list", "callable", "curved"])
     @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
     def test_matches_dense_galerkin_matrices(self, basis_name, w_kind, scheme):
         basis, cfg, w, f, u0, mats = _linearized_case(basis_name, w_kind)
@@ -904,15 +946,22 @@ class TestLinearizedOperator:
     def test_one_kernel_call_per_stage_and_sample(self, monkeypatch, w_kind, scheme):
         basis, cfg, w, f, u0, _ = _linearized_case("t2-m40", w_kind)
         cfg = dataclasses.replace(cfg, scheme=scheme)
-        grid_passes, products = [], []
+        grid_passes, products, gathers = [], [], []
         on_grid, bilinear = nonlinear_module._on_grid, solver_module.bilinear_term
         monkeypatch.setattr(nonlinear_module, "_on_grid",
                             lambda *args: grid_passes.append(1) or on_grid(*args))
         monkeypatch.setattr(solver_module, "bilinear_term",
                             lambda *args: products.append(1) or bilinear(*args))
+        for name in ("_scatter", "_project_halves"):
+            original = getattr(GalerkinBasis, name)
+            monkeypatch.setattr(GalerkinBasis, name, lambda self, *args, name=name,
+                                original=original: gathers.append(name) or original(self, *args))
         op = assemble_linearized(w, cfg.mu, basis, cfg.times(), NS2)
         assert grid_passes == [] and products == []
         apply_inverse(op, f, u0, cfg, store_every=2)
+        # The state stays in the band half: P_m is applied there, with no
+        # scatter of coefficients and no gather.
+        assert gathers == []
         stages = cfg.steps * (1 if scheme == "imex-euler" else 2)
         stored = len(range(0, cfg.steps + 1, 2))
         expected = 0 if w_kind == "none" else stages + stored
@@ -1015,7 +1064,7 @@ class TestApplyInverse:
         cfg = SolverConfig(mu=0.2, T=0.2, dt=0.1, res=16)
         op = assemble_linearized(None, cfg.mu, basis, cfg.times(), NS2)
         huge = basis.fields[0] * 1e15
-        with pytest.raises(SolverDivergenceError, match="coefficient norm exceeded"):
+        with pytest.raises(SolverDivergenceError, match="trajectory norm exceeded"):
             apply_inverse(op, huge, FormField.zeros(G16, 1), cfg)
 
     def test_non_hermitian_data_rejected(self):
@@ -1040,6 +1089,10 @@ class TestApplyInverse:
             op, f, u0, dataclasses.replace(cfg, n=3)),
         "cfg-mu": lambda op, cfg, f, u0, far: apply_inverse(
             op, f, u0, dataclasses.replace(cfg, mu=5.0)),
+        "cfg-preset": lambda op, cfg, f, u0, far: apply_inverse(
+            op, f, u0, dataclasses.replace(cfg, preset="zero")),
+        "cfg-degree": lambda op, cfg, f, u0, far: apply_inverse(
+            op, f, u0, dataclasses.replace(cfg, preset="zero", degree=2)),
         "project-grid": lambda op, cfg, f, u0, far: op.basis.project(far),
         "project-degree": lambda op, cfg, f, u0, far: op.basis.project(
             FormField.zeros(G16, 0)),
@@ -1062,6 +1115,21 @@ class TestApplyInverse:
                                         kmax=3))
         with pytest.raises(ValueError, match="does not match"):
             self.MISMATCHES[case](op, cfg, f, u0, far)
+
+    def test_custom_nonlinearity_checks_only_the_degree(self):
+        # A custom nonlinearity has no preset name to hold cfg.preset to; the
+        # solve uses the operator's nonlinearity whatever cfg.preset says.
+        w, f, u0 = self._data()
+        cfg = SolverConfig(mu=0.2, T=0.1, dt=0.05, res=16)
+        basis = build_basis(G16, 1, 8)
+        custom = dataclasses.replace(NS2, tag="custom")
+        op = assemble_linearized(w, cfg.mu, basis, cfg.times(), custom)
+        got = apply_inverse(op, f, u0, dataclasses.replace(cfg, preset="zero"))
+        expected = apply_inverse(assemble_linearized(w, cfg.mu, basis, cfg.times(), NS2),
+                                 f, u0, cfg)
+        _assert_same_states(got.u, expected.u)
+        with pytest.raises(ValueError, match="degree 0 does not match"):
+            apply_inverse(op, f, u0, dataclasses.replace(cfg, preset="zero", degree=0))
 
     def test_time_grid_mismatch_rejected(self):
         basis = build_basis(G16, 1, 8)
