@@ -21,9 +21,11 @@ outside the band are dropped), a stage passes the state to nonlinear_term
 or bilinear_term as ``BandHalves`` and gets the band halves of Q back, and
 fields are rebuilt by ``BandHalves.field`` only where they leave.
 
-The pressure has no evolution equation; it is recovered at sample times
-from the complementary projection of the source, d p = (I - P)(f - Q(u))
-with Q the advection or nonlinear term.
+The pressure has no evolution equation; at sample times it is the
+potential of the gradient part of the source, d p = (I - P)(f - Q(u)) with
+Q the advection or nonlinear term.  On the flat torus delta Lap^-1 inverts
+d on exact forms and sends coclosed forms to zero, so p = delta Lap^-1 (f -
+Q) needs no projection (Hodge-Helmholtz decomposition).
 
 The Galerkin solves (``apply_inverse`` and the truncation study) run the
 same solver on the same band-half state, with the basis projector P_m in
@@ -35,11 +37,12 @@ Galerkin matrices C(t)^T exactly, and they are never formed.
 Cached time derivatives attached to solutions are obtained by
 substituting the evolution equation (and its differentiated form), never
 by finite differences; the finite-difference formulas in the residual
-diagnostics measure scheme accuracy and are intentional.  One pass over
-the stored samples, shared by every solver, evaluates
-Q(u) on the band-half state, and where the solver has it Q'(u) du/dt,
-once per sample: P Q enters the derivative cache and (I - P)(f - Q) the
-pressure, likewise for their time derivatives.
+diagnostics measure scheme accuracy and are intentional.  A stored sample
+is made from the parts of the stage that starts at it, a stored final
+state from one more call of the stage: Q(u) on the band half, the forcing
+drawn and the explicit term r = -P Q + P f.  Then du/dt = -mu |k|^2 u + r
+on the band half and p = delta Lap^-1 (f - Q); where the solver has it,
+Q'(u) du/dt gives the second derivative and the pressure's first alike.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .hodge import helmholtz_project, recover_pressure
 from .norms import TimeSeriesSolution
 from .nonlinear import (
     PRESETS,
@@ -79,11 +81,13 @@ from .spectral import (
     _inverse_squares,
     _parseval,
     codifferential,
+    exterior_derivative,
     fractional_power,
     hodge_laplacian,
     inner_product,
     l2_norm,
     load_field,
+    parametrix,
     save_field,
 )
 
@@ -384,19 +388,21 @@ def _stored_indices(steps: int, store_every: int) -> list[int]:
 
 
 def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _Sampler,
-                 advection, f_dt: _Sampler | None, stored: list[int],
+                 advection, f_dt: _Sampler | None, stored: Sequence[int],
                  derivatives: int, with_pressure: bool, project=None) -> TimeSeriesSolution:
     """P u0 (u0 checked to be divergence-free and Hermitian) stepped by
-    ``_run_scheme`` on its band half, then ``_sample_pass`` at ``stored``.
+    ``_run_scheme`` on its band half, sampled at ``stored`` (which ends at
+    the last step).
 
     P is ``project`` on stacked band halves: a basis projector P_m, or the
-    state-space projection for None.  A stage is -P Q + P f on the half,
-    from the two parts the pass reuses: ``quad``, Q's band halves at a
-    ``BandHalves`` state (N(u) for ``advection`` None, else B(w_j, u) with
-    w_j = advection(j, midpoint), zero where w_j is None; the kernel checks
-    the degrees), and ``forcing``, a forcing sample drawn once as the pair
-    (P f on the half, f).  With ``f_dt`` the pass also takes Q'(u) du =
-    B(u, du) and df/dt alike."""
+    state-space projection for None.  A stage is r = -P Q + P f on the
+    half, from Q's band halves at a ``BandHalves`` state (N(u) for
+    ``advection`` None, else B(w_j, u) with w_j = advection(j, midpoint),
+    zero where w_j is None; the kernel checks the degrees) and a forcing
+    sample drawn once as the pair (P f on the half, f).  The stage that
+    starts at a stored index, and one more stage call at the final state,
+    hands these parts to the ``_sampler``.  With ``f_dt`` the samples also
+    take Q'(u) du = B(u, du) and df/dt."""
     grid, degree = cfg.grid(), u0.degree
     project = project or partial(_band_projection, grid, degree)
     _check_initial(u0)
@@ -404,29 +410,34 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _S
     forcing, forcing_dt = (
         _per_stage(data, lambda fj: (_projected_half(fj, grid, degree, project), fj))
         for data in (f, f_dt))
-
-    def quad(j, u, midpoint=False):
-        if advection is None:
-            return nonlinear_term(u, ns)
-        wj = advection(j, midpoint)
-        return np.zeros_like(u.halves) if wj is None else bilinear_term(wj, u, ns)
+    take, solution = _sampler(
+        cfg.mu, project, derivatives, with_pressure, None if f_dt is None else
+        lambda i, u, du: (bilinear_term(u, du, ns), forcing_dt(i, False)))
+    starts = frozenset(stored)
 
     def rhs(j, midpoint, state):
-        out = -project(quad(j, BandHalves(grid, degree, state), midpoint))
+        u = BandHalves(grid, degree, state)
+        if advection is None:
+            q = nonlinear_term(u, ns)
+        else:
+            wj = advection(j, midpoint)
+            q = np.zeros_like(state) if wj is None else bilinear_term(wj, u, ns)
         fj = forcing(j, midpoint)
-        return out if fj is None else out + fj[0]
+        r = _explicit(project, q, fj)
+        if not midpoint and j in starts:
+            take(j, u, q, fj, r)
+        return r
 
-    states = _run_scheme(
+    last, = _run_scheme(
         cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
         _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid))),
-        rhs, _half_guard, stored,
+        rhs, _half_guard, [cfg.steps],
     )
-    states = [BandHalves(grid, degree, s) for s in states]
-    return _sample_pass(
-        cfg.times(), stored, states, cfg.mu, project, quad, lambda i: forcing(i, False),
-        derivatives, with_pressure,
-        quad_dt=None if f_dt is None else lambda u, du: bilinear_term(u, du, ns),
-        forcing_dt=lambda i: forcing_dt(i, False))
+    if derivatives >= 1 or with_pressure:
+        rhs(cfg.steps, False, last)
+    else:
+        take(cfg.steps, BandHalves(grid, degree, last))
+    return solution(cfg.times()[list(stored)])
 
 
 def _per_stage(data: _Sampler | None, prepare):
@@ -446,72 +457,72 @@ def _per_stage(data: _Sampler | None, prepare):
     return stage
 
 
-def _sample_pass(times, stored, states, mu, project, quad, forcing, derivatives,
-                 with_pressure, quad_dt=None, forcing_dt=None) -> TimeSeriesSolution:
-    """The ``BandHalves`` ``states`` at time indices ``stored`` as fields,
-    with equation-substituted derivatives and pressures; every solver
-    shares it, and ``project`` is its P.
+def _explicit(project, q: np.ndarray, forcing) -> np.ndarray:
+    """-P q + P f, from Q's band halves q and the forcing pair (P f on the
+    half, f), None for no forcing."""
+    out = -project(q)
+    return out if forcing is None else out + forcing[0]
 
-    ``quad(i, u)`` gives Q's band halves at the state u, ``forcing(i)`` the
-    pair (P f on the half, f as a field) or None for no forcing; ``quad_dt(u,
-    du)`` and ``forcing_dt(i)`` the same for Q'(u) du and df/dt (None where
-    the solver has none).  Each is evaluated at most once per sample: P Q
-    enters the derivative cache, f - Q the pressure source, likewise Q'(u) du
-    and df/dt for the second derivative and the pressure's first.
+
+def _sampler(mu: float, project, derivatives: int, with_pressure: bool, quad_dt=None):
+    """``take`` and ``solution`` of the stored samples of a solve: the states
+    as fields, with equation-substituted derivatives and pressures, and
+    ``project`` as P.
+
+    ``take(i, u, q, forcing, r)`` gets the parts of the stage that starts at
+    the stored time index i: the ``BandHalves`` state u, Q's band halves q,
+    the forcing pair (P f on the half, f) or None, and r = -P q + P f (only
+    u where neither derivatives nor pressures are asked for).  Then du/dt =
+    -mu |k|^2 u + r on the band half and p = ``_pressure`` of f - q.
+    ``quad_dt(i, u, du)``, where the solver has it, gives Q'(u) du and the
+    df/dt pair once per sample, for the second derivative and the
+    pressure's first.  States and derivatives are held
+    as band halves and become fields in ``solution``, after the stepping.
     """
-    with_q = derivatives >= 1 or with_pressure
-    with_dq = quad_dt is not None and (
-        derivatives == 2 or (derivatives == 1 and with_pressure))
     u_list, first, second, p_list, p_first = [], [], [], [], []
-    for i, u in zip(stored, states):
-        u_list.append(u.field())
-        if not with_q:
-            continue
-        (pf, fi), q = forcing(i) or (None, None), quad(i, u)
-        if derivatives >= 1:
-            du = _substituted(u_list[-1], q, pf, mu, project)
-            first.append(du)
+    if not (derivatives == 2 or (derivatives == 1 and with_pressure)):
+        quad_dt = None
+
+    def take(i: int, u: BandHalves, q=None, forcing=None, r=None) -> None:
+        u_list.append(u)
         if with_pressure:
-            p_list.append(_pressure(u, q, fi))
-        if not with_dq:
-            continue
-        (pdf, dfi), dq = forcing_dt(i) or (None, None), quad_dt(u, BandHalves.of(du))
-        if derivatives >= 2:
-            second.append(_substituted(du, dq, pdf, mu, project))
+            p_list.append(_pressure(u, q, forcing))
+        if derivatives == 0:
+            return
+        decay = -mu * _half_k_squared(u.grid)
+        du = BandHalves(u.grid, u.degree, u.halves * decay + r)
+        first.append(du)
+        if quad_dt is None:
+            return
+        dq, dforcing = quad_dt(i, u, du)
+        if derivatives == 2:
+            r_dt = _explicit(project, dq, dforcing)
+            second.append(BandHalves(u.grid, u.degree, du.halves * decay + r_dt))
         if with_pressure:
-            p_first.append(_pressure(u, dq, dfi))
-    dt_cache = {d: s for d, s in ((1, first), (2, second)) if d <= derivatives}
-    return TimeSeriesSolution(
-        times[stored], u_list, p=p_list if with_pressure else None,
-        dt_cache=dt_cache, p_dt_cache={1: p_first} if p_first else {},
-    )
+            p_first.append(_pressure(u, dq, dforcing))
+
+    def solution(times: np.ndarray) -> TimeSeriesSolution:
+        dt_cache = {d: [s.field() for s in states]
+                    for d, states in ((1, first), (2, second)) if d <= derivatives}
+        return TimeSeriesSolution(times, [u.field() for u in u_list],
+                                  p=p_list if with_pressure else None,
+                                  dt_cache=dt_cache,
+                                  p_dt_cache={1: p_first} if p_first else {})
+
+    return take, solution
 
 
-def _substituted(u: FormField, q: np.ndarray, pf: np.ndarray | None,
-                 mu: float, project) -> FormField:
-    """-mu Lap u - P q + P f (P = ``project``), the time derivative the
-    equation assigns, from the band halves of q and of P f: on fields."""
-    grid, degree = u.grid, u.degree
-    du = (hodge_laplacian(u) * (-mu) - BandHalves(grid, degree, project(q)).field())
-    return du if pf is None else du + BandHalves(grid, degree, pf).field()
-
-
-def _pressure(u: BandHalves, q: np.ndarray, fu: FormField | None) -> FormField:
-    """Pressure of the source fu - q, for band halves q on u's grid."""
-    src = BandHalves(u.grid, u.degree, q).field() * (-1.0)
-    return _pressure_from_source(src if fu is None else src + fu)
-
-
-def _pressure_from_source(source: FormField) -> FormField:
-    """Potential of the gradient part of the source, zero if negligible.
-
-    Below rounding level relative to the source the gradient part is
-    indistinguishable from zero and the potential is returned as zero.
-    """
-    grad_part = source - helmholtz_project(source)
-    if l2_norm(grad_part) <= 1e-12 * max(l2_norm(source), 1.0):
-        return FormField.zeros(source.grid, source.degree - 1)
-    return recover_pressure(grad_part)
+def _pressure(u: BandHalves, q: np.ndarray, forcing) -> FormField:
+    """p = delta Lap^-1 s of the source s = f - q (q band halves on u's grid,
+    f from the forcing pair, zero for None); zero where d p = (I - P) s, the
+    gradient part of s, is below rounding level relative to s."""
+    source = BandHalves(u.grid, u.degree, q).field() * (-1.0)
+    if forcing is not None:
+        source = source + forcing[1]
+    p = codifferential(parametrix(source))
+    if l2_norm(exterior_derivative(p)) <= 1e-12 * max(l2_norm(source), 1.0):
+        return FormField.zeros(p.grid, p.degree)
+    return p
 
 
 def solve_linearized(
@@ -646,8 +657,10 @@ class GalerkinBasis:
     at -k_j the conjugate, with phase sqrt(2)/2 for cos and -i sqrt(2)/2
     for sin; ``project`` gathers and ``synthesize`` scatters in the band half.
     Construction checks one fibre, sine flag and eigenvalue |k_j|^2 per
-    nonzero band mode.  Compared by identity: ``==`` is ``is`` and ``hash``
-    the object's id.
+    nonzero band mode, and that the fibres are unit, divergence-free (the
+    contraction of ``_divergence_matrix``) and orthogonal at each mode and
+    phase, so P_m is an orthogonal projection.  Compared by identity: ``==``
+    is ``is`` and ``hash`` the object's id.
     """
 
     grid: SpectralGrid
@@ -680,6 +693,25 @@ class GalerkinBasis:
             if np.any(bad):
                 j = int(np.argmax(bad))
                 raise ValueError(f"field {j}: mode {tuple(modes[j].tolist())} {problem}")
+        fibres = self.fibres
+        div = np.zeros((len(modes), comb(grid.n, max(self.degree - 1, 0))))
+        for out_idx, in_idx, axis, sign in (
+                _insertion_table(grid.n, self.degree - 1) if self.degree else ()):
+            div[:, in_idx] += sign * modes[:, axis] * fibres[:, out_idx]
+        # With unit fibres, P_m at a mode is idempotent iff the fibres of its
+        # fields of one phase are orthogonal.
+        mats = np.moveaxis(self._projector, (1, 2), (-2, -1))
+        overlap = np.max(np.abs(mats @ mats - mats), axis=(-2, -1))
+        for problem, bad in (("is not a unit vector",
+                              ~(np.abs(np.linalg.norm(fibres, axis=1) - 1.0) <= 1e-10)),
+                             ("is not divergence-free at its mode",
+                              np.linalg.norm(div, axis=1) > 1e-10 * np.sqrt(squares)),
+                             ("is not orthogonal to another field's at its mode and phase",
+                              overlap[(self.sine.astype(int),) + self._half_index[0][0]]
+                              > 1e-10)):
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                raise ValueError(f"field {j}: fibre {fibres[j].tolist()} {problem}")
 
     @property
     def m(self) -> int:
@@ -1136,11 +1168,12 @@ def newton_local_inverse(
     # The last residual evaluated N at every final state but the last.  The
     # cells are P f already, not projected again, and the pressure's source.
     quads.append(nonlinear_term(states[-1], ns))
-    cells = f_cells + f_cells[-1:]
-    sol = _sample_pass(cfg.times(), range(len(states)), states, cfg.mu,
-                       partial(_band_projection, grid, degree), lambda i, u: quads[i],
-                       lambda i: (cells[i], BandHalves(grid, degree, cells[i]).field()), 1, True)
-    return NewtonResult(sol, history, converged)
+    project = partial(_band_projection, grid, degree)
+    take, solution = _sampler(cfg.mu, project, 1, True)
+    for i, (u, q, cell) in enumerate(zip(states, quads, f_cells + f_cells[-1:])):
+        forcing = (cell, BandHalves(grid, degree, cell).field())
+        take(i, u, q, forcing, _explicit(project, q, forcing))
+    return NewtonResult(solution(cfg.times()), history, converged)
 
 
 # -- Galerkin truncation study ------------------------------------------------------

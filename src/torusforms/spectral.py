@@ -602,6 +602,11 @@ def load_field(path) -> FormField:
         if len(header) != 12:
             raise FieldIntegrityError("snapshot header truncated")
         n, degree, res = struct.unpack("<iii", header)
+        for name, value, ok in (("torus dimension n", n, n in (2, 3)),
+                                ("degree", degree, 0 <= degree <= n),
+                                ("resolution res", res, res >= 4 and res % 2 == 0)):
+            if not ok:
+                raise FieldIntegrityError(f"snapshot header has a bad {name}: {value}")
         grid = SpectralGrid(n, res)
         count = grid.component_count(degree)
         expected = count * res**n * 8

@@ -7,6 +7,7 @@ algebraic identities of the discrete quadratic forward map.
 """
 
 import dataclasses
+import sys
 import tracemalloc
 from functools import lru_cache
 
@@ -48,7 +49,7 @@ from torusforms.solver import (
     solve_linearized,
     solve_nonlinear,
 )
-from torusforms.hodge import helmholtz_project
+from torusforms.hodge import helmholtz_project, recover_pressure
 from torusforms.spectral import (
     ConsistencyError,
     FieldIntegrityError,
@@ -68,6 +69,7 @@ from torusforms.spectral import (
 )
 
 G16 = SpectralGrid(2, 16)
+ROOT_HALF = np.sqrt(0.5)
 NS2 = navier_stokes_config(2)
 NS = {2: NS2, 3: navier_stokes_config(3)}
 
@@ -269,11 +271,23 @@ class TestGalerkinBasis:
          "field 1: fibres has 1 entries"),
         ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True], [1.0],
          "field 1: eigenvalues has 1 entries"),
+        ([[1, 0]], [[1.0, 1.0]], [False], [1.0], "field 0: .* not a unit vector"),
+        ([[1, 0]], [[0.0, np.nan]], [False], [1.0], "field 0: .* not a unit vector"),
+        ([[0, 1], [1, 0]], [[1.0, 0.0], [1.0, 0.0]], [False, True], [1.0, 1.0],
+         "field 1: .* not divergence-free"),
+        ([[1, 0], [1, 0]], [[0.0, 1.0], [0.0, 1.0]], [False, False], [1.0, 1.0],
+         "field 0: .* not orthogonal"),
+        ([[1, 1], [2, 0], [-1, -1]], [[ROOT_HALF, -ROOT_HALF], [0.0, 1.0],
+                                     [-ROOT_HALF, ROOT_HALF]],
+         [True, True, True], [2.0, 4.0, 2.0], "field 0: .* not orthogonal"),
     ])
     def test_bad_fields_rejected(self, modes, fibres, sine, eigenvalues, problem):
         # The class is public: a mode outside the band would wrap around the
         # band half, a short sine or eigenvalue array would broadcast, and
-        # the solves read |k|^2 from the mode, not the eigenvalue.
+        # the solves read |k|^2 from the mode, not the eigenvalue.  A fibre
+        # that is not unit, not divergence-free or not orthogonal to another
+        # at the same mode (k and -k are one mode) and phase, a field given
+        # twice included, would make P_m no orthogonal projection.
         with pytest.raises(ValueError, match=problem):
             GalerkinBasis(G16, 1, modes, fibres, sine, eigenvalues)
 
@@ -351,6 +365,11 @@ def _reference_lawson(cfg, u0, quad, forcing):
     return states
 
 
+def _reference_pressure(source: FormField) -> FormField:
+    """The potential of the source's gradient part, through public hodge."""
+    return recover_pressure(source - helmholtz_project(source))
+
+
 def _reference_samples(sol, mu, quad, forcing, forcing_dt=None, ns=None):
     """Derivatives and pressures at the stored samples on full fields:
     Q(u) = quad(j, u) of the full field u, project_state of Q and of f =
@@ -364,7 +383,7 @@ def _reference_samples(sol, mu, quad, forcing, forcing_dt=None, ns=None):
 
     def pressure(q, fj):
         src = q * (-1.0)
-        return solver_module._pressure_from_source(src if fj is None else src + fj)
+        return _reference_pressure(src if fj is None else src + fj)
 
     for j, u in enumerate(sol.u):
         q, fj = quad(j, u), forcing(j)
@@ -536,32 +555,33 @@ class TestEvaluationCounts:
 
     def test_nonlinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
         # 4 rk2 steps make 8 stage evaluations on the band-half state; the
-        # 3 stored samples share one evaluation of N between the derivative
-        # cache and the pressure.
+        # stored samples at steps 0 and 2 reuse their stages' N for the
+        # derivative cache and the pressure, and the final state takes one
+        # more.
         calls = self._count(monkeypatch, "nonlinear_term")
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2, derivatives=1)
         assert calls.count("stage") == 8
-        assert calls.count("sample") == 3
+        assert calls.count("sample") == 1
 
     def _count_bilinear(self, monkeypatch):
         return self._count(monkeypatch, "bilinear_term")
 
     def test_bilinear_term_once_per_stage_and_stored_sample(self, monkeypatch):
         # 4 rk2 steps make 8 stage evaluations of B(w, u) on the band-half
-        # state; the 3 stored samples share one B(w, u) between the
-        # derivative cache and the pressure.
+        # state; the 3 stored samples take B(w, u) from the stage that
+        # starts at each, and the final state from one more.
         calls = self._count_bilinear(monkeypatch)
         w = _two_band_state(G16)
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         sol = solve_linearized(w, None, _two_band_state(G16), cfg, store_every=2)
         assert len(sol.u) == len(sol.p) == len(sol.dt_cache[1]) == 3
         assert calls.count("stage") == 8
-        assert calls.count("sample") == 3
+        assert calls.count("sample") == 1
 
     def test_derivative_term_once_per_stored_sample(self, monkeypatch):
         # B(u, du/dt) feeds both the second derivative and the pressure's
-        # first derivative; stepping itself only evaluates N.
+        # first derivative, once per stored sample; no stage needs it.
         calls = self._count_bilinear(monkeypatch)
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         sol = solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2,
@@ -569,25 +589,51 @@ class TestEvaluationCounts:
         assert len(sol.dt_cache[2]) == len(sol.p_dt_cache[1]) == 3
         assert len(calls) == 3
 
-    def test_pressure_source_projected_twice(self, monkeypatch):
+    def test_pressure_needs_no_projection(self, monkeypatch):
+        # p = delta Lap^-1 (f - Q): no solve calls helmholtz_project or
+        # recover_pressure, in any package namespace that holds them, and
+        # d p is still the gradient part of the source.
         calls = []
 
-        def counted(u):
-            calls.append(1)
-            return helmholtz_project(u)
+        def counted(name, original):
+            return lambda *args: calls.append(name) or original(*args)
 
-        monkeypatch.setattr(solver_module, "helmholtz_project", counted)
-        monkeypatch.setattr(hodge_module, "helmholtz_project", counted)
-        source = nonlinear_term(_two_band_state(G16), NS2)
-        p = solver_module._pressure_from_source(source)
-        assert len(calls) == 2
-        grad_part = source - helmholtz_project(source)
-        assert l2_norm(exterior_derivative(p) - grad_part) <= 1e-12 * l2_norm(grad_part)
+        for name in ("helmholtz_project", "recover_pressure"):
+            original = getattr(hodge_module, name)
+            for module in [m for key, m in list(sys.modules.items())
+                           if key.split(".")[0] == "torusforms"]:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+        assert not hasattr(solver_module, "helmholtz_project")
+        assert not hasattr(solver_module, "recover_pressure")
+        u0, w = _two_band_state(G16), _taylor_green(G16)
+        f = random_form(G16, 1, np.random.default_rng(47), kmax=4)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        nonlinear = solve_nonlinear(f, u0, cfg, store_every=2)
+        linearized = solve_linearized(w, f, u0, cfg, store_every=2)
+        euler = dataclasses.replace(cfg, scheme="imex-euler")
+        base = solve_nonlinear(None, u0, euler, derivatives=0, with_pressure=False)
+        cells = discrete_forward_data(base.u, euler)[0]
+        newton = newton_local_inverse(cells, u0, base, euler).solution
+        assert calls == []
+        last_cell = euler.steps - 1
+        for sol, quad, forcing in (
+                (nonlinear, lambda u: nonlinear_term(u, NS2), lambda j: f),
+                (linearized, lambda u: bilinear_term(w, u, NS2), lambda j: f),
+                (newton, lambda u: nonlinear_term(u, NS2), lambda j: cells[min(j, last_cell)])):
+            for j, (u, p) in enumerate(zip(sol.u, sol.p)):
+                source = forcing(j) - quad(u)
+                grad_part = source - helmholtz_project(source)
+                assert (l2_norm(exterior_derivative(p) - grad_part)
+                        <= 1e-12 * l2_norm(grad_part))
 
 
 class TestSamplePass:
     """The stored samples' derivative caches and pressures, taken on the
-    band-half state, against the same formulas on full fields."""
+    band-half state, against the same formulas on full fields: -mu Lap u
+    through hodge_laplacian and the pressure through helmholtz_project and
+    recover_pressure.  The operations differ (|k|^2 and delta Lap^-1 on
+    the half), so they agree to rounding, not bit for bit."""
 
     GRIDS = [G16, SpectralGrid(3, 8)]
 
@@ -610,14 +656,15 @@ class TestSamplePass:
 
         first, second, p, p_first = _reference_samples(
             sol, cfg.mu, lambda j, u: nonlinear_term(u, ns), at(f_series), at(f_dt), ns)
-        _assert_same_states(sol.dt_cache[1], first)
-        _assert_same_states(sol.dt_cache[2], second)
-        _assert_same_states(sol.p, p)
-        _assert_same_states(sol.p_dt_cache[1], p_first)
+        _assert_close_states(sol.dt_cache[1], first, 1e-14)
+        _assert_close_states(sol.dt_cache[2], second, 1e-14)
+        _assert_close_states(sol.p, p, 1e-14)
+        _assert_close_states(sol.p_dt_cache[1], p_first, 1e-14)
 
     def test_callable_forcing_drawn_once_per_stage_and_sample(self):
-        # 4 rk2 steps draw f at 4 step starts and 4 midpoints; each of the
-        # 3 stored samples draws f once, for both P f and the pressure.
+        # 4 rk2 steps draw f at 4 step starts and 4 midpoints; the stored
+        # samples at steps 0 and 2 take their stage's f, for both P f and
+        # the pressure, and the final state draws f once more.
         u0, f, _ = TestBandHalfState._data(G16)
         drawn = []
 
@@ -627,7 +674,7 @@ class TestSamplePass:
 
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
         solve_nonlinear(forcing, u0, cfg, store_every=2, f_dt_series=lambda t: f)
-        assert len(drawn) == 8 + 3
+        assert len(drawn) == 8 + 1
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("advection", ["constant", "sampled"])
@@ -642,8 +689,60 @@ class TestSamplePass:
         wj = (lambda j: w) if advection == "constant" else w_series.__getitem__
         first, _, p, _ = _reference_samples(
             sol, cfg.mu, lambda j, u: bilinear_term(wj(j), u, ns), lambda j: f)
-        _assert_same_states(sol.dt_cache[1], first)
-        _assert_same_states(sol.p, p)
+        _assert_close_states(sol.dt_cache[1], first, 1e-14)
+        _assert_close_states(sol.p, p, 1e-14)
+
+
+class TestPressure:
+    """p = delta Lap^-1 (f - Q) at every stored sample, with no projection."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.sampled_from([2, 3]), degree=st.sampled_from([1, 2]),
+           scheme=st.sampled_from(["imex-euler", "imex-rk2"]), linearized=st.booleans(),
+           timed=st.booleans(), seed=st.integers(0, 2**16))
+    def test_potential_of_the_gradient_part(self, n, degree, scheme, linearized, timed, seed):
+        # Degree 2 (on T^3 only; preset zero) gives a 1-form pressure, whose
+        # codifferential is not trivially zero.
+        degree = degree if n == 3 else 1
+        grid = G16 if n == 2 else SpectralGrid(3, 8)
+        preset = "navier-stokes-i1" if degree == 1 else "zero"
+        ns = get_preset(preset, n, degree)
+        rng = np.random.default_rng(seed)
+        u0, w = (project_state(random_form(grid, degree, rng, kmax=grid.res / 3)) * 2.0
+                 for _ in range(2))
+        f = random_form(grid, degree, rng, kmax=grid.res / 3)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=grid.res, n=n, degree=degree,
+                           scheme=scheme, preset=preset)
+        f_series = (lambda t: f * float(np.cos(3.0 * t))) if timed else f
+        if linearized:
+            sol = solve_linearized(w, f_series, u0, cfg, store_every=2)
+            quad = lambda u: bilinear_term(w, u, ns)  # noqa: E731
+        else:
+            sol = solve_nonlinear(f_series, u0, cfg, store_every=2)
+            quad = lambda u: nonlinear_term(u, ns)  # noqa: E731
+        for t, u, p in zip(sol.times, sol.u, sol.p):
+            source = (f_series(float(t)) if timed else f) - quad(u)
+            grad_part = source - helmholtz_project(source)
+            scale = l2_norm(source)
+            assert l2_norm(exterior_derivative(p) - grad_part) <= 1e-12 * scale
+            assert all(c[(0,) * n] == 0.0 for c in p.components)
+            if p.degree >= 1:
+                assert l2_norm(codifferential(p)) <= 1e-12 * scale
+
+    @settings(max_examples=10, deadline=None)
+    @given(n=st.sampled_from([2, 3]), scheme=st.sampled_from(["imex-euler", "imex-rk2"]),
+           seed=st.integers(0, 2**16))
+    def test_zero_for_divergence_free_forcing_without_nonlinearity(self, n, scheme, seed):
+        # delta f vanishes to rounding only; the rule that a gradient part
+        # below rounding gives a zero pressure makes p exactly zero.
+        grid = G16 if n == 2 else SpectralGrid(3, 8)
+        rng = np.random.default_rng(seed)
+        u0, w = (project_state(random_form(grid, 1, rng)) for _ in range(2))
+        f = helmholtz_project(random_form(grid, 1, rng))
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=grid.res, n=n, scheme=scheme,
+                           preset="zero")
+        for sol in (solve_nonlinear(f, u0, cfg), solve_linearized(w, f, u0, cfg)):
+            assert all(not np.any(c) for p in sol.p for c in p.components)
 
 
 class TestExactDecay:
@@ -962,9 +1061,10 @@ class TestLinearizedOperator:
         # The state stays in the band half: P_m is applied there, with no
         # scatter of coefficients and no gather.
         assert gathers == []
+        # The stored samples reuse their stages' products; the final state
+        # takes one more.
         stages = cfg.steps * (1 if scheme == "imex-euler" else 2)
-        stored = len(range(0, cfg.steps + 1, 2))
-        expected = 0 if w_kind == "none" else stages + stored
+        expected = 0 if w_kind == "none" else stages + 1
         assert len(products) == expected
         # Each state goes on the grid once per product, each w sample at most
         # once (a constant w once), and each rk2 midpoint mean of two
@@ -1196,7 +1296,7 @@ def _reference_newton(f_cells, u0, states, cfg):
     p, dt1 = [], []
     for j, (u, q) in enumerate(zip(states, quads)):
         f = f_cells[min(j, cfg.steps - 1)]
-        p.append(solver_module._pressure_from_source(f - q))
+        p.append(_reference_pressure(f - q))
         dt1.append(hodge_laplacian(u) * (-cfg.mu) - project_state(q) + f)
     return states, p, dt1, history
 
@@ -1247,8 +1347,8 @@ class TestNewtonBandHalfState:
         u, p, dt1, history = _reference_newton(
             ref_cells, project_state(base.u[0]), seed, cfg)
         _assert_same_states(result.solution.u, u)
-        _assert_same_states(result.solution.p, p)
-        _assert_same_states(result.solution.dt_cache[1], dt1)
+        _assert_close_states(result.solution.p, p, 1e-14)
+        _assert_close_states(result.solution.dt_cache[1], dt1, 1e-14)
         assert len(result.residual_history) == len(history) > 1
         worst = max(abs(a - b) for a, b in zip(result.residual_history, history))
         assert worst <= 1e-14 * history[0]

@@ -449,6 +449,22 @@ class TestSnapshotIO:
         with pytest.raises(FieldIntegrityError, match="header truncated"):
             load_field(path)
 
+    @pytest.mark.parametrize("header, problem", [
+        ((4, 1, 16), "torus dimension n: 4"),
+        ((2, -1, 16), "degree: -1"),
+        ((2, 5, 16), "degree: 5"),
+        ((3, 4, 8), "degree: 4"),
+        ((2, 1, 7), "resolution res: 7"),
+        ((2, 1, 2), "resolution res: 2"),
+    ])
+    def test_bad_header_fields_rejected(self, tmp_path, header, problem):
+        # Checked as soon as the header is read: a bad degree would otherwise
+        # fail in math.comb or the constructors with a generic ValueError.
+        path = tmp_path / "field.bin"
+        path.write_bytes(b"HPFORM1" + np.array(header, dtype="<i4").tobytes() + b"\0" * 64)
+        with pytest.raises(FieldIntegrityError, match=f"bad {problem}"):
+            load_field(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "field.bin"
         save_field(FormField.zeros(SpectralGrid(2, 8), 1), path)
