@@ -39,8 +39,10 @@ Steps 2-5 (``_on_grid`` and ``_quadratic``) work on the band halves of one
 field, one array per component.  ``nonlinear_term`` and ``bilinear_term``
 share one body for fields and ``BandHalves`` states alike: fields enter
 through ``BandHalves.of`` and the result leaves through ``field``, states
-skip both; the field solvers and the coefficient-space solves step their
-states through that form.
+skip both.  Every solver (the field solvers, the Galerkin solves and
+Newton) steps its states through that form.  d on the band halves is
+``spectral._apply_d``, the same walk of the insertion table as the d of
+fields.
 
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
@@ -50,7 +52,6 @@ as half the dot product, so N(u) = (u . grad) u on degree-1 fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -61,10 +62,10 @@ from .spectral import (
     FieldIntegrityError,
     FormField,
     SpectralGrid,
-    _accumulate,
+    _apply_d,
     _band_half,
+    _band_shape,
     _derivative_symbol,
-    _insertion_table,
     _is_hermitian,
     _to_grid,
     dealias,
@@ -222,31 +223,6 @@ def _contract(entries, a, b, shape) -> np.ndarray:
     return np.zeros(shape) if acc is None else acc
 
 
-@dataclass(frozen=True)
-class _Band:
-    """Index data of the kernel: the band half.
-
-    The band half (``spectral._band_half``) is the part of a field's half
-    with every |k_j| <= L = res // 3; it is all the kernel keeps of a field.
-    """
-
-    limit: int
-    axes: tuple[int, ...]  # the n axes of a field's half
-    half: tuple[np.ndarray, ...]  # np.ix_ of the band half in a field's half
-    shape: tuple[int, ...]  # shape of the band half
-
-
-@lru_cache(maxsize=None)
-def _band(grid: SpectralGrid) -> _Band:
-    n, limit = grid.n, grid.res // 3
-    return _Band(
-        limit=limit,
-        axes=tuple(range(n)),
-        half=_band_half(grid),
-        shape=(2 * limit + 1,) * (n - 1) + (limit + 1,),
-    )
-
-
 def _half_position(grid: SpectralGrid, modes: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Where the band wavevectors ``modes`` (rows of n integers) sit in a
     band half.
@@ -258,15 +234,7 @@ def _half_position(grid: SpectralGrid, modes: np.ndarray) -> tuple[tuple, np.nda
     """
     mirrored = modes[:, -1] < 0
     inside = np.where(mirrored[:, None], -modes, modes)
-    return tuple(inside.T % (2 * _band(grid).limit + 1)), mirrored
-
-
-def _apply_d(grid: SpectralGrid, degree: int, halves, out) -> list:
-    """Add d of a degree-``degree`` field, given by its band halves, into ``out``."""
-    for out_idx, in_idx, axis, sign in _insertion_table(grid.n, degree):
-        symbol = _derivative_symbol(grid, axis, sign, False, True)
-        _accumulate(out, out_idx, symbol * halves[in_idx])
-    return out
+    return tuple(inside.T % (2 * (grid.res // 3) + 1)), mirrored
 
 
 def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list, list]:
@@ -275,20 +243,18 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
 
     ``halves`` are band halves, one per component.
     """
-    band = _band(grid)
+    band, axes = _band_half(grid), tuple(range(grid.n))
     spectrum = np.zeros(grid.half_shape, dtype=np.complex128)
 
     def physical(half):
         # Every call writes the same band positions; the rest stays zero.
-        spectrum[band.half] = half
-        return np.fft.irfftn(spectrum, s=grid.shape, axes=band.axes, norm="forward")
+        spectrum[band] = half
+        return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, norm="forward")
 
     values = [physical(h) for h in halves]
     derivs = []
     if cfg.m1 is not None and cfg.degree < grid.n:
-        d_halves = _apply_d(grid, cfg.degree, halves,
-                            [None] * grid.component_count(cfg.degree + 1))
-        derivs = [physical(h) for h in d_halves]
+        derivs = [physical(h) for h in _apply_d(grid, cfg.degree, halves, band=True)]
     return values, derivs
 
 
@@ -298,7 +264,7 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
     Q(a, b) = M1(d a, b) + d M2(a, b); each input comes from ``_on_grid``.
     See the module docstring for the steps and the transform budget.
     """
-    band = _band(grid)
+    band, axes = _band_half(grid), tuple(range(grid.n))
     values = [v for v, _ in inputs]
     derivs = [d for _, d in inputs]
     pairs = ((0, 0),) if len(inputs) == 1 else ((0, 1), (1, 0))
@@ -313,15 +279,16 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
                 prod = term
             else:
                 prod += term
-        return np.fft.rfftn(prod, axes=band.axes, norm="forward")[band.half]
+        return np.fft.rfftn(prod, axes=axes, norm="forward")[band]
 
     out = [None] * grid.component_count(cfg.degree)
     if cfg.m1 is not None and cfg.degree < grid.n:
         out = [spectral(e, derivs, values) for e in cfg.m1._entries]
     if cfg.m2 is not None:
         m2 = [spectral(e, values, values) for e in cfg.m2._entries]
-        out = _apply_d(grid, cfg.degree - 1, m2, out)
-    return [np.zeros(band.shape, dtype=np.complex128) if h is None else h for h in out]
+        out = _apply_d(grid, cfg.degree - 1, m2, band=True, out=out)
+    return [np.zeros(_band_shape(grid), dtype=np.complex128) if h is None else h
+            for h in out]
 
 
 class BandHalves:
@@ -348,19 +315,19 @@ class BandHalves:
         """The band halves of the field u, after the Hermitian check of
         their k_last = 0 planes (``FieldIntegrityError`` above 1e-10, as
         ``to_physical``)."""
-        band = _band(u.grid)
-        halves = np.empty((len(u.components),) + band.shape, dtype=np.complex128)
+        band = _band_half(u.grid)
+        halves = np.empty((len(u.components),) + _band_shape(u.grid), dtype=np.complex128)
         for half, c in zip(halves, u.components):
-            half[...] = c[band.half]
+            half[...] = c[band]
             if not _is_hermitian(half[..., 0], 1e-10):
                 raise FieldIntegrityError("coefficients are not Hermitian symmetric")
         return cls(u.grid, u.degree, halves, keep)
 
     def field(self) -> FormField:
         """The field: each band half written into a zero half."""
-        out, band = FormField.zeros(self.grid, self.degree), _band(self.grid)
+        out, band = FormField.zeros(self.grid, self.degree), _band_half(self.grid)
         for c, half in zip(out.components, self.halves):
-            c[band.half] = half
+            c[band] = half
         return out
 
     def on_grid(self, cfg: NonlinearityConfig) -> tuple[list, list]:

@@ -51,7 +51,7 @@ import csv
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -64,7 +64,6 @@ from .nonlinear import (
     PRESETS,
     BandHalves,
     NonlinearityConfig,
-    _band,
     _half_position,
     bilinear_term,
     get_preset,
@@ -74,9 +73,9 @@ from .spectral import (
     ConsistencyError,
     FormField,
     SpectralGrid,
-    _accumulate,
+    _apply_d,
     _band_half,
-    _derivative_symbol,
+    _band_shape,
     _insertion_table,
     _inverse_squares,
     _parseval,
@@ -250,18 +249,9 @@ def _band_projection(grid: SpectralGrid, degree: int, parts) -> np.ndarray:
     """project_state of components given on the band half, stacked."""
     if degree == grid.n:
         return np.zeros((len(parts),) + parts[0].shape, dtype=np.complex128)
-    mult = _band_parametrix(grid)
-    phi = [mult * p for p in parts]
-    table = _insertion_table(grid.n, degree)
-    dphi = [None] * grid.component_count(degree + 1)
-    for out_idx, in_idx, axis, sign in table:
-        symbol = _derivative_symbol(grid, axis, sign, False, True)
-        _accumulate(dphi, out_idx, symbol * phi[in_idx])
-    proj = [None] * grid.component_count(degree)
-    for in_idx, out_idx, axis, sign in table:
-        symbol = _derivative_symbol(grid, axis, sign, True, True)
-        _accumulate(proj, out_idx, symbol * dphi[in_idx])
-    return np.stack(proj)
+    phi = [_band_parametrix(grid) * p for p in parts]
+    dphi = _apply_d(grid, degree, phi, band=True)
+    return np.stack(_apply_d(grid, degree + 1, dphi, adjoint=True, band=True))
 
 
 def _projected_half(u: FormField, grid: SpectralGrid, degree: int,
@@ -299,41 +289,37 @@ def _lawson_decay(multiplier):
 # -- data samplers -------------------------------------------------------------
 
 
-class _Sampler:
-    """Uniform access to time-dependent data given in any supported form.
+def _draw(series, times: np.ndarray, what: str, prepare=lambda value: value,
+          on_grid: bool = False):
+    """(j, midpoint) -> ``prepare`` of the data at t_j or at the midpoint of
+    [t_j, t_j+1], None where the data are None.
 
-    Accepts None (zero), a single field (constant in time), a sequence
-    sampled on the solver time grid, or a callable of time.  Midpoint
-    values come from the callable directly or from averaging neighbours
-    (second-order accurate, preserving the midpoint scheme's order).
+    ``series`` is None, a field (constant: prepared once, here), a sequence
+    on the time grid ``times`` or a callable of time, which is evaluated at
+    the midpoint.  A sequence gives the mean of its two neighbouring samples
+    there (second order, as the midpoint scheme), and so does a callable
+    ``on_grid``: it is sampled on the time grid, here.
     """
+    if series is None or isinstance(series, FormField):
+        constant = None if series is None else prepare(series)
+        return lambda j, midpoint=False: constant
+    if callable(series) and not on_grid:
+        def value(j, midpoint):
+            return series(float(0.5 * (times[j] + times[j + 1]) if midpoint else times[j]))
+    else:
+        samples = [series(float(t)) for t in times] if callable(series) else list(series)
+        if len(samples) != len(times):
+            raise ValueError(f"{what} series has {len(samples)} samples for "
+                             f"{len(times)} time grid points")
 
-    def __init__(self, data, times: np.ndarray, what: str):
-        self.times = times
-        self.data = data
-        if isinstance(data, FormField) or data is None or callable(data):
-            return
-        data = list(data)
-        if len(data) != len(times):
-            raise ValueError(
-                f"{what} series has {len(data)} samples for {len(times)} "
-                "time grid points"
-            )
-        self.data = data
+        def value(j, midpoint):
+            return (samples[j] + samples[j + 1]) * 0.5 if midpoint else samples[j]
 
-    @property
-    def is_zero(self) -> bool:
-        return self.data is None
+    def draw(j, midpoint=False):
+        sample = value(j, midpoint)
+        return None if sample is None else prepare(sample)
 
-    def sample(self, j: int, midpoint: bool = False) -> FormField | None:
-        """The value at t_j, or at the midpoint of [t_j, t_j+1]."""
-        data = self.data
-        if data is None or isinstance(data, FormField):
-            return data
-        if callable(data):
-            t = 0.5 * (self.times[j] + self.times[j + 1]) if midpoint else self.times[j]
-            return data(float(t))
-        return (data[j] + data[j + 1]) * 0.5 if midpoint else data[j]
+    return draw
 
 
 # -- generic Lawson stepping ---------------------------------------------------
@@ -387,9 +373,9 @@ def _stored_indices(steps: int, store_every: int) -> list[int]:
 # -- field-space solvers --------------------------------------------------------
 
 
-def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _Sampler,
-                 advection, f_dt: _Sampler | None, stored: Sequence[int],
-                 derivatives: int, with_pressure: bool, project=None) -> TimeSeriesSolution:
+def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f,
+                 advection, f_dt, stored: Sequence[int], derivatives: int,
+                 with_pressure: bool, project=None) -> TimeSeriesSolution:
     """P u0 (u0 checked to be divergence-free and Hermitian) stepped by
     ``_run_scheme`` on its band half, sampled at ``stored`` (which ends at
     the last step).
@@ -398,21 +384,20 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _S
     state-space projection for None.  A stage is r = -P Q + P f on the
     half, from Q's band halves at a ``BandHalves`` state (N(u) for
     ``advection`` None, else B(w_j, u) with w_j = advection(j, midpoint),
-    zero where w_j is None; the kernel checks the degrees) and a forcing
-    sample drawn once as the pair (P f on the half, f).  The stage that
-    starts at a stored index, and one more stage call at the final state,
-    hands these parts to the ``_sampler``.  With ``f_dt`` the samples also
-    take Q'(u) du = B(u, du) and df/dt."""
+    zero where w_j is None; the kernel checks the degrees) and the forcing
+    pair f(j, midpoint) (``_draw`` with ``_forcing``, once a stage).  The
+    stage that starts at a stored index, and one more stage call at the
+    final state, hands these parts to the ``_sampler``.  With ``f_dt``, the
+    df/dt pairs, the samples also take Q'(u) du = B(u, du) and df/dt."""
     grid, degree = cfg.grid(), u0.degree
+    if with_pressure and ns.degree == 0:
+        raise ValueError("a degree-0 equation has no pressure: pass with_pressure=False")
     project = project or partial(_band_projection, grid, degree)
     _check_initial(u0)
     state0 = _projected_half(u0, grid, degree, project)
-    forcing, forcing_dt = (
-        _per_stage(data, lambda fj: (_projected_half(fj, grid, degree, project), fj))
-        for data in (f, f_dt))
     take, solution = _sampler(
         cfg.mu, project, derivatives, with_pressure, None if f_dt is None else
-        lambda i, u, du: (bilinear_term(u, du, ns), forcing_dt(i, False)))
+        lambda i, u, du: (bilinear_term(u, du, ns), f_dt(i)))
     starts = frozenset(stored)
 
     def rhs(j, midpoint, state):
@@ -422,7 +407,7 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _S
         else:
             wj = advection(j, midpoint)
             q = np.zeros_like(state) if wj is None else bilinear_term(wj, u, ns)
-        fj = forcing(j, midpoint)
+        fj = f(j, midpoint)
         r = _explicit(project, q, fj)
         if not midpoint and j in starts:
             take(j, u, q, fj, r)
@@ -440,21 +425,10 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f: _S
     return solution(cfg.times()[list(stored)])
 
 
-def _per_stage(data: _Sampler | None, prepare):
-    """(j, midpoint) -> prepare(data.sample(j, midpoint)), None for no data:
-    a constant field is prepared once, before the first step, any other
-    sample when a stage draws it."""
-    if data is None or data.is_zero:
-        return lambda j, midpoint: None
-    if isinstance(data.data, FormField):
-        constant = prepare(data.data)
-        return lambda j, midpoint: constant
-
-    def stage(j, midpoint):
-        sample = data.sample(j, midpoint)
-        return None if sample is None else prepare(sample)
-
-    return stage
+def _forcing(grid: SpectralGrid, degree: int, project=None):
+    """``_draw``'s prepare of a forcing sample f: the pair (P f on the band
+    half, f), P ``project`` (the state-space projection for None)."""
+    return lambda fj: (_projected_half(fj, grid, degree, project), fj)
 
 
 def _explicit(project, q: np.ndarray, forcing) -> np.ndarray:
@@ -546,9 +520,8 @@ def solve_linearized(
         raise ValueError("linearized solves cache derivatives up to order 1")
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times = cfg.times()
-    advection = _per_stage(_Sampler(w_series, times, "advection field"),
-                           lambda wj: BandHalves.of(wj, keep=True))
-    f = _Sampler(f_series, times, "forcing")
+    advection = _draw(w_series, times, "advection field", partial(BandHalves.of, keep=True))
+    f = _draw(f_series, times, "forcing", _forcing(cfg.grid(), u0.degree))
     return _field_solve(cfg, ns, u0, f, advection, None,
                         _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
 
@@ -574,14 +547,13 @@ def solve_nonlinear(
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     if derivatives > 2:
         raise ValueError("derivative caching supports orders up to 2")
-    times = cfg.times()
-    f = _Sampler(f_series, times, "forcing")
-    f_dt = _Sampler(f_dt_series, times, "forcing derivative")
-    no_f_dt = f_dt.is_zero and not (f.is_zero or isinstance(f.data, FormField))
+    no_f_dt = f_dt_series is None and not isinstance(f_series, (FormField, type(None)))
     if derivatives >= 2 and no_f_dt:
         raise ValueError(
             "second derivatives of a time-dependent forcing need f_dt_series")
-    return _field_solve(cfg, ns, u0, f, None, None if no_f_dt else f_dt,
+    times, pair = cfg.times(), _forcing(cfg.grid(), u0.degree)
+    f_dt = None if no_f_dt else _draw(f_dt_series, times, "forcing derivative", pair)
+    return _field_solve(cfg, ns, u0, _draw(f_series, times, "forcing", pair), None, f_dt,
                         _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
 
 
@@ -592,12 +564,13 @@ def _divergence_matrix(n: int, degree: int, k: np.ndarray) -> np.ndarray:
     """Real matrix whose kernel is the divergence-free fibre at mode k.
 
     For a pure mode trig(k.x) xi the codifferential vanishes iff L xi = 0,
-    where L is the wavevector contraction read off the insertion table.
+    where L is the wavevector contraction read off the insertion table.  A
+    k of shape (n, m) gives the m matrices along a last axis.
     """
     if degree == 0:
-        return np.zeros((0, 1))
+        return np.zeros((0, 1) + np.shape(k)[1:])
     rows, cols = comb(n, degree - 1), comb(n, degree)
-    L = np.zeros((rows, cols))
+    L = np.zeros((rows, cols) + np.shape(k)[1:])
     for out_idx, in_idx, axis, sign in _insertion_table(n, degree - 1):
         L[in_idx, out_idx] += sign * k[axis]
     return L
@@ -694,10 +667,8 @@ class GalerkinBasis:
                 j = int(np.argmax(bad))
                 raise ValueError(f"field {j}: mode {tuple(modes[j].tolist())} {problem}")
         fibres = self.fibres
-        div = np.zeros((len(modes), comb(grid.n, max(self.degree - 1, 0))))
-        for out_idx, in_idx, axis, sign in (
-                _insertion_table(grid.n, self.degree - 1) if self.degree else ()):
-            div[:, in_idx] += sign * modes[:, axis] * fibres[:, out_idx]
+        div = np.einsum("ijm,mj->mi", _divergence_matrix(grid.n, self.degree, modes.T),
+                        fibres)
         # With unit fibres, P_m at a mode is idempotent iff the fibres of its
         # fields of one phase are orthogonal.
         mats = np.moveaxis(self._projector, (1, 2), (-2, -1))
@@ -763,7 +734,7 @@ class GalerkinBasis:
         fields' (for the imaginary part), each field added at each distinct
         half position of +-k_j, so a split shell or fibre is covered too."""
         ncomp = self.fibres.shape[1]
-        mats = np.zeros((2, ncomp, ncomp) + _band(self.grid).shape)
+        mats = np.zeros((2, ncomp, ncomp) + _band_shape(self.grid))
         outer = self.fibres[:, :, None] * self.fibres[:, None, :]
         for index, mirrored in self._half_index:
             keep = ~mirrored
@@ -786,7 +757,7 @@ class GalerkinBasis:
         coefficients at +k_j and -k_j that lie in the half, added in field
         order."""
         amp = np.asarray(coeffs, dtype=np.float64) * self._phase
-        halves = np.zeros((self.fibres.shape[1],) + _band(self.grid).shape,
+        halves = np.zeros((self.fibres.shape[1],) + _band_shape(self.grid),
                           dtype=np.complex128)
         for (index, mirrored), value in zip(self._half_index, (amp, np.conj(amp))):
             keep = ~mirrored
@@ -880,17 +851,9 @@ def assemble_linearized(
                 f"the basis of degree {basis.degree} on {basis.grid}")
         return BandHalves.of(wj, keep=True)
 
-    sample = _per_stage(_Sampler(w_series, times, "advection field"), take)
+    sample = _draw(w_series, times, "advection field", take)
     return LinearizedOperator(basis, mu, times,
                               tuple(sample(j, False) for j in range(len(times))), ns_cfg)
-
-
-def _grid_sampled(f_series, times: np.ndarray) -> _Sampler:
-    """The Galerkin solves' forcing: a callable is sampled on the time grid,
-    so every form of forcing is the mean of its neighbours at a midpoint."""
-    if callable(f_series):
-        f_series = [f_series(float(t)) for t in times]
-    return _Sampler(f_series, times, "forcing")
 
 
 def apply_inverse(
@@ -936,9 +899,11 @@ def apply_inverse(
             w = BandHalves(basis.grid, basis.degree, sum(parts) * 0.5)
         return w
 
-    return _field_solve(cfg, ns, basis._check(u0), _grid_sampled(f_series, times),
-                        advection, None, _stored_indices(cfg.steps, store_every),
-                        derivatives, False, basis._project_band)
+    f = _draw(f_series, times, "forcing",
+              _forcing(basis.grid, basis.degree, basis._project_band), on_grid=True)
+    return _field_solve(cfg, ns, basis._check(u0), f, advection, None,
+                        _stored_indices(cfg.steps, store_every), derivatives, False,
+                        basis._project_band)
 
 
 # -- residual diagnostics --------------------------------------------------------
@@ -964,8 +929,8 @@ def discrete_residual(
     """
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times = sol.times
-    f = _Sampler(f_series, times, "forcing")
-    w = _Sampler(w_series, times, "advection field")
+    f = _draw(f_series, times, "forcing")
+    w = _draw(w_series, times, "advection field")
     worst = 0.0
     euler = cfg.scheme == "imex-euler"
     for j in range(0 if euler else 1, len(times) - 1):
@@ -975,7 +940,7 @@ def discrete_residual(
         q = _quadratic_at(u, j, w, ns, nonlinear)
         if q is not None:
             res = res + project_state(q)
-        fj = f.sample(j)
+        fj = f(j)
         if fj is not None:
             res = res - project_state(fj)
         worst = max(worst, l2_norm(res))
@@ -996,20 +961,20 @@ def energy_identity_residual(
     The energy derivative is reconstructed by central differences, so a
     second-order trajectory gives an O(dt^2) residual.
     """
+    if (nonlinear or w_series is not None) and ns_cfg is None:
+        raise ValueError("the quadratic term needs a nonlinearity config")
     times = sol.times
-    f = _Sampler(f_series, times, "forcing")
-    w = _Sampler(w_series, times, "advection field")
+    f = _draw(f_series, times, "forcing")
+    w = _draw(w_series, times, "advection field")
     energies = [l2_norm(u) ** 2 for u in sol.u]
     worst = 0.0
     for j in range(1, len(times) - 1):
         u = sol.u[j]
         dE = (energies[j + 1] - energies[j - 1]) / (times[j + 1] - times[j - 1])
         rhs = 0.0
-        fj = f.sample(j)
+        fj = f(j)
         if fj is not None:
             rhs += 2.0 * inner_product(fj, u)
-        if (nonlinear or w.sample(j) is not None) and ns_cfg is None:
-            raise ValueError("the quadratic term needs a nonlinearity config")
         q = _quadratic_at(u, j, w, ns_cfg, nonlinear)
         if q is not None:
             rhs -= 2.0 * inner_product(q, u)
@@ -1018,11 +983,12 @@ def energy_identity_residual(
     return worst
 
 
-def _quadratic_at(u, j, w: _Sampler, ns, nonlinear: bool) -> FormField | None:
-    """Q(u) at sample j: N(u), else B(w_j, u), None where w_j is None."""
+def _quadratic_at(u, j, w, ns, nonlinear: bool) -> FormField | None:
+    """Q(u) at sample j: N(u), else B(w(j), u) (w a ``_draw``), None where
+    w(j) is None."""
     if nonlinear:
         return nonlinear_term(u, ns)
-    wj = w.sample(j)
+    wj = w(j)
     return None if wj is None else bilinear_term(wj, u, ns)
 
 
@@ -1208,11 +1174,14 @@ def galerkin_convergence_study(
     """
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times = cfg.times()
-    f = _grid_sampled(f_series, times)
+    # A callable forcing is drawn on the time grid once, for every m.
+    f_series = cache(f_series) if callable(f_series) else f_series
     trajectories = []
     bounded = []
     for m in ms:
         basis = build_basis(cfg.grid(), cfg.degree, m)
+        f = _draw(f_series, times, "forcing",
+                  _forcing(basis.grid, basis.degree, basis._project_band), on_grid=True)
         fields = _field_solve(cfg, ns, basis._check(u0), f, None, None, range(len(times)),
                               0, False, basis._project_band).u
         trajectories.append(fields)

@@ -24,9 +24,12 @@ that enter through ``from_physical`` must be finite.
 
 The codifferential is derived as the literal spectral adjoint of the
 exterior derivative (same insertion table, conjugated multiplier), never
-from hand-written sign rules.  Nyquist modes (|k_j| = res/2) are zeroed on
-field creation, so the Nyquist plane k_last = res/2 holds nothing and
-every multiplier preserves reality.
+from hand-written sign rules.  ``_apply_d`` is the one walk of that table:
+d and delta of fields, the nonlinear kernel's derivatives and the solvers'
+state-space projection all call it, on halves or on band halves.
+Nyquist modes (|k_j| = res/2) are zeroed on field creation, so the
+Nyquist plane k_last = res/2 holds nothing and every multiplier preserves
+reality.
 """
 
 from __future__ import annotations
@@ -197,14 +200,6 @@ def _to_grid(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
                          norm="forward")
 
 
-def _accumulate(out: list, idx: int, term: np.ndarray) -> None:
-    """out[idx] += term, where None stands for a zero not yet allocated."""
-    if out[idx] is None:
-        out[idx] = term
-    else:
-        out[idx] += term
-
-
 @lru_cache(maxsize=None)
 def _band_half(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
     """np.ix_ index of the half of the two-thirds band in a field's half.
@@ -216,6 +211,12 @@ def _band_half(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
     limit = grid.res // 3
     lead = np.r_[0:limit + 1, grid.res - limit:grid.res]
     return np.ix_(*([lead] * (grid.n - 1)), np.arange(limit + 1))
+
+
+def _band_shape(grid: SpectralGrid) -> tuple[int, ...]:
+    """Shape of a band half: (2L+1, ..., 2L+1, L+1), L = res // 3."""
+    limit = grid.res // 3
+    return (2 * limit + 1,) * (grid.n - 1) + (limit + 1,)
 
 
 @lru_cache(maxsize=None)
@@ -232,6 +233,25 @@ def _derivative_symbol(
         modes = np.take(modes, _band_half(grid)[axis].ravel(), axis=axis)
     factor = sign * -1j if adjoint else sign * 1j
     return factor * modes
+
+
+def _apply_d(grid: SpectralGrid, degree: int, comps, adjoint: bool = False,
+             band: bool = False, out: list | None = None) -> list:
+    """d of the degree-``degree`` form with components ``comps``, or its
+    adjoint delta with ``adjoint``: the one walk of the insertion table.
+
+    ``comps`` are halves, or band halves with ``band``.  Each term is added
+    into ``out``, where None stands for a zero not yet allocated (all None
+    by default); returns ``out``.
+    """
+    target = degree - 1 if adjoint else degree + 1
+    out = [None] * comb(grid.n, target) if out is None else out
+    for j_up, j_down, axis, sign in _insertion_table(grid.n, min(degree, target)):
+        src, dst = (j_up, j_down) if adjoint else (j_down, j_up)
+        term = _derivative_symbol(grid, axis, sign, adjoint, band) * comps[src]
+        out[dst] = term if out[dst] is None else np.add(out[dst], term, out=out[dst])
+        del term  # freed before the next product is allocated, so its block is reused
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,18 +408,9 @@ def from_physical(
 
 def exterior_derivative(u: FormField) -> FormField:
     """d: degree i -> i+1 via the multiplier i*k_j and the insertion table."""
-    grid = u.grid
-    if u.degree >= grid.n:
-        raise ValueError(
-            f"exterior derivative undefined at top degree {u.degree}"
-        )
-    out = [
-        np.zeros(grid.half_shape, dtype=np.complex128)
-        for _ in range(grid.component_count(u.degree + 1))
-    ]
-    for out_idx, in_idx, axis, sign in _insertion_table(grid.n, u.degree):
-        out[out_idx] += _derivative_symbol(grid, axis, sign, False) * u.components[in_idx]
-    return FormField(grid, u.degree + 1, tuple(out))
+    if u.degree >= u.grid.n:
+        raise ValueError(f"exterior derivative undefined at top degree {u.degree}")
+    return FormField(u.grid, u.degree + 1, tuple(_apply_d(u.grid, u.degree, u.components)))
 
 
 def codifferential(u: FormField) -> FormField:
@@ -409,16 +420,10 @@ def codifferential(u: FormField) -> FormField:
     conj(i*k_j) = -i*k_j, so (d a, b) = (a, codifferential b) holds by
     construction.
     """
-    grid = u.grid
     if u.degree <= 0:
         raise ValueError("codifferential undefined at degree 0")
-    out = [
-        np.zeros(grid.half_shape, dtype=np.complex128)
-        for _ in range(grid.component_count(u.degree - 1))
-    ]
-    for in_idx, out_idx, axis, sign in _insertion_table(grid.n, u.degree - 1):
-        out[out_idx] += _derivative_symbol(grid, axis, sign, True) * u.components[in_idx]
-    return FormField(grid, u.degree - 1, tuple(out))
+    return FormField(u.grid, u.degree - 1,
+                     tuple(_apply_d(u.grid, u.degree, u.components, adjoint=True)))
 
 
 def hodge_laplacian(u: FormField) -> FormField:

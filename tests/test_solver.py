@@ -495,6 +495,24 @@ class TestBandHalfState:
         with pytest.raises(ValueError, match="degrees do not match"):
             solve_linearized(_two_band_state(G16), None, u0, cfg)
 
+    def test_degree_zero_pressure_rejected_at_entry(self, monkeypatch):
+        # A 0-form has no pressure: the default with_pressure=True fails
+        # before any stage with an error that names the problem.
+        def never(*args):
+            raise AssertionError("stepping started")
+
+        u0 = random_form(SpectralGrid(2, 8), 0, np.random.default_rng(5), kmax=2)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=0.01, res=8, degree=0, preset="zero")
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_run_scheme", never)
+            with pytest.raises(ValueError, match="degree-0.*with_pressure"):
+                solve_nonlinear(None, u0, cfg)
+            with pytest.raises(ValueError, match="degree-0.*with_pressure"):
+                solve_linearized(None, None, u0, cfg)
+        for sol in (solve_nonlinear(None, u0, cfg, with_pressure=False),
+                    solve_linearized(None, None, u0, cfg, with_pressure=False)):
+            assert sol.p is None and len(sol.u) == cfg.steps + 1
+
     @pytest.mark.parametrize("grid", [G16, SpectralGrid(2, 32), SpectralGrid(3, 8),
                                       SpectralGrid(3, 12)])
     def test_half_norm_is_parseval(self, grid):
@@ -935,6 +953,18 @@ class TestEnergyLaw:
         dissipated = 2 * cfg.mu * float(np.trapezoid(grads, sol.times))
         gap = abs(l2_norm(sol.u[-1]) ** 2 + dissipated - l2_norm(sol.u[0]) ** 2)
         assert gap <= 1e-6 * l2_norm(sol.u[0]) ** 2
+
+    def test_missing_nonlinearity_rejected_at_entry(self):
+        # Two samples leave no interior sample to loop over; the check
+        # still runs.
+        cfg = SolverConfig(mu=0.2, T=5e-3, dt=5e-3, res=16)
+        sol = solve_nonlinear(None, _two_band_state(G16), cfg, with_pressure=False)
+        assert len(sol.u) == 2
+        with pytest.raises(ValueError, match="nonlinearity config"):
+            energy_identity_residual(sol, cfg.mu, nonlinear=True)
+        with pytest.raises(ValueError, match="nonlinearity config"):
+            energy_identity_residual(sol, cfg.mu, w_series=_two_band_state(G16))
+        assert energy_identity_residual(sol, cfg.mu) == 0.0
 
     def test_lions_identity_residual_second_order(self):
         u0 = _two_band_state(G16)
@@ -1506,6 +1536,25 @@ class TestGalerkinStudy:
         int_part = cfg.mu * float(np.trapezoid(grads, sol.times))
         assert study.bounded_quantities[0] == pytest.approx(
             sup_part + int_part, rel=1e-10)
+
+    def test_callable_forcing_drawn_once_for_every_m(self):
+        # The study samples a callable forcing on the time grid once and
+        # solves every truncation with those samples.
+        u0 = _two_band_state(G16)
+        f = project_state(random_form(G16, 1, np.random.default_rng(11), kmax=3))
+        drawn = []
+
+        def forcing(t):
+            drawn.append(t)
+            return f * float(np.cos(3.0 * t))
+
+        cfg = SolverConfig(mu=0.2, T=0.02, dt=5e-3, res=16)
+        study = galerkin_convergence_study(forcing, u0, cfg, ms=(8, 16, 32))
+        assert len(drawn) == len(cfg.times())
+        sampled = galerkin_convergence_study(
+            [forcing(float(t)) for t in cfg.times()], u0, cfg, ms=(8, 16, 32))
+        assert np.array_equal(study.bounded_quantities, sampled.bounded_quantities)
+        assert np.array_equal(study.cauchy_differences, sampled.cauchy_differences)
 
 
 class TestSolutionIO:
