@@ -1,7 +1,8 @@
 """Independent numerical oracles used to validate the spectral code paths.
 
-Everything here works on physical sample arrays with periodic rolls and
-plain quadrature sums; nothing touches the package's FFT machinery, so
+Everything here works on physical sample arrays, with periodic rolls and
+plain quadrature sums or numpy's complex FFT on the whole grid; nothing
+touches the package's transforms, band halves or exterior calculus, so
 agreement between the two is a real check.
 """
 
@@ -73,3 +74,51 @@ def observed_order(errors: list[float]) -> float:
     """Smallest log2 ratio of consecutive errors under step halving."""
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return float(min(rates))
+
+
+# -- spectral oracles for the incompressible equations (vector fields) -------
+
+
+def _wavenumbers(shape: tuple[int, ...]) -> list[np.ndarray]:
+    return np.meshgrid(*(np.fft.fftfreq(m, 1.0 / m) for m in shape), indexing="ij")
+
+
+def _band_mask(shape: tuple[int, ...]) -> np.ndarray:
+    """The two-thirds band: every |k_j| <= res // 3."""
+    return np.all([np.abs(k) <= shape[0] // 3 for k in _wavenumbers(shape)], axis=0)
+
+
+def _grid_derivative(samples: np.ndarray, axis: int) -> np.ndarray:
+    k = _wavenumbers(samples.shape)[axis]
+    return np.fft.ifftn(1j * k * np.fft.fftn(samples)).real
+
+
+def _band_part(samples: np.ndarray) -> np.ndarray:
+    return np.fft.ifftn(np.fft.fftn(samples) * _band_mask(samples.shape)).real
+
+
+def dealiased_convection(w: list[np.ndarray], u: list[np.ndarray]) -> list[np.ndarray]:
+    """The band part of (w . grad) u: products on the grid, then the
+    two-thirds truncation (exact for band-limited w and u)."""
+    return [_band_part(sum(wj * _grid_derivative(c, j) for j, wj in enumerate(w)))
+            for c in u]
+
+
+def pressure_split(source: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(p, P s) for the vector field s: grad p = (I - P) s, p mean-free, and
+    P s the band-limited, divergence-free, mean-free part of s."""
+    shape = source[0].shape
+    ks = _wavenumbers(shape)
+    hats = [np.fft.fftn(c) for c in source]
+    k2 = sum(k * k for k in ks)
+    inverse = np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0)
+    p_hat = -1j * sum(k * h for k, h in zip(ks, hats)) * inverse
+    keep = _band_mask(shape) & (k2 > 0)
+    projected = [np.fft.ifftn((h - 1j * k * p_hat) * keep).real for k, h in zip(ks, hats)]
+    return np.fft.ifftn(p_hat).real, projected
+
+
+def viscous_term(u: list[np.ndarray], mu: float) -> list[np.ndarray]:
+    """mu times the flat Laplacian of each component: -mu |k|^2 u."""
+    k2 = sum(k * k for k in _wavenumbers(u[0].shape))
+    return [np.fft.ifftn(-mu * k2 * np.fft.fftn(c)).real for c in u]

@@ -18,7 +18,14 @@ from hypothesis import given, settings, strategies as st
 import torusforms.hodge as hodge_module
 import torusforms.nonlinear as nonlinear_module
 import torusforms.solver as solver_module
-from oracles import observed_order, taylor_green_pressure, taylor_green_velocity
+from oracles import (
+    dealiased_convection,
+    observed_order,
+    pressure_split,
+    taylor_green_pressure,
+    taylor_green_velocity,
+    viscous_term,
+)
 from torusforms.nonlinear import (
     bilinear_term,
     get_preset,
@@ -761,6 +768,39 @@ class TestPressure:
                            preset="zero")
         for sol in (solve_nonlinear(f, u0, cfg), solve_linearized(w, f, u0, cfg)):
             assert all(not np.any(c) for p in sol.p for c in p.components)
+
+
+class TestSampleOracle:
+    """The stored pressures and first derivatives of a T^2 res-64 solve
+    against numpy on the grid (tests/oracles.py): Q = the band part of
+    (u . grad) u, grad p = (I - P)(f - Q), du/dt = mu Lap u + P (f - Q)
+    and, for a constant f, grad dp/dt = -(I - P) B(u, du/dt) with B(u, v) =
+    (u . grad) v + (v . grad) u."""
+
+    def test_pressures_and_derivatives_match_numpy(self):
+        grid = SpectralGrid(2, 64)
+        rng = np.random.default_rng(1601)
+        u0 = project_state(random_form(grid, 1, rng, kmax=8))
+        u0 = u0 * (2.0 / l2_norm(u0))
+        # Modes outside the band too: they reach p, not u.
+        f = random_form(grid, 1, rng, kmax=grid.res / 2 - 1)
+        f = f * (1.0 / l2_norm(f))
+        cfg = SolverConfig(mu=0.05, T=4e-3, dt=1e-3, res=64)
+        sol = solve_nonlinear(f, u0, cfg, store_every=2, derivatives=1, with_pressure=True)
+        assert len(sol.u) == len(sol.p) == len(sol.dt_cache[1]) == len(sol.p_dt_cache[1]) == 3
+        f_phys = to_physical(f)
+        for u, p, du, dp in zip(sol.u, sol.p, sol.dt_cache[1], sol.p_dt_cache[1]):
+            u_phys = to_physical(u)
+            q = dealiased_convection(u_phys, u_phys)
+            p_ref, drive = pressure_split([a - b for a, b in zip(f_phys, q)])
+            du_ref = [a + b for a, b in zip(viscous_term(u_phys, cfg.mu), drive)]
+            dq = [a + b for a, b in zip(dealiased_convection(u_phys, du_ref),
+                                        dealiased_convection(du_ref, u_phys))]
+            dp_ref, _ = pressure_split([-c for c in dq])
+            for got, expected in ((p, [p_ref]), (du, du_ref), (dp, [dp_ref])):
+                scale = max(np.max(np.abs(e)) for e in expected)
+                gap = max(np.max(np.abs(g - e)) for g, e in zip(to_physical(got), expected))
+                assert gap <= 1e-13 * scale
 
 
 class TestExactDecay:
