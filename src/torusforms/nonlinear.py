@@ -35,6 +35,19 @@ transforms on the half spectrum that fields store:
 For the ``navier-stokes-i1`` preset that is 6 component transforms per N on
 T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
 
+The exact part d M2 is L^2-orthogonal to coclosed forms (Hodge-Helmholtz),
+so a caller that projects Q onto them throws it away.  The kernel's
+``exact`` mode serves such callers: "add" (the default) makes Q, "drop"
+only the M1 output Q1 = M1(d v, v), with no M2 products, no M2 transform
+and no d on the band, "apart" the pair (Q1, M2's band halves) from one
+grid pass, and "only" M2's band halves alone (on a state with kept grid
+values that is its products and one forward transform per component).
+This is the rotational form of Navier-Stokes, where the kinetic energy
+|u|^2 / 2 folds into the pressure.  "drop" takes 5 transforms per N on
+T^2 and 9 on T^3, and 8 and 15 per B: every solver stage uses it (or
+"apart" where a stored sample needs M2 for its pressure), so an imex-rk2
+step on T^3 makes 18 transforms, not 20.
+
 Steps 2-5 (``_on_grid`` and ``_quadratic``) work on the band halves of one
 field, one array per component.  ``nonlinear_term`` and ``bilinear_term``
 share one body for fields and ``BandHalves`` states alike: fields enter
@@ -258,11 +271,14 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
     return values, derivs
 
 
-def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
+def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str = "add"):
     """Band halves of Q(v, v) for one input, of Q(w, v) + Q(v, w) for two.
 
     Q(a, b) = M1(d a, b) + d M2(a, b); each input comes from ``_on_grid``.
-    See the module docstring for the steps and the transform budget.
+    ``exact`` says what becomes of the exact part d M2: "add" makes Q,
+    "drop" only the M1 output Q1, "apart" the pair (Q1, M2's band halves)
+    and "only" M2's band halves alone; M2's halves are None where cfg has
+    no M2.  See the module docstring for the steps and the transform budget.
     """
     band, axes = _band_half(grid), tuple(range(grid.n))
     values = [v for v, _ in inputs]
@@ -282,13 +298,18 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs) -> list:
         return np.fft.rfftn(prod, axes=axes, norm="forward")[band]
 
     out = [None] * grid.component_count(cfg.degree)
-    if cfg.m1 is not None and cfg.degree < grid.n:
+    if exact != "only" and cfg.m1 is not None and cfg.degree < grid.n:
         out = [spectral(e, derivs, values) for e in cfg.m1._entries]
-    if cfg.m2 is not None:
+    m2 = None
+    if exact != "drop" and cfg.m2 is not None:
         m2 = [spectral(e, values, values) for e in cfg.m2._entries]
-        out = _apply_d(grid, cfg.degree - 1, m2, band=True, out=out)
-    return [np.zeros(_band_shape(grid), dtype=np.complex128) if h is None else h
-            for h in out]
+        if exact == "add":
+            out = _apply_d(grid, cfg.degree - 1, m2, band=True, out=out)
+    if exact == "only":
+        return m2
+    out = [np.zeros(_band_shape(grid), dtype=np.complex128) if h is None else h
+           for h in out]
+    return (out, m2) if exact == "apart" else out
 
 
 class BandHalves:
@@ -338,45 +359,66 @@ class BandHalves:
         return self._kept[cfg]
 
 
-def _quadratic_term(cfg: NonlinearityConfig, *args):
+EXACT_MODES = ("add", "drop", "apart", "only")
+
+
+def _quadratic_term(cfg: NonlinearityConfig, *args, exact: str = "add"):
     """``_quadratic`` of fields or of ``BandHalves``: a field enters through
-    ``BandHalves.of`` and leaves through ``field``, states give and get
-    stacked band halves."""
+    ``BandHalves.of`` and each output leaves through ``field``, states give
+    and get stacked band halves."""
+    if exact not in EXACT_MODES:
+        raise ValueError(f"exact must be one of {EXACT_MODES}, got {exact!r}")
     grid = args[0].grid
     if any(a.grid != grid for a in args):
         raise ValueError("product arguments live on different grids")
     states = [a if isinstance(a, BandHalves) else BandHalves.of(a) for a in args]
     if cfg.is_zero:
-        out = [np.zeros_like(h) for h in states[-1].halves]
+        zeros = [np.zeros_like(h) for h in states[-1].halves]
+        out = {"add": zeros, "drop": zeros, "apart": (zeros, None), "only": None}[exact]
     else:
-        out = _quadratic(cfg, grid, *(s.on_grid(cfg) for s in states))
-    if isinstance(args[-1], BandHalves):
-        return np.stack(out)
-    return BandHalves(grid, cfg.degree, out).field()
+        out = _quadratic(cfg, grid, *(s.on_grid(cfg) for s in states), exact=exact)
+
+    def leave(halves, degree):
+        if halves is None:
+            return None
+        if isinstance(args[-1], BandHalves):
+            return np.stack(halves)
+        return BandHalves(grid, degree, halves).field()
+
+    if exact == "apart":
+        return leave(out[0], cfg.degree), leave(out[1], cfg.degree - 1)
+    return leave(out, cfg.degree - 1 if exact == "only" else cfg.degree)
 
 
-def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig):
-    """N(v) = M1(d v, v) + d M2(v, v); its band halves for ``BandHalves`` v."""
+def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig, *,
+                   exact: str = "add"):
+    """N(v) = M1(d v, v) + d M2(v, v); its band halves for ``BandHalves`` v.
+
+    ``exact`` other than "add" treats the exact part d M2(v, v) apart, for
+    callers that project it away: "drop" gives M1(d v, v), "apart" the pair
+    (M1(d v, v), M2(v, v)) and "only" M2(v, v), None for a cfg without M2.
+    """
     if v.degree != cfg.degree:
         raise ValueError(
             f"field degree {v.degree} does not match nonlinearity degree "
             f"{cfg.degree}"
         )
-    return _quadratic_term(cfg, v)
+    return _quadratic_term(cfg, v, exact=exact)
 
 
 def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
-                  cfg: NonlinearityConfig):
+                  cfg: NonlinearityConfig, *, exact: str = "add"):
     """Polarization B(w, v) = N(w + v) - N(w) - N(v), evaluated directly.
 
     w and v are both fields or both ``BandHalves``; for the latter the
-    result is B's band halves.
+    result is B's band halves.  ``exact`` splits off the exact part
+    d (M2(w, v) + M2(v, w)) as in ``nonlinear_term``.
     """
     if w.degree != cfg.degree or v.degree != cfg.degree:
         raise ValueError("field degrees do not match the nonlinearity degree")
     if isinstance(w, BandHalves) != isinstance(v, BandHalves):
         raise TypeError("bilinear_term takes two fields or two BandHalves")
-    return _quadratic_term(cfg, w, v)
+    return _quadratic_term(cfg, w, v, exact=exact)
 
 
 def convective_term(w: FormField, u: FormField) -> FormField:

@@ -8,6 +8,7 @@ implementation evaluates both sides through the same dealiased products.
 """
 
 import types
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusforms.nonlinear as nonlinear_module
+import torusforms.solver as solver_module
 import torusforms.spectral as spectral_module
 
 from oracles import convective_term_fd, quadrature_inner
 from torusforms.hodge import helmholtz_project
 from torusforms.nonlinear import (
+    BandHalves,
     BilinearMap,
     ContinuityReport,
     NonlinearityConfig,
@@ -38,6 +41,8 @@ from torusforms.nonlinear import (
 )
 from torusforms.solver import (
     SolverConfig,
+    _band_projection,
+    _half_norm,
     apply_inverse,
     assemble_linearized,
     build_basis,
@@ -49,6 +54,7 @@ from torusforms.spectral import (
     FieldIntegrityError,
     FormField,
     SpectralGrid,
+    _apply_d,
     dealias,
     exterior_derivative,
     inner_product,
@@ -279,6 +285,95 @@ class TestTransformBudget:
         bilinear_term(w, v, cfg)
         assert len(calls) == b_budget
         assert calls.count("rfftn") == grid.n + 1
+
+
+class TestProjectedMode:
+    """The kernel's modes for callers that project Q: "drop" leaves out the
+    exact part d M2, "apart" gives M2's band halves beside Q1 = M1(d v, v),
+    "only" M2's alone.  The default "add" is pinned by the classes above."""
+
+    @pytest.mark.parametrize("grid, n_budget, b_budget", [(G2, 5, 8), (G3, 9, 15)])
+    def test_component_transforms_per_call(self, monkeypatch, grid, n_budget, b_budget):
+        w, v = _pair(grid, 41)
+        cfg = _ns(grid)
+        calls = TestTransformBudget._counting_numpy(monkeypatch)
+        nonlinear_term(v, cfg, exact="drop")
+        assert len(calls) == n_budget
+        assert calls.count("rfftn") == grid.n  # the M1 output only
+        calls.clear()
+        bilinear_term(w, v, cfg, exact="drop")
+        assert len(calls) == b_budget
+        assert calls.count("rfftn") == grid.n
+        # M2 comes from the same grid pass, with one more forward transform.
+        calls.clear()
+        nonlinear_term(v, cfg, exact="apart")
+        assert len(calls) == n_budget + 1
+        state = BandHalves.of(v, keep=True)
+        nonlinear_term(state, cfg, exact="drop")
+        calls.clear()
+        nonlinear_term(state, cfg, exact="only")
+        assert calls == ["rfftn"]
+
+    @pytest.mark.parametrize("grid", [G2, G3])
+    def test_diagonal_is_twice_nonlinearity(self, grid):
+        v, _ = _pair(grid, 5)
+        cfg = _ns(grid)
+        for exact in ("drop", "only"):
+            gap = l2_norm(bilinear_term(v, v, cfg, exact=exact)
+                          - nonlinear_term(v, cfg, exact=exact) * 2.0)
+            assert gap == 0.0  # identical floating-point operations
+
+    @pytest.mark.parametrize("grid", [G2, G3])
+    def test_parts_make_the_full_term_bit_for_bit(self, grid):
+        w, v = _pair(grid, 8)
+        cfg = _ns(grid)
+        for term, args in ((nonlinear_term, (v,)), (bilinear_term, (w, v))):
+            states = [BandHalves.of(a) for a in args]
+            q1, m2 = term(*states, cfg, exact="apart")
+            assert np.array_equal(q1, term(*states, cfg, exact="drop"))
+            assert np.array_equal(m2, term(*states, cfg, exact="only"))
+            full = _apply_d(grid, 0, list(m2), band=True, out=list(q1))
+            assert np.array_equal(np.stack(full), term(*states, cfg))
+            q1_field, m2_field = term(*args, cfg, exact="apart")
+            assert (q1_field.degree, m2_field.degree) == (1, 0)
+            assert np.array_equal(BandHalves.of(m2_field).halves, m2)
+
+    def test_without_m2_the_exact_part_is_none(self):
+        v, _ = _pair(G2, 9)
+        cfg = NonlinearityConfig(degree=1, m1=interior_product_map(2))
+        q1, m2 = nonlinear_term(v, cfg, exact="apart")
+        assert m2 is None and nonlinear_term(v, cfg, exact="only") is None
+        assert l2_norm(q1 - nonlinear_term(v, cfg)) == 0.0
+        q1, m2 = nonlinear_term(v, zero_config(1), exact="apart")
+        assert m2 is None and l2_norm(q1) == 0.0
+        with pytest.raises(ValueError, match="exact must be one of"):
+            nonlinear_term(v, cfg, exact="keep")
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 16), SpectralGrid(3, 8)])
+    def test_state_projections_kill_the_exact_part(self, grid):
+        # d M2 is exact, so P and a build_basis P_m map it to rounding.
+        v = project_state(random_form(grid, 1, np.random.default_rng(13)))
+        m2 = nonlinear_term(BandHalves.of(v), _ns(grid), exact="only")
+        dm2 = np.stack(_apply_d(grid, 0, list(m2), band=True))
+        basis = build_basis(grid, 1)
+        assert basis.coclosed
+        for project in (partial(_band_projection, grid, 1), basis._project_band):
+            assert _half_norm(project(dm2)) <= 1e-15 * _half_norm(dm2)
+
+    def test_ns3d_step_makes_18_transforms(self, monkeypatch):
+        # Two rk2 stages of 9 transforms each (3 velocity and 3 vorticity
+        # components to the grid, 3 M1 components back); no other layer
+        # transforms anything while the solver steps.
+        calls = TestTransformBudget._counting_numpy(monkeypatch)
+        proxy = nonlinear_module.np
+        for module in (spectral_module, solver_module):
+            monkeypatch.setattr(module, "np", proxy)
+        grid = SpectralGrid(3, 16)
+        u0 = project_state(random_form(grid, 1, np.random.default_rng(19), kmax=4))
+        cfg = SolverConfig(mu=0.05, T=2e-3, dt=1e-3, res=16, n=3)
+        calls.clear()
+        solve_nonlinear(None, u0, cfg, derivatives=0, with_pressure=False)
+        assert len(calls) == 18 * cfg.steps
 
 
 class TestHermitianCheckScope:

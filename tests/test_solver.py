@@ -9,7 +9,7 @@ algebraic identities of the discrete quadratic forward map.
 import dataclasses
 import sys
 import tracemalloc
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -448,8 +448,14 @@ class TestBandHalfState:
         cfg = SolverConfig(mu=0.1, T=0.04, dt=0.01, res=grid.res, n=grid.n, scheme=scheme)
         f_series, f_ref = self._forcing(forcing, f, cfg.times())
         sol = solve_nonlinear(f_series, u0, cfg, derivatives=0, with_pressure=False)
-        ref = _reference_lawson(cfg, u0, lambda j, mid, u: nonlinear_term(u, NS[grid.n]), f_ref)
-        _assert_same_states(sol.u, ref)
+        # The stages leave out the exact part d M2 of Q, which P kills: the
+        # reference on Q1 agrees bit for bit, the reference on Q to rounding.
+        def reference(exact):
+            return _reference_lawson(
+                cfg, u0, lambda j, mid, u: nonlinear_term(u, NS[grid.n], exact=exact), f_ref)
+
+        _assert_same_states(sol.u, reference("drop"))
+        _assert_close_states(sol.u, reference("add"), 1e-14)
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
@@ -468,9 +474,12 @@ class TestBandHalfState:
                 (w_series[j] + w_series[j + 1]) * 0.5 if midpoint else w_series[j])
         sol = solve_linearized(w_series, f_series, u0, cfg, derivatives=0,
                                with_pressure=False)
-        ref = _reference_lawson(
-            cfg, u0, lambda j, mid, u: bilinear_term(w_ref(j, mid), u, NS[grid.n]), f_ref)
-        _assert_same_states(sol.u, ref)
+        def reference(exact):
+            return _reference_lawson(cfg, u0, lambda j, mid, u: bilinear_term(
+                w_ref(j, mid), u, NS[grid.n], exact=exact), f_ref)
+
+        _assert_same_states(sol.u, reference("drop"))
+        _assert_close_states(sol.u, reference("add"), 1e-14)
 
     @pytest.mark.parametrize("preset", ["navier-stokes-i1", "zero"])
     @pytest.mark.parametrize("broken", ["u0", "forcing"])
@@ -562,10 +571,10 @@ class TestEvaluationCounts:
         calls, stepping = [], []
         original, run = getattr(solver_module, name), solver_module._run_scheme
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             assert all(isinstance(a, nonlinear_module.BandHalves) for a in args[:-1])
             calls.append("stage" if stepping else "sample")
-            return original(*args)
+            return original(*args, **kwargs)
 
         def flagged(*args):
             stepping.append(True)
@@ -900,6 +909,57 @@ class TestSolveLinearized:
             solve_linearized(None, huge, FormField.zeros(G16, 1), cfg)
 
 
+class TestTimeData:
+    """Sampled time data are checked at entry, sample by sample, and a None
+    sample is zero under both schemes."""
+
+    CFG = SolverConfig(mu=0.1, T=0.04, dt=0.01, res=8)
+    GRID = SpectralGrid(2, 8)
+
+    @staticmethod
+    def _kernel_calls(monkeypatch) -> list:
+        calls, original = [], nonlinear_module._quadratic
+        monkeypatch.setattr(nonlinear_module, "_quadratic",
+                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
+        return calls
+
+    @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
+    def test_none_sample_is_zero(self, scheme):
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=0.01, res=8, scheme=scheme)
+        rng = np.random.default_rng(23)
+        u0, w = (project_state(random_form(self.GRID, 1, rng)) for _ in range(2))
+        got = solve_linearized([None, w, w], None, u0, cfg)
+        expected = solve_linearized([FormField.zeros(self.GRID, 1), w, w], None, u0, cfg)
+        for a, b in zip(got.u + got.p + got.dt_cache[1], expected.u + expected.p
+                        + expected.dt_cache[1]):
+            assert l2_norm(a - b) <= 1e-15 * max(l2_norm(b), 1.0)
+
+    @pytest.mark.parametrize("bad", ["grid", "degree", "nan", "hermitian", "type"])
+    def test_bad_sample_rejected_before_any_kernel_call(self, monkeypatch, bad):
+        rng = np.random.default_rng(29)
+        u0 = project_state(random_form(self.GRID, 1, rng))
+        f = random_form(self.GRID, 1, rng)
+        corrupt = {"grid": lambda: random_form(G16, 1, rng),
+                   "degree": lambda: random_form(self.GRID, 0, rng),
+                   "nan": lambda: f * float("nan"),
+                   "hermitian": lambda: _non_hermitian(f),
+                   "type": lambda: 1.0}[bad]()
+        calls = self._kernel_calls(monkeypatch)
+        error = FieldIntegrityError if bad in ("nan", "hermitian") else ValueError
+        with pytest.raises(error, match="forcing sample 4"):
+            solve_nonlinear([f, f, f, f, corrupt], u0, self.CFG)
+        with pytest.raises(error, match="advection field sample 4"):
+            solve_linearized([u0, u0, u0, u0, corrupt], None, u0, self.CFG)
+        basis = build_basis(self.GRID, 1)
+        op = assemble_linearized(u0, self.CFG.mu, basis, self.CFG.times(), NS2)
+        with pytest.raises(error, match="forcing sample 4"):
+            apply_inverse(op, [f, f, f, f, corrupt], u0, self.CFG)
+        assert calls == []
+        # A callable's value is checked when it is drawn, at the last state.
+        with pytest.raises(error, match="forcing at t = 0.04"):
+            solve_nonlinear(lambda t: corrupt if t > 0.035 else f, u0, self.CFG)
+
+
 class TestSecondDerivativeCache:
     def test_heat_decay_second_derivative(self):
         # Zero nonlinearity: d^2u/dt^2 = mu^2 Lap^2 u along the flow.
@@ -929,7 +989,7 @@ class TestSecondDerivativeCache:
         calls = []
         original = solver_module.bilinear_term
         monkeypatch.setattr(solver_module, "bilinear_term",
-                            lambda *args: calls.append(1) or original(*args))
+                            lambda *args, **kw: calls.append(1) or original(*args, **kw))
         scale = l2_norm(phi)
         for f in (lambda t: dphi * t, [dphi * float(t) for t in cfg.times()]):
             sol = solve_nonlinear(f, u0, cfg, derivatives=1)
@@ -1120,7 +1180,7 @@ class TestLinearizedOperator:
         monkeypatch.setattr(nonlinear_module, "_on_grid",
                             lambda *args: grid_passes.append(1) or on_grid(*args))
         monkeypatch.setattr(solver_module, "bilinear_term",
-                            lambda *args: products.append(1) or bilinear(*args))
+                            lambda *args, **kw: products.append(1) or bilinear(*args, **kw))
         for name in ("_scatter", "_project_halves"):
             original = getattr(GalerkinBasis, name)
             monkeypatch.setattr(GalerkinBasis, name, lambda self, *args, name=name,
@@ -1183,6 +1243,24 @@ class TestApplyInverse:
         f = project_state(random_form(G16, 1, rng, kmax=kmax))
         u0 = project_state(random_form(G16, 1, rng, kmax=kmax))
         return w, f, u0
+
+    def test_exact_part_left_out_only_for_a_coclosed_basis(self, monkeypatch):
+        # P_m kills d M2 only as far as its fibres are divergence-free: a
+        # basis tilted by 1e-11 (admitted at 1e-10) keeps the full Q.
+        w, f, u0 = self._data()
+        cfg = SolverConfig(mu=0.2, T=0.02, dt=5e-3, res=16)
+        exact = build_basis(G16, 1, 24)
+        tilted = exact.fibres + 1e-11 * exact.modes / np.sqrt(exact.eigenvalues)[:, None]
+        tilted /= np.linalg.norm(tilted, axis=1)[:, None]
+        basis = GalerkinBasis(G16, 1, exact.modes, tilted, exact.sine, exact.eigenvalues)
+        assert exact.coclosed and not basis.coclosed
+        modes, original = [], solver_module.bilinear_term
+        monkeypatch.setattr(solver_module, "bilinear_term", lambda *args, exact="add": (
+            modes.append(exact) or original(*args, exact=exact)))
+        for b, expected in ((exact, "drop"), (basis, "add")):
+            modes.clear()
+            apply_inverse(assemble_linearized(w, cfg.mu, b, cfg.times(), NS2), f, u0, cfg)
+            assert set(modes) == {expected}
 
     def test_full_band_matches_field_solver(self):
         w, f, u0 = self._data()
@@ -1343,15 +1421,17 @@ def _reference_cells(states, quads, cfg):
             for j, q in enumerate(quads)]
 
 
-def _reference_newton(f_cells, u0, states, cfg):
+def _reference_newton(f_cells, u0, states, cfg, exact="add"):
     """Newton on full fields, from projected forcing cells and u0: forward
-    substitution with the full-grid decay, then the final pass."""
+    substitution with the full-grid decay, then the final pass.  Every Q
+    under P comes from the kernel's ``exact`` mode, the pressures from the
+    full Q."""
     ns = cfg.nonlinearity()
     dt = cfg.T / cfg.steps
     dec = np.exp(-cfg.mu * dt * states[0].grid.k_squared)
     history = []
     while True:
-        quads = [nonlinear_term(u, ns) for u in states[:-1]]
+        quads = [nonlinear_term(u, ns, exact=exact) for u in states[:-1]]
         r_cells = [f - c for f, c in zip(f_cells, _reference_cells(states, quads, cfg))]
         r0 = u0 - states[0]
         history.append(max(l2_norm(r) for r in r_cells + [r0]))
@@ -1359,14 +1439,15 @@ def _reference_newton(f_cells, u0, states, cfg):
             break
         delta = [r0]
         for j in range(cfg.steps):
-            explicit = r_cells[j] - project_state(bilinear_term(states[j], delta[j], ns))
+            explicit = r_cells[j] - project_state(
+                bilinear_term(states[j], delta[j], ns, exact=exact))
             delta.append(_scaled(delta[j] + explicit * dt, dec))
         states = [u + d for u, d in zip(states, delta)]
-    quads.append(nonlinear_term(states[-1], ns))
+    quads.append(nonlinear_term(states[-1], ns, exact=exact))
     p, dt1 = [], []
     for j, (u, q) in enumerate(zip(states, quads)):
         f = f_cells[min(j, cfg.steps - 1)]
-        p.append(_reference_pressure(f - q))
+        p.append(_reference_pressure(f - nonlinear_term(u, ns)))
         dt1.append(hodge_laplacian(u) * (-cfg.mu) - project_state(q) + f)
     return states, p, dt1, history
 
@@ -1393,13 +1474,20 @@ class TestNewtonBandHalfState:
     def test_discrete_maps_match_full_field_reference(self, grid):
         cfg, base, _, seed, _ = self._data(grid)
         ns = cfg.nonlinearity()
-        cells, head = discrete_forward_data(seed, cfg)
-        ref = _reference_cells(seed, [nonlinear_term(u, ns) for u in seed[:-1]], cfg)
-        _assert_same_states(cells + [head], ref + [seed[0]])
-        cells, head = discrete_linearized_data(base.u, seed, cfg)
-        ref = _reference_cells(
-            seed, [bilinear_term(u, v, ns) for u, v in zip(base.u, seed[:-1])], cfg)
-        _assert_same_states(cells + [head], ref + [seed[0]])
+        # The cells leave out the exact part of Q, which P kills: the
+        # reference on Q1 agrees bit for bit, the reference on Q to rounding
+        # of Q.
+        def check(cells, head, quads):
+            refs = {exact: _reference_cells(seed, [q(exact=exact) for q in quads], cfg)
+                    for exact in ("drop", "add")}
+            _assert_same_states(cells + [head], refs["drop"] + [seed[0]])
+            scale = max(l2_norm(q()) for q in quads)
+            assert max(l2_norm(a - b) for a, b in zip(cells, refs["add"])) <= 1e-14 * scale
+
+        check(*discrete_forward_data(seed, cfg),
+              [partial(nonlinear_term, u, ns) for u in seed[:-1]])
+        check(*discrete_linearized_data(base.u, seed, cfg),
+              [partial(bilinear_term, u, v, ns) for u, v in zip(base.u, seed[:-1])])
 
     @pytest.mark.parametrize("grid", GRIDS)
     @pytest.mark.parametrize("forcing", ["cells", "one", "none"])
@@ -1414,8 +1502,12 @@ class TestNewtonBandHalfState:
         else:
             target, ref_cells = None, [FormField.zeros(grid, 1)] * cfg.steps
         result = newton_local_inverse(target, base.u[0], seed, cfg)
+        # Newton's Q under P leaves out the exact part: bit for bit the
+        # reference on Q1, to rounding the reference on Q.
+        full = _reference_newton(ref_cells, project_state(base.u[0]), seed, cfg)[0]
+        _assert_close_states(result.solution.u, full, 1e-14)
         u, p, dt1, history = _reference_newton(
-            ref_cells, project_state(base.u[0]), seed, cfg)
+            ref_cells, project_state(base.u[0]), seed, cfg, exact="drop")
         _assert_same_states(result.solution.u, u)
         _assert_close_states(result.solution.p, p, 1e-14)
         _assert_close_states(result.solution.dt_cache[1], dt1, 1e-14)
@@ -1490,16 +1582,20 @@ class TestNewton:
         assert len(result.residual_history) == 2
 
     def test_final_pass_reuses_the_last_residual(self, monkeypatch):
-        # Three residuals of steps evaluations each, then N at the last
-        # state only: the last residual has N at every other final state.
+        # Three residuals of steps evaluations of Q1 = M1(d u, u) each, then
+        # Q1 and M2 at the last state only: the last residual has Q1 at
+        # every other final state, and the pressures take M2 there in one
+        # more pass.
         cfg, base, f_cells = self._base(steps=4)
         rng = np.random.default_rng(9)
         bump = project_state(random_form(G16, 1, rng, kmax=2, mean_free=True))
         seed = [u + bump * (1e-3 / l2_norm(bump)) for u in base.u]
-        calls = TestEvaluationCounts._count(monkeypatch, "nonlinear_term")
+        modes, original = [], solver_module.nonlinear_term
+        monkeypatch.setattr(solver_module, "nonlinear_term", lambda *args, exact="add": (
+            modes.append(exact) or original(*args, exact=exact)))
         result = newton_local_inverse(f_cells, base.u[0], seed, cfg)
         assert result.iterations == 2
-        assert len(calls) == cfg.steps * 3 + 1
+        assert modes == ["drop"] * (cfg.steps * 3) + ["apart"] + ["only"] * cfg.steps
 
     def test_one_grid_pass_per_iterate(self, monkeypatch):
         # 3 residuals of 4 N(u_j) and N at the last state: 13 iterates on
