@@ -332,7 +332,7 @@ class TestProjectedMode:
             q1, m2 = term(*states, cfg, exact="apart")
             assert np.array_equal(q1, term(*states, cfg, exact="drop"))
             assert np.array_equal(m2, term(*states, cfg, exact="only"))
-            full = _apply_d(grid, 0, list(m2), band=True, out=list(q1))
+            full = _apply_d(grid, 0, list(m2), band=True, out=[h.copy() for h in q1])
             assert np.array_equal(np.stack(full), term(*states, cfg))
             q1_field, m2_field = term(*args, cfg, exact="apart")
             assert (q1_field.degree, m2_field.degree) == (1, 0)
