@@ -48,14 +48,29 @@ T^2 and 9 on T^3, and 8 and 15 per B: every solver stage uses it (or
 "apart" where a stored sample needs M2 for its pressure), so an imex-rk2
 step on T^3 makes 18 transforms, not 20.
 
-Steps 2-5 (``_on_grid`` and ``_quadratic``) work on the band halves of one
-field, one array per component.  ``nonlinear_term`` and ``bilinear_term``
-share one body for fields and ``BandHalves`` states alike: fields enter
-through ``BandHalves.of`` and the result leaves through ``field``, states
-skip both.  Every solver (the field solvers, the Galerkin solves and
-Newton) steps its states through that form.  d on the band halves is
-``spectral._apply_d``, the same walk of the insertion table as the d of
-fields.
+Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves, one
+array per component, with leading batch axes or none: the spectrum buffer
+is (B, *half_shape), the products (B, *grid.shape), every transform runs
+on the last n axes and the band index is (slice(None), *band); the
+symbols of ``spectral._apply_d``, the same walk of the insertion table as
+the d of fields, broadcast from the right.  A pass over B states makes as
+many transform calls as one evaluation (the budgets above), each over B
+grids, so it moves B times the points and saves the Python and
+small-array cost of B - 1 calls.  ``nonlinear_term`` and ``bilinear_term``
+share one body, ``_quadratic_term``, for fields and ``BandHalves`` states
+alike: fields enter through ``BandHalves.of`` and the result leaves
+through ``field``, states skip both.  Every solver (the field solvers,
+the Galerkin solves and Newton) steps its states through that form.
+
+``_quadratic_term`` takes a list of states (two aligned lists for B) and
+runs them through the kernel in batches of ``_batch_size``: as many states
+as keep one component's grid values across the batch within 128 KB, so
+4 at T^2 res 64 and T^3 res 16, 64 at T^2 res 16, and one (no batch axis,
+the single call's cost) from T^2 res 128 and T^3 res 32 on, where a batch
+outgrows the cache and loses.  Newton's residual N(u_j) over a
+trajectory, its final M2 pass and the discrete maps' cells go through it;
+a kept state in a batch gets its slice of the batch's grid values, so a
+later B(u_j, .) transforms only its other input.
 
 The ``navier-stokes-i1`` preset instantiates M1 as the interior product
 (exterior derivative of the velocity contracted with the velocity) and M2
@@ -254,14 +269,17 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
     """One input of the kernel on the grid: its components and, where M1
     needs it, the components of its d.
 
-    ``halves`` are band halves, one per component.
+    ``halves`` are band halves, one per component, all with the same
+    leading batch axes (or none); the grid values keep those axes.
     """
-    band, axes = _band_half(grid), tuple(range(grid.n))
-    spectrum = np.zeros(grid.half_shape, dtype=np.complex128)
+    band, axes = _band_half(grid), tuple(range(-grid.n, 0))
+    lead = np.shape(halves[0])[:-grid.n]
+    index = (slice(None),) * len(lead) + band
+    spectrum = np.zeros(lead + grid.half_shape, dtype=np.complex128)
 
     def physical(half):
         # Every call writes the same band positions; the rest stays zero.
-        spectrum[band] = half
+        spectrum[index] = half
         return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, norm="forward")
 
     values = [physical(h) for h in halves]
@@ -278,11 +296,14 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str 
     ``exact`` says what becomes of the exact part d M2: "add" makes Q,
     "drop" only the M1 output Q1, "apart" the pair (Q1, M2's band halves)
     and "only" M2's band halves alone; M2's halves are None where cfg has
-    no M2.  See the module docstring for the steps and the transform budget.
+    no M2.  The inputs' grid values share their leading batch axes (or
+    have none), and so do the outputs.  See the module docstring for the
+    steps and the transform budget.
     """
-    band, axes = _band_half(grid), tuple(range(grid.n))
     values = [v for v, _ in inputs]
     derivs = [d for _, d in inputs]
+    lead = values[0][0].shape[:-grid.n]
+    band, axes = (slice(None),) * len(lead) + _band_half(grid), tuple(range(-grid.n, 0))
     pairs = ((0, 0),) if len(inputs) == 1 else ((0, 1), (1, 0))
 
     def spectral(entries, first, second):
@@ -290,7 +311,7 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str 
         # B(v, v) is the exact double of N(v).
         prod = None
         for i, j in pairs:
-            term = _contract(entries, first[i], second[j], grid.shape)
+            term = _contract(entries, first[i], second[j], lead + grid.shape)
             if prod is None:
                 prod = term
             else:
@@ -307,7 +328,7 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str 
             out = _apply_d(grid, cfg.degree - 1, m2, band=True, out=out)
     if exact == "only":
         return m2
-    out = [np.zeros(_band_shape(grid), dtype=np.complex128) if h is None else h
+    out = [np.zeros(lead + _band_shape(grid), dtype=np.complex128) if h is None else h
            for h in out]
     return (out, m2) if exact == "apart" else out
 
@@ -351,43 +372,98 @@ class BandHalves:
             c[band] = half
         return out
 
-    def on_grid(self, cfg: NonlinearityConfig) -> tuple[list, list]:
-        if self._kept is None:
-            return _on_grid(cfg, self.grid, self.halves)
-        if cfg not in self._kept:
-            self._kept[cfg] = _on_grid(cfg, self.grid, self.halves)
-        return self._kept[cfg]
+
+# Batched passes save the Python and small-array cost of each call, which
+# dominates on small grids, and lose once a batch's arrays outgrow the
+# cache.  "drop" passes of N over 4 states against 4 single ones: 2.0x
+# faster at T^2 res 32, 1.45x at T^2 res 64 and T^3 res 16 (128 KB a
+# component), 0.6x at T^2 res 128 and T^3 res 24 (432-512 KB).  The cap
+# gives batches of one from T^2 res 128 and T^3 res 32 on.
+_BATCH_BYTES = 1 << 17
+
+
+def _batch_size(grid: SpectralGrid) -> int:
+    """States per kernel pass: as many as keep one component's grid values
+    across the batch within ``_BATCH_BYTES``, and at least one."""
+    return max(1, _BATCH_BYTES // (8 * grid.res ** grid.n))
+
+
+def _states_on_grid(cfg: NonlinearityConfig, states: list) -> tuple[list, list]:
+    """``_on_grid`` of a batch of states: one pass, with a leading batch
+    axis for more than one state and none for one.
+
+    A kept state's grid values are made once per nonlinearity: a batch of
+    states that all hold them is stacked from them, and a pass gives each
+    kept state its slice of the batch's values.
+    """
+    kept = [s._kept for s in states]
+    if all(k is not None and cfg in k for k in kept):
+        if len(states) == 1:
+            return kept[0][cfg]
+        return tuple([np.stack(parts) for parts in zip(*(k[cfg][i] for k in kept))]
+                     for i in (0, 1))
+    grid = states[0].grid
+    if len(states) == 1:
+        out = _on_grid(cfg, grid, states[0].halves)
+        slices = [out]
+    else:
+        out = _on_grid(cfg, grid, [np.stack(c) for c in zip(*(s.halves for s in states))])
+        slices = [tuple([part[j] for part in parts] for parts in out)
+                  for j in range(len(states))]
+    for k, own in zip(kept, slices):
+        if k is not None:
+            k.setdefault(cfg, own)
+    return out
 
 
 EXACT_MODES = ("add", "drop", "apart", "only")
 
 
-def _quadratic_term(cfg: NonlinearityConfig, *args, exact: str = "add"):
-    """``_quadratic`` of fields or of ``BandHalves``: a field enters through
-    ``BandHalves.of`` and each output leaves through ``field``, states give
-    and get stacked band halves."""
+def _quadratic_term(cfg: NonlinearityConfig, *columns, exact: str = "add") -> list:
+    """``_quadratic`` of each row of ``columns``: one sequence of inputs
+    for N, two aligned ones for B.  Inputs are all fields or all
+    ``BandHalves``: a field enters through ``BandHalves.of`` and each
+    output leaves through ``field``, states give and get stacked band
+    halves.  Rows go through the kernel in passes of ``_batch_size``.
+    """
     if exact not in EXACT_MODES:
         raise ValueError(f"exact must be one of {EXACT_MODES}, got {exact!r}")
-    grid = args[0].grid
-    if any(a.grid != grid for a in args):
-        raise ValueError("product arguments live on different grids")
-    states = [a if isinstance(a, BandHalves) else BandHalves.of(a) for a in args]
-    if cfg.is_zero:
-        zeros = [np.zeros_like(h) for h in states[-1].halves]
-        out = {"add": zeros, "drop": zeros, "apart": (zeros, None), "only": None}[exact]
-    else:
-        out = _quadratic(cfg, grid, *(s.on_grid(cfg) for s in states), exact=exact)
+    grid = columns[0][0].grid
+    for a in (a for column in columns for a in column):
+        if a.grid != grid:
+            raise ValueError("product arguments live on different grids")
+        if a.degree != cfg.degree:
+            raise ValueError(f"field degree {a.degree} does not match nonlinearity "
+                             f"degree {cfg.degree}")
+    fields = not isinstance(columns[-1][0], BandHalves)
+    states = [[BandHalves.of(a) if fields else a for a in column] for column in columns]
+    rows, size = len(states[0]), _batch_size(grid)
 
-    def leave(halves, degree):
+    def leave(halves, count, degree) -> list:
+        # Per-component halves, with a batch axis for count > 1, to one
+        # output per row.
         if halves is None:
-            return None
-        if isinstance(args[-1], BandHalves):
-            return np.stack(halves)
-        return BandHalves(grid, degree, halves).field()
+            return [None] * count
+        out = list(np.stack(halves, axis=1)) if count > 1 else [np.stack(halves)]
+        return [BandHalves(grid, degree, h).field() for h in out] if fields else out
 
-    if exact == "apart":
-        return leave(out[0], cfg.degree), leave(out[1], cfg.degree - 1)
-    return leave(out, cfg.degree - 1 if exact == "only" else cfg.degree)
+    results = []
+    for lo in range(0, rows, size):
+        batch = [column[lo:lo + size] for column in states]
+        count = len(batch[0])
+        if cfg.is_zero:
+            zeros = [np.zeros(((count,) if count > 1 else ()) + np.shape(h),
+                              dtype=np.complex128) for h in batch[-1][0].halves]
+            out = {"add": zeros, "drop": zeros, "apart": (zeros, None), "only": None}[exact]
+        else:
+            out = _quadratic(cfg, grid, *(_states_on_grid(cfg, b) for b in batch),
+                             exact=exact)
+        if exact == "apart":
+            results += zip(leave(out[0], count, cfg.degree),
+                           leave(out[1], count, cfg.degree - 1))
+        else:
+            results += leave(out, count, cfg.degree - 1 if exact == "only" else cfg.degree)
+    return results
 
 
 def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig, *,
@@ -398,12 +474,7 @@ def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig, *,
     callers that project it away: "drop" gives M1(d v, v), "apart" the pair
     (M1(d v, v), M2(v, v)) and "only" M2(v, v), None for a cfg without M2.
     """
-    if v.degree != cfg.degree:
-        raise ValueError(
-            f"field degree {v.degree} does not match nonlinearity degree "
-            f"{cfg.degree}"
-        )
-    return _quadratic_term(cfg, v, exact=exact)
+    return _quadratic_term(cfg, [v], exact=exact)[0]
 
 
 def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
@@ -418,7 +489,7 @@ def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
         raise ValueError("field degrees do not match the nonlinearity degree")
     if isinstance(w, BandHalves) != isinstance(v, BandHalves):
         raise TypeError("bilinear_term takes two fields or two BandHalves")
-    return _quadratic_term(cfg, w, v, exact=exact)
+    return _quadratic_term(cfg, [w], [v], exact=exact)[0]
 
 
 def convective_term(w: FormField, u: FormField) -> FormField:

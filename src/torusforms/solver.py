@@ -15,11 +15,15 @@ Equations integrated (all terms projected onto the state space):
 The field solvers and the Newton inversion of the discrete forward map
 step the band half k_last = 0..L (L = res // 3) of the state, one
 (ncomp, 2L+1, ..., L+1) complex array: the integrating factor acts mode by
-mode, so the half carries the whole scheme.  Fields enter through
-``BandHalves.of`` (the Hermitian check of the k_last = 0 plane; modes
-outside the band are dropped), a stage passes the state to nonlinear_term
-or bilinear_term as ``BandHalves`` and gets the band halves of Q back, and
-fields are rebuilt by ``BandHalves.field`` only where they leave.
+mode, so the half carries the whole scheme.  Time data and Newton's
+targets enter after ``_check_sample``, whose errors name them (grid,
+degree, finite coefficients, the Hermitian check of the band's k_last = 0
+plane), the initial datum and trajectories through ``BandHalves.of``;
+modes outside the band are dropped.  A stage passes the state to nonlinear_term or bilinear_term as
+``BandHalves`` and gets the band halves of Q back, and fields are rebuilt
+by ``BandHalves.field`` only where they leave.  Newton and the discrete
+maps evaluate the kernel at every state of a trajectory at once, in
+batched passes (``nonlinear._quadratic_term`` of a list of states).
 
 The pressure has no evolution equation; at sample times it is the
 potential of the gradient part of the source, d p = (I - P)(f - Q(u)) with
@@ -65,6 +69,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
 from itertools import product
@@ -80,6 +85,7 @@ from .nonlinear import (
     BandHalves,
     NonlinearityConfig,
     _half_position,
+    _quadratic_term,
     bilinear_term,
     get_preset,
     nonlinear_term,
@@ -1133,8 +1139,7 @@ def discrete_forward_data(
     on the band (Hermitian check, modes outside the band dropped)."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     states = _band_trajectory(states, cfg)
-    cells = _euler_cells(states, (nonlinear_term(u, ns, exact="drop")
-                                  for u in states[:-1]), cfg)
+    cells = _euler_cells(states, _quadratic_term(ns, states[:-1], exact="drop"), cfg)
     return [c.field() for c in cells], states[0].field()
 
 
@@ -1146,8 +1151,7 @@ def discrete_linearized_data(
     ``directions``, both taken on the band as in discrete_forward_data."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     states, directions = (_band_trajectory(t, cfg) for t in (states, directions))
-    quads = (bilinear_term(states[j], directions[j], ns, exact="drop")
-             for j in range(cfg.steps))
+    quads = _quadratic_term(ns, states[:-1], directions[:-1], exact="drop")
     return [c.field() for c in _euler_cells(directions, quads, cfg)], directions[0].field()
 
 
@@ -1175,7 +1179,8 @@ def newton_local_inverse(
 
     ``f_target`` holds the forcing cells (one per step; a single field or
     None is broadcast), ``u0_target`` the initial datum; both are checked
-    for Hermitian symmetry and projected.  The seed's modes outside the
+    at entry (``_check_sample``; errors name "forcing cell j", "forcing"
+    or "u0 target") and projected.  The seed's modes outside the
     band are dropped and its in-band gradient part is kept.  Each
     update solves the exactly-linearized discrete system by forward
     substitution (one imex-euler pass of the Lawson loop), so the iteration
@@ -1188,20 +1193,28 @@ def newton_local_inverse(
     states = _band_trajectory(seed.u if isinstance(seed, TimeSeriesSolution) else list(seed),
                               cfg, keep=True)
     grid, degree = states[0].grid, states[0].degree
-    if f_target is None or isinstance(f_target, FormField):
+    project, band = partial(_band_projection, grid, degree), _band_half(grid)
+
+    def target(u, what):
+        # _check_sample makes the Hermitian check of BandHalves.of, and
+        # more, with errors that name the input.
+        return project([c[band] for c in _check_sample(u, grid, degree, what).components])
+
+    if f_target is None or not isinstance(f_target, Iterable):
         f_cells = [np.zeros_like(states[0].halves) if f_target is None
-                   else _projected_half(f_target, grid, degree)] * cfg.steps
+                   else target(f_target, "forcing")] * cfg.steps
     else:
-        f_cells = [_projected_half(c, grid, degree) for c in f_target]
+        f_cells = [target(c, f"forcing cell {j}") for j, c in enumerate(f_target)]
         if len(f_cells) != cfg.steps:
             raise ValueError("need one forcing cell per time step")
-    u0 = _projected_half(u0_target, grid, degree)
+    u0 = target(u0_target, "u0 target")
     decay = _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid)))
     history = []
     while True:
-        # N(u_j) here and B(u_j, delta_j) in the solve share u_j's grid pass;
-        # P kills their exact parts, so the kernel leaves them out.
-        quads = [nonlinear_term(u, ns, exact="drop") for u in states[:-1]]
+        # N(u_j) of every state in one batched pass, whose grid values
+        # B(u_j, delta_j) in the solve reuses; P kills their exact parts, so
+        # the kernel leaves them out.
+        quads = _quadratic_term(ns, states[:-1], exact="drop")
         r_cells = [f - c.halves for f, c in zip(f_cells, _euler_cells(states, quads, cfg))]
         r0 = u0 - states[0].halves
         history.append(max(_half_norm(r) for r in r_cells + [r0]))
@@ -1219,13 +1232,12 @@ def newton_local_inverse(
                   for u, d in zip(states, delta)]
 
     # The last residual evaluated Q1 = M1(d u, u) at every final state but
-    # the last; the pressure takes M2 in one more pass over them, on their
-    # kept grid values.  The cells are P f already, not projected again, and
-    # the pressure's source.
+    # the last; the pressure takes M2 in one more batched pass over them, on
+    # their kept grid values.  The cells are P f already, not projected
+    # again, and the pressure's source.
     last, m2_last = nonlinear_term(states[-1], ns, exact="apart")
     quads.append(last)
-    m2s = [nonlinear_term(u, ns, exact="only") for u in states[:-1]] + [m2_last]
-    project = partial(_band_projection, grid, degree)
+    m2s = _quadratic_term(ns, states[:-1], exact="only") + [m2_last]
     take, solution = _sampler(cfg.mu, project, 1, True)
     for i, (u, q, m2, cell) in enumerate(zip(states, quads, m2s, f_cells + f_cells[-1:])):
         forcing = (cell, BandHalves(grid, degree, cell).field())

@@ -473,6 +473,129 @@ class TestBandHalves:
             bilinear_term(v, vh, cfg)
 
 
+def _random_config(n: int, degree: int, seed: int) -> NonlinearityConfig:
+    """A nonlinearity of ``degree`` on T^n with random tensors: M1 where
+    degree < n, M2 where degree >= 1."""
+    rng = np.random.default_rng(seed)
+
+    def bmap(first, second, out):
+        shape = (comb(n, first), comb(n, second), comb(n, out))
+        return BilinearMap(n, first, second, out, rng.standard_normal(shape))
+
+    return NonlinearityConfig(
+        degree=degree,
+        m1=bmap(degree + 1, degree, degree) if degree < n else None,
+        m2=bmap(degree, degree, degree - 1) if degree >= 1 else None)
+
+
+BATCH_CASES = [
+    (SpectralGrid(2, 16), "navier-stokes-i1"),
+    (SpectralGrid(3, 8), "navier-stokes-i1"),
+    (SpectralGrid(2, 16), "degree-0"),  # M1 alone: "only" gives None
+    (SpectralGrid(3, 8), "degree-2"),
+    (SpectralGrid(2, 16), "zero"),
+]
+
+
+class TestBatchedPass:
+    """Many states or pairs in one kernel pass, with a leading batch axis:
+    bit for bit the single calls, in chunks of ``_batch_size``."""
+
+    @staticmethod
+    def _states(grid, cfg, count, seed, keep=False) -> list:
+        rng = np.random.default_rng(seed)
+        return [BandHalves.of(random_form(grid, cfg.degree, rng), keep)
+                for _ in range(count)]
+
+    @staticmethod
+    def _config(grid, name) -> NonlinearityConfig:
+        if name == "navier-stokes-i1":
+            return navier_stokes_config(grid.n)
+        if name == "zero":
+            return zero_config(1)
+        return _random_config(grid.n, int(name[-1]), 71)
+
+    @staticmethod
+    def _passes(monkeypatch) -> list:
+        """States in each kernel pass (1 for a pass without a batch axis)."""
+        passes, original = [], nonlinear_module._quadratic
+
+        def counted(cfg, grid, *inputs, exact="add"):
+            values = inputs[0][0][0]
+            passes.append(values.shape[0] if values.ndim > grid.n else 1)
+            return original(cfg, grid, *inputs, exact=exact)
+
+        monkeypatch.setattr(nonlinear_module, "_quadratic", counted)
+        return passes
+
+    @staticmethod
+    def _assert_same(got, expected):
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            pairs = zip(a, b) if isinstance(b, tuple) else [(a, b)]
+            for x, y in pairs:
+                assert (x is None and y is None) or np.array_equal(x, y)
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("inputs", [1, 2])
+    @pytest.mark.parametrize("exact", nonlinear_module.EXACT_MODES)
+    @pytest.mark.parametrize("grid, name", BATCH_CASES)
+    def test_batch_equals_single_calls(self, monkeypatch, grid, name, exact, inputs,
+                                       chunked):
+        cfg = self._config(grid, name)
+        columns = [self._states(grid, cfg, 5, 73 + i) for i in range(inputs)]
+        if inputs == 1:
+            expected = [nonlinear_term(v, cfg, exact=exact) for v in columns[0]]
+        else:
+            expected = [bilinear_term(w, v, cfg, exact=exact) for w, v in zip(*columns)]
+        if chunked:
+            # Batches of two: 5 rows in passes of 2, 2 and 1.
+            monkeypatch.setattr(nonlinear_module, "_BATCH_BYTES", 2 * 8 * grid.res ** grid.n)
+        passes = self._passes(monkeypatch)
+        got = nonlinear_module._quadratic_term(cfg, *columns, exact=exact)
+        self._assert_same(got, expected)
+        if not cfg.is_zero:
+            assert passes == ([2, 2, 1] if chunked else [5])
+
+    def test_size_rule(self):
+        # One component's grid values across a batch stay within 128 KB:
+        # batches of one at the Navier-Stokes grids.
+        sizes = {(2, 16): 64, (2, 64): 4, (2, 128): 1, (2, 256): 1,
+                 (3, 8): 32, (3, 16): 4, (3, 32): 1, (3, 64): 1}
+        for (n, res), size in sizes.items():
+            assert nonlinear_module._batch_size(SpectralGrid(n, res)) == size
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 16), SpectralGrid(3, 8)])
+    def test_kept_states_take_their_slice(self, monkeypatch, grid):
+        # A batched pass fills each kept state's grid values with its slice
+        # and leaves unkept states without; a kept state's later B makes no
+        # inverse transform of it, and an "only" pass over kept states none
+        # at all.
+        cfg = navier_stokes_config(grid.n)
+        kept = self._states(grid, cfg, 3, 79, keep=True)
+        plain = self._states(grid, cfg, 3, 79)
+        others = self._states(grid, cfg, 3, 83)
+        mixed = [kept[0], plain[1], kept[2]]
+        nonlinear_module._quadratic_term(cfg, mixed, exact="drop")
+        assert plain[1]._kept is None and kept[1]._kept == {}
+        nonlinear_module._quadratic_term(cfg, [kept[1]], exact="drop")
+        grid_passes, original = [], nonlinear_module._on_grid
+        monkeypatch.setattr(nonlinear_module, "_on_grid", lambda *args: (
+            grid_passes.append(args[2]) or original(*args)))
+        irfftn = TestTransformBudget._counting_numpy(monkeypatch)
+        for u, w, v in zip(kept, plain, others):
+            got = bilinear_term(u, v, cfg, exact="drop")
+            # Only v goes to the grid: its components and its d.
+            assert len(grid_passes) == 1 and grid_passes.pop() is v.halves
+            assert irfftn.count("irfftn") == grid.n + comb(grid.n, 2)
+            assert np.array_equal(got, bilinear_term(w, v, cfg, exact="drop"))
+            grid_passes.clear()
+            irfftn.clear()
+        m2 = nonlinear_module._quadratic_term(cfg, kept, exact="only")
+        assert grid_passes == [] and irfftn == ["rfftn"]
+        self._assert_same(m2, [nonlinear_term(w, cfg, exact="only") for w in plain])
+
+
 class TestInputIntegrity:
     @staticmethod
     def _broken(grid: SpectralGrid, k: tuple[int, ...]) -> tuple[FormField, FormField]:

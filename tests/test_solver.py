@@ -413,6 +413,20 @@ def _assert_same_states(got, expected):
             assert x.tobytes() == y.tobytes()
 
 
+def _kernel_passes(monkeypatch) -> list:
+    """Record each kernel pass as (inputs, exact mode, states in the
+    batch)."""
+    passes, original = [], nonlinear_module._quadratic
+
+    def counted(cfg, grid, *inputs, exact="add"):
+        values = inputs[0][0][0]
+        passes.append((len(inputs), exact, values.shape[0] if values.ndim > grid.n else 1))
+        return original(cfg, grid, *inputs, exact=exact)
+
+    monkeypatch.setattr(nonlinear_module, "_quadratic", counted)
+    return passes
+
+
 def _non_hermitian(u: FormField) -> FormField:
     """u with one unpaired in-band mode on a component that keeps delta u."""
     comps = [c.copy() for c in u.components]
@@ -660,6 +674,56 @@ class TestEvaluationCounts:
                 grad_part = source - helmholtz_project(source)
                 assert (l2_norm(exterior_derivative(p) - grad_part)
                         <= 1e-12 * l2_norm(grad_part))
+
+
+class TestKernelPasses:
+    """Newton and the discrete maps put their independent evaluations in
+    batched kernel passes, counted through ``nonlinear._quadratic``."""
+
+    @staticmethod
+    def _open_map():
+        """The open-map benchmark's configuration: T^2 res 16, 4 imex-euler
+        steps, a trajectory from a random velocity and two targets, each
+        two Newton iterations away."""
+        cfg = SolverConfig(mu=0.1, T=8e-3, dt=2e-3, res=16, scheme="imex-euler")
+        rng = np.random.default_rng(1)
+        u0 = project_state(random_form(G16, 1, rng, kmax=16 / 3))
+        base = solve_nonlinear(None, u0, cfg, derivatives=0, with_pressure=False)
+        direction = project_state(random_form(G16, 1, rng, kmax=2))
+        f_cells, _ = discrete_forward_data(base.u, cfg)
+        targets = [[c + direction * eps for c in f_cells] for eps in (1.6e-2, 8e-3)]
+        return cfg, base, direction, targets
+
+    def test_newton_passes(self, monkeypatch):
+        # 3 residual passes over the 4 states that start a cell, 2 solves of
+        # 4 B(u_j, delta_j), N at the last state and one M2 pass over the
+        # others: 13 passes, where one call a state made 25.
+        cfg, base, _, targets = self._open_map()
+        passes = _kernel_passes(monkeypatch)
+        result = newton_local_inverse(targets[0], base.u[0], base, cfg)
+        assert result.converged and result.iterations == 2
+        assert len(passes) == 13
+        assert passes.count((1, "drop", cfg.steps)) == 3
+        assert passes.count((2, "drop", 1)) == 2 * cfg.steps
+
+    def test_open_map_round_passes(self, monkeypatch):
+        # A round of the open-map benchmark: the linearized operator, one
+        # apply_inverse (4 B) and Newton at two targets: 30 passes, from 54.
+        cfg, base, direction, targets = self._open_map()
+        basis = build_basis(G16, 1)
+        passes = _kernel_passes(monkeypatch)
+        op = assemble_linearized(base.u, cfg.mu, basis, cfg.times(), NS2)
+        apply_inverse(op, direction, FormField.zeros(G16, 1), cfg, derivatives=0)
+        results = [newton_local_inverse(t, base.u[0], base, cfg) for t in targets]
+        assert [r.iterations for r in results] == [2, 2]
+        assert len(passes) == 30
+
+    def test_discrete_maps_one_pass(self, monkeypatch):
+        cfg, base, direction, _ = self._open_map()
+        passes = _kernel_passes(monkeypatch)
+        discrete_forward_data(base.u, cfg)
+        discrete_linearized_data(base.u, [direction] * (cfg.steps + 1), cfg)
+        assert passes == [(1, "drop", cfg.steps), (2, "drop", cfg.steps)]
 
 
 class TestSamplePass:
@@ -958,6 +1022,28 @@ class TestTimeData:
         # A callable's value is checked when it is drawn, at the last state.
         with pytest.raises(error, match="forcing at t = 0.04"):
             solve_nonlinear(lambda t: corrupt if t > 0.035 else f, u0, self.CFG)
+
+    @pytest.mark.parametrize("bad", ["grid", "degree", "nan", "hermitian", "type"])
+    def test_bad_newton_target_named_before_any_kernel_call(self, monkeypatch, bad):
+        cfg = dataclasses.replace(self.CFG, scheme="imex-euler")
+        rng = np.random.default_rng(31)
+        u0 = project_state(random_form(self.GRID, 1, rng))
+        base = solve_nonlinear(None, u0, cfg, derivatives=0, with_pressure=False)
+        f = random_form(self.GRID, 1, rng)
+        corrupt = {"grid": lambda: random_form(G16, 1, rng),
+                   "degree": lambda: random_form(self.GRID, 0, rng),
+                   "nan": lambda: f * float("nan"),
+                   "hermitian": lambda: _non_hermitian(f),
+                   "type": lambda: 1.0}[bad]()
+        calls = self._kernel_calls(monkeypatch)
+        error = FieldIntegrityError if bad in ("nan", "hermitian") else ValueError
+        with pytest.raises(error, match="forcing cell 2"):
+            newton_local_inverse([f, f, corrupt, f], u0, base, cfg)
+        with pytest.raises(error, match="u0 target"):
+            newton_local_inverse([f] * cfg.steps, corrupt, base, cfg)
+        with pytest.raises(error, match="forcing"):
+            newton_local_inverse(corrupt, u0, base, cfg)
+        assert calls == []
 
 
 class TestSecondDerivativeCache:
@@ -1582,48 +1668,49 @@ class TestNewton:
         assert len(result.residual_history) == 2
 
     def test_final_pass_reuses_the_last_residual(self, monkeypatch):
-        # Three residuals of steps evaluations of Q1 = M1(d u, u) each, then
-        # Q1 and M2 at the last state only: the last residual has Q1 at
-        # every other final state, and the pressures take M2 there in one
-        # more pass.
+        # Three residuals, each one batched pass of Q1 = M1(d u, u) over
+        # the steps states that start a cell, then Q1 and M2 at the last
+        # state only: the last residual has Q1 at every other final state,
+        # and the pressures take M2 there in one more batched pass.
         cfg, base, f_cells = self._base(steps=4)
         rng = np.random.default_rng(9)
         bump = project_state(random_form(G16, 1, rng, kmax=2, mean_free=True))
         seed = [u + bump * (1e-3 / l2_norm(bump)) for u in base.u]
-        modes, original = [], solver_module.nonlinear_term
-        monkeypatch.setattr(solver_module, "nonlinear_term", lambda *args, exact="add": (
-            modes.append(exact) or original(*args, exact=exact)))
+        passes = _kernel_passes(monkeypatch)
         result = newton_local_inverse(f_cells, base.u[0], seed, cfg)
         assert result.iterations == 2
-        assert modes == ["drop"] * (cfg.steps * 3) + ["apart"] + ["only"] * cfg.steps
+        residual, solve = (1, "drop", cfg.steps), [(2, "drop", 1)] * cfg.steps
+        assert passes == ([residual] + solve) * 2 + [residual, (1, "apart", 1),
+                                                     (1, "only", cfg.steps)]
 
     def test_one_grid_pass_per_iterate(self, monkeypatch):
-        # 3 residuals of 4 N(u_j) and N at the last state: 13 iterates on
-        # the grid; the 2 solves reuse u_j and transform only delta_j: 8.
-        # Transforming u_j again for B(u_j, delta_j) would make 29.
+        # 3 residuals put 4 u_j each on the grid in one batched pass, and
+        # the final pass N at the last state: 13 iterates in 4 passes; the
+        # 2 solves reuse u_j and transform only delta_j: 8.  Transforming
+        # u_j again for B(u_j, delta_j) would make 29 states.
         cfg, base, f_cells = self._base(steps=4)
         rng = np.random.default_rng(9)
         bump = project_state(random_form(G16, 1, rng, kmax=2, mean_free=True))
         seed = [u + bump * (1e-3 / l2_norm(bump)) for u in base.u]
-        calls = []
+        states = []
         original = nonlinear_module._on_grid
 
-        def counted(*args):
-            calls.append(1)
-            return original(*args)
+        def counted(cfg, grid, halves):
+            states.append(halves[0].shape[0] if np.ndim(halves[0]) > grid.n else 1)
+            return original(cfg, grid, halves)
 
         monkeypatch.setattr(nonlinear_module, "_on_grid", counted)
         result = newton_local_inverse(f_cells, base.u[0], seed, cfg)
         assert result.iterations == 2
-        assert len(calls) == 21
+        assert len(states) == 12 and sum(states) == 21
 
     @pytest.mark.parametrize("broken", ["cell", "one", "u0"])
     def test_non_hermitian_data_rejected_before_stepping(self, monkeypatch, broken):
-        def never(*args):
+        def never(*args, **kwargs):
             raise AssertionError("stepping started")
 
         cfg, base, f_cells = self._base(steps=4)
-        monkeypatch.setattr(solver_module, "nonlinear_term", never)
+        monkeypatch.setattr(nonlinear_module, "_quadratic", never)
         u0, target = base.u[0], list(f_cells)
         if broken == "cell":
             target[1] = _non_hermitian(target[1])
