@@ -16,11 +16,11 @@ The kernel applies the two-thirds rule once per input and once per output
 (Orszag 1971) and transforms each physical array exactly once, with real
 transforms on the half spectrum that fields store:
 
-1. each input field enters as ``BandHalves.of``: the band part of its half
-   (every |k_j| <= L = res // 3, k_last = 0..L), after the Hermitian check
-   of that part's k_last = 0 plane (``FieldIntegrityError`` above 1e-10, as
-   ``to_physical``, under every preset); a ``BandHalves`` state enters as
-   it is;
+1. each input field enters through ``checked_state``, the one entry check
+   of fields (grid, degree, finite coefficients, the Hermitian k_last = 0
+   plane of its band; errors name the argument) under every preset, as
+   the band part of its half (every |k_j| <= L = res // 3, k_last =
+   0..L); a ``BandHalves`` state enters as it is;
 2. d of each input is formed on the half spectrum;
 3. ``irfftn`` brings every input component and every derivative component
    to the grid;
@@ -57,10 +57,10 @@ the d of fields, broadcast from the right.  A pass over B states makes as
 many transform calls as one evaluation (the budgets above), each over B
 grids, so it moves B times the points and saves the Python and
 small-array cost of B - 1 calls.  ``nonlinear_term`` and ``bilinear_term``
-share one body, ``_quadratic_term``, for fields and ``BandHalves`` states
-alike: fields enter through ``BandHalves.of`` and the result leaves
-through ``field``, states skip both.  Every solver (the field solvers,
-the Galerkin solves and Newton) steps its states through that form.
+share one body, ``_quadratic_term`` on ``BandHalves`` states: fields enter
+through ``checked_state`` and the result leaves through ``field``.  Every
+solver (the field solvers, the Galerkin solves and Newton) steps its
+states through that form.
 
 ``_quadratic_term`` takes a list of states (two aligned lists for B) and
 runs them through the kernel in batches of ``_batch_size``: as many states
@@ -339,10 +339,10 @@ class BandHalves:
     ``halves`` holds, one array per component, the band part of the
     component's half (every |k_j| <= L = res // 3, k_last = 0..L), shape
     (2L+1, ..., L+1); the field has no modes outside the band.  Any
-    per-component sequence will do: ``of`` gathers a stacked (ncomp, 2L+1,
-    ..., L+1) array, the field solvers step one, and the kernel returns a
-    list.  ``nonlinear_term`` and ``bilinear_term``
-    take such states in place of fields and return the band halves of the
+    per-component sequence will do: ``checked_state`` gathers a stacked
+    (ncomp, 2L+1, ..., L+1) array, the field solvers step one, and the
+    kernel returns a list.  ``nonlinear_term`` and ``bilinear_term`` take
+    such states in place of fields and return the band halves of the
     result, stacked.  With ``keep`` the grid values are made on first use
     and kept, so a state used in many products is transformed once per
     nonlinearity.
@@ -352,25 +352,36 @@ class BandHalves:
         self.grid, self.degree, self.halves = grid, degree, halves
         self._kept = {} if keep else None
 
-    @classmethod
-    def of(cls, u: FormField, keep: bool = False) -> "BandHalves":
-        """The band halves of the field u, after the Hermitian check of
-        their k_last = 0 planes (``FieldIntegrityError`` above 1e-10, as
-        ``to_physical``)."""
-        band = _band_half(u.grid)
-        halves = np.empty((len(u.components),) + _band_shape(u.grid), dtype=np.complex128)
-        for half, c in zip(halves, u.components):
-            half[...] = c[band]
-            if not _is_hermitian(half[..., 0], 1e-10):
-                raise FieldIntegrityError("coefficients are not Hermitian symmetric")
-        return cls(u.grid, u.degree, halves, keep)
-
     def field(self) -> FormField:
         """The field: each band half written into a zero half."""
         out, band = FormField.zeros(self.grid, self.degree), _band_half(self.grid)
         for c, half in zip(out.components, self.halves):
             c[band] = half
         return out
+
+
+def checked_state(u, grid: SpectralGrid, degree: int, what: str,
+                  keep: bool = False) -> BandHalves:
+    """The ``BandHalves`` state of a field taken in by a solver or the kernel,
+    after the one entry check, whose errors name the data ``what``: u must
+    be a ``FormField`` of ``degree`` on ``grid`` (else ``ValueError``) with
+    finite coefficients and a k_last = 0 band plane Hermitian at 1e-10, as
+    ``to_physical`` (else ``FieldIntegrityError``)."""
+    if not isinstance(u, FormField):
+        raise ValueError(f"{what} is a {type(u).__name__}, not a FormField")
+    if u.grid != grid or u.degree != degree:
+        raise ValueError(f"{what} is a field of degree {u.degree} on {u.grid}, which "
+                         f"does not match degree {degree} on {grid}")
+    # The state keeps u's own grid object, which holds its cached arrays.
+    band = _band_half(u.grid)
+    halves = np.empty((len(u.components),) + _band_shape(u.grid), dtype=np.complex128)
+    for half, c in zip(halves, u.components):
+        if not np.all(np.isfinite(c)):
+            raise FieldIntegrityError(f"{what} has non-finite coefficients")
+        half[...] = c[band]
+        if not _is_hermitian(half[..., 0], 1e-10):
+            raise FieldIntegrityError(f"{what}: coefficients are not Hermitian symmetric")
+    return BandHalves(u.grid, degree, halves, keep)
 
 
 # Batched passes save the Python and small-array cost of each call, which
@@ -420,11 +431,10 @@ EXACT_MODES = ("add", "drop", "apart", "only")
 
 
 def _quadratic_term(cfg: NonlinearityConfig, *columns, exact: str = "add") -> list:
-    """``_quadratic`` of each row of ``columns``: one sequence of inputs
-    for N, two aligned ones for B.  Inputs are all fields or all
-    ``BandHalves``: a field enters through ``BandHalves.of`` and each
-    output leaves through ``field``, states give and get stacked band
-    halves.  Rows go through the kernel in passes of ``_batch_size``.
+    """``_quadratic`` of each row of ``columns``, ``BandHalves`` states:
+    one sequence of inputs for N, two aligned ones for B.  Each row gets
+    stacked band halves back (a pair of them for "apart", None for a
+    missing M2).  Rows go through the kernel in passes of ``_batch_size``.
     """
     if exact not in EXACT_MODES:
         raise ValueError(f"exact must be one of {EXACT_MODES}, got {exact!r}")
@@ -435,21 +445,18 @@ def _quadratic_term(cfg: NonlinearityConfig, *columns, exact: str = "add") -> li
         if a.degree != cfg.degree:
             raise ValueError(f"field degree {a.degree} does not match nonlinearity "
                              f"degree {cfg.degree}")
-    fields = not isinstance(columns[-1][0], BandHalves)
-    states = [[BandHalves.of(a) if fields else a for a in column] for column in columns]
-    rows, size = len(states[0]), _batch_size(grid)
+    rows, size = len(columns[0]), _batch_size(grid)
 
-    def leave(halves, count, degree) -> list:
+    def leave(halves, count) -> list:
         # Per-component halves, with a batch axis for count > 1, to one
         # output per row.
         if halves is None:
             return [None] * count
-        out = list(np.stack(halves, axis=1)) if count > 1 else [np.stack(halves)]
-        return [BandHalves(grid, degree, h).field() for h in out] if fields else out
+        return list(np.stack(halves, axis=1)) if count > 1 else [np.stack(halves)]
 
     results = []
     for lo in range(0, rows, size):
-        batch = [column[lo:lo + size] for column in states]
+        batch = [column[lo:lo + size] for column in columns]
         count = len(batch[0])
         if cfg.is_zero:
             zeros = [np.zeros(((count,) if count > 1 else ()) + np.shape(h),
@@ -458,12 +465,28 @@ def _quadratic_term(cfg: NonlinearityConfig, *columns, exact: str = "add") -> li
         else:
             out = _quadratic(cfg, grid, *(_states_on_grid(cfg, b) for b in batch),
                              exact=exact)
-        if exact == "apart":
-            results += zip(leave(out[0], count, cfg.degree),
-                           leave(out[1], count, cfg.degree - 1))
-        else:
-            results += leave(out, count, cfg.degree - 1 if exact == "only" else cfg.degree)
+        results += (zip(leave(out[0], count), leave(out[1], count)) if exact == "apart"
+                    else leave(out, count))
     return results
+
+
+def _term(cfg: NonlinearityConfig, exact: str, name: str, **args):
+    """``name`` (nonlinear_term or bilinear_term) of ``BandHalves`` states, or
+    of fields checked against the first one's grid and cfg's degree, named
+    "<name> argument <key>", whose result leaves through ``field``."""
+    if all(isinstance(a, BandHalves) for a in args.values()):
+        return _quadratic_term(cfg, *([a] for a in args.values()), exact=exact)[0]
+    grid = getattr(next(iter(args.values())), "grid", None)
+    states = [[checked_state(a, grid, cfg.degree, f"{name} argument {key}")]
+              for key, a in args.items()]
+    out = _quadratic_term(cfg, *states, exact=exact)[0]
+
+    def field(halves, degree):
+        return None if halves is None else BandHalves(grid, degree, halves).field()
+
+    if exact == "apart":
+        return field(out[0], cfg.degree), field(out[1], cfg.degree - 1)
+    return field(out, cfg.degree - 1 if exact == "only" else cfg.degree)
 
 
 def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig, *,
@@ -474,7 +497,7 @@ def nonlinear_term(v: FormField | BandHalves, cfg: NonlinearityConfig, *,
     callers that project it away: "drop" gives M1(d v, v), "apart" the pair
     (M1(d v, v), M2(v, v)) and "only" M2(v, v), None for a cfg without M2.
     """
-    return _quadratic_term(cfg, [v], exact=exact)[0]
+    return _term(cfg, exact, "nonlinear_term", v=v)
 
 
 def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
@@ -485,11 +508,9 @@ def bilinear_term(w: FormField | BandHalves, v: FormField | BandHalves,
     result is B's band halves.  ``exact`` splits off the exact part
     d (M2(w, v) + M2(v, w)) as in ``nonlinear_term``.
     """
-    if w.degree != cfg.degree or v.degree != cfg.degree:
-        raise ValueError("field degrees do not match the nonlinearity degree")
     if isinstance(w, BandHalves) != isinstance(v, BandHalves):
         raise TypeError("bilinear_term takes two fields or two BandHalves")
-    return _quadratic_term(cfg, [w], [v], exact=exact)[0]
+    return _term(cfg, exact, "bilinear_term", w=w, v=v)
 
 
 def convective_term(w: FormField, u: FormField) -> FormField:

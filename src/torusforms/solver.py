@@ -15,13 +15,13 @@ Equations integrated (all terms projected onto the state space):
 The field solvers and the Newton inversion of the discrete forward map
 step the band half k_last = 0..L (L = res // 3) of the state, one
 (ncomp, 2L+1, ..., L+1) complex array: the integrating factor acts mode by
-mode, so the half carries the whole scheme.  Time data and Newton's
-targets enter after ``_check_sample``, whose errors name them (grid,
-degree, finite coefficients, the Hermitian check of the band's k_last = 0
-plane), the initial datum and trajectories through ``BandHalves.of``;
-modes outside the band are dropped.  A stage passes the state to nonlinear_term or bilinear_term as
-``BandHalves`` and gets the band halves of Q back, and fields are rebuilt
-by ``BandHalves.field`` only where they leave.  Newton and the discrete
+mode, so the half carries the whole scheme.  Every field a solver takes
+in (the initial datum, time data, Newton's seed and targets, the discrete
+maps' trajectories) passes the one entry check, ``checked_state``, once,
+with an error that names it, and enters as its band halves; modes outside
+the band are dropped.  A stage passes the state to nonlinear_term or
+bilinear_term as ``BandHalves`` and gets the band halves of Q back, and
+fields are rebuilt by ``BandHalves.field`` only where they leave.  Newton and the discrete
 maps evaluate the kernel at every state of a trajectory at once, in
 batched passes (``nonlinear._quadratic_term`` of a list of states).
 
@@ -87,12 +87,12 @@ from .nonlinear import (
     _half_position,
     _quadratic_term,
     bilinear_term,
+    checked_state,
     get_preset,
     nonlinear_term,
 )
 from .spectral import (
     ConsistencyError,
-    FieldIntegrityError,
     FormField,
     SpectralGrid,
     _apply_d,
@@ -100,7 +100,6 @@ from .spectral import (
     _band_shape,
     _insertion_table,
     _inverse_squares,
-    _is_hermitian,
     _parseval,
     codifferential,
     exterior_derivative,
@@ -277,23 +276,18 @@ def _band_projection(grid: SpectralGrid, degree: int, parts) -> np.ndarray:
     return np.stack(_apply_d(grid, degree + 1, dphi, adjoint=True, band=True))
 
 
-def _projected_half(u: FormField, grid: SpectralGrid, degree: int,
-                    project=None) -> np.ndarray:
-    """``project`` (project_state's for None) of u's band halves as a solver
-    state, after the grid, degree and Hermitian checks."""
-    if u.grid != grid or u.degree != degree:
-        raise ValueError(f"field of degree {u.degree} on {u.grid} does not match the "
-                         f"state of degree {degree} on {grid}")
-    return (project or partial(_band_projection, grid, degree))(BandHalves.of(u).halves)
-
-
-def _check_initial(u0: FormField, tol: float = 1e-10) -> None:
-    if u0.degree >= 1:
+def _initial_state(u0, grid: SpectralGrid, degree: int) -> BandHalves:
+    """The state of the initial datum u0, after the entry check
+    (``checked_state``, named "initial datum") and then the divergence test
+    (``ConsistencyError`` where |delta u0| > 1e-10 max(|u0|, 1))."""
+    state = checked_state(u0, grid, degree, "initial datum")
+    if degree >= 1:
         div = l2_norm(codifferential(u0))
-        if div > tol * max(l2_norm(u0), 1.0):
+        if div > 1e-10 * max(l2_norm(u0), 1.0):
             raise ConsistencyError(
                 f"initial datum is not divergence-free: |delta u0| = {div:.3e}"
             )
+    return state
 
 
 def _lawson_decay(multiplier):
@@ -313,9 +307,9 @@ def _lawson_decay(multiplier):
 
 
 def _draw(series, times: np.ndarray, what: str, grid: SpectralGrid, degree: int,
-          prepare=lambda value: value, on_grid: bool = False):
-    """(j, midpoint) -> ``prepare`` of the data at t_j or at the midpoint of
-    [t_j, t_j+1], None where the data are zero.
+          prepare=lambda state, field: field, on_grid: bool = False):
+    """(j, midpoint) -> ``prepare(state, field)`` of the data at t_j or at the
+    midpoint of [t_j, t_j+1], None where the data are zero.
 
     ``series`` is None (zero), a field (constant: prepared once, here), a
     sequence on the time grid ``times`` or a callable of time, which is
@@ -323,16 +317,21 @@ def _draw(series, times: np.ndarray, what: str, grid: SpectralGrid, degree: int,
     neighbouring samples there (second order, as the midpoint scheme), and
     so does a callable ``on_grid``: it is sampled on the time grid, here.
     A sample may be None, which is zero, under both schemes.  Every other
-    sample must pass ``_check_sample`` against ``grid`` and ``degree``: a
+    sample passes ``checked_state`` against ``grid`` and ``degree`` once,
+    named "<what> (constant)", "<what> sample i" or "<what> at t = ...": a
     constant and a sequence's samples here, at entry, a callable's values
-    when they are drawn.
+    when they are drawn.  ``prepare`` gets the sample's state, kept
+    (``keep``) for a constant, which goes on the grid once however many
+    stages use it, and the sample.  A mean is taken on the states of
+    checked samples and has no field (None): only the pressure reads a
+    forcing's field, at stored samples, never at a midpoint.
     """
-    def checked(sample, where):
-        return None if sample is None else _check_sample(sample, grid, degree,
-                                                         f"{what} {where}")
+    def checked(sample, where, keep=False):
+        return None if sample is None else (
+            checked_state(sample, grid, degree, f"{what} {where}", keep), sample)
 
     if series is None or isinstance(series, FormField):
-        constant = None if series is None else prepare(checked(series, "(constant)"))
+        constant = None if series is None else prepare(*checked(series, "(constant)", True))
         return lambda j, midpoint=False: constant
     if callable(series) and not on_grid:
         def value(j, midpoint):
@@ -343,38 +342,20 @@ def _draw(series, times: np.ndarray, what: str, grid: SpectralGrid, degree: int,
         if len(samples) != len(times):
             raise ValueError(f"{what} series has {len(samples)} samples for "
                              f"{len(times)} time grid points")
-        for i, sample in enumerate(samples):
-            checked(sample, f"sample {i}")
+        samples = [checked(sample, f"sample {i}") for i, sample in enumerate(samples)]
 
         def value(j, midpoint):
             if not midpoint:
                 return samples[j]
-            pair = [s for s in samples[j:j + 2] if s is not None]
-            return None if not pair else sum(pair[1:], pair[0]) * 0.5
+            pair = [state.halves for state, _ in filter(None, samples[j:j + 2])]
+            return None if not pair else (
+                BandHalves(grid, degree, sum(pair[1:], pair[0]) * 0.5), None)
 
     def draw(j, midpoint=False):
         sample = value(j, midpoint)
-        return None if sample is None else prepare(sample)
+        return None if sample is None else prepare(*sample)
 
     return draw
-
-
-def _check_sample(u, grid: SpectralGrid, degree: int, what: str) -> FormField:
-    """u, after checking that it is a field of ``degree`` on ``grid`` with
-    finite coefficients and a Hermitian k_last = 0 plane in the band (the
-    check of ``BandHalves.of``); errors name the data ``what``."""
-    if not isinstance(u, FormField):
-        raise ValueError(f"{what} is a {type(u).__name__}, not a FormField")
-    if u.grid != grid or u.degree != degree:
-        raise ValueError(f"{what} is a field of degree {u.degree} on {u.grid}, which "
-                         f"does not match degree {degree} on {grid}")
-    band = _band_half(grid)
-    for c in u.components:
-        if not np.all(np.isfinite(c)):
-            raise FieldIntegrityError(f"{what} has non-finite coefficients")
-        if not _is_hermitian(c[band][..., 0], 1e-10):
-            raise FieldIntegrityError(f"{what}: coefficients are not Hermitian symmetric")
-    return u
 
 
 # -- generic Lawson stepping ---------------------------------------------------
@@ -428,13 +409,12 @@ def _stored_indices(steps: int, store_every: int) -> list[int]:
 # -- field-space solvers --------------------------------------------------------
 
 
-def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f,
+def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
                  advection, f_dt, stored: Sequence[int], derivatives: int,
                  with_pressure: bool, basis: "GalerkinBasis | None" = None
                  ) -> TimeSeriesSolution:
-    """P u0 (u0 checked to be divergence-free and Hermitian) stepped by
-    ``_run_scheme`` on its band half, sampled at ``stored`` (which ends at
-    the last step).
+    """P u0 (u0 the ``_initial_state``) stepped by ``_run_scheme`` on its
+    band half, sampled at ``stored`` (which ends at the last step).
 
     P is the projector of ``basis`` on stacked band halves, P_m, or the
     state-space projection for None.  A stage is r = -P Q + P f on the
@@ -448,13 +428,12 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: FormField, f,
     stored index, and one more stage call at the final state, hands these
     parts to the ``_sampler``.  With ``f_dt``, the df/dt pairs, the samples
     also take Q'(u) du = B(u, du) and df/dt."""
-    grid, degree = cfg.grid(), u0.degree
+    grid, degree = u0.grid, u0.degree
     if with_pressure and ns.degree == 0:
         raise ValueError("a degree-0 equation has no pressure: pass with_pressure=False")
     project = partial(_band_projection, grid, degree) if basis is None else basis._project_band
     projected = basis is None or basis.coclosed
-    _check_initial(u0)
-    state0 = _projected_half(u0, grid, degree, project)
+    state0 = project(u0.halves)
     stage_mode = "drop" if projected else "add"
     sample_mode = "apart" if projected and with_pressure else stage_mode
     take, solution = _sampler(
@@ -496,10 +475,15 @@ def _split(out) -> tuple:
     return out if isinstance(out, tuple) else (out, None)
 
 
-def _forcing(grid: SpectralGrid, degree: int, project=None):
+def _state(state: BandHalves, field) -> BandHalves:
+    """``_draw``'s prepare of an advection sample: its state."""
+    return state
+
+
+def _forcing(project):
     """``_draw``'s prepare of a forcing sample f: the pair (P f on the band
-    half, f), P ``project`` (the state-space projection for None)."""
-    return lambda fj: (_projected_half(fj, grid, degree, project), fj)
+    half, f), P ``project`` on stacked band halves."""
+    return lambda state, fj: (project(state.halves), fj)
 
 
 def _explicit(project, q: np.ndarray, forcing) -> np.ndarray:
@@ -608,11 +592,12 @@ def solve_linearized(
     if derivatives > 1:
         raise ValueError("linearized solves cache derivatives up to order 1")
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    times, grid = cfg.times(), cfg.grid()
-    advection = _draw(w_series, times, "advection field", grid, ns.degree,
-                      partial(BandHalves.of, keep=True))
-    f = _draw(f_series, times, "forcing", grid, u0.degree, _forcing(grid, u0.degree))
-    return _field_solve(cfg, ns, u0, f, advection, None,
+    times, grid, degree = cfg.times(), cfg.grid(), ns.degree
+    state0 = _initial_state(u0, grid, degree)
+    advection = _draw(w_series, times, "advection field", grid, degree, _state)
+    f = _draw(f_series, times, "forcing", grid, degree,
+              _forcing(partial(_band_projection, grid, degree)))
+    return _field_solve(cfg, ns, state0, f, advection, None,
                         _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
 
 
@@ -641,11 +626,12 @@ def solve_nonlinear(
     if derivatives >= 2 and no_f_dt:
         raise ValueError(
             "second derivatives of a time-dependent forcing need f_dt_series")
-    times, grid = cfg.times(), cfg.grid()
-    data = partial(_draw, times=times, grid=grid, degree=u0.degree,
-                   prepare=_forcing(grid, u0.degree))
+    times, grid, degree = cfg.times(), cfg.grid(), ns.degree
+    state0 = _initial_state(u0, grid, degree)
+    data = partial(_draw, times=times, grid=grid, degree=degree,
+                   prepare=_forcing(partial(_band_projection, grid, degree)))
     f_dt = None if no_f_dt else data(f_dt_series, what="forcing derivative")
-    return _field_solve(cfg, ns, u0, data(f_series, what="forcing"), None, f_dt,
+    return _field_solve(cfg, ns, state0, data(f_series, what="forcing"), None, f_dt,
                         _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
 
 
@@ -800,16 +786,10 @@ class GalerkinBasis:
 
     def project(self, u: FormField) -> np.ndarray:
         """Coefficients (u, b_j) of the basis expansion, read from u's band
-        halves after its Hermitian check (``BandHalves.of``)."""
-        return self._project_halves(BandHalves.of(self._check(u)).halves)
-
-    def _check(self, u: FormField) -> FormField:
-        """u, after checking that it lives on the basis grid and degree."""
-        if u.grid != self.grid or u.degree != self.degree:
-            raise ValueError(
-                f"field of degree {u.degree} on {u.grid} does not match the basis "
-                f"of degree {self.degree} on {self.grid}")
-        return u
+        halves after the entry check against the basis grid and degree
+        (``checked_state``, named "projected field")."""
+        return self._project_halves(
+            checked_state(u, self.grid, self.degree, "projected field").halves)
 
     def _project_halves(self, halves) -> np.ndarray:
         """``project`` of the real field with band halves ``halves``, one per
@@ -913,7 +893,7 @@ class LinearizedOperator:
     acts on the state u = sum_k g_k b_k as mu Lap u + P_m B(w(t), u), whose
     coefficients are C(t)^T g, so the operator holds what the kernel needs
     and no matrix: the basis (and through it P_m), mu, the sample
-    ``times``, ``samples`` (w at each time as a kept ``BandHalves``, one
+    ``times``, ``samples`` (w at each time as a ``BandHalves``, one kept
     object for a constant w, None where w is zero) and the nonlinearity
     ``ns_cfg``.
     """
@@ -931,17 +911,16 @@ def assemble_linearized(
 ) -> LinearizedOperator:
     """Sample w at ``times`` for the linearized operator.
 
-    Every sample is checked against the basis grid and the nonlinearity
-    degree and taken in through ``BandHalves.of`` (the Hermitian check) with
-    ``keep``, so it goes on the grid at most once, when ``apply_inverse``
-    first uses it.  A constant w is taken in once.
+    Every sample is taken in once through ``checked_state`` against the
+    basis grid and the nonlinearity degree, and goes on the grid when a
+    stage of ``apply_inverse`` uses it; a constant w is one kept object,
+    which goes on the grid once.
     """
     times = np.asarray(times, dtype=np.float64)
     if basis.degree != ns_cfg.degree:
         raise ValueError("basis degree does not match the nonlinearity degree")
 
-    sample = _draw(w_series, times, "advection field", basis.grid, ns_cfg.degree,
-                   partial(BandHalves.of, keep=True))
+    sample = _draw(w_series, times, "advection field", basis.grid, ns_cfg.degree, _state)
     return LinearizedOperator(basis, mu, times,
                               tuple(sample(j, False) for j in range(len(times))), ns_cfg)
 
@@ -989,9 +968,10 @@ def apply_inverse(
             w = BandHalves(basis.grid, basis.degree, sum(parts) * 0.5)
         return w
 
+    state0 = _initial_state(u0, basis.grid, basis.degree)
     f = _draw(f_series, times, "forcing", basis.grid, basis.degree,
-              _forcing(basis.grid, basis.degree, basis._project_band), on_grid=True)
-    return _field_solve(cfg, ns, basis._check(u0), f, advection, None,
+              _forcing(basis._project_band), on_grid=True)
+    return _field_solve(cfg, ns, state0, f, advection, None,
                         _stored_indices(cfg.steps, store_every), derivatives, False, basis)
 
 
@@ -1020,7 +1000,7 @@ def discrete_residual(
     times, grid, degree = sol.times, sol.u[0].grid, sol.u[0].degree
     f = _draw(f_series, times, "forcing", grid, degree)
     w = _draw(w_series, times, "advection field", grid, degree)
-    worst = 0.0
+    norms = []
     euler = cfg.scheme == "imex-euler"
     for j in range(0 if euler else 1, len(times) - 1):
         u, lo = sol.u[j], j if euler else j - 1
@@ -1032,8 +1012,8 @@ def discrete_residual(
         fj = f(j)
         if fj is not None:
             res = res - project_state(fj)
-        worst = max(worst, l2_norm(res))
-    return worst
+        norms.append(l2_norm(res))
+    return _worst(norms)
 
 
 def energy_identity_residual(
@@ -1056,7 +1036,7 @@ def energy_identity_residual(
     f = _draw(f_series, times, "forcing", grid, degree)
     w = _draw(w_series, times, "advection field", grid, degree)
     energies = [l2_norm(u) ** 2 for u in sol.u]
-    worst = 0.0
+    gaps = []
     for j in range(1, len(times) - 1):
         u = sol.u[j]
         dE = (energies[j + 1] - energies[j - 1]) / (times[j + 1] - times[j - 1])
@@ -1068,8 +1048,8 @@ def energy_identity_residual(
         if q is not None:
             rhs -= 2.0 * inner_product(q, u)
         grad = l2_norm(fractional_power(u, 1)) ** 2
-        worst = max(worst, abs(dE + 2.0 * mu * grad - rhs))
-    return worst
+        gaps.append(abs(dE + 2.0 * mu * grad - rhs))
+    return _worst(gaps)
 
 
 def _quadratic_at(u, j, w, ns, nonlinear: bool) -> FormField | None:
@@ -1091,12 +1071,18 @@ def lions_identity_residual(sol: TimeSeriesSolution) -> float:
         raise ValueError("solution carries no first time derivative cache")
     times = sol.times
     energies = [l2_norm(u) ** 2 for u in sol.u]
-    worst = 0.0
+    gaps = []
     for j in range(1, len(times) - 1):
         dE = (energies[j + 1] - energies[j - 1]) / (times[j + 1] - times[j - 1])
         paired = 2.0 * inner_product(sol.dt_cache[1][j], sol.u[j])
-        worst = max(worst, abs(dE - paired))
-    return worst
+        gaps.append(abs(dE - paired))
+    return _worst(gaps)
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, 0 for none and NaN if any is NaN, so a
+    non-finite sample cannot read as a small residual."""
+    return float(np.max(values, initial=0.0))
 
 
 # -- Newton local inversion --------------------------------------------------------
@@ -1107,16 +1093,18 @@ def lions_identity_residual(sol: TimeSeriesSolution) -> float:
 # It is exactly invertible (forward substitution) and exactly quadratic,
 # so its Newton iteration has an exact derivative and converges
 # quadratically inside the contraction neighbourhood.  Trajectories are
-# band-half states, entered through BandHalves.of (Hermitian check, modes
-# outside the band dropped) and not projected: in-band gradient parts
-# are carried.
+# band-half states, entered through checked_state (modes outside the band
+# dropped) and not projected: in-band gradient parts are carried.
 
 
-def _band_trajectory(states: Sequence[FormField], cfg: SolverConfig,
-                     keep: bool = False) -> list[BandHalves]:
+def _band_trajectory(states: Sequence[FormField], cfg: SolverConfig, degree: int,
+                     what: str, keep: bool = False) -> list[BandHalves]:
+    """The states of a trajectory on cfg's time grid, each checked against
+    cfg's grid and ``degree`` and named "<what> j"."""
     if len(states) != cfg.steps + 1:
         raise ValueError("trajectory length does not match the configuration")
-    return [BandHalves.of(u, keep) for u in states]
+    grid = cfg.grid()
+    return [checked_state(u, grid, degree, f"{what} {j}", keep) for j, u in enumerate(states)]
 
 
 def _euler_cells(states: list[BandHalves], quads, cfg: SolverConfig) -> list[BandHalves]:
@@ -1136,9 +1124,10 @@ def discrete_forward_data(
     ns_cfg: NonlinearityConfig | None = None,
 ) -> tuple[list[FormField], FormField]:
     """Data (P f cells, u0) reproduced by the imex-euler trajectory, taken
-    on the band (Hermitian check, modes outside the band dropped)."""
+    on the band (entry check, named "state j"; modes outside the band
+    dropped)."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    states = _band_trajectory(states, cfg)
+    states = _band_trajectory(states, cfg, ns.degree, "state")
     cells = _euler_cells(states, _quadratic_term(ns, states[:-1], exact="drop"), cfg)
     return [c.field() for c in cells], states[0].field()
 
@@ -1148,9 +1137,11 @@ def discrete_linearized_data(
     cfg: SolverConfig, ns_cfg: NonlinearityConfig | None = None,
 ) -> tuple[list[FormField], FormField]:
     """Derivative of the discrete forward map at ``states`` along
-    ``directions``, both taken on the band as in discrete_forward_data."""
+    ``directions``, both taken on the band as in discrete_forward_data
+    (named "state j" and "direction j")."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
-    states, directions = (_band_trajectory(t, cfg) for t in (states, directions))
+    states, directions = (_band_trajectory(t, cfg, ns.degree, what)
+                          for t, what in ((states, "state"), (directions, "direction")))
     quads = _quadratic_term(ns, states[:-1], directions[:-1], exact="drop")
     return [c.field() for c in _euler_cells(directions, quads, cfg)], directions[0].field()
 
@@ -1179,35 +1170,33 @@ def newton_local_inverse(
 
     ``f_target`` holds the forcing cells (one per step; a single field or
     None is broadcast), ``u0_target`` the initial datum; both are checked
-    at entry (``_check_sample``; errors name "forcing cell j", "forcing"
-    or "u0 target") and projected.  The seed's modes outside the
-    band are dropped and its in-band gradient part is kept.  Each
-    update solves the exactly-linearized discrete system by forward
-    substitution (one imex-euler pass of the Lawson loop), so the iteration
-    is quadratically convergent near a solution; non-convergence within
-    ``cfg.newton_max_iter`` is reported, not raised.
+    at entry (``checked_state``; errors name "forcing cell j", "forcing"
+    or "u0 target") and projected.  The seed's states are checked too
+    ("seed state j"), their modes outside the band are dropped and their
+    in-band gradient part is kept.  Each update solves the
+    exactly-linearized discrete system by forward substitution (one
+    imex-euler pass of the Lawson loop), so the iteration is quadratically
+    convergent near a solution; non-convergence within
+    ``cfg.newton_max_iter`` is reported, not raised, and so is a residual
+    that is not finite, which ends the iteration.
     """
     if cfg.scheme != "imex-euler":
         raise ValueError("the discrete forward map is defined for imex-euler")
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
+    degree = ns.degree
     states = _band_trajectory(seed.u if isinstance(seed, TimeSeriesSolution) else list(seed),
-                              cfg, keep=True)
-    grid, degree = states[0].grid, states[0].degree
-    project, band = partial(_band_projection, grid, degree), _band_half(grid)
-
-    def target(u, what):
-        # _check_sample makes the Hermitian check of BandHalves.of, and
-        # more, with errors that name the input.
-        return project([c[band] for c in _check_sample(u, grid, degree, what).components])
-
+                              cfg, degree, "seed state", keep=True)
+    grid, project = states[0].grid, partial(_band_projection, states[0].grid, degree)
+    target = partial(checked_state, grid=grid, degree=degree)
     if f_target is None or not isinstance(f_target, Iterable):
         f_cells = [np.zeros_like(states[0].halves) if f_target is None
-                   else target(f_target, "forcing")] * cfg.steps
+                   else project(target(f_target, what="forcing").halves)] * cfg.steps
     else:
-        f_cells = [target(c, f"forcing cell {j}") for j, c in enumerate(f_target)]
+        f_cells = [project(target(c, what=f"forcing cell {j}").halves)
+                   for j, c in enumerate(f_target)]
         if len(f_cells) != cfg.steps:
             raise ValueError("need one forcing cell per time step")
-    u0 = target(u0_target, "u0 target")
+    u0 = project(target(u0_target, what="u0 target").halves)
     decay = _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid)))
     history = []
     while True:
@@ -1217,9 +1206,9 @@ def newton_local_inverse(
         quads = _quadratic_term(ns, states[:-1], exact="drop")
         r_cells = [f - c.halves for f, c in zip(f_cells, _euler_cells(states, quads, cfg))]
         r0 = u0 - states[0].halves
-        history.append(max(_half_norm(r) for r in r_cells + [r0]))
+        history.append(_worst([_half_norm(r) for r in r_cells + [r0]]))
         converged = history[-1] <= cfg.newton_tol
-        if converged or len(history) > cfg.newton_max_iter:
+        if converged or not np.isfinite(history[-1]) or len(history) > cfg.newton_max_iter:
             break
 
         def explicit(j, midpoint, delta):
@@ -1277,6 +1266,7 @@ def galerkin_convergence_study(
     """
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times = cfg.times()
+    state0 = _initial_state(u0, cfg.grid(), cfg.degree)
     # A callable forcing is drawn on the time grid once, for every m.
     f_series = cache(f_series) if callable(f_series) else f_series
     trajectories = []
@@ -1284,8 +1274,8 @@ def galerkin_convergence_study(
     for m in ms:
         basis = build_basis(cfg.grid(), cfg.degree, m)
         f = _draw(f_series, times, "forcing", basis.grid, basis.degree,
-                  _forcing(basis.grid, basis.degree, basis._project_band), on_grid=True)
-        fields = _field_solve(cfg, ns, basis._check(u0), f, None, None, range(len(times)),
+                  _forcing(basis._project_band), on_grid=True)
+        fields = _field_solve(cfg, ns, state0, f, None, None, range(len(times)),
                               0, False, basis).u
         trajectories.append(fields)
         sup_part = max(l2_norm(fractional_power(u, order)) ** 2 for u in fields)

@@ -19,7 +19,7 @@ The only part of a half that can break reality is its self-conjugate
 k_last = 0 plane, where c(k) = conj(c(-k)) must hold within the plane.
 That plane is checked, and only it, where coefficients leave for the grid
 (``to_physical``) and where the solvers take a field in
-(``BandHalves.of``); ``FieldIntegrityError`` names a failure.  Samples
+(``nonlinear.checked_state``); ``FieldIntegrityError`` names a failure.  Samples
 that enter through ``from_physical`` must be finite.
 
 The codifferential is derived as the literal spectral adjoint of the

@@ -172,6 +172,21 @@ def relative(defect: float, *scales: float) -> float:
     return defect / max(sum(scales), 1e-300)
 
 
+class _Worst(dict):
+    """The largest defect seen under each check key, 0 before any.  A NaN
+    defect stays NaN (``np.maximum``), so an identity that turned NaN
+    reads as a fail, where ``max(0.0, nan)`` would read 0.0, a pass."""
+
+    def bump(self, key: str, value: float) -> None:
+        self[key] = float(np.maximum(self.get(key, 0.0), value))
+
+    def records(self, suite: str, anchor, tol) -> list[CheckRecord]:
+        """One upper check per key, in key order, with ``anchor(key)`` and
+        ``tol(key)``."""
+        return [upper_check(f"{suite}/{key}", anchor(key), self[key], tol(key))
+                for key in sorted(self)]
+
+
 # -- closed-form benchmark ----------------------------------------------------
 
 
@@ -219,11 +234,8 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
     fields = int(sizes["fields"])
     cases = _sweep_cases()
     per_case = -(-fields // len(cases))
-    worst: dict[str, float] = {}
-
-    def bump(key, value):
-        worst[key] = max(worst.get(key, 0.0), value)
-
+    worst = _Worst()
+    bump = worst.bump
     for n, degree in cases:
         grid = SpectralGrid(n, res)
         zero_mode = (0,) * n
@@ -274,29 +286,25 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
                 bump(f"split-gradient-parseval-n{n}",
                      relative(gap, sobolev_norm(u, SobolevIndex(float(m), 2.0))))
         # the image of Pi is exactly the constants, one per component
-        probe_gap = 0.0
         for comp in range(grid.component_count(degree)):
             coeffs = [np.zeros(grid.half_shape, dtype=np.complex128)
                       for _ in range(grid.component_count(degree))]
             coeffs[comp][zero_mode] = 1.0
             e = FormField(grid, degree, tuple(coeffs))
-            probe_gap = max(probe_gap, l2_norm(harmonic_projection(e) - e))
-        bump(f"harmonic-rank-n{n}", probe_gap)
+            bump(f"harmonic-rank-n{n}", l2_norm(harmonic_projection(e) - e))
 
-    records = []
-    for key in sorted(worst):
-        anchor = {
-            "dd": "complex-identity",
-            "delta": "complex-identity",
-            "adjoint": "adjoint-pairing",
-            "laplacian": "laplacian-definition",
-            "parametrix": "parametrix-identity",
-            "harmonic": "harmonic-projection",
-            "fractional": "gradient-multiplier",
-            "split": "norm-equivalence",
-        }[key.split("-")[0]]
-        records.append(upper_check(f"complex/{key}", anchor, worst[key], 1e-12))
-    return records
+    anchors = {
+        "dd": "complex-identity",
+        "delta": "complex-identity",
+        "adjoint": "adjoint-pairing",
+        "laplacian": "laplacian-definition",
+        "parametrix": "parametrix-identity",
+        "harmonic": "harmonic-projection",
+        "fractional": "gradient-multiplier",
+        "split": "norm-equivalence",
+    }
+    return worst.records("complex", lambda key: anchors[key.split("-")[0]],
+                         lambda key: 1e-12)
 
 
 def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
@@ -305,11 +313,8 @@ def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
     fields = int(sizes["fields"])
     cases = _sweep_cases()
     per_case = -(-fields // len(cases))
-    worst: dict[str, float] = {}
-
-    def bump(key, value):
-        worst[key] = max(worst.get(key, 0.0), value)
-
+    worst = _Worst()
+    bump = worst.bump
     for n, degree in cases:
         grid = SpectralGrid(n, res)
         for _ in range(per_case):
@@ -348,14 +353,12 @@ def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
                     rec = recover_pressure(exterior_derivative(q))
                     bump(f"pressure-roundtrip-n{n}",
                          relative(l2_norm(rec - q), l2_norm(q)))
-    records = []
-    for key in sorted(worst):
-        anchor = ("pressure-gradient-inversion" if key.startswith("pressure")
-                  else "projection-formula" if key.startswith("projection")
-                  else "hodge-decomposition")
-        tol = 1e-10 if key.startswith("pressure") else 1e-12
-        records.append(upper_check(f"hodge/{key}", anchor, worst[key], tol))
-    return records
+    return worst.records(
+        "hodge",
+        lambda key: ("pressure-gradient-inversion" if key.startswith("pressure")
+                     else "projection-formula" if key.startswith("projection")
+                     else "hodge-decomposition"),
+        lambda key: 1e-10 if key.startswith("pressure") else 1e-12)
 
 
 def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
@@ -363,26 +366,24 @@ def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
     res = int(sizes["res"])
     records = []
     grid = SpectralGrid(2, res)
-    worst_tilde = 0.0
-    worst_two_ways = 0.0
+    worst = _Worst()
     for degree in range(3):
         for _ in range(6):
             u = random_form(grid, degree, rng)
             for m in range(7):
                 ref = sobolev_norm(u, SobolevIndex(float(m), 2.0))
-                worst_tilde = max(
-                    worst_tilde, relative(abs(split_sobolev_norm(u, m) - ref), ref))
+                worst.bump("tilde-equals-nabla",
+                           relative(abs(split_sobolev_norm(u, m) - ref), ref))
             for m in (0, 1, 2):
                 quad = sobolev_norm(u, SobolevIndex(float(m), 2.0))
                 grad = (l2_norm(fractional_power(u, float(m))) if m > 0
                         else l2_norm(remove_harmonic(u)))
                 spec_val = math.hypot(grad, l2_norm(harmonic_projection(u)))
-                worst_two_ways = max(worst_two_ways,
-                                     relative(abs(quad - spec_val), spec_val))
+                worst.bump("nabla-two-ways", relative(abs(quad - spec_val), spec_val))
     records.append(upper_check("norms/tilde-equals-nabla", "norm-equivalence",
-                               worst_tilde, 1e-12))
+                               worst["tilde-equals-nabla"], 1e-12))
     records.append(upper_check("norms/nabla-two-ways", "norm-equivalence",
-                               worst_two_ways, 1e-10))
+                               worst["nabla-two-ways"], 1e-10))
 
     # time-grid refinement: trapezoid integration converges at order 2
     base = build_basis(SpectralGrid(2, 16), 1, 1).fields[0]
@@ -453,8 +454,7 @@ def _nonlinearity_suite(rng: np.random.Generator,
     """Bilinear-map bounds, polarization, dealiasing, cancellation."""
     pairs = max(10, int(sizes["fields"]) // 4)
     records = []
-
-    worst_pointwise = 0.0
+    worst = _Worst()
     for n in (2, 3):
         grid = SpectralGrid(n, 16 if n == 3 else 24)
         for bmap in (interior_product_map(n), half_dot_map(n)):
@@ -466,35 +466,26 @@ def _nonlinearity_suite(rng: np.random.Generator,
                 mag = np.sqrt(np.sum(out**2, axis=0))
                 bound = bmap.operator_norm * pointwise_magnitude(u) * \
                     pointwise_magnitude(v)
-                excess = float(np.max(mag - bound) / max(np.max(bound), 1e-300))
-                worst_pointwise = max(worst_pointwise, excess)
+                worst.bump("pointwise",
+                           float(np.max(mag - bound) / max(np.max(bound), 1e-300)))
     records.append(upper_check("nonlinearity/pointwise-bound", "fibre-bound",
-                               max(worst_pointwise, 0.0), 1e-12))
+                               worst["pointwise"], 1e-12))
 
     grid = SpectralGrid(2, 24)
     ns = navier_stokes_config(2)
-    worst = {"polarization": 0.0, "linearity": 0.0, "trilinear": 0.0,
-             "convective": 0.0}
     for _ in range(8):
         v = project_state(random_form(grid, 1, rng, kmax=4))
         w = project_state(random_form(grid, 1, rng, kmax=4))
         scale = max(l2_norm(nonlinear_term(v, ns)), 1e-300)
-        worst["polarization"] = max(
-            worst["polarization"],
-            l2_norm(bilinear_term(v, v, ns) - nonlinear_term(v, ns) * 2.0) / scale,
-        )
+        worst.bump("polarization",
+                   l2_norm(bilinear_term(v, v, ns) - nonlinear_term(v, ns) * 2.0) / scale)
         lin_gap = bilinear_term(w, v + w * 0.5, ns) \
             - bilinear_term(w, v, ns) - bilinear_term(w, w, ns) * 0.5
-        worst["linearity"] = max(worst["linearity"], l2_norm(lin_gap) / scale)
-        worst["trilinear"] = max(
-            worst["trilinear"],
-            abs(trilinear_form(w, v, ns))
-            / max(l2_norm(w) * l2_norm(v) ** 2, 1e-300),
-        )
-        worst["convective"] = max(
-            worst["convective"],
-            l2_norm(nonlinear_term(v, ns) - convective_term(v, v)) / scale,
-        )
+        worst.bump("linearity", l2_norm(lin_gap) / scale)
+        worst.bump("trilinear", abs(trilinear_form(w, v, ns))
+                   / max(l2_norm(w) * l2_norm(v) ** 2, 1e-300))
+        worst.bump("convective",
+                   l2_norm(nonlinear_term(v, ns) - convective_term(v, v)) / scale)
     records.append(upper_check("nonlinearity/polarization", "quadratic-polarization",
                                worst["polarization"], 1e-14))
     records.append(upper_check("nonlinearity/bilinear-linearity",
@@ -507,16 +498,13 @@ def _nonlinearity_suite(rng: np.random.Generator,
     # band-limited products are aliasing-free: doubling res changes nothing
     coarse = SpectralGrid(2, 24)
     fine = SpectralGrid(2, 48)
-    worst_alias = 0.0
     for _ in range(5):
         v = project_state(random_form(coarse, 1, rng, kmax=4))
         nc = nonlinear_term(v, ns)
         nf = nonlinear_term(resample(v, fine), ns)
-        worst_alias = max(
-            worst_alias,
-            relative(l2_norm(resample(nf, coarse) - nc), l2_norm(nc)))
+        worst.bump("alias", relative(l2_norm(resample(nf, coarse) - nc), l2_norm(nc)))
     records.append(upper_check("nonlinearity/dealias-consistency", "dealiasing",
-                               worst_alias, 1e-12))
+                               worst["alias"], 1e-12))
 
     cont_seed = int(rng.integers(0, 2**32))
     survey = continuity_bound_survey(ns, SpectralGrid(2, 24), trials=40,
@@ -526,7 +514,6 @@ def _nonlinearity_suite(rng: np.random.Generator,
     # evaluate the same ratio on exactly resampled pairs at doubled res
     times = np.linspace(0.0, 1.0, 3)
     rng2 = np.random.default_rng(cont_seed)
-    worst_change = 0.0
     for _ in range(10):
         w = project_state(random_form(coarse, 1, rng2, kmax=4))
         v = project_state(random_form(coarse, 1, rng2, kmax=4))
@@ -544,9 +531,9 @@ def _nonlinearity_suite(rng: np.random.Generator,
                              BochnerIndex(2, 0))
             )
             vals.append(num / den)
-        worst_change = max(worst_change, abs(vals[1] / vals[0] - 1.0))
+        worst.bump("continuity", abs(vals[1] / vals[0] - 1.0))
     records.append(upper_check("nonlinearity/continuity-stability",
-                               "bilinear-continuity", worst_change, 0.10))
+                               "bilinear-continuity", worst["continuity"], 0.10))
     return records
 
 

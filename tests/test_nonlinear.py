@@ -27,6 +27,7 @@ from torusforms.nonlinear import (
     ContinuityReport,
     NonlinearityConfig,
     bilinear_term,
+    checked_state,
     continuity_bound_survey,
     convective_term,
     get_preset,
@@ -71,6 +72,12 @@ G3 = SpectralGrid(3, 16)
 
 def _ns(grid: SpectralGrid) -> NonlinearityConfig:
     return navier_stokes_config(grid.n)
+
+
+def _state(u: FormField, keep: bool = False) -> BandHalves:
+    """u's band-half state, through the entry check against its own grid
+    and degree."""
+    return checked_state(u, u.grid, u.degree, "field", keep)
 
 
 def _pair(grid: SpectralGrid, seed: int, kmax: float | None = None):
@@ -308,7 +315,7 @@ class TestProjectedMode:
         calls.clear()
         nonlinear_term(v, cfg, exact="apart")
         assert len(calls) == n_budget + 1
-        state = BandHalves.of(v, keep=True)
+        state = _state(v, keep=True)
         nonlinear_term(state, cfg, exact="drop")
         calls.clear()
         nonlinear_term(state, cfg, exact="only")
@@ -328,7 +335,7 @@ class TestProjectedMode:
         w, v = _pair(grid, 8)
         cfg = _ns(grid)
         for term, args in ((nonlinear_term, (v,)), (bilinear_term, (w, v))):
-            states = [BandHalves.of(a) for a in args]
+            states = [_state(a) for a in args]
             q1, m2 = term(*states, cfg, exact="apart")
             assert np.array_equal(q1, term(*states, cfg, exact="drop"))
             assert np.array_equal(m2, term(*states, cfg, exact="only"))
@@ -336,7 +343,7 @@ class TestProjectedMode:
             assert np.array_equal(np.stack(full), term(*states, cfg))
             q1_field, m2_field = term(*args, cfg, exact="apart")
             assert (q1_field.degree, m2_field.degree) == (1, 0)
-            assert np.array_equal(BandHalves.of(m2_field).halves, m2)
+            assert np.array_equal(_state(m2_field).halves, m2)
 
     def test_without_m2_the_exact_part_is_none(self):
         v, _ = _pair(G2, 9)
@@ -353,7 +360,7 @@ class TestProjectedMode:
     def test_state_projections_kill_the_exact_part(self, grid):
         # d M2 is exact, so P and a build_basis P_m map it to rounding.
         v = project_state(random_form(grid, 1, np.random.default_rng(13)))
-        m2 = nonlinear_term(BandHalves.of(v), _ns(grid), exact="only")
+        m2 = nonlinear_term(_state(v), _ns(grid), exact="only")
         dm2 = np.stack(_apply_d(grid, 0, list(m2), band=True))
         basis = build_basis(grid, 1)
         assert basis.coclosed
@@ -422,13 +429,13 @@ class TestBandHalves:
 
     @staticmethod
     def _halves(u: FormField) -> np.ndarray:
-        return np.stack(nonlinear_module.BandHalves.of(u).halves)
+        return np.stack(_state(u).halves)
 
     @pytest.mark.parametrize("grid", [G2, G3])
     def test_matches_field_form(self, grid):
         w, v = _pair(grid, 47)
         cfg = _ns(grid)
-        wh, vh = nonlinear_module.BandHalves.of(w), nonlinear_module.BandHalves.of(v)
+        wh, vh = _state(w), _state(v)
         n = nonlinear_term(vh, cfg)
         b = bilinear_term(wh, vh, cfg)
         assert n.tobytes() == self._halves(nonlinear_term(v, cfg)).tobytes()
@@ -441,18 +448,18 @@ class TestBandHalves:
         rng = np.random.default_rng(67)
         for degree in range(grid.n + 1):
             v = random_form(grid, degree, rng)
-            halves = nonlinear_module.BandHalves.of(v).halves
+            halves = _state(v).halves
             u = nonlinear_module.BandHalves(grid, degree, halves).field()
             assert u.grid == grid and u.degree == degree
-            assert nonlinear_module.BandHalves.of(u).halves.tobytes() == halves.tobytes()
+            assert _state(u).halves.tobytes() == halves.tobytes()
             assert l2_norm(u - dealias(v)) <= 1e-14 * l2_norm(v)
 
     def test_kept_state_is_transformed_once(self, monkeypatch):
         w, v = _pair(G2, 53)
         cfg = _ns(G2)
-        wh = nonlinear_module.BandHalves.of(w, keep=True)
+        wh = _state(w, keep=True)
         calls = TestTransformBudget._counting_numpy(monkeypatch)
-        vh = nonlinear_module.BandHalves.of(v)
+        vh = _state(v)
         bilinear_term(wh, vh, cfg)
         assert len(calls) == 9
         calls.clear()
@@ -462,11 +469,11 @@ class TestBandHalves:
     def test_mismatches_rejected(self):
         _, v = _pair(G2, 59)
         cfg = _ns(G2)
-        vh = nonlinear_module.BandHalves.of(v)
+        vh = _state(v)
         scalar = random_form(G2, 0, np.random.default_rng(1))
         with pytest.raises(ValueError, match="degree"):
-            nonlinear_term(nonlinear_module.BandHalves.of(scalar), cfg)
-        other = nonlinear_module.BandHalves.of(_pair(G3, 61)[0])
+            nonlinear_term(_state(scalar), cfg)
+        other = _state(_pair(G3, 61)[0])
         with pytest.raises(ValueError, match="different grids"):
             bilinear_term(other, vh, cfg)
         with pytest.raises(TypeError, match="two fields or two BandHalves"):
@@ -504,7 +511,7 @@ class TestBatchedPass:
     @staticmethod
     def _states(grid, cfg, count, seed, keep=False) -> list:
         rng = np.random.default_rng(seed)
-        return [BandHalves.of(random_form(grid, cfg.degree, rng), keep)
+        return [_state(random_form(grid, cfg.degree, rng), keep)
                 for _ in range(count)]
 
     @staticmethod

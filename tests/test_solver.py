@@ -10,6 +10,7 @@ import dataclasses
 import sys
 import tracemalloc
 from functools import lru_cache, partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import torusforms.hodge as hodge_module
 import torusforms.nonlinear as nonlinear_module
 import torusforms.solver as solver_module
+import torusforms.spectral as spectral_module
 from oracles import (
     dealiased_convection,
     observed_order,
@@ -79,6 +81,20 @@ G16 = SpectralGrid(2, 16)
 ROOT_HALF = np.sqrt(0.5)
 NS2 = navier_stokes_config(2)
 NS = {2: NS2, 3: navier_stokes_config(3)}
+
+
+def _state(u: FormField, keep: bool = False):
+    """u's band-half state, through the entry check against its own grid
+    and degree."""
+    return nonlinear_module.checked_state(u, u.grid, u.degree, "field", keep)
+
+
+def _nan_off_plane(u: FormField) -> FormField:
+    """u with a NaN at mode (1, 1), off the k_last = 0 plane that the
+    Hermitian check reads."""
+    comps = [c.copy() for c in u.components]
+    comps[0][1, 1] = np.nan
+    return FormField(u.grid, u.degree, tuple(comps))
 
 
 def _taylor_green(grid: SpectralGrid, t: float = 0.0, mu: float = 0.1) -> FormField:
@@ -258,7 +274,7 @@ class TestGalerkinBasis:
         got = basis.synthesize(g)
         for a, b in zip(got.components, total.components):
             assert np.max(np.abs(a - b)) <= 1e-14
-        halves = nonlinear_module.BandHalves.of(u).halves
+        halves = _state(u).halves
         projected = nonlinear_module.BandHalves(grid, 1, basis._project_band(halves)).field()
         for a, b in zip(projected.components, basis.synthesize(basis.project(u)).components):
             assert np.max(np.abs(a - b)) <= 1e-15
@@ -515,14 +531,13 @@ class TestBandHalfState:
             solve_linearized(_two_band_state(G16), f, u0, cfg)
 
     def test_degree_mismatch_names_both_degrees(self):
-        # The stages' nonlinear_term and bilinear_term check the degrees at
-        # the first stage, before any step is stored.
+        # The entry check holds u0 to the nonlinearity's degree and names it.
         u0 = random_form(G16, 0, np.random.default_rng(37), kmax=4)
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
-        with pytest.raises(ValueError, match="field degree 0 does not match "
-                                             "nonlinearity degree 1"):
+        message = "initial datum is a field of degree 0 .* does not match degree 1"
+        with pytest.raises(ValueError, match=message):
             solve_nonlinear(None, u0, cfg)
-        with pytest.raises(ValueError, match="degrees do not match"):
+        with pytest.raises(ValueError, match=message):
             solve_linearized(_two_band_state(G16), None, u0, cfg)
 
     def test_degree_zero_pressure_rejected_at_entry(self, monkeypatch):
@@ -548,7 +563,7 @@ class TestBandHalfState:
     def test_half_norm_is_parseval(self, grid):
         # The k_last = 0 plane counts once, every other plane twice.
         u = project_state(random_form(grid, 1, np.random.default_rng(31), kmax=grid.res / 3))
-        state = solver_module._projected_half(u, grid, 1)
+        state = solver_module._band_projection(grid, 1, _state(u).halves)
         rebuilt = nonlinear_module.BandHalves(grid, 1, state).field()
         expected = l2_norm(rebuilt)
         assert abs(solver_module._half_norm(state) - expected) <= 1e-14 * expected
@@ -561,7 +576,7 @@ class TestSchemeMemory:
         # state's bytes of the peak at 10 steps.
         grid = SpectralGrid(3, 12)
         u0 = project_state(random_form(grid, 1, np.random.default_rng(3), kmax=4))
-        state_bytes = 3 * nonlinear_module.BandHalves.of(u0).halves[0].nbytes
+        state_bytes = 3 * _state(u0).halves[0].nbytes
 
         def peak(steps):
             cfg = SolverConfig(mu=0.1, T=steps * 1e-3, dt=1e-3, res=12, n=3)
@@ -998,52 +1013,129 @@ class TestTimeData:
                         + expected.dt_cache[1]):
             assert l2_norm(a - b) <= 1e-15 * max(l2_norm(b), 1.0)
 
-    @pytest.mark.parametrize("bad", ["grid", "degree", "nan", "hermitian", "type"])
-    def test_bad_sample_rejected_before_any_kernel_call(self, monkeypatch, bad):
-        rng = np.random.default_rng(29)
-        u0 = project_state(random_form(self.GRID, 1, rng))
-        f = random_form(self.GRID, 1, rng)
-        corrupt = {"grid": lambda: random_form(G16, 1, rng),
-                   "degree": lambda: random_form(self.GRID, 0, rng),
-                   "nan": lambda: f * float("nan"),
-                   "hermitian": lambda: _non_hermitian(f),
-                   "type": lambda: 1.0}[bad]()
-        calls = self._kernel_calls(monkeypatch)
-        error = FieldIntegrityError if bad in ("nan", "hermitian") else ValueError
-        with pytest.raises(error, match="forcing sample 4"):
-            solve_nonlinear([f, f, f, f, corrupt], u0, self.CFG)
-        with pytest.raises(error, match="advection field sample 4"):
-            solve_linearized([u0, u0, u0, u0, corrupt], None, u0, self.CFG)
-        basis = build_basis(self.GRID, 1)
-        op = assemble_linearized(u0, self.CFG.mu, basis, self.CFG.times(), NS2)
-        with pytest.raises(error, match="forcing sample 4"):
-            apply_inverse(op, [f, f, f, f, corrupt], u0, self.CFG)
-        assert calls == []
-        # A callable's value is checked when it is drawn, at the last state.
-        with pytest.raises(error, match="forcing at t = 0.04"):
-            solve_nonlinear(lambda t: corrupt if t > 0.035 else f, u0, self.CFG)
+    CORRUPTIONS = ["grid", "degree", "nan", "nan-off-plane", "hermitian", "type"]
 
-    @pytest.mark.parametrize("bad", ["grid", "degree", "nan", "hermitian", "type"])
-    def test_bad_newton_target_named_before_any_kernel_call(self, monkeypatch, bad):
-        cfg = dataclasses.replace(self.CFG, scheme="imex-euler")
+    @classmethod
+    def _data(cls):
+        """Valid data of every entry point, made before any kernel call is
+        counted: u0, f, an operator, an imex-euler cfg and a trajectory."""
+        rng = np.random.default_rng(29)
+        u0 = project_state(random_form(cls.GRID, 1, rng))
+        f = random_form(cls.GRID, 1, rng)
+        basis = build_basis(cls.GRID, 1)
+        op = assemble_linearized(u0, cls.CFG.mu, basis, cls.CFG.times(), NS2)
+        euler = dataclasses.replace(cls.CFG, scheme="imex-euler")
+        sol = solve_nonlinear(None, u0, euler, derivatives=0, with_pressure=False)
+        return dataclasses.make_dataclass(
+            "Data", ["u0", "f", "basis", "op", "euler", "sol", "base"])(
+            u0, f, basis, op, euler, sol, sol.u)
+
+    @classmethod
+    def _corrupt(cls, bad, f):
         rng = np.random.default_rng(31)
-        u0 = project_state(random_form(self.GRID, 1, rng))
-        base = solve_nonlinear(None, u0, cfg, derivatives=0, with_pressure=False)
-        f = random_form(self.GRID, 1, rng)
-        corrupt = {"grid": lambda: random_form(G16, 1, rng),
-                   "degree": lambda: random_form(self.GRID, 0, rng),
-                   "nan": lambda: f * float("nan"),
-                   "hermitian": lambda: _non_hermitian(f),
-                   "type": lambda: 1.0}[bad]()
+        return {"grid": lambda: random_form(G16, 1, rng),
+                "degree": lambda: random_form(cls.GRID, 0, rng),
+                "nan": lambda: f * float("nan"),
+                "nan-off-plane": lambda: _nan_off_plane(f),
+                "hermitian": lambda: _non_hermitian(f),
+                "type": lambda: 1.0}[bad]()
+
+    # (entry point, argument) -> (call with the corrupt field, name in the
+    # error).  Sequence data are corrupt at their last sample, trajectories
+    # at state 2.
+    ENTRIES = {
+        "solve_nonlinear-forcing": (
+            lambda d, bad: solve_nonlinear([d.f] * 4 + [bad], d.u0, TestTimeData.CFG),
+            "forcing sample 4"),
+        "solve_nonlinear-u0": (
+            lambda d, bad: solve_nonlinear(d.f, bad, TestTimeData.CFG), "initial datum"),
+        "solve_linearized-advection": (
+            lambda d, bad: solve_linearized([d.u0] * 4 + [bad], None, d.u0, TestTimeData.CFG),
+            "advection field sample 4"),
+        "solve_linearized-u0": (
+            lambda d, bad: solve_linearized(d.u0, d.f, bad, TestTimeData.CFG),
+            "initial datum"),
+        "assemble_linearized-advection": (
+            lambda d, bad: assemble_linearized([d.u0] * 4 + [bad], TestTimeData.CFG.mu,
+                                               d.basis, TestTimeData.CFG.times(), NS2),
+            "advection field sample 4"),
+        "discrete_residual-forcing": (
+            lambda d, bad: discrete_residual(d.sol, d.euler, f_series=[d.f] * 4 + [bad]),
+            "forcing sample 4"),
+        "energy_identity_residual-advection": (
+            lambda d, bad: energy_identity_residual(
+                d.sol, d.euler.mu, w_series=[d.u0] * 4 + [bad], ns_cfg=NS2),
+            "advection field sample 4"),
+        "apply_inverse-forcing": (
+            lambda d, bad: apply_inverse(d.op, [d.f] * 4 + [bad], d.u0, TestTimeData.CFG),
+            "forcing sample 4"),
+        "apply_inverse-u0": (
+            lambda d, bad: apply_inverse(d.op, d.f, bad, TestTimeData.CFG), "initial datum"),
+        "galerkin_convergence_study-u0": (
+            lambda d, bad: galerkin_convergence_study(d.f, bad, TestTimeData.CFG, ms=(4,)),
+            "initial datum"),
+        "newton-forcing-cell": (
+            lambda d, bad: newton_local_inverse([d.f, d.f, bad, d.f], d.u0, d.base, d.euler),
+            "forcing cell 2"),
+        "newton-forcing": (
+            lambda d, bad: newton_local_inverse(bad, d.u0, d.base, d.euler), "forcing"),
+        "newton-u0-target": (
+            lambda d, bad: newton_local_inverse([d.f] * 4, bad, d.base, d.euler), "u0 target"),
+        "newton-seed": (
+            lambda d, bad: newton_local_inverse(
+                [d.f] * 4, d.u0, d.base[:2] + [bad] + d.base[3:], d.euler), "seed state 2"),
+        "discrete_forward_data-state": (
+            lambda d, bad: discrete_forward_data(d.base[:2] + [bad] + d.base[3:], d.euler),
+            "state 2"),
+        "discrete_linearized_data-state": (
+            lambda d, bad: discrete_linearized_data(
+                d.base[:2] + [bad] + d.base[3:], d.base, d.euler), "state 2"),
+        "discrete_linearized_data-direction": (
+            lambda d, bad: discrete_linearized_data(
+                d.base, d.base[:2] + [bad] + d.base[3:], d.euler), "direction 2"),
+        "nonlinear_term": (
+            lambda d, bad: nonlinear_term(bad, NS2), "nonlinear_term argument v"),
+        "bilinear_term": (
+            lambda d, bad: bilinear_term(d.u0, bad, NS2), "bilinear_term argument v"),
+        "GalerkinBasis.project": (
+            lambda d, bad: d.basis.project(bad), "projected field"),
+    }
+
+    # A lone argument of nonlinear_term has no other grid to mismatch.
+    @pytest.mark.parametrize("entry, bad", [
+        pair for pair in product(ENTRIES, CORRUPTIONS) if pair != ("nonlinear_term", "grid")])
+    def test_bad_field_named_before_any_kernel_call(self, monkeypatch, entry, bad):
+        data = self._data()
+        corrupt = self._corrupt(bad, data.f)
+        call, name = self.ENTRIES[entry]
         calls = self._kernel_calls(monkeypatch)
-        error = FieldIntegrityError if bad in ("nan", "hermitian") else ValueError
-        with pytest.raises(error, match="forcing cell 2"):
-            newton_local_inverse([f, f, corrupt, f], u0, base, cfg)
-        with pytest.raises(error, match="u0 target"):
-            newton_local_inverse([f] * cfg.steps, corrupt, base, cfg)
-        with pytest.raises(error, match="forcing"):
-            newton_local_inverse(corrupt, u0, base, cfg)
+        error = (FieldIntegrityError if bad in ("nan", "nan-off-plane", "hermitian")
+                 else ValueError)
+        with pytest.raises(error, match=name) as info:
+            call(data, corrupt)
+        assert type(info.value) is error
         assert calls == []
+
+    @pytest.mark.parametrize("bad", CORRUPTIONS)
+    def test_callable_value_named_when_drawn(self, bad):
+        # A callable's value is checked when it is drawn, at the last state.
+        data = self._data()
+        corrupt = self._corrupt(bad, data.f)
+        with pytest.raises(ValueError, match="forcing at t = 0.04"):
+            solve_nonlinear(lambda t: corrupt if t > 0.035 else data.f, data.u0, self.CFG)
+
+    @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
+    def test_each_field_checked_once(self, monkeypatch, scheme):
+        # u0 and 5 advection samples of 2 components: 12 Hermitian checks,
+        # none for a drawn sample or a midpoint mean of two.
+        data = self._data()
+        checks, original = [], spectral_module._is_hermitian
+        for module in (spectral_module, nonlinear_module, solver_module):
+            monkeypatch.setattr(module, "_is_hermitian", raising=False,
+                                value=lambda plane, tol: checks.append(1) or original(plane, tol))
+        solve_linearized([data.u0] * 5, None, data.u0,
+                         dataclasses.replace(self.CFG, scheme=scheme))
+        assert len(checks) == 12
 
 
 class TestSecondDerivativeCache:
@@ -1160,6 +1252,23 @@ class TestEnergyLaw:
             sol = solve_nonlinear(None, u0, cfg, with_pressure=False)
             residuals.append(lions_identity_residual(sol))
         assert observed_order(residuals) >= 1.9
+
+    @pytest.mark.parametrize("diagnostic", [
+        lambda sol, cfg: discrete_residual(sol, cfg),
+        lambda sol, cfg: energy_identity_residual(sol, cfg.mu),
+        lambda sol, cfg: lions_identity_residual(sol)],
+        ids=["discrete", "energy", "lions"])
+    def test_nan_sample_reads_nan(self, diagnostic):
+        # One NaN coefficient in one sample: the worst residual is NaN, not
+        # the largest finite one (the builtin max drops a NaN).
+        cfg = SolverConfig(mu=0.1, T=0.04, dt=0.01, res=8)
+        u0 = project_state(random_form(cfg.grid(), 1, np.random.default_rng(41)))
+        sol = solve_nonlinear(None, u0, cfg)
+        samples = list(sol.u)
+        samples[2] = _nan_off_plane(samples[2])
+        broken = dataclasses.replace(sol, u=samples)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(diagnostic(broken, cfg))
 
     def test_lions_needs_cached_derivative(self):
         cfg = SolverConfig(mu=0.2, T=0.1, dt=5e-3, res=16)
@@ -1666,6 +1775,22 @@ class TestNewton:
         result = newton_local_inverse(target, base.u[0], base, cfg)
         assert not result.converged
         assert len(result.residual_history) == 2
+
+    @pytest.mark.parametrize("scale", [1e60, 1e200])
+    def test_non_finite_result_never_converged(self, scale):
+        # Finite targets so large that N overflows: a residual that is not
+        # finite ends the iteration unconverged, and non-finite states never
+        # come with a finite last residual.  The builtin max dropped a NaN
+        # that was not first and reported 1e200 converged with residual 0.
+        cfg = SolverConfig(mu=0.1, T=8e-3, dt=2e-3, res=8, scheme="imex-euler")
+        base = solve_nonlinear(None, _taylor_green(cfg.grid()), cfg,
+                               derivatives=0, with_pressure=False)
+        f_cells, head = discrete_forward_data(base.u, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = newton_local_inverse([c * scale for c in f_cells], head, base, cfg)
+        finite = all(np.all(np.isfinite(c)) for u in result.solution.u for c in u.components)
+        assert not result.converged
+        assert finite or not np.isfinite(result.residual_history[-1])
 
     def test_final_pass_reuses_the_last_residual(self, monkeypatch):
         # Three residuals, each one batched pass of Q1 = M1(d u, u) over

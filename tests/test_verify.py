@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+import torusforms.verify as verify_module
+
 from oracles import taylor_green_pressure, taylor_green_velocity
 from torusforms.norms import TimeSeriesSolution
 from torusforms.solver import (
@@ -77,6 +79,22 @@ class TestCheckRecords:
         assert not report.passed
         assert [c.id for c in report.failed] == ["b"]
         assert VerificationReport("demo", 0, (good,)).passed
+
+
+class TestWorstDefect:
+    """The suites that keep the worst defect per check read a NaN defect
+    as a fail; the builtin max(0.0, nan) would read 0.0, a pass."""
+
+    @pytest.mark.parametrize("suite, patched, check", [
+        ("_complex_suite", "harmonic_projection", "complex/harmonic-idempotent-n2"),
+        ("_hodge_suite", "helmholtz_project", "hodge/projection-idempotent-n2"),
+        ("_nonlinearity_suite", "convective_term", "nonlinearity/convective-agreement"),
+    ])
+    def test_nan_defect_fails(self, monkeypatch, suite, patched, check):
+        monkeypatch.setattr(verify_module, patched, lambda u, *args: u * float("nan"))
+        records = getattr(verify_module, suite)(np.random.default_rng(0), SMALL_SIZES)
+        status = {r.id: r.status for r in records}
+        assert status[check] == "fail"
 
 
 class TestVortexClosedForms:
