@@ -180,12 +180,6 @@ class _Worst(dict):
     def bump(self, key: str, value: float) -> None:
         self[key] = float(np.maximum(self.get(key, 0.0), value))
 
-    def records(self, suite: str, anchor, tol) -> list[CheckRecord]:
-        """One upper check per key, in key order, with ``anchor(key)`` and
-        ``tol(key)``."""
-        return [upper_check(f"{suite}/{key}", anchor(key), self[key], tol(key))
-                for key in sorted(self)]
-
 
 # -- closed-form benchmark ----------------------------------------------------
 
@@ -303,8 +297,8 @@ def _complex_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord
         "fractional": "gradient-multiplier",
         "split": "norm-equivalence",
     }
-    return worst.records("complex", lambda key: anchors[key.split("-")[0]],
-                         lambda key: 1e-12)
+    return [upper_check(f"complex/{key}", anchors[key.split("-")[0]], value, 1e-12)
+            for key, value in sorted(worst.items())]
 
 
 def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
@@ -353,12 +347,12 @@ def _hodge_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:
                     rec = recover_pressure(exterior_derivative(q))
                     bump(f"pressure-roundtrip-n{n}",
                          relative(l2_norm(rec - q), l2_norm(q)))
-    return worst.records(
-        "hodge",
-        lambda key: ("pressure-gradient-inversion" if key.startswith("pressure")
-                     else "projection-formula" if key.startswith("projection")
-                     else "hodge-decomposition"),
-        lambda key: 1e-10 if key.startswith("pressure") else 1e-12)
+    return [upper_check(f"hodge/{key}",
+                        "pressure-gradient-inversion" if key.startswith("pressure")
+                        else "projection-formula" if key.startswith("projection")
+                        else "hodge-decomposition",
+                        value, 1e-10 if key.startswith("pressure") else 1e-12)
+            for key, value in sorted(worst.items())]
 
 
 def _norms_suite(rng: np.random.Generator, sizes: Mapping) -> list[CheckRecord]:

@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from functools import lru_cache, partial
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1026,9 +1027,8 @@ class TestTimeData:
         op = assemble_linearized(u0, cls.CFG.mu, basis, cls.CFG.times(), NS2)
         euler = dataclasses.replace(cls.CFG, scheme="imex-euler")
         sol = solve_nonlinear(None, u0, euler, derivatives=0, with_pressure=False)
-        return dataclasses.make_dataclass(
-            "Data", ["u0", "f", "basis", "op", "euler", "sol", "base"])(
-            u0, f, basis, op, euler, sol, sol.u)
+        return SimpleNamespace(u0=u0, f=f, basis=basis, op=op, euler=euler, sol=sol,
+                               base=sol.u)
 
     @classmethod
     def _corrupt(cls, bad, f):
