@@ -15,13 +15,14 @@ Equations integrated (all terms projected onto the state space):
 The field solvers and the Newton inversion of the discrete forward map
 step the band half k_last = 0..L (L = res // 3) of the state, one
 (ncomp, 2L+1, ..., L+1) complex array: the integrating factor acts mode by
-mode, so the half carries the whole scheme.  Every field a solver takes
-in (the initial datum, time data, Newton's seed and targets, the discrete
-maps' trajectories) passes the one entry check, ``checked_state``, once,
-with an error that names it, and enters as its band halves; modes outside
-the band are dropped.  A stage passes the state to nonlinear_term or
-bilinear_term as ``BandHalves`` and gets the band halves of Q back, and
-fields are rebuilt by ``BandHalves.field`` only where they leave.  Newton and the discrete
+mode, so the half carries the whole scheme.  Every field a solver takes in
+(the initial datum, time data, Newton's seed and targets, the discrete maps'
+trajectories, a diagnostic's samples where a quadratic term reads them)
+passes the one entry check, ``checked_state``, once, with an error that
+names it, and enters as its band halves; modes outside the band are
+dropped.  A stage passes the state to nonlinear_term or bilinear_term as
+``BandHalves`` and gets the band halves of Q back, and fields are rebuilt
+by ``BandHalves.field`` only where they leave.  Newton and the discrete
 maps evaluate the kernel at every state of a trajectory at once, in
 batched passes (``nonlinear._quadratic_term`` of a list of states).
 
@@ -71,7 +72,7 @@ import math
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
 from math import comb
 from pathlib import Path
@@ -307,7 +308,7 @@ def _lawson_decay(multiplier):
 
 
 def _draw(series, times: np.ndarray, what: str, grid: SpectralGrid, degree: int,
-          prepare=lambda state, field: field, on_grid: bool = False):
+          prepare=lambda state, field: state, on_grid: bool = False):
     """(j, midpoint) -> ``prepare(state, field)`` of the data at t_j or at the
     midpoint of [t_j, t_j+1], None where the data are zero.
 
@@ -320,11 +321,11 @@ def _draw(series, times: np.ndarray, what: str, grid: SpectralGrid, degree: int,
     sample passes ``checked_state`` against ``grid`` and ``degree`` once,
     named "<what> (constant)", "<what> sample i" or "<what> at t = ...": a
     constant and a sequence's samples here, at entry, a callable's values
-    when they are drawn.  ``prepare`` gets the sample's state, kept
-    (``keep``) for a constant, which goes on the grid once however many
-    stages use it, and the sample.  A mean is taken on the states of
-    checked samples and has no field (None): only the pressure reads a
-    forcing's field, at stored samples, never at a midpoint.
+    when they are drawn.  ``prepare`` gets the sample's state, kept (``keep``)
+    for a constant, which goes on the grid once however many stages use it,
+    and the sample; by default it returns the state.  A mean is taken on the
+    states of checked samples and has no field (None): only the pressure
+    reads a forcing's field, at stored samples, never at a midpoint.
     """
     def checked(sample, where, keep=False):
         return None if sample is None else (
@@ -475,11 +476,6 @@ def _split(out) -> tuple:
     return out if isinstance(out, tuple) else (out, None)
 
 
-def _state(state: BandHalves, field) -> BandHalves:
-    """``_draw``'s prepare of an advection sample: its state."""
-    return state
-
-
 def _forcing(project):
     """``_draw``'s prepare of a forcing sample f: the pair (P f on the band
     half, f), P ``project`` on stacked band halves."""
@@ -594,7 +590,7 @@ def solve_linearized(
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times, grid, degree = cfg.times(), cfg.grid(), ns.degree
     state0 = _initial_state(u0, grid, degree)
-    advection = _draw(w_series, times, "advection field", grid, degree, _state)
+    advection = _draw(w_series, times, "advection field", grid, degree)
     f = _draw(f_series, times, "forcing", grid, degree,
               _forcing(partial(_band_projection, grid, degree)))
     return _field_solve(cfg, ns, state0, f, advection, None,
@@ -920,7 +916,7 @@ def assemble_linearized(
     if basis.degree != ns_cfg.degree:
         raise ValueError("basis degree does not match the nonlinearity degree")
 
-    sample = _draw(w_series, times, "advection field", basis.grid, ns_cfg.degree, _state)
+    sample = _draw(w_series, times, "advection field", basis.grid, ns_cfg.degree)
     return LinearizedOperator(basis, mu, times,
                               tuple(sample(j, False) for j in range(len(times))), ns_cfg)
 
@@ -998,7 +994,7 @@ def discrete_residual(
     """
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times, grid, degree = sol.times, sol.u[0].grid, sol.u[0].degree
-    f = _draw(f_series, times, "forcing", grid, degree)
+    f = _draw(f_series, times, "forcing", grid, degree, lambda state, fj: fj)
     w = _draw(w_series, times, "advection field", grid, degree)
     norms = []
     euler = cfg.scheme == "imex-euler"
@@ -1033,7 +1029,7 @@ def energy_identity_residual(
     if (nonlinear or w_series is not None) and ns_cfg is None:
         raise ValueError("the quadratic term needs a nonlinearity config")
     times, grid, degree = sol.times, sol.u[0].grid, sol.u[0].degree
-    f = _draw(f_series, times, "forcing", grid, degree)
+    f = _draw(f_series, times, "forcing", grid, degree, lambda state, fj: fj)
     w = _draw(w_series, times, "advection field", grid, degree)
     energies = [l2_norm(u) ** 2 for u in sol.u]
     gaps = []
@@ -1053,12 +1049,15 @@ def energy_identity_residual(
 
 
 def _quadratic_at(u, j, w, ns, nonlinear: bool) -> FormField | None:
-    """Q(u) at sample j: N(u), else B(w(j), u) (w a ``_draw``), None where
-    w(j) is None."""
-    if nonlinear:
-        return nonlinear_term(u, ns)
-    wj = w(j)
-    return None if wj is None else bilinear_term(wj, u, ns)
+    """Q(u) at sample j: N(u), else B(w(j), u) (w a ``_draw`` of states),
+    None where w(j) is None.  u enters the kernel through ``checked_state``,
+    named "trajectory sample j"."""
+    wj = None if nonlinear else w(j)
+    if not nonlinear and wj is None:
+        return None
+    v = checked_state(u, u.grid, ns.degree, f"trajectory sample {j}")
+    q = nonlinear_term(v, ns) if nonlinear else bilinear_term(wj, v, ns)
+    return BandHalves(v.grid, ns.degree, q).field()
 
 
 def lions_identity_residual(sol: TimeSeriesSolution) -> float:
@@ -1187,16 +1186,17 @@ def newton_local_inverse(
     states = _band_trajectory(seed.u if isinstance(seed, TimeSeriesSolution) else list(seed),
                               cfg, degree, "seed state", keep=True)
     grid, project = states[0].grid, partial(_band_projection, states[0].grid, degree)
-    target = partial(checked_state, grid=grid, degree=degree)
+
+    def target(u, what):
+        return project(checked_state(u, grid, degree, what).halves)
     if f_target is None or not isinstance(f_target, Iterable):
         f_cells = [np.zeros_like(states[0].halves) if f_target is None
-                   else project(target(f_target, what="forcing").halves)] * cfg.steps
+                   else target(f_target, "forcing")] * cfg.steps
     else:
-        f_cells = [project(target(c, what=f"forcing cell {j}").halves)
-                   for j, c in enumerate(f_target)]
+        f_cells = [target(c, f"forcing cell {j}") for j, c in enumerate(f_target)]
         if len(f_cells) != cfg.steps:
             raise ValueError("need one forcing cell per time step")
-    u0 = project(target(u0_target, what="u0 target").halves)
+    u0 = target(u0_target, "u0 target")
     decay = _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid)))
     history = []
     while True:
@@ -1267,14 +1267,20 @@ def galerkin_convergence_study(
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times = cfg.times()
     state0 = _initial_state(u0, cfg.grid(), cfg.degree)
-    # A callable forcing is drawn on the time grid once, for every m.
-    f_series = cache(f_series) if callable(f_series) else f_series
+    # The forcing is checked, and a callable sampled on the time grid, once
+    # for every m; each m projects the drawn samples with its own P_m.
+    drawn = _draw(f_series, times, "forcing", cfg.grid(), cfg.degree,
+                  lambda state, fj: (state, fj), on_grid=True)
     trajectories = []
     bounded = []
     for m in ms:
         basis = build_basis(cfg.grid(), cfg.degree, m)
-        f = _draw(f_series, times, "forcing", basis.grid, basis.degree,
-                  _forcing(basis._project_band), on_grid=True)
+        prepare = _forcing(basis._project_band)
+
+        def f(j, midpoint=False, prepare=prepare):
+            sample = drawn(j, midpoint)
+            return None if sample is None else prepare(*sample)
+
         fields = _field_solve(cfg, ns, state0, f, None, None, range(len(times)),
                               0, False, basis).u
         trajectories.append(fields)

@@ -64,6 +64,7 @@ from .solver import (
     project_state,
     save_solution,
     solve_nonlinear,
+    _worst,
 )
 from .spectral import (
     FormField,
@@ -174,11 +175,11 @@ def relative(defect: float, *scales: float) -> float:
 
 class _Worst(dict):
     """The largest defect seen under each check key, 0 before any.  A NaN
-    defect stays NaN (``np.maximum``), so an identity that turned NaN
+    defect stays NaN (``solver._worst``), so an identity that turned NaN
     reads as a fail, where ``max(0.0, nan)`` would read 0.0, a pass."""
 
     def bump(self, key: str, value: float) -> None:
-        self[key] = float(np.maximum(self.get(key, 0.0), value))
+        self[key] = _worst([self.get(key, 0.0), value])
 
 
 # -- closed-form benchmark ----------------------------------------------------

@@ -1121,8 +1121,11 @@ class TestTimeData:
         # A callable's value is checked when it is drawn, at the last state.
         data = self._data()
         corrupt = self._corrupt(bad, data.f)
-        with pytest.raises(ValueError, match="forcing at t = 0.04"):
+        error = (FieldIntegrityError if bad in ("nan", "nan-off-plane", "hermitian")
+                 else ValueError)
+        with pytest.raises(error, match="forcing at t = 0.04") as info:
             solve_nonlinear(lambda t: corrupt if t > 0.035 else data.f, data.u0, self.CFG)
+        assert type(info.value) is error
 
     @pytest.mark.parametrize("scheme", ["imex-euler", "imex-rk2"])
     def test_each_field_checked_once(self, monkeypatch, scheme):
@@ -1269,6 +1272,28 @@ class TestEnergyLaw:
         broken = dataclasses.replace(sol, u=samples)
         with np.errstate(invalid="ignore"):
             assert np.isnan(diagnostic(broken, cfg))
+
+    @pytest.mark.parametrize("diagnostic", [
+        lambda sol, cfg, w: discrete_residual(sol, cfg, nonlinear=True),
+        lambda sol, cfg, w: discrete_residual(sol, cfg, w_series=w),
+        lambda sol, cfg, w: energy_identity_residual(sol, cfg.mu, nonlinear=True,
+                                                     ns_cfg=cfg.nonlinearity()),
+        lambda sol, cfg, w: energy_identity_residual(sol, cfg.mu, w_series=w,
+                                                     ns_cfg=cfg.nonlinearity())],
+        ids=["discrete-nonlinear", "discrete-advection", "energy-nonlinear",
+             "energy-advection"])
+    def test_nan_sample_named_where_quadratic(self, diagnostic):
+        # A sample that a quadratic term reads enters the kernel through the
+        # entry check, which names it.
+        cfg = SolverConfig(mu=0.1, T=0.04, dt=0.01, res=8)
+        u0 = project_state(random_form(cfg.grid(), 1, np.random.default_rng(41)))
+        sol = solve_nonlinear(None, u0, cfg)
+        samples = list(sol.u)
+        samples[2] = _nan_off_plane(samples[2])
+        broken = dataclasses.replace(sol, u=samples)
+        with pytest.raises(FieldIntegrityError, match="trajectory sample 2") as info:
+            diagnostic(broken, cfg, u0)
+        assert type(info.value) is FieldIntegrityError
 
     def test_lions_needs_cached_derivative(self):
         cfg = SolverConfig(mu=0.2, T=0.1, dt=5e-3, res=16)
