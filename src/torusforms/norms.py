@@ -321,7 +321,8 @@ def gagliardo_nirenberg_check(
     lhs = lp_norm(fractional_power(v, float(j0)), p0) if j0 > 0 else lp_norm(v, p0)
     high = lp_norm(fractional_power(v, float(m0)), r0)
     base_l2 = l2_norm(v)
-    rhs = (high + base_l2) ** a * lp_norm(v, q0) ** (1.0 - a) + base_l2
+    low = base_l2 if q0 == 2 else lp_norm(v, q0)
+    rhs = (high + base_l2) ** a * low ** (1.0 - a) + base_l2
     return InterpolationReport(
         n=n, j0=j0, m0=m0, p0=p0, q0=q0, r0=r0, a=a,
         exceptional=exceptional, lhs=lhs, rhs=rhs,

@@ -101,7 +101,8 @@ from .spectral import (
     _band_shape,
     _insertion_table,
     _inverse_squares,
-    _parseval,
+    _parseval_norm,
+    _rescaled,
     codifferential,
     exterior_derivative,
     fractional_power,
@@ -386,8 +387,9 @@ def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard, keep=None):
 
 
 def _half_norm(state: np.ndarray) -> float:
-    """L2 norm of the real field with band halves ``state`` (``_parseval``)."""
-    return float(np.sqrt(max(_parseval(state, state), 0.0)))
+    """L2 norm of the real field with band halves ``state``, one
+    ``_parseval`` over the stack, finite for finite halves (``_rescaled``)."""
+    return _rescaled(_parseval_norm, (state,))
 
 
 def _half_guard(state: np.ndarray, j: int) -> None:

@@ -38,7 +38,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from numbers import Real
 from typing import Iterable, Sequence
 
@@ -127,13 +127,12 @@ class SpectralGrid:
         shape[axis] = len(modes)
         return modes.reshape(shape)
 
-    def _box_mask(self, limit: float) -> np.ndarray:
-        """Half-spectrum modes with every |k_j| <= limit."""
-        return reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= limit
-                                       for j in range(self.n)))
-
     @cached_property
     def k_squared(self) -> np.ndarray:
+        return self._squared_modes()
+
+    def _squared_modes(self) -> np.ndarray:
+        """|k|^2 on the half, a new array on every call."""
         return reduce(np.add, (self._axis_mesh(j).astype(np.float64) ** 2
                                for j in range(self.n)))
 
@@ -145,7 +144,8 @@ class SpectralGrid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Keep-mask of the two-thirds rule: drop modes with any |k_j| > res/3."""
-        return self._box_mask(self.res / 3.0)
+        return reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= self.res / 3.0
+                                       for j in range(self.n)))
 
     @cached_property
     def nyquist_mask(self) -> np.ndarray:
@@ -194,10 +194,49 @@ def _parseval(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.vdot(b, a).real - np.vdot(b[..., 0], a[..., 0]).real)
 
 
+def _rescaled(norm, arrays: Sequence[np.ndarray]):
+    """``norm(arrays)`` of a norm homogeneous of degree one.
+
+    Where that is not finite but every array is (squares of finite values
+    above about 1e154 overflow), it is taken again of the arrays divided by
+    their largest modulus and scaled back.  Other input keeps the plain
+    value, bytes and all, and so does non-finite input.
+    """
+    value = norm(arrays)
+    finite = isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
+    if finite or not all(np.isfinite(a).all() for a in arrays):
+        return value
+    scale = max(float(np.max(np.abs(a))) for a in arrays)
+    return scale * norm([a / scale for a in arrays])
+
+
 def _to_grid(grid: SpectralGrid, half: np.ndarray) -> np.ndarray:
-    """Samples of a half spectrum (with any leading batch axes) on the grid."""
-    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.n, 0)),
-                         norm="forward")
+    """Samples of a half spectrum (with any leading batch axes) on the grid.
+
+    The 1-D transforms of ``irfftn`` in its order (``ifft`` on the leading
+    axes from the first, then ``irfft`` on the last), pruned to the support
+    box of ``half`` (FFT pruning, Markel 1971): a line that holds only
+    zeros transforms to zeros, so the lines outside the box are never
+    transformed and the samples are the bytes ``irfftn`` gives.  A support
+    beyond the lower half of the last axis, such as the two-thirds band,
+    is not worth the bookkeeping and goes to ``irfftn`` whole.
+    """
+    # The (row, plane) pairs of the last two axes whose lines across the
+    # other axes hold a nonzero; a T^2 half without batch axes is its own.
+    face = np.any(half, axis=tuple(range(half.ndim - 2))) if half.ndim > 2 else half
+    planes = np.flatnonzero(np.any(face, axis=0))
+    top = planes[-1] + 1 if planes.size else 1
+    if 2 * top > half.shape[-1]:
+        return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.n, 0)),
+                             norm="forward")
+    part = half[..., :top]
+    if grid.n == 3:
+        rows = np.flatnonzero(np.any(face[:, :top], axis=1))
+        spread = np.zeros(part.shape, dtype=np.complex128)
+        spread[..., rows, :] = np.fft.ifft(part[..., rows, :], axis=-3, norm="forward")
+        part = spread
+    part = np.fft.ifft(part, axis=-2, norm="forward")
+    return np.fft.irfft(part, n=grid.res, axis=-1, norm="forward")
 
 
 @lru_cache(maxsize=None)
@@ -388,7 +427,8 @@ class FormField:
 def to_physical(u: FormField) -> list[np.ndarray]:
     """Real sample arrays of every component.
 
-    The samples are the real inverse transform (irfftn) of each half.
+    The samples are the real inverse transform (irfftn) of each half,
+    computed on the half's support box only (``_to_grid``).
     Raises FieldIntegrityError when a k_last = 0 plane is not Hermitian
     symmetric or not finite (the field would not be real).
     """
@@ -472,10 +512,22 @@ def fractional_power(u: FormField, s: float) -> FormField:
     """
     if s < 0:
         raise ValueError(f"fractional power needs s >= 0, got {s}")
-    k2 = u.grid.k_squared
+    mult = _power_symbol(u.grid, s)
+    return FormField(u.grid, u.degree, tuple(mult * c for c in u.components))
+
+
+@lru_cache(maxsize=32)
+def _power_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
+    """The read-only multiplier |k|^s of ``fractional_power``, zero at k = 0.
+
+    |k|^2 is made afresh and dropped, so the grid that keys the cache
+    keeps no ``k_squared`` alive for it.
+    """
+    k2 = grid._squared_modes()
     mult = np.zeros_like(k2)
     np.power(k2, s / 2.0, out=mult, where=k2 > 0)
-    return FormField(u.grid, u.degree, tuple(mult * c for c in u.components))
+    mult.flags.writeable = False
+    return mult
 
 
 def split_derivative(
@@ -507,26 +559,49 @@ def inner_product(u: FormField, v: FormField) -> float:
     return float(sum(_parseval(a, b) for a, b in zip(u.components, v.components)))
 
 
+def _parseval_norm(halves: Sequence[np.ndarray]) -> float:
+    """sqrt of the summed ``_parseval`` squares of ``halves``."""
+    return float(np.sqrt(max(sum(_parseval(c, c) for c in halves), 0.0)))
+
+
 def l2_norm(u: FormField) -> float:
-    return float(np.sqrt(max(inner_product(u, u), 0.0)))
+    """L^2 norm by Parseval, finite for every finite field (``_rescaled``)."""
+    return _rescaled(_parseval_norm, u.components)
+
+
+def _magnitude(phys: Sequence[np.ndarray]) -> np.ndarray:
+    """sqrt(sum_I u_I^2), summed in component order into one buffer."""
+    total = phys[0] ** 2
+    for c in phys[1:]:
+        total += c ** 2
+    return np.sqrt(total, out=total)
 
 
 def pointwise_magnitude(u: FormField) -> np.ndarray:
-    """Fibre Euclidean magnitude sqrt(sum_I u_I(x)^2) on the grid."""
-    phys = to_physical(u)
-    return np.sqrt(np.sum(np.stack(phys) ** 2, axis=0))
+    """Fibre Euclidean magnitude sqrt(sum_I u_I(x)^2) on the grid, finite
+    for finite samples (``_rescaled``)."""
+    return _rescaled(_magnitude, to_physical(u))
 
 
 def lp_norm(u: FormField, p: float) -> float:
-    """L^p norm by grid quadrature of the fibre magnitude; p=inf is the max."""
+    """L^p norm by grid quadrature of the fibre magnitude; p=inf is the max.
+
+    The samples come from ``to_physical``, which transforms only the
+    support box of each half; a finite field has a finite norm
+    (``_rescaled``).
+    """
     if p <= 1:
         raise ValueError(f"L^p norm needs p > 1, got {p}")
     if p == 2:
         return l2_norm(u)
-    mag = pointwise_magnitude(u)
-    if np.isinf(p):
-        return float(np.max(mag))
-    return float(np.mean(mag**p) ** (1.0 / p))
+
+    def quadrature(phys):
+        mag = _magnitude(phys)
+        if np.isinf(p):
+            return float(np.max(mag))
+        # In place: a second grid-sized array would cost more than the power.
+        return float(np.mean(np.power(mag, p, out=mag)) ** (1.0 / p))
+    return _rescaled(quadrature, to_physical(u))
 
 
 # -- dealiasing and random fields --------------------------------------------
@@ -569,13 +644,22 @@ def random_form(
 
     Coefficients come from transforming white physical noise, so the field
     is real by construction; modes with any |k_j| > kmax are dropped
-    (default kmax = res/3, inside the dealias band).
+    (default kmax = res/3, inside the dealias band).  Only the kept box is
+    transformed: ``rfftn``'s 1-D transforms in its order (``rfft`` on the
+    last axis, then ``fft`` on the leading axes from the last), each on
+    the lines that reach the box, so the kept modes are ``rfftn``'s bytes.
     """
-    band = grid.dealias_mask if kmax is None else grid._box_mask(kmax)
+    limit = grid.res / 3.0 if kmax is None else kmax
+    keep = [np.flatnonzero(np.abs(grid._axis_mesh(j).ravel()) <= limit)
+            for j in range(grid.n)]
     comps = []
     for _ in range(grid.component_count(degree)):
-        noise = rng.standard_normal(grid.shape)
-        comps.append(np.where(band, np.fft.rfftn(noise, norm="forward"), 0.0))
+        part = np.fft.rfft(rng.standard_normal(grid.shape), norm="forward")[..., keep[-1]]
+        for axis in range(grid.n - 2, -1, -1):
+            part = np.take(np.fft.fft(part, axis=axis, norm="forward"), keep[axis], axis=axis)
+        coeffs = np.zeros(grid.half_shape, dtype=np.complex128)
+        coeffs[np.ix_(*keep)] = part
+        comps.append(coeffs)
     field = FormField.from_coefficients(grid, degree, comps)
     if mean_free:
         field = remove_harmonic(field)

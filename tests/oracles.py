@@ -1,7 +1,7 @@
 """Independent numerical oracles used to validate the spectral code paths.
 
 Everything here works on physical sample arrays, with periodic rolls and
-plain quadrature sums or numpy's complex FFT on the whole grid; nothing
+plain quadrature sums or numpy's n-D FFTs on the whole grid; nothing
 touches the package's transforms, band halves or exterior calculus, so
 agreement between the two is a real check.
 """
@@ -122,3 +122,58 @@ def viscous_term(u: list[np.ndarray], mu: float) -> list[np.ndarray]:
     """mu times the flat Laplacian of each component: -mu |k|^2 u."""
     k2 = sum(k * k for k in _wavenumbers(u[0].shape))
     return [np.fft.ifftn(-mu * k2 * np.fft.fftn(c)).real for c in u]
+
+
+# -- the interpolation survey in plain numpy ----------------------------------
+
+
+def _half_modes(res: int) -> list[np.ndarray]:
+    """Integer modes of each axis of a T^3 rfftn half, broadcastable."""
+    lead = np.fft.fftfreq(res, 1.0 / res)
+    return [lead[:, None, None], lead[None, :, None],
+            np.fft.rfftfreq(res, 1.0 / res)[None, None, :]]
+
+
+def _parseval_norm(half: np.ndarray) -> float:
+    """L2 norm from an rfftn half: the k_last = 0 plane once, the others twice."""
+    total = 2.0 * np.vdot(half, half).real - np.vdot(half[..., 0], half[..., 0]).real
+    return float(np.sqrt(max(float(total), 0.0)))
+
+
+def _sobolev_ratio(half: np.ndarray) -> float:
+    """|v|_6 / ((|grad v|_2 + |v|_2) + |v|_2) on T^3, the case j0 = 0, m0 = 1,
+    p0 = 6, q0 = r0 = 2 of the interpolation bound, whose exponent is 1."""
+    res = half.shape[0]
+    samples = np.fft.irfftn(half, s=(res,) * 3, axes=(0, 1, 2), norm="forward")
+    lhs = float(np.mean(np.sqrt(samples ** 2) ** 6.0) ** (1.0 / 6.0))
+    k2 = sum(k ** 2 for k in _half_modes(res))
+    grad = np.power(k2, 0.5, out=np.zeros_like(k2), where=k2 > 0) * half
+    l2 = _parseval_norm(half)
+    return lhs / ((_parseval_norm(grad) + l2) + l2)
+
+
+def gn_survey_ratios(seed: int, trials: int, res: int = 32,
+                     kmax: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
+    """The ratios of ``gn_ratio_survey`` at res and at 2 res, drawn the same way.
+
+    Each trial cuts numpy's whole-grid ``rfftn`` of white noise to the box
+    |k_j| <= kmax, copies every mode |k_j| < res/2 into the half at 2 res,
+    and measures both on numpy's whole-grid ``irfftn``.  The norms repeat
+    the package's arithmetic operation for operation (Parseval on the half,
+    |k| as k2 ** 0.5), so the two agree byte for byte when the package's
+    transforms are numpy's.
+    """
+    rng = np.random.default_rng(seed)
+    modes = _half_modes(res)
+    limit = min(kmax, res / 2 - 1)
+    box = (np.abs(modes[0]) <= limit) & (np.abs(modes[1]) <= limit) & (np.abs(modes[2]) <= limit)
+    keep = np.flatnonzero(np.abs(modes[0].ravel()) < res / 2)
+    fine_lead = modes[0].ravel()[keep].astype(np.int64) % (2 * res)
+    ratios, doubled = np.zeros(trials), np.zeros(trials)
+    for i in range(trials):
+        half = np.where(box, np.fft.rfftn(rng.standard_normal((res,) * 3), norm="forward"), 0.0)
+        fine = np.zeros((2 * res, 2 * res, res + 1), dtype=np.complex128)
+        fine[np.ix_(fine_lead, fine_lead, np.arange(res // 2))] = \
+            half[np.ix_(keep, keep, np.arange(res // 2))]
+        ratios[i], doubled[i] = _sobolev_ratio(half), _sobolev_ratio(fine)
+    return ratios, doubled

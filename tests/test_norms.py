@@ -249,6 +249,25 @@ class TestInterpolationCheck:
         r2 = gagliardo_nirenberg_check(3.0 * v, 0, 1, 4.0, 2.0, 2.0)
         assert rel_err(r2.ratio, r1.ratio) < 1e-10
 
+    def test_l2_norm_taken_once_when_q0_is_two(self, monkeypatch):
+        # |v|_q0 at q0 = 2 is |v|_2, which the check already holds.
+        import torusforms.norms as norms_module
+        import torusforms.spectral as spectral_module
+        grid = SpectralGrid(3, 16)
+        v = random_form(grid, 0, np.random.default_rng(29), kmax=3)
+        expect = gagliardo_nirenberg_check(v, 0, 1, 6.0, 2.0, 2.0)
+        taken = []
+
+        def counted(u):
+            taken.append(u)
+            return l2_norm(u)
+        monkeypatch.setattr(norms_module, "l2_norm", counted)
+        monkeypatch.setattr(spectral_module, "l2_norm", counted)
+        report = gagliardo_nirenberg_check(v, 0, 1, 6.0, 2.0, 2.0)
+        assert report == expect
+        # |grad v|_2 through lp_norm, and |v|_2 once.
+        assert len(taken) == 2 and sum(u is v for u in taken) == 1
+
 
 class TestGronwall:
     def test_zero_rate_reduces_to_bound(self):

@@ -1817,6 +1817,19 @@ class TestNewton:
         assert not result.converged
         assert finite or not np.isfinite(result.residual_history[-1])
 
+    def test_huge_finite_targets_have_a_finite_first_residual(self):
+        # Coefficients of 1e200 square to inf: the residual norm rescales
+        # by the largest modulus instead of reading inf - inf = NaN.
+        cfg = SolverConfig(mu=0.1, T=8e-3, dt=2e-3, res=8, scheme="imex-euler")
+        base = solve_nonlinear(None, _taylor_green(cfg.grid()), cfg,
+                               derivatives=0, with_pressure=False)
+        f_cells, head = discrete_forward_data(base.u, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = newton_local_inverse([c * 1e200 for c in f_cells], head, base, cfg)
+        first = result.residual_history[0]
+        assert np.isfinite(first)
+        assert abs(first - 1e200 * max(l2_norm(c) for c in f_cells)) <= 1e-12 * first
+
     def test_final_pass_reuses_the_last_residual(self, monkeypatch):
         # Three residuals, each one batched pass of Q1 = M1(d u, u) over
         # the steps states that start a cell, then Q1 and M2 at the last

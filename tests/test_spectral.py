@@ -10,6 +10,8 @@ from torusforms.spectral import (
     FormField,
     SpectralGrid,
     _apply_d,
+    _power_symbol,
+    _to_grid,
     codifferential,
     dealias,
     exterior_derivative,
@@ -411,6 +413,103 @@ class TestLpNorms:
         grid = SpectralGrid(2, 16)
         with pytest.raises(ValueError):
             lp_norm(FormField.zeros(grid, 0), 1.0)
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 32), SpectralGrid(3, 16)])
+    def test_finite_fields_above_1e154_have_finite_norms(self, grid):
+        # Squares of such values overflow; the norms rescale by the largest
+        # modulus instead of reading inf - inf = NaN or inf.
+        u = random_form(grid, 1, np.random.default_rng(61))
+        big = u * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            for norm in (l2_norm, lambda v: lp_norm(v, 6.0), lambda v: lp_norm(v, np.inf)):
+                assert rel_err(norm(big), 1e200 * norm(u)) <= 1e-14
+            mag = pointwise_magnitude(big)
+        assert np.all(np.isfinite(mag))
+        assert np.max(np.abs(mag - 1e200 * pointwise_magnitude(u))) <= 1e-14 * np.max(mag)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fields_still_fail(self, bad):
+        grid = SpectralGrid(2, 16)
+        u = random_form(grid, 1, np.random.default_rng(67))
+        high = [c.copy() for c in u.components]
+        high[0][1, 2] = bad
+        high = FormField(grid, 1, tuple(high))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not np.isfinite(l2_norm(high))
+            assert not np.isfinite(lp_norm(high, 6.0))
+            assert not np.all(np.isfinite(pointwise_magnitude(high)))
+        plane = [c.copy() for c in u.components]
+        plane[0][1, 0] = bad
+        with pytest.raises(FieldIntegrityError):
+            lp_norm(FormField(grid, 1, tuple(plane)), 6.0)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal values, and equal bytes down to the signs of zeros."""
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestPrunedTransforms:
+    """The support-pruned transforms are numpy's n-D ones, bit for bit."""
+
+    @staticmethod
+    def _halves(grid: SpectralGrid) -> dict[str, np.ndarray]:
+        n, res = grid.n, grid.res
+        rng = np.random.default_rng(71 + res)
+        cases = {"zero": np.zeros(grid.half_shape, dtype=np.complex128)}
+        for name, k in (("origin", (0,) * n), ("minus-one", (-1,) + (0,) * (n - 1)),
+                        ("top-k-last", (0,) * (n - 1) + (res // 2 - 1,))):
+            half = np.zeros(grid.half_shape, dtype=np.complex128)
+            half[tuple(kj % res for kj in k)] = 1.0 - 0.5j
+            cases[name] = half
+        cases["band-5"] = random_form(grid, 0, rng, kmax=5).components[0]
+        cases["two-thirds"] = random_form(grid, 0, rng).components[0]
+        cases["noise"] = np.fft.rfftn(rng.standard_normal(grid.shape), norm="forward")
+        return cases
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 64), SpectralGrid(3, 32)])
+    def test_inverse_equals_irfftn(self, grid):
+        axes = tuple(range(-grid.n, 0))
+        for name, half in self._halves(grid).items():
+            expect = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+            assert _same_bytes(_to_grid(grid, half), expect), name
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 64), SpectralGrid(3, 16)])
+    def test_inverse_with_batch_axes_equals_irfftn(self, grid):
+        rng = np.random.default_rng(73)
+        halves = np.stack([random_form(grid, 0, rng, kmax=kmax).components[0]
+                           for kmax in (1, 3, 4, 2, 5, 0)]).reshape((2, 3) + grid.half_shape)
+        expect = np.fft.irfftn(halves, s=grid.shape, axes=tuple(range(-grid.n, 0)),
+                               norm="forward")
+        assert _same_bytes(_to_grid(grid, halves), expect)
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 32), SpectralGrid(3, 16)])
+    @pytest.mark.parametrize("kmax", [None, 0, 4.5, 5, 8, 40])
+    def test_random_form_equals_cut_rfftn(self, grid, kmax):
+        degree = 1
+        u = random_form(grid, degree, np.random.default_rng(79), kmax=kmax)
+        rng = np.random.default_rng(79)
+        modes = np.meshgrid(*[np.fft.fftfreq(grid.res, 1 / grid.res)] * (grid.n - 1),
+                            np.fft.rfftfreq(grid.res, 1 / grid.res), indexing="ij")
+        limit = grid.res / 3 if kmax is None else kmax
+        box = np.all([np.abs(k) <= limit for k in modes], axis=0)
+        for c in u.components:
+            expect = np.where(box, np.fft.rfftn(rng.standard_normal(grid.shape),
+                                                norm="forward"), 0.0)
+            expect[grid.nyquist_mask] = 0.0
+            assert _same_bytes(c, expect)
+
+    def test_power_symbol_is_a_read_only_cache(self):
+        grid = SpectralGrid(3, 16)
+        one, two = _power_symbol(grid, 1.0), _power_symbol(grid, 2.0)
+        assert _power_symbol(SpectralGrid(3, 16), 1.0) is one
+        assert not one.flags.writeable
+        with pytest.raises(ValueError):
+            one[1, 0, 0] = 5.0
+        assert not np.array_equal(one, two)
+        assert np.array_equal(two, grid.k_squared)
+        u = random_form(grid, 0, np.random.default_rng(83))
+        assert np.array_equal(fractional_power(u, 1.0).components[0], one * u.components[0])
 
 
 class TestDealias:

@@ -8,7 +8,7 @@ import pytest
 
 import torusforms.verify as verify_module
 
-from oracles import taylor_green_pressure, taylor_green_velocity
+from oracles import gn_survey_ratios, taylor_green_pressure, taylor_green_velocity
 from torusforms.norms import TimeSeriesSolution
 from torusforms.solver import (
     SolverConfig,
@@ -242,6 +242,14 @@ class TestGNSurvey:
         # resampled ratios shift slightly but stay well inside the band
         assert a.relative_change <= 0.05
         assert a.doubled_res == 32
+
+    def test_ratios_equal_whole_grid_numpy_bit_for_bit(self):
+        # The oracle draws and measures each trial with numpy's rfftn and
+        # irfftn on whole grids; the package transforms support boxes only.
+        report = gn_ratio_survey(seed=0, trials=30)
+        ratios, doubled = gn_survey_ratios(seed=0, trials=30)
+        assert np.array_equal(report.ratios, ratios)
+        assert np.array_equal(report.doubled_ratios, doubled)
 
     def test_alias_free_resolution_resamples_exactly(self):
         report = gn_ratio_survey(seed=7, trials=2, res=32)
