@@ -22,18 +22,20 @@ transforms on the half spectrum that fields store:
    the band part of its half (every |k_j| <= L = res // 3, k_last =
    0..L); a ``BandHalves`` state enters as it is;
 2. d of each input is formed on the half spectrum;
-3. ``irfftn`` brings every input component and every derivative component
-   to the grid;
+3. an inverse transform brings every input component and every derivative
+   component to the grid;
 4. the products are contracted over the nonzero tensor entries only, one
    output component at a time; in B each half-quadratic M(a, b) has its own
    buffer and the two are added afterwards, so B(v, v) = 2 N(v) exactly;
-5. ``rfftn`` takes every output component back, the band half is kept,
+5. a forward transform takes every output component back to its band half,
    and d is applied to the M2 output; a field result leaves through
    ``BandHalves.field``, which writes the band halves into a zero half,
    a state's result as its stacked band halves.
 
-For the ``navier-stokes-i1`` preset that is 6 component transforms per N on
-T^2 (u and omega inverse, 3 forward) and 10 on T^3; B takes 9 and 16.
+Budgets count component transforms, each one n-D call or, from 2^15 grid
+points on (``_band_box``), a pruned walk of n 1-D calls with the same bytes:
+for ``navier-stokes-i1`` 6 per N on T^2 (u and omega inverse, 3 forward)
+and 10 on T^3; B takes 9 and 16.
 
 The exact part d M2 is L^2-orthogonal to coclosed forms (Hodge-Helmholtz),
 so a caller that projects Q onto them throws it away.  The kernel's
@@ -54,8 +56,8 @@ is (B, *half_shape), the products (B, *grid.shape), every transform runs
 on the last n axes and the band index is (slice(None), *band); the
 symbols of ``spectral._apply_d``, the same walk of the insertion table as
 the d of fields, broadcast from the right.  A pass over B states makes as
-many transform calls as one evaluation (the budgets above), each over B
-grids, so it moves B times the points and saves the Python and
+many component transforms as one evaluation (the budgets above), each over
+B grids, so it moves B times the points and saves the Python and
 small-array cost of B - 1 calls.  ``nonlinear_term`` and ``bilinear_term``
 share one body, ``_quadratic_term`` on ``BandHalves`` states: fields enter
 through ``checked_state`` and the result leaves through ``field``.  Every
@@ -93,6 +95,7 @@ from .spectral import (
     _apply_d,
     _band_half,
     _band_shape,
+    _box_transform,
     _derivative_symbol,
     _is_hermitian,
     _to_grid,
@@ -265,6 +268,12 @@ def _half_position(grid: SpectralGrid, modes: np.ndarray) -> tuple[tuple, np.nda
     return tuple(inside.T % (2 * (grid.res // 3) + 1)), mirrored
 
 
+def _band_box(grid: SpectralGrid) -> list | None:
+    """The band's box where the kernel's transforms are pruned walks (from 2^15
+    points on), else None: pruning read 1.05-1.3x slower at T^2 res 16/32, T^3 16."""
+    return [i.ravel() for i in _band_half(grid)] if grid.res ** grid.n >= 1 << 15 else None
+
+
 def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list, list]:
     """One input of the kernel on the grid: its components and, where M1
     needs it, the components of its d.
@@ -272,12 +281,14 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
     ``halves`` are band halves, one per component, all with the same
     leading batch axes (or none); the grid values keep those axes.
     """
-    band, axes = _band_half(grid), tuple(range(-grid.n, 0))
+    band, axes, box = _band_half(grid), tuple(range(-grid.n, 0)), _band_box(grid)
     lead = np.shape(halves[0])[:-grid.n]
     index = (slice(None),) * len(lead) + band
-    spectrum = np.zeros(lead + grid.half_shape, dtype=np.complex128)
+    spectrum = None if box else np.zeros(lead + grid.half_shape, dtype=np.complex128)
 
     def physical(half):
+        if box:
+            return _box_transform(grid, half, box, inverse=True)
         # Every call writes the same band positions; the rest stays zero.
         spectrum[index] = half
         return np.fft.irfftn(spectrum, s=grid.shape, axes=axes, norm="forward")
@@ -304,7 +315,7 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str 
     derivs = [d for _, d in inputs]
     lead = values[0][0].shape[:-grid.n]
     band, axes = (slice(None),) * len(lead) + _band_half(grid), tuple(range(-grid.n, 0))
-    pairs = ((0, 0),) if len(inputs) == 1 else ((0, 1), (1, 0))
+    pairs, box = ((0, 0),) if len(inputs) == 1 else ((0, 1), (1, 0)), _band_box(grid)
 
     def spectral(entries, first, second):
         # Each pair's product in its own buffer, summed afterwards: then
@@ -316,6 +327,8 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str 
                 prod = term
             else:
                 prod += term
+        if box:
+            return _box_transform(grid, prod, box)
         return np.fft.rfftn(prod, axes=axes, norm="forward")[band]
 
     out = [None] * grid.component_count(cfg.degree)

@@ -603,6 +603,81 @@ class TestBatchedPass:
         self._assert_same(m2, [nonlinear_term(w, cfg, exact="only") for w in plain])
 
 
+class TestPrunedKernel:
+    """From 2^15 grid points on, each kernel transform is a pruned walk of n
+    1-D calls over the band: the bytes of the n-D path, which the tests force
+    by patching the size rule."""
+
+    @pytest.mark.parametrize("exact", nonlinear_module.EXACT_MODES)
+    @pytest.mark.parametrize("grid", [SpectralGrid(3, 32), SpectralGrid(3, 48),
+                                      SpectralGrid(2, 256)])
+    def test_equals_the_n_d_path(self, monkeypatch, grid, exact):
+        cfg = _ns(grid)
+        columns = [TestBatchedPass._states(grid, cfg, 3, 97 + i) for i in range(2)]
+        results = {}
+        for pruned in (True, False):
+            if not pruned:
+                monkeypatch.setattr(nonlinear_module, "_band_box", lambda grid: None)
+            assert (nonlinear_module._band_box(grid) is not None) == pruned
+            for size in (1, 3):  # no batch axis, then one pass of 3 states
+                monkeypatch.setattr(nonlinear_module, "_BATCH_BYTES",
+                                    size * 8 * grid.res ** grid.n)
+                for inputs in (1, 2):
+                    results[pruned, size, inputs] = nonlinear_module._quadratic_term(
+                        cfg, *columns[:inputs], exact=exact)
+        for size in (1, 3):
+            for inputs in (1, 2):
+                got, expected = results[True, size, inputs], results[False, size, inputs]
+                assert len(got) == len(expected) == 3
+                for a, b in zip(got, expected):
+                    for x, y in (zip(a, b) if exact == "apart" else [(a, b)]):
+                        assert x.tobytes() == y.tobytes()
+
+    def test_diagonal_is_twice_nonlinearity(self):
+        grid = SpectralGrid(3, 32)
+        assert nonlinear_module._band_box(grid) is not None
+        v = _state(random_form(grid, 1, np.random.default_rng(101)))
+        cfg = _ns(grid)
+        for exact in ("add", "drop", "only"):
+            n, b = nonlinear_term(v, cfg, exact=exact), bilinear_term(v, v, cfg, exact=exact)
+            assert b.tobytes() == (n * 2.0).tobytes()
+
+    def test_size_rule(self):
+        # 2^15 points: T^2 from res 256 on, T^3 from res 32 on.
+        pruned = {(2, 16): False, (2, 64): False, (2, 128): False, (2, 180): False,
+                  (2, 182): True, (2, 256): True, (3, 8): False, (3, 16): False,
+                  (3, 30): False, (3, 32): True, (3, 64): True}
+        for (n, res), expect in pruned.items():
+            box = nonlinear_module._band_box(SpectralGrid(n, res))
+            assert (box is not None) == expect
+            if expect:  # the band half's own index, as 1-D arrays
+                band = spectral_module._band_half(SpectralGrid(n, res))
+                assert all(np.array_equal(b, i.ravel()) for b, i in zip(box, band))
+
+    def test_ns3d_step_makes_18_walks(self, monkeypatch):
+        # The budget of TestProjectedMode's T^3 res-16 step, at res 32, where
+        # each component transform is a walk of n = 3 one-dimensional numpy
+        # calls, counted where the kernel calls it.
+        transforms, original = [], nonlinear_module._box_transform
+        monkeypatch.setattr(nonlinear_module, "_box_transform", lambda *args, **kw: (
+            transforms.append(kw.get("inverse", False)) or original(*args, **kw)))
+        calls = TestTransformBudget._counting_numpy(monkeypatch)
+        proxy = nonlinear_module.np
+        for module in (spectral_module, solver_module):
+            monkeypatch.setattr(module, "np", proxy)
+        grid = SpectralGrid(3, 32)
+        u0 = project_state(random_form(grid, 1, np.random.default_rng(103), kmax=6))
+        cfg = SolverConfig(mu=0.05, T=2e-3, dt=1e-3, res=32, n=3)
+        calls.clear()
+        solve_nonlinear(None, u0, cfg, derivatives=0, with_pressure=False)
+        # Per stage 3 velocity and 3 vorticity components to the grid
+        # (inverse), 3 M1 components back.
+        assert len(transforms) == 18 * cfg.steps
+        assert transforms.count(True) == 12 * cfg.steps
+        assert sorted(set(calls)) == ["fft", "ifft", "irfft", "rfft"]
+        assert len(calls) == 3 * 18 * cfg.steps
+
+
 class TestInputIntegrity:
     @staticmethod
     def _broken(grid: SpectralGrid, k: tuple[int, ...]) -> tuple[FormField, FormField]:

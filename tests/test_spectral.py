@@ -1,15 +1,19 @@
 """Core complex operations: derivative, adjoint, Laplacian, projections."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torusforms.spectral as spectral_module
 from torusforms.nonlinear import checked_state
 from torusforms.spectral import (
     FieldIntegrityError,
     FormField,
     SpectralGrid,
     _apply_d,
+    _box_transform,
     _power_symbol,
     _to_grid,
     codifferential,
@@ -420,12 +424,20 @@ class TestLpNorms:
         # modulus instead of reading inf - inf = NaN or inf.
         u = random_form(grid, 1, np.random.default_rng(61))
         big = u * 1e200
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             for norm in (l2_norm, lambda v: lp_norm(v, 6.0), lambda v: lp_norm(v, np.inf)):
                 assert rel_err(norm(big), 1e200 * norm(u)) <= 1e-14
             mag = pointwise_magnitude(big)
         assert np.all(np.isfinite(mag))
         assert np.max(np.abs(mag - 1e200 * pointwise_magnitude(u))) <= 1e-14 * np.max(mag)
+
+    def test_finite_fields_whose_powers_overflow_have_finite_norms(self):
+        # Squares of 1e100 stay finite, its sixth power does not.
+        u = random_form(SpectralGrid(2, 32), 1, np.random.default_rng(61))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rel_err(lp_norm(u * 1e100, 6.0), 1e100 * lp_norm(u, 6.0)) <= 1e-14
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_fields_still_fail(self, bad):
@@ -498,6 +510,37 @@ class TestPrunedTransforms:
                                                 norm="forward"), 0.0)
             expect[grid.nyquist_mask] = 0.0
             assert _same_bytes(c, expect)
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 64), SpectralGrid(3, 16)])
+    def test_support_reaching_the_cut_plane_goes_to_irfftn_whole(self, monkeypatch, grid):
+        # A half is pruned exactly when its cut plane (res/2 + 1) // 2 is
+        # zero; either way the samples are irfftn's and the half is left as
+        # it was, though the walk transforms its own arrays in place.
+        walks = []
+        monkeypatch.setattr(spectral_module, "_box_transform",
+                            lambda *args, **kw: walks.append(1) or _box_transform(*args, **kw))
+        cut = grid.half_shape[-1] // 2
+        axes = tuple(range(-grid.n, 0))
+        for plane, pruned in ((cut - 1, True), (cut, False), (cut + 1, True)):
+            half = np.zeros((2,) + grid.half_shape, dtype=np.complex128)
+            half[(1,) + (0,) * (grid.n - 1) + (plane,)] = 1.0 + 2.0j
+            half[(0, 1) + (0,) * (grid.n - 2) + (1,)] = -0.5j
+            kept = half.copy()
+            expect = np.fft.irfftn(half, s=grid.shape, axes=axes, norm="forward")
+            assert _same_bytes(_to_grid(grid, half), expect), plane
+            assert _same_bytes(half, kept) and walks == [1] * pruned
+            walks.clear()
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 64), SpectralGrid(3, 24)])
+    def test_forward_walk_equals_cut_rfftn_with_batch_axes(self, grid):
+        # The kernel's box, the two-thirds band half, over two batch axes.
+        band = spectral_module._band_half(grid)
+        values = np.random.default_rng(89).standard_normal((2, 3) + grid.shape)
+        kept = values.copy()
+        expect = np.fft.rfftn(values, axes=tuple(range(-grid.n, 0)), norm="forward")
+        got = _box_transform(grid, values, [i.ravel() for i in band])
+        assert _same_bytes(got, expect[(Ellipsis,) + band])
+        assert _same_bytes(values, kept)
 
     def test_power_symbol_is_a_read_only_cache(self):
         grid = SpectralGrid(3, 16)
