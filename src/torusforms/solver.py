@@ -42,9 +42,9 @@ where for degree 1 the last term is M2 minus its mean; a stage that
 starts a stored sample with pressures gets M2 from the same grid pass
 (the "apart" mode), so no state depends on which steps are stored.  The
 pressure's time derivative splits B(u, du/dt) alike.  A Galerkin basis
-kills d M2 only as far as its fibres are coclosed: a ``build_basis``
-basis is (``GalerkinBasis.coclosed``), a user basis admitted at 1e-10
-keeps the full Q.
+kills d M2 as well: ``GalerkinBasis`` admits only fibres divergence-free
+to 1e-13 |k|, and ``build_basis`` makes them in closed form from the
+symbol of delta, divergence-free to rounding.
 
 The Galerkin solves (``apply_inverse`` and the truncation study) run the
 same solver on the same band-half state, with the basis projector P_m in
@@ -71,9 +71,8 @@ import csv
 import math
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import product
 from math import comb
 from pathlib import Path
 from typing import Sequence
@@ -110,6 +109,7 @@ from .spectral import (
     inner_product,
     l2_norm,
     load_field,
+    multi_indices,
     parametrix,
     save_field,
 )
@@ -424,21 +424,20 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
     half, from Q's band halves at a ``BandHalves`` state (N(u) for
     ``advection`` None, else B(w_j, u) with w_j = advection(j, midpoint),
     zero where w_j is None; the kernel checks the degrees) and the forcing
-    pair f(j, midpoint) (``_draw`` with ``_forcing``, once a stage).  Where
-    P kills exact forms (the state-space projection, a coclosed basis) Q is
-    Q1, the kernel's M1 output, and a stage that starts a sample with
-    pressures takes M2 from the same grid pass.  The stage that starts at a
-    stored index, and one more stage call at the final state, hands these
-    parts to the ``_sampler``.  With ``f_dt``, the df/dt pairs, the samples
-    also take Q'(u) du = B(u, du) and df/dt."""
+    pair f(j, midpoint) (``_draw`` with ``_forcing``, once a stage).  Both
+    projectors kill exact forms (a basis is admitted only with fibres
+    divergence-free to rounding), so Q is Q1, the kernel's M1 output, and a
+    stage that starts a sample with pressures takes M2 from the same grid
+    pass.  The stage that starts at a stored index, and one more stage call
+    at the final state, hands these parts to the ``_sampler``.  With
+    ``f_dt``, the df/dt pairs, the samples also take Q'(u) du = B(u, du) and
+    df/dt."""
     grid, degree = u0.grid, u0.degree
     if with_pressure and ns.degree == 0:
         raise ValueError("a degree-0 equation has no pressure: pass with_pressure=False")
     project = partial(_band_projection, grid, degree) if basis is None else basis._project_band
-    projected = basis is None or basis.coclosed
     state0 = project(u0.halves)
-    stage_mode = "drop" if projected else "add"
-    sample_mode = "apart" if projected and with_pressure else stage_mode
+    sample_mode = "apart" if with_pressure else "drop"
     take, solution = _sampler(
         cfg.mu, project, derivatives, with_pressure, None if f_dt is None else
         lambda i, u, du: (*_split(bilinear_term(u, du, ns, exact=sample_mode)), f_dt(i)))
@@ -447,7 +446,7 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
     def rhs(j, midpoint, state):
         u = BandHalves(grid, degree, state)
         sample = not midpoint and j in starts
-        exact = sample_mode if sample else stage_mode
+        exact = sample_mode if sample else "drop"
         if advection is None:
             q, m2 = _split(nonlinear_term(u, ns, exact=exact))
         else:
@@ -652,43 +651,42 @@ def _divergence_matrix(n: int, degree: int, k: np.ndarray) -> np.ndarray:
     return L
 
 
-def _kernel_basis(L: np.ndarray) -> list[np.ndarray]:
-    """Deterministic orthonormal basis of ker L.
+def _fibres(n: int, degree: int, modes: np.ndarray) -> np.ndarray:
+    """Orthonormal divergence-free fibres at the nonzero integer ``modes``
+    (m, n), shape (m, C(n-1, degree), C(n, degree)).
 
-    Columns of the kernel projector are orthonormalized in coordinate
-    order (Gram-Schmidt with re-orthogonalization), so axis-aligned fibre
-    vectors come out exactly axis-aligned.
+    The symbol of delta is the contraction iota_k, and its sequence is exact
+    at k != 0 (the Koszul complex), so ker iota_k = iota_k(degree+1 forms).
+    With j the first axis of largest |k_j|, the columns of
+    ``_divergence_matrix(n, degree + 1, k)`` at the multi-indices J that
+    contain j are a frame of that kernel with integer entries, each with
+    entry +-k_j at J - {j}, where the others vanish.  Signed so that entry
+    is |k_j|, they are orthonormalized in multi-index order (Gram-Schmidt,
+    twice), all modes at once; an axis-aligned k gives axis-aligned fibres.
     """
-    dim = L.shape[1]
-    if L.shape[0] == 0 or not np.any(L):
-        proj = np.eye(dim)
-    else:
-        proj = np.eye(dim) - np.linalg.pinv(L) @ L
-    basis: list[np.ndarray] = []
-    for col in range(dim):
-        v = proj[:, col].copy()
+    k = np.asarray(modes, dtype=np.float64).reshape(-1, n)
+    at, j = np.arange(len(k)), np.argmax(np.abs(k), axis=1)
+    combos = multi_indices(n, degree + 1)
+    columns = np.array([[c for c, J in enumerate(combos) if a in J] for a in range(n)])
+    parity = np.array([[(-1.0) ** J.index(a) for J in combos if a in J] for a in range(n)])
+    L = _divergence_matrix(n, degree + 1, k.T)
+    frame = np.moveaxis(L[:, columns[j], at[:, None]], 0, -1)
+    frame *= (parity[j] * np.sign(k[at, j])[:, None])[..., None]
+    for i in range(frame.shape[1]):
+        done, v = frame[:, :i], frame[:, i]
         for _ in range(2):
-            for b in basis:
-                v -= np.dot(b, v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-10:
-            basis.append(v / norm)
-    return basis
+            v -= np.einsum("mfc,mf->mc", done, np.einsum("mfc,mc->mf", done, v))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return frame
 
 
-def _canonical_modes(grid: SpectralGrid) -> list[tuple[int, ...]]:
+def _canonical_modes(grid: SpectralGrid) -> np.ndarray:
     """Nonzero band wavevectors with positive leading nonzero component,
-    ordered by |k|^2 then lexicographically."""
-    limit = int(grid.res / 3.0)
-    axes = range(-limit, limit + 1)
-    modes = []
-    for k in product(*([axes] * grid.n)):
-        nonzero = [kj for kj in k if kj != 0]
-        if not nonzero or nonzero[0] < 0:
-            continue
-        modes.append(k)
-    modes.sort(key=lambda k: (sum(kj * kj for kj in k), k))
-    return modes
+    shape (count, n), ordered by |k|^2 then lexicographically."""
+    limit = grid.res // 3
+    k = np.indices((2 * limit + 1,) * grid.n).reshape(grid.n, -1).T - limit
+    k = k[k[np.arange(len(k)), np.argmax(k != 0, axis=1)] > 0]
+    return k[np.lexsort((*k.T[::-1], np.sum(k**2, axis=1)))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -706,10 +704,12 @@ class GalerkinBasis:
     at -k_j the conjugate, with phase sqrt(2)/2 for cos and -i sqrt(2)/2
     for sin; ``project`` gathers and ``synthesize`` scatters in the band half.
     Construction checks one fibre, sine flag and eigenvalue |k_j|^2 per
-    nonzero band mode, and that the fibres are unit, divergence-free (the
-    contraction of ``_divergence_matrix``) and orthogonal at each mode and
-    phase, so P_m is an orthogonal projection.  Compared by identity: ``==``
-    is ``is`` and ``hash`` the object's id.
+    nonzero band mode, and that the fibres are unit, orthogonal at each mode
+    and phase, so P_m is an orthogonal projection, and divergence-free to
+    1e-13 |k_j| (the contraction of ``_divergence_matrix``), so P_m kills
+    exact forms to rounding; a ``ValueError`` names the first field that
+    fails.  Compared by identity: ``==`` is ``is`` and ``hash`` the
+    object's id.
     """
 
     grid: SpectralGrid
@@ -718,9 +718,6 @@ class GalerkinBasis:
     fibres: np.ndarray
     sine: np.ndarray
     eigenvalues: np.ndarray
-    # Whether every fibre is divergence-free to rounding (1e-13 |k|), as
-    # build_basis's are: then P_m kills exact forms to rounding too.
-    coclosed: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = self.grid
@@ -749,14 +746,13 @@ class GalerkinBasis:
         div = np.einsum("ijm,mj->mi", _divergence_matrix(grid.n, self.degree, modes.T),
                         fibres)
         div = np.linalg.norm(div, axis=1) / np.sqrt(squares)
-        object.__setattr__(self, "coclosed", bool(np.all(div <= 1e-13)))
         # With unit fibres, P_m at a mode is idempotent iff the fibres of its
         # fields of one phase are orthogonal.
         mats = np.moveaxis(self._projector, (1, 2), (-2, -1))
         overlap = np.max(np.abs(mats @ mats - mats), axis=(-2, -1))
         for problem, bad in (("is not a unit vector",
                               ~(np.abs(np.linalg.norm(fibres, axis=1) - 1.0) <= 1e-10)),
-                             ("is not divergence-free at its mode", ~(div <= 1e-10)),
+                             ("is not divergence-free at its mode", ~(div <= 1e-13)),
                              ("is not orthogonal to another field's at its mode and phase",
                               overlap[(self.sine.astype(int),) + self._half_index[0][0]]
                               > 1e-10)):
@@ -854,30 +850,27 @@ def build_basis(grid: SpectralGrid, degree: int, m: int | None = None) -> Galerk
 
     With m = None the full band-limited space is used.  The available
     dimension is (band modes)/2 * 2 * fibre dimension; requesting more is
-    a parameter error.
+    a parameter error, as are an m that is not a positive integer and a
+    degree outside 0..n-1.
     """
-    if not 0 <= degree <= grid.n:
-        raise ValueError("degree out of range")
-    modes, fibres, sine, eigs = [], [], [], []
-    for k in _canonical_modes(grid):
-        kvec = np.array(k, dtype=np.float64)
-        fibre = _kernel_basis(_divergence_matrix(grid.n, degree, kvec))
-        lam = float(np.dot(kvec, kvec))
-        for is_sine in (False, True):
-            for xi in fibre:
-                modes.append(k)
-                fibres.append(xi)
-                sine.append(is_sine)
-                eigs.append(lam)
-        if m is not None and len(modes) >= m:
-            break
-    if m is None:
-        m = len(modes)
-    if m > len(modes):
-        raise ValueError(
-            f"truncation m = {m} exceeds the band-limited dimension {len(modes)}"
-        )
-    return GalerkinBasis(grid, degree, modes[:m], fibres[:m], sine[:m], eigs[:m])
+    if not 0 <= degree < grid.n:
+        raise ValueError(f"degree must lie in 0..{grid.n - 1} (degree {grid.n} has no "
+                         f"divergence-free eigenfields off the harmonic mode), got {degree}")
+    if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ValueError(f"truncation m must be a positive integer, got {m!r}")
+    modes = _canonical_modes(grid)
+    per_mode = 2 * comb(grid.n - 1, degree)
+    total = len(modes) * per_mode
+    m = total if m is None else m
+    if m > total:
+        raise ValueError(f"truncation m = {m} exceeds the band-limited dimension {total}")
+    modes = modes[:math.ceil(m / per_mode)]
+    fibres = _fibres(grid.n, degree, modes)
+    return GalerkinBasis(
+        grid, degree, np.repeat(modes, per_mode, axis=0)[:m],
+        np.tile(fibres, (1, 2, 1)).reshape(-1, fibres.shape[2])[:m],
+        np.tile(np.repeat([False, True], per_mode // 2), len(modes))[:m],
+        np.repeat(np.sum(modes**2, axis=1), per_mode)[:m])
 
 
 # -- linearized operator and its inverse ----------------------------------------

@@ -3,10 +3,13 @@
 Everything here works on physical sample arrays, with periodic rolls and
 plain quadrature sums or numpy's n-D FFTs on the whole grid; nothing
 touches the package's transforms, band halves or exterior calculus, so
-agreement between the two is a real check.
+agreement between the two is a real check.  The Galerkin-basis oracles
+enumerate wavevectors one by one and take kernels by numpy's pinv.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -74,6 +77,27 @@ def observed_order(errors: list[float]) -> float:
     """Smallest log2 ratio of consecutive errors under step halving."""
     rates = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     return float(min(rates))
+
+
+# -- Galerkin-basis oracles: the mode enumeration and the fibre spaces -------
+
+
+def product_canonical_modes(n: int, res: int) -> list[tuple[int, ...]]:
+    """Nonzero band wavevectors (|k_i| <= res/3) with positive leading
+    nonzero component, enumerated one by one and sorted by (|k|^2, k)."""
+    limit = int(res / 3.0)
+    axes = range(-limit, limit + 1)
+    modes = [k for k in product(*([axes] * n))
+             if any(k) and next(kj for kj in k if kj != 0) > 0]
+    modes.sort(key=lambda k: (sum(kj * kj for kj in k), k))
+    return modes
+
+
+def pinv_kernel_projector(L: np.ndarray) -> np.ndarray:
+    """Orthogonal projectors I - pinv(L) L onto ker L, for a stack of
+    matrices L of shape (m, rows, cols); the identity where L has no rows."""
+    eye = np.broadcast_to(np.eye(L.shape[-1]), L.shape[:-2] + (L.shape[-1],) * 2)
+    return eye if L.shape[-2] == 0 else eye - np.linalg.pinv(L) @ L
 
 
 # -- spectral oracles for the incompressible equations (vector fields) -------

@@ -363,7 +363,6 @@ class TestProjectedMode:
         m2 = nonlinear_term(_state(v), _ns(grid), exact="only")
         dm2 = np.stack(_apply_d(grid, 0, list(m2), band=True))
         basis = build_basis(grid, 1)
-        assert basis.coclosed
         for project in (partial(_band_projection, grid, 1), basis._project_band):
             assert _half_norm(project(dm2)) <= 1e-15 * _half_norm(dm2)
 

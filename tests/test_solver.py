@@ -24,7 +24,9 @@ import torusforms.spectral as spectral_module
 from oracles import (
     dealiased_convection,
     observed_order,
+    pinv_kernel_projector,
     pressure_split,
+    product_canonical_modes,
     taylor_green_pressure,
     taylor_green_velocity,
     viscous_term,
@@ -329,6 +331,55 @@ class TestGalerkinBasis:
         assert peak < 64 * 2**20
         arrays = [v for v in vars(basis).values() if isinstance(v, np.ndarray)]
         assert arrays and max(a.size for a in arrays) < basis.m * grid.res**grid.n
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 512), SpectralGrid(3, 128)])
+    def test_fibres_divergence_free_and_orthonormal_to_rounding(self, grid):
+        # The closed-form fibres stay at rounding for every canonical mode,
+        # at any |k|: the frame iota_k(e_j ^ e_I) is exactly coclosed.
+        modes = solver_module._canonical_modes(grid)
+        for degree in range(grid.n):
+            fibres = solver_module._fibres(grid.n, degree, modes)
+            L = solver_module._divergence_matrix(grid.n, degree, modes.T.astype(float))
+            div = np.linalg.norm(np.einsum("rcm,mfc->mfr", L, fibres), axis=-1)
+            assert np.max(div / np.linalg.norm(modes, axis=1)[:, None]) <= 1e-15
+            gram = fibres @ np.swapaxes(fibres, 1, 2)
+            assert np.max(np.abs(gram - np.eye(fibres.shape[1]))) <= 1e-15
+
+    def test_full_band_admitted_at_t2_res_512(self):
+        # The pinv fibres failed the 1e-13 |k| bound from here on.
+        grid = SpectralGrid(2, 512)
+        assert build_basis(grid, 1).m == 2 * len(solver_module._canonical_modes(grid))
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 64), SpectralGrid(3, 16)])
+    def test_fibres_span_the_pinv_kernel(self, grid):
+        # Per mode, sum xi xi^T is the orthogonal projector onto ker L.
+        modes = solver_module._canonical_modes(grid)
+        for degree in range(grid.n):
+            fibres = solver_module._fibres(grid.n, degree, modes)
+            L = solver_module._divergence_matrix(grid.n, degree, modes.T.astype(float))
+            expected = pinv_kernel_projector(np.moveaxis(L, -1, 0))
+            assert np.max(np.abs(np.swapaxes(fibres, 1, 2) @ fibres - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("n, res", [(2, 16), (2, 64), (3, 8), (3, 16)])
+    def test_canonical_order_matches_enumeration(self, n, res):
+        modes = solver_module._canonical_modes(SpectralGrid(n, res))
+        assert modes.tolist() == [list(k) for k in product_canonical_modes(n, res)]
+
+    @pytest.mark.parametrize("degree, m, problem", [
+        (1, -1, "truncation m must be a positive integer"),
+        (1, 0, "truncation m must be a positive integer"),
+        (1, -5, "truncation m must be a positive integer"),
+        (1, 2.5, "truncation m must be a positive integer"),
+        (2, None, r"degree 2 has no divergence-free eigenfields off the harmonic mode\), got 2"),
+        (2, 4, r"degree 2 has no divergence-free eigenfields off the harmonic mode\), got 2"),
+    ])
+    def test_truncation_and_degree_checked_up_front(self, degree, m, problem):
+        with pytest.raises(ValueError, match=problem):
+            build_basis(G16, degree, m)
+        cfg = SolverConfig(mu=0.2, T=0.01, dt=5e-3, res=16, degree=degree, preset="zero")
+        with pytest.raises(ValueError, match=problem):
+            galerkin_convergence_study(None, FormField.zeros(G16, degree), cfg,
+                                       ms=(4, 8 if m is None else m))
 
     def test_parameter_errors(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -1465,22 +1516,21 @@ class TestApplyInverse:
         return w, f, u0
 
     def test_exact_part_left_out_only_for_a_coclosed_basis(self, monkeypatch):
-        # P_m kills d M2 only as far as its fibres are divergence-free: a
-        # basis tilted by 1e-11 (admitted at 1e-10) keeps the full Q.
+        # P_m kills d M2 as far as its fibres are divergence-free, so a basis
+        # tilted by 1e-11 is rejected at construction, and the Galerkin solve
+        # of a build_basis basis leaves the exact part out.
         w, f, u0 = self._data()
         cfg = SolverConfig(mu=0.2, T=0.02, dt=5e-3, res=16)
         exact = build_basis(G16, 1, 24)
         tilted = exact.fibres + 1e-11 * exact.modes / np.sqrt(exact.eigenvalues)[:, None]
         tilted /= np.linalg.norm(tilted, axis=1)[:, None]
-        basis = GalerkinBasis(G16, 1, exact.modes, tilted, exact.sine, exact.eigenvalues)
-        assert exact.coclosed and not basis.coclosed
+        with pytest.raises(ValueError, match="field 0: .* not divergence-free at its mode"):
+            GalerkinBasis(G16, 1, exact.modes, tilted, exact.sine, exact.eigenvalues)
         modes, original = [], solver_module.bilinear_term
         monkeypatch.setattr(solver_module, "bilinear_term", lambda *args, exact="add": (
             modes.append(exact) or original(*args, exact=exact)))
-        for b, expected in ((exact, "drop"), (basis, "add")):
-            modes.clear()
-            apply_inverse(assemble_linearized(w, cfg.mu, b, cfg.times(), NS2), f, u0, cfg)
-            assert set(modes) == {expected}
+        apply_inverse(assemble_linearized(w, cfg.mu, exact, cfg.times(), NS2), f, u0, cfg)
+        assert set(modes) == {"drop"}
 
     def test_full_band_matches_field_solver(self):
         w, f, u0 = self._data()
