@@ -5,14 +5,19 @@ stdout (or, when ``--out`` is given, writes ``report.json`` there and
 prints one human-readable line per check instead), and exits nonzero iff
 any pass/fail check failed.  With ``--out`` it also writes
 ``timings.json``, which maps each check id to the wall time in seconds of
-the suite, experiment or command that made the check.  Flags shared by
-all subcommands:
+the suite, experiment or command that made the check.  Each subcommand
+registers only the flags it reads; any other fails at parse time (exit
+code 2):
 
-    --config FILE   structured text solver configuration
+    --config FILE   structured text solver configuration (not verify or
+                    gn-survey)
     --seed INT      random seed (default 0)
     --out DIR       output directory for solutions, CSV files, report.json
                     and timings.json
-    --res/--dt/--mu/--preset   override the corresponding config entry
+    --res INT       override the resolution (every subcommand)
+    --dt/--mu/--preset   override the config entry (solve-linear,
+                    solve-nonlinear, norms and newton)
+    --trials INT    number of random fields (gn-survey only)
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .solver import (
 )
 from .spectral import codifferential, fractional_power, l2_norm, random_form
 from .verify import (
-    CheckRecord,
     ExperimentSpec,
     VerificationReport,
     emit_plot_data,
@@ -57,20 +61,18 @@ from .verify import (
 )
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="solver configuration file")
-    parser.add_argument("--seed", type=int, default=0, help="random seed")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="output directory")
-    parser.add_argument("--res", type=int, default=None,
-                        help="override spatial resolution")
-    parser.add_argument("--dt", type=float, default=None,
-                        help="override time step")
-    parser.add_argument("--mu", type=float, default=None,
-                        help="override viscosity")
-    parser.add_argument("--preset", default=None, choices=PRESETS,
-                        help="override nonlinearity preset")
+_FLAGS = {
+    "--config": dict(type=Path, default=None, help="solver configuration file"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--out": dict(type=Path, default=None, help="output directory"),
+    "--res": dict(type=int, default=None, help="override spatial resolution"),
+    "--dt": dict(type=float, default=None, help="override time step"),
+    "--mu": dict(type=float, default=None, help="override viscosity"),
+    "--preset": dict(default=None, choices=PRESETS,
+                     help="override nonlinearity preset"),
+    "--trials": dict(type=int, default=1000, help="number of random fields"),
+}
+_SOLVE_FLAGS = ("--config", "--seed", "--out", "--res", "--dt", "--mu", "--preset")
 
 
 def _resolve_config(args, default: SolverConfig) -> SolverConfig:
@@ -78,7 +80,7 @@ def _resolve_config(args, default: SolverConfig) -> SolverConfig:
     overrides = {
         key: getattr(args, key)
         for key in ("res", "dt", "mu", "preset")
-        if getattr(args, key) is not None
+        if getattr(args, key, None) is not None
     }
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
@@ -137,8 +139,8 @@ def _cmd_solve_linear(args) -> int:
 def _cmd_solve_nonlinear(args) -> int:
     cfg = _resolve_config(
         args, SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=32, scheme="imex-rk2"))
-    spec = ExperimentSpec("taylor-green", config=cfg, preset=cfg.preset,
-                          out_dir=args.out, seed=args.seed)
+    spec = ExperimentSpec("taylor-green", config=cfg, out_dir=args.out,
+                          seed=args.seed)
     report = run_experiment(spec)
     return _finish(report, args.out)
 
@@ -243,28 +245,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "solve-linear": (_cmd_solve_linear,
+        "solve-linear": (_cmd_solve_linear, _SOLVE_FLAGS,
                          "integrate the linearized parabolic problem with "
                          "seeded band-limited data"),
-        "solve-nonlinear": (_cmd_solve_nonlinear,
+        "solve-nonlinear": (_cmd_solve_nonlinear, _SOLVE_FLAGS,
                             "integrate the quadratic parabolic problem "
                             "(decaying-vortex benchmark by default)"),
-        "verify": (_cmd_verify, "run the aggregated invariant suite"),
-        "hodge": (_cmd_hodge, "run the projection/decomposition identity "
-                              "experiment"),
-        "norms": (_cmd_norms, "solve a short benchmark run and export its "
-                              "norm table"),
-        "gn-survey": (_cmd_gn_survey, "survey the interpolation-inequality "
-                                      "ratio on random fields"),
-        "newton": (_cmd_newton, "invert the discrete forward map near the "
-                                "benchmark trajectory"),
+        "verify": (_cmd_verify, ("--seed", "--out", "--res"),
+                   "run the aggregated invariant suite"),
+        "hodge": (_cmd_hodge, ("--config", "--res", "--seed", "--out"),
+                  "run the projection/decomposition identity experiment"),
+        "norms": (_cmd_norms, _SOLVE_FLAGS,
+                  "solve a short benchmark run and export its norm table"),
+        "gn-survey": (_cmd_gn_survey, ("--seed", "--out", "--res", "--trials"),
+                      "survey the interpolation-inequality ratio on random "
+                      "fields"),
+        "newton": (_cmd_newton, _SOLVE_FLAGS,
+                   "invert the discrete forward map near the benchmark "
+                   "trajectory"),
     }
-    for name, (func, help_text) in commands.items():
+    for name, (func, flags, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-        if name == "gn-survey":
-            p.add_argument("--trials", type=int, default=1000,
-                           help="number of random fields")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
 

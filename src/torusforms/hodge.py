@@ -10,15 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .spectral import (
     ConsistencyError,
     FormField,
     codifferential,
     exterior_derivative,
     harmonic_projection,
-    inner_product,
     l2_norm,
     parametrix,
 )
@@ -31,9 +28,6 @@ class HodgeDecomposition:
     exact: FormField
     coexact: FormField
     harmonic: FormField
-
-    def reconstruct(self) -> FormField:
-        return self.exact + self.coexact + self.harmonic
 
 
 def helmholtz_project(u: FormField) -> FormField:

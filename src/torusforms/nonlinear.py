@@ -541,23 +541,16 @@ def convective_term(w: FormField, u: FormField) -> FormField:
     return dealias(FormField.from_physical(grid, 1, comps))
 
 
-def trilinear_form(
-    w: FormField, u: FormField, cfg: NonlinearityConfig, diagnostic: str = "auto"
-) -> float:
+def trilinear_form(w: FormField, u: FormField, cfg: NonlinearityConfig) -> float:
     """Trilinear pairing of the nonlinearity against the state.
 
-    ``diagnostic="convective"`` returns ((w . grad) u, u), the classical
-    form that vanishes for divergence-free w; it is the default for the
-    navier-stokes-i1 preset.  ``"raw"`` returns (B(w, u), u) for any
-    configuration.
+    For the navier-stokes-i1 preset it is ((w . grad) u, u), the classical
+    form that vanishes for divergence-free w; for any other configuration
+    (B(w, u), u).
     """
-    if diagnostic == "auto":
-        diagnostic = "convective" if cfg.tag == "navier-stokes-i1" else "raw"
-    if diagnostic == "convective":
+    if cfg.tag == "navier-stokes-i1":
         return inner_product(convective_term(w, u), u)
-    if diagnostic == "raw":
-        return inner_product(bilinear_term(w, u, cfg), u)
-    raise ValueError(f"unknown diagnostic {diagnostic!r}")
+    return inner_product(bilinear_term(w, u, cfg), u)
 
 
 # -- empirical continuity bound ------------------------------------------------
@@ -640,50 +633,3 @@ def continuity_bound_survey(
         ratios=np.array(ratios),
     )
 
-
-# -- tensor text format ---------------------------------------------------------
-
-# Header line "degrees <n> <first> <second> <out>", then one entry per
-# line "a b c value"; omitted entries are zero.
-
-
-def save_bilinear_map(bmap: BilinearMap, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("# bilinear map tensor: component_a component_b component_out value\n")
-        fh.write(
-            f"degrees {bmap.n} {bmap.degree_first} {bmap.degree_second} "
-            f"{bmap.degree_out}\n"
-        )
-        for (a, b, c), value in np.ndenumerate(bmap.tensor):
-            if value != 0.0:
-                fh.write(f"{a} {b} {c} {float(value)!r}\n")
-
-
-def load_bilinear_map(path) -> BilinearMap:
-    header = None
-    entries = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("degrees"):
-                parts = line.split()
-                if len(parts) != 5:
-                    raise ValueError(
-                        "header must read 'degrees <n> <first> <second> <out>'"
-                    )
-                header = tuple(int(x) for x in parts[1:])
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ValueError(f"bad tensor entry line: {raw.rstrip()!r}")
-            entries.append((int(parts[0]), int(parts[1]), int(parts[2]),
-                            float(parts[3])))
-    if header is None:
-        raise ValueError("tensor file is missing its degrees header")
-    n, d1, d2, dout = header
-    tensor = np.zeros((comb(n, d1), comb(n, d2), comb(n, dout)))
-    for a, b, c, value in entries:
-        tensor[a, b, c] = value
-    return BilinearMap(n, d1, d2, dout, tensor)

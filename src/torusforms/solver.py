@@ -696,15 +696,15 @@ class GalerkinBasis:
     Fields are sqrt(2) {cos, sin}(k.x) xi over canonical wavevectors k
     (positive leading nonzero component) and orthonormal fibre vectors
     xi in the divergence-free kernel; ordering is (|k|^2, k lexicographic,
-    cos before sin, fibre index).  Eigenvalue of field j is |k_j|^2.
+    cos before sin, fibre index).  Eigenvalue of field j is |k_j|^2
+    (``eigenvalues``, computed from the modes).
 
     Field j lives on the two modes +-k_j, so the basis stores only its mode
-    data: ``modes`` (m, n), ``fibres`` (m, ncomp), ``sine`` (m,) and
-    ``eigenvalues`` (m,).  Its coefficient at +k_j is ``phase_j xi_j`` and
-    at -k_j the conjugate, with phase sqrt(2)/2 for cos and -i sqrt(2)/2
-    for sin; ``project`` gathers and ``synthesize`` scatters in the band half.
-    Construction checks one fibre, sine flag and eigenvalue |k_j|^2 per
-    nonzero band mode, and that the fibres are unit, orthogonal at each mode
+    data: ``modes`` (m, n), ``fibres`` (m, ncomp) and ``sine`` (m,).  Its
+    coefficient at +k_j is ``phase_j xi_j`` and at -k_j the conjugate, with
+    phase sqrt(2)/2 for cos and -i sqrt(2)/2 for sin; ``synthesize``
+    scatters in the band half.  Construction checks one fibre and sine flag
+    per nonzero band mode, and that the fibres are unit, orthogonal at each mode
     and phase, so P_m is an orthogonal projection, and divergence-free to
     1e-13 |k_j| (the contraction of ``_divergence_matrix``), so P_m kills
     exact forms to rounding; a ``ValueError`` names the first field that
@@ -717,7 +717,6 @@ class GalerkinBasis:
     modes: np.ndarray
     fibres: np.ndarray
     sine: np.ndarray
-    eigenvalues: np.ndarray
 
     def __post_init__(self):
         grid = self.grid
@@ -726,19 +725,17 @@ class GalerkinBasis:
             raise ValueError("basis needs at least one field")
         object.__setattr__(self, "modes", modes)
         shapes = {"fibres": (np.float64, (-1, grid.component_count(self.degree))),
-                  "sine": (bool, -1), "eigenvalues": (np.float64, -1)}
+                  "sine": (bool, -1)}
         for name, (dtype, shape) in shapes.items():
             value = np.asarray(getattr(self, name), dtype=dtype).reshape(shape)
             if len(value) != len(modes):
                 raise ValueError(f"field {min(len(value), len(modes))}: {name} has "
                                  f"{len(value)} entries for {len(modes)} modes")
             object.__setattr__(self, name, value)
-        limit, squares = grid.res // 3, np.sum(modes**2, axis=1)
+        limit, squares = grid.res // 3, self.eigenvalues
         for problem, bad in (("is the zero mode", squares == 0),
                              (f"lies outside the band |k_i| <= {limit}",
-                              np.any(np.abs(modes) > limit, axis=1)),
-                             ("has an eigenvalue other than |k|^2",
-                              self.eigenvalues != squares)):
+                              np.any(np.abs(modes) > limit, axis=1))):
             if np.any(bad):
                 j = int(np.argmax(bad))
                 raise ValueError(f"field {j}: mode {tuple(modes[j].tolist())} {problem}")
@@ -764,6 +761,11 @@ class GalerkinBasis:
     def m(self) -> int:
         return len(self.modes)
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """|k_j|^2 of each field, as float64."""
+        return np.sum(self.modes**2, axis=1).astype(np.float64)
+
     @property
     def fields(self) -> tuple[FormField, ...]:
         """The basis fields, synthesized on every access."""
@@ -777,25 +779,6 @@ class GalerkinBasis:
     def _half_index(self) -> tuple[tuple[tuple, np.ndarray], ...]:
         """``_half_position`` of +k_j and of -k_j: the kernel's layout."""
         return tuple(_half_position(self.grid, q) for q in (self.modes, -self.modes))
-
-    def project(self, u: FormField) -> np.ndarray:
-        """Coefficients (u, b_j) of the basis expansion, read from u's band
-        halves after the entry check against the basis grid and degree
-        (``checked_state``, named "projected field")."""
-        return self._project_halves(
-            checked_state(u, self.grid, self.degree, "projected field").halves)
-
-    def _project_halves(self, halves) -> np.ndarray:
-        """``project`` of the real field with band halves ``halves``, one per
-        component: the coefficients at +k_j and -k_j, gathered."""
-        at = []
-        for index, mirrored in self._half_index:
-            values = np.stack([h[index] for h in halves], axis=-1)
-            values[mirrored] = np.conj(values[mirrored])
-            at.append(values)
-        phase = self._phase[:, None]
-        pair = np.conj(phase) * at[0] + phase * at[1]
-        return np.sum(self.fibres * pair.real, axis=-1)
 
     @cached_property
     def _projector(self) -> np.ndarray:
@@ -841,8 +824,7 @@ class GalerkinBasis:
         if sorted(perm) != list(range(self.m)):
             raise ValueError("not a permutation of the basis indices")
         return GalerkinBasis(self.grid, self.degree, self.modes[perm],
-                             self.fibres[perm], self.sine[perm],
-                             self.eigenvalues[perm])
+                             self.fibres[perm], self.sine[perm])
 
 
 def build_basis(grid: SpectralGrid, degree: int, m: int | None = None) -> GalerkinBasis:
@@ -869,8 +851,7 @@ def build_basis(grid: SpectralGrid, degree: int, m: int | None = None) -> Galerk
     return GalerkinBasis(
         grid, degree, np.repeat(modes, per_mode, axis=0)[:m],
         np.tile(fibres, (1, 2, 1)).reshape(-1, fibres.shape[2])[:m],
-        np.tile(np.repeat([False, True], per_mode // 2), len(modes))[:m],
-        np.repeat(np.sum(modes**2, axis=1), per_mode)[:m])
+        np.tile(np.repeat([False, True], per_mode // 2), len(modes))[:m])
 
 
 # -- linearized operator and its inverse ----------------------------------------

@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb, isfinite
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

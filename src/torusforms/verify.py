@@ -31,7 +31,6 @@ from .nonlinear import (
     bilinear_term,
     continuity_bound_survey,
     convective_term,
-    get_preset,
     half_dot_map,
     interior_product_map,
     navier_stokes_config,
@@ -84,8 +83,6 @@ from .spectral import (
     resample,
     to_physical,
 )
-
-REPORT_STATUSES = ("pass", "fail", "measured")
 
 
 @dataclass(frozen=True)
@@ -842,14 +839,11 @@ def _merged_sizes(sizes: Mapping | None) -> dict:
 
 @dataclass
 class ExperimentSpec:
-    """A named preset run: configuration, data generators, check subset."""
+    """A named preset run: its configuration (the nonlinearity is
+    ``config.preset``), output directory and seed."""
 
     name: str
     config: SolverConfig | None = None
-    preset: str = "navier-stokes-i1"
-    f_maker: Callable[[SpectralGrid, np.random.Generator], FormField] | None = None
-    u0_maker: Callable[[SpectralGrid, np.random.Generator], FormField] | None = None
-    checks: Sequence[str] | None = None
     out_dir: Path | None = None
     seed: int = 0
 
@@ -858,33 +852,25 @@ def _taylor_green_experiment(spec: ExperimentSpec) -> list[CheckRecord]:
     cfg = spec.config or SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=32,
                                       scheme="imex-rk2")
     grid = cfg.grid()
-    rng = np.random.default_rng(spec.seed)
-    custom = spec.u0_maker is not None or spec.f_maker is not None
-    u0 = (spec.u0_maker(grid, rng) if spec.u0_maker is not None
-          else taylor_green_state(grid, 0.0, cfg.mu))
-    f = spec.f_maker(grid, rng) if spec.f_maker is not None else None
-    ns = get_preset(spec.preset, cfg.n, cfg.degree)
-    sol = solve_nonlinear(f, u0, cfg, ns,
-                          store_every=max(1, cfg.steps // 20))
-    records = []
+    sol = solve_nonlinear(None, taylor_green_state(grid, 0.0, cfg.mu), cfg,
+                          cfg.nonlinearity(), store_every=max(1, cfg.steps // 20))
     div = max(relative(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
-    records.append(upper_check("taylor-green/divergence-free",
-                               "state-space-constraint", div, 1e-12))
-    if f is None:
-        energies = [l2_norm(u) for u in sol.u]
-        rises = max(b - a for a, b in zip(energies, energies[1:]))
-        records.append(upper_check("taylor-green/energy-monotone",
-                                   "energy-identity", max(rises, 0.0), 1e-13))
-    if not custom:
-        vel_err, pre_err = _vortex_errors(sol, grid, cfg.mu)
-        records.append(upper_check("taylor-green/velocity-error",
-                                   "exact-vortex-solution", vel_err, 1e-5))
-        records.append(upper_check("taylor-green/pressure-error",
-                                   "exact-vortex-solution", pre_err, 1e-4))
-        floor = 1.9 if cfg.scheme == "imex-rk2" else 0.9
-        records.append(lower_check("taylor-green/convergence-order",
-                                   "scheme-accuracy",
-                                   _self_convergence_order(cfg.scheme, 16), floor))
+    energies = [l2_norm(u) for u in sol.u]
+    rises = max(b - a for a, b in zip(energies, energies[1:]))
+    vel_err, pre_err = _vortex_errors(sol, grid, cfg.mu)
+    floor = 1.9 if cfg.scheme == "imex-rk2" else 0.9
+    records = [
+        upper_check("taylor-green/divergence-free", "state-space-constraint",
+                    div, 1e-12),
+        upper_check("taylor-green/energy-monotone", "energy-identity",
+                    max(rises, 0.0), 1e-13),
+        upper_check("taylor-green/velocity-error", "exact-vortex-solution",
+                    vel_err, 1e-5),
+        upper_check("taylor-green/pressure-error", "exact-vortex-solution",
+                    pre_err, 1e-4),
+        lower_check("taylor-green/convergence-order", "scheme-accuracy",
+                    _self_convergence_order(cfg.scheme, 16), floor),
+    ]
     if spec.out_dir is not None:
         save_solution(sol, Path(spec.out_dir) / "solution")
         emit_plot_data(sol, ("energy", "grad-energy"), spec.out_dir)
@@ -913,26 +899,13 @@ def run_experiment(spec: ExperimentSpec) -> VerificationReport:
             f"unknown experiment {spec.name!r}; "
             f"available: {sorted(EXPERIMENTS)}"
         )
-    get_preset(spec.preset, spec.config.n if spec.config else 2,
-               spec.config.degree if spec.config else 1)
     if spec.out_dir is not None:
         Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
-    if spec.checks is not None and len(spec.checks) == 0:
-        return VerificationReport(spec.name, spec.seed, ())
     try:
         records = _timed(EXPERIMENTS[spec.name], spec)
     except SolverDivergenceError:
         records = [CheckRecord(f"{spec.name}/solver-divergence", "plumbing",
                                "fail", 1.0, 0.0)]
-    if spec.checks is not None:
-        wanted = set(spec.checks)
-        known = {r.id for r in records}
-        unknown = wanted - known
-        if unknown:
-            raise ValueError(
-                f"unknown checks {sorted(unknown)}; available: {sorted(known)}"
-            )
-        records = [r for r in records if r.id in wanted]
     records = sorted(records, key=lambda r: r.id)
     return VerificationReport(spec.name, spec.seed, tuple(records))
 

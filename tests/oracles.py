@@ -4,7 +4,10 @@ Everything here works on physical sample arrays, with periodic rolls and
 plain quadrature sums or numpy's n-D FFTs on the whole grid; nothing
 touches the package's transforms, band halves or exterior calculus, so
 agreement between the two is a real check.  The Galerkin-basis oracles
-enumerate wavevectors one by one and take kernels by numpy's pinv.
+enumerate wavevectors one by one and take kernels by numpy's pinv.  The
+one exception is ``galerkin_project``, the dense-Galerkin oracle's
+coefficients of a field in a basis: it gathers them from the field's band
+halves, the inverse of ``GalerkinBasis.synthesize``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
+
+from torusforms.nonlinear import checked_state
 
 # 8th-order central first-derivative stencil (offsets 1..4).
 _STENCIL_8 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
@@ -98,6 +103,21 @@ def pinv_kernel_projector(L: np.ndarray) -> np.ndarray:
     matrices L of shape (m, rows, cols); the identity where L has no rows."""
     eye = np.broadcast_to(np.eye(L.shape[-1]), L.shape[:-2] + (L.shape[-1],) * 2)
     return eye if L.shape[-2] == 0 else eye - np.linalg.pinv(L) @ L
+
+
+def galerkin_project(basis, u) -> np.ndarray:
+    """Coefficients (u, b_j) of the basis expansion, read from u's band
+    halves at +k_j and -k_j after the entry check against the basis grid
+    and degree (``checked_state``, named "projected field")."""
+    halves = checked_state(u, basis.grid, basis.degree, "projected field").halves
+    at = []
+    for index, mirrored in basis._half_index:
+        values = np.stack([h[index] for h in halves], axis=-1)
+        values[mirrored] = np.conj(values[mirrored])
+        at.append(values)
+    phase = basis._phase[:, None]
+    pair = np.conj(phase) * at[0] + phase * at[1]
+    return np.sum(basis.fibres * pair.real, axis=-1)
 
 
 # -- spectral oracles for the incompressible equations (vector fields) -------

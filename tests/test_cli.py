@@ -40,6 +40,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["solve-linear", "--preset", "not-a-preset"])
 
+    def test_each_command_registers_the_flags_it_reads(self):
+        solve = {"--config", "--seed", "--out", "--res", "--dt", "--mu", "--preset"}
+        expected = {"solve-linear": solve, "solve-nonlinear": solve, "norms": solve,
+                    "newton": solve, "verify": {"--seed", "--out", "--res"},
+                    "gn-survey": {"--seed", "--out", "--res", "--trials"},
+                    "hodge": {"--config", "--res", "--seed", "--out"}}
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for name, flags in expected.items():
+            got = {o for a in sub.choices[name]._actions for o in a.option_strings}
+            assert got - {"-h", "--help"} == flags, name
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["gn-survey", "--trials", "2", "--res", "8", "--config", "/nonexistent",
+          "--mu", "7", "--dt", "3", "--preset", "zero"],
+         "--config /nonexistent --mu 7 --dt 3 --preset zero"),
+        (["verify", "--mu", "-1", "--preset", "zero"], "--mu -1 --preset zero"),
+        (["hodge", "--res", "8", "--dt", "0.03"], "--dt 0.03"),
+    ], ids=["gn-survey", "verify", "hodge"])
+    def test_unread_flag_fails_at_parse_time(self, capsys, argv, unread):
+        # A flag the command would ignore (or, for hodge's --dt, would hold
+        # against a horizon the experiment never uses) is an error, named.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+
 
 class TestReportSchema:
     def test_stdout_json_shape(self, capsys):

@@ -103,7 +103,7 @@ class TestHodgeDecomposition:
                     u = random_form(grid, degree, rng)
                     dec = hodge_decompose(u)
                     scale = max(l2_norm(u), 1.0)
-                    assert l2_norm(dec.reconstruct() - u) <= 1e-12 * scale
+                    assert l2_norm(dec.exact + dec.coexact + dec.harmonic - u) <= 1e-12 * scale
                     pairs = [
                         (dec.exact, dec.coexact),
                         (dec.exact, dec.harmonic),

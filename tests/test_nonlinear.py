@@ -33,10 +33,8 @@ from torusforms.nonlinear import (
     get_preset,
     half_dot_map,
     interior_product_map,
-    load_bilinear_map,
     navier_stokes_config,
     nonlinear_term,
-    save_bilinear_map,
     trilinear_form,
     zero_config,
 )
@@ -138,6 +136,14 @@ class TestPresets:
     def test_zero_preset(self):
         cfg = get_preset("zero", 2, degree=1)
         assert cfg.is_zero
+
+    def test_custom_config_from_building_blocks(self):
+        # The preset's two maps, assembled by hand, give its N bit for bit.
+        cfg = NonlinearityConfig(degree=1, m1=interior_product_map(2),
+                                 m2=half_dot_map(2))
+        u, _ = _pair(G2, 61)
+        gap = l2_norm(nonlinear_term(u, cfg) - nonlinear_term(u, _ns(G2)))
+        assert gap == 0.0
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown nonlinearity preset"):
@@ -774,13 +780,15 @@ class TestTrilinear:
         oracle = quadrature_inner(conv, u_phys)
         assert ours == pytest.approx(oracle, abs=1e-8)
 
-    def test_raw_diagnostic(self):
+    def test_pairing_follows_the_config(self):
+        # navier-stokes-i1 pairs the convective term against u, any other
+        # configuration B(w, u); both exactly.
         w, u = _pair(G2, 34)
-        cfg = _ns(G2)
-        raw = trilinear_form(w, u, cfg, diagnostic="raw")
-        assert raw == pytest.approx(inner_product(bilinear_term(w, u, cfg), u))
-        with pytest.raises(ValueError, match="diagnostic"):
-            trilinear_form(w, u, cfg, diagnostic="fancy")
+        ns = _ns(G2)
+        assert trilinear_form(w, u, ns) == inner_product(convective_term(w, u), u)
+        custom = NonlinearityConfig(1, m1=interior_product_map(2))
+        assert (trilinear_form(w, u, custom)
+                == inner_product(bilinear_term(w, u, custom), u))
 
 
 class TestResolutionConsistency:
@@ -835,72 +843,3 @@ class TestZeroPreset:
         assert l2_norm(bilinear_term(w, v, cfg)) == 0.0
         assert trilinear_form(w, v, cfg) == 0.0
 
-
-class TestTensorIO:
-    @pytest.mark.parametrize(
-        "bmap",
-        [interior_product_map(2), interior_product_map(3),
-         half_dot_map(2), half_dot_map(3)],
-        ids=["interior2", "interior3", "halfdot2", "halfdot3"],
-    )
-    def test_round_trip(self, bmap, tmp_path):
-        path = tmp_path / "map.txt"
-        save_bilinear_map(bmap, path)
-        loaded = load_bilinear_map(path)
-        assert np.array_equal(loaded.tensor, bmap.tensor)
-        assert (loaded.n, loaded.degree_first, loaded.degree_second,
-                loaded.degree_out) == (bmap.n, bmap.degree_first,
-                                       bmap.degree_second, bmap.degree_out)
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data(), n=st.sampled_from([2, 3]))
-    def test_round_trip_any_tensor(self, data, n, tmp_path_factory):
-        degrees = [data.draw(st.integers(0, n)) for _ in range(3)]
-        shape = tuple(comb(n, d) for d in degrees)
-        entries = st.one_of(st.just(0.0), st.floats(allow_nan=False, allow_infinity=False))
-        values = data.draw(st.lists(entries, min_size=int(np.prod(shape)),
-                                    max_size=int(np.prod(shape))))
-        bmap = BilinearMap(n, *degrees, np.array(values).reshape(shape))
-        path = tmp_path_factory.mktemp("tensor") / "map.txt"
-        save_bilinear_map(bmap, path)
-        loaded = load_bilinear_map(path)
-        assert np.array_equal(loaded.tensor, bmap.tensor)
-        assert (loaded.n, loaded.degree_first, loaded.degree_second,
-                loaded.degree_out) == (n, *degrees)
-
-    def test_comments_and_blanks_ignored(self, tmp_path):
-        path = tmp_path / "map.txt"
-        path.write_text(
-            "# comment\n\ndegrees 2 1 1 0  # trailing comment\n"
-            "0 0 0 0.5\n1 1 0 0.5\n"
-        )
-        loaded = load_bilinear_map(path)
-        assert np.array_equal(loaded.tensor, half_dot_map(2).tensor)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "map.txt"
-        path.write_text("0 0 0 1.0\n")
-        with pytest.raises(ValueError, match="degrees header"):
-            load_bilinear_map(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "map.txt"
-        path.write_text("degrees 2 1 1\n")
-        with pytest.raises(ValueError, match="header"):
-            load_bilinear_map(path)
-
-    def test_bad_entry_rejected(self, tmp_path):
-        path = tmp_path / "map.txt"
-        path.write_text("degrees 2 1 1 0\n0 0 1.0\n")
-        with pytest.raises(ValueError, match="entry"):
-            load_bilinear_map(path)
-
-    def test_loaded_map_drives_nonlinearity(self, tmp_path):
-        # A tensor written to disk reproduces the preset's dynamics.
-        path = tmp_path / "m1.txt"
-        save_bilinear_map(interior_product_map(2), path)
-        cfg = NonlinearityConfig(degree=1, m1=load_bilinear_map(path),
-                                 m2=half_dot_map(2), tag="custom")
-        u, _ = _pair(G2, 61)
-        gap = l2_norm(nonlinear_term(u, cfg) - nonlinear_term(u, _ns(G2)))
-        assert gap == 0.0

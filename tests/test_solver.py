@@ -23,6 +23,7 @@ import torusforms.solver as solver_module
 import torusforms.spectral as spectral_module
 from oracles import (
     dealiased_convection,
+    galerkin_project,
     observed_order,
     pinv_kernel_projector,
     pressure_split,
@@ -225,8 +226,8 @@ class TestGalerkinBasis:
             [root2 * np.cos(y), np.zeros(G16.shape)],
             [root2 * np.sin(y), np.zeros(G16.shape)],
         ]
-        got = {tuple(np.round(basis.project(
-            FormField.from_physical(G16, 1, comps)), 12)) for comps in expected}
+        got = {tuple(np.round(galerkin_project(
+            basis, FormField.from_physical(G16, 1, comps)), 12)) for comps in expected}
         # each expected field is (up to sign) one basis element
         for coeffs in got:
             arr = np.abs(np.array(coeffs))
@@ -254,22 +255,22 @@ class TestGalerkinBasis:
     def test_projection_round_trip(self):
         basis = build_basis(G16, 1)
         u = project_state(random_form(G16, 1, np.random.default_rng(2)))
-        back = basis.synthesize(basis.project(u))
+        back = basis.synthesize(galerkin_project(basis, u))
         assert l2_norm(back - u) <= 1e-12 * max(l2_norm(u), 1.0)
 
     @pytest.mark.parametrize("grid, m", [(G16, None), (G16, 7), (SpectralGrid(3, 8), None),
                                          (SpectralGrid(3, 8), 13)])
     def test_gather_and_scatter_match_oracles(self, grid, m):
-        # project is a gather and synthesize a scatter at +-k; the oracles
-        # are the L2 pairing with every field and the sum of the fields.
-        # The basis projector P_m is synthesize after project, also where m
+        # galerkin_project is a gather and synthesize a scatter at +-k; the
+        # oracles are the L2 pairing with every field and the sum of the
+        # fields.  The basis projector P_m is synthesize after the gather, also where m
         # splits a shell (T^2, m = 7) or a fibre (T^3, m = 13).
         basis = build_basis(grid, 1, m)
         rng = np.random.default_rng(17)
         u = random_form(grid, 1, rng)
         fields = basis.fields
         paired = np.array([inner_product(u, b) for b in fields])
-        assert np.max(np.abs(basis.project(u) - paired)) <= 1e-14
+        assert np.max(np.abs(galerkin_project(basis, u) - paired)) <= 1e-14
         g = rng.standard_normal(basis.m)
         total = FormField.zeros(grid, 1)
         for gj, b in zip(g, fields):
@@ -279,43 +280,47 @@ class TestGalerkinBasis:
             assert np.max(np.abs(a - b)) <= 1e-14
         halves = _state(u).halves
         projected = nonlinear_module.BandHalves(grid, 1, basis._project_band(halves)).field()
-        for a, b in zip(projected.components, basis.synthesize(basis.project(u)).components):
+        back = basis.synthesize(galerkin_project(basis, u))
+        for a, b in zip(projected.components, back.components):
             assert np.max(np.abs(a - b)) <= 1e-15
 
-    @pytest.mark.parametrize("modes, fibres, sine, eigenvalues, problem", [
-        ([[7, 1]], [[0.0, 1.0]], [False], [50.0], "field 0: .* outside the band"),
-        ([[1, -6]], [[1.0, 0.0]], [False], [37.0], "field 0: .* outside the band"),
-        ([[1, 0], [0, 0]], [[0.0, 1.0], [1.0, 0.0]], [False, True], [1.0, 0.0],
-         "field 1: .* zero mode"),
-        ([[1, 0], [1, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True], [1.0, 1.0],
-         "field 1: .* eigenvalue"),
-        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False], [1.0, 1.0],
+    @pytest.mark.parametrize("modes, fibres, sine, problem", [
+        ([[7, 1]], [[0.0, 1.0]], [False], "field 0: .* outside the band"),
+        ([[1, -6]], [[1.0, 0.0]], [False], "field 0: .* outside the band"),
+        ([[1, 0], [0, 0]], [[0.0, 1.0], [1.0, 0.0]], [False, True], "field 1: .* zero mode"),
+        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False],
          "field 1: sine has 1 entries for 2 modes"),
-        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True, True], [1.0, 1.0],
+        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True, True],
          "field 2: sine has 3 entries for 2 modes"),
-        ([[1, 0], [0, 1]], [[0.0, 1.0]], [False, True], [1.0, 1.0],
-         "field 1: fibres has 1 entries"),
-        ([[1, 0], [0, 1]], [[0.0, 1.0], [1.0, 0.0]], [False, True], [1.0],
-         "field 1: eigenvalues has 1 entries"),
-        ([[1, 0]], [[1.0, 1.0]], [False], [1.0], "field 0: .* not a unit vector"),
-        ([[1, 0]], [[0.0, np.nan]], [False], [1.0], "field 0: .* not a unit vector"),
-        ([[0, 1], [1, 0]], [[1.0, 0.0], [1.0, 0.0]], [False, True], [1.0, 1.0],
+        ([[1, 0], [0, 1]], [[0.0, 1.0]], [False, True], "field 1: fibres has 1 entries"),
+        ([[1, 0]], [[1.0, 1.0]], [False], "field 0: .* not a unit vector"),
+        ([[1, 0]], [[0.0, np.nan]], [False], "field 0: .* not a unit vector"),
+        ([[0, 1], [1, 0]], [[1.0, 0.0], [1.0, 0.0]], [False, True],
          "field 1: .* not divergence-free"),
-        ([[1, 0], [1, 0]], [[0.0, 1.0], [0.0, 1.0]], [False, False], [1.0, 1.0],
+        ([[1, 0], [1, 0]], [[0.0, 1.0], [0.0, 1.0]], [False, False],
          "field 0: .* not orthogonal"),
         ([[1, 1], [2, 0], [-1, -1]], [[ROOT_HALF, -ROOT_HALF], [0.0, 1.0],
                                      [-ROOT_HALF, ROOT_HALF]],
-         [True, True, True], [2.0, 4.0, 2.0], "field 0: .* not orthogonal"),
+         [True, True, True], "field 0: .* not orthogonal"),
     ])
-    def test_bad_fields_rejected(self, modes, fibres, sine, eigenvalues, problem):
+    def test_bad_fields_rejected(self, modes, fibres, sine, problem):
         # The class is public: a mode outside the band would wrap around the
-        # band half, a short sine or eigenvalue array would broadcast, and
-        # the solves read |k|^2 from the mode, not the eigenvalue.  A fibre
-        # that is not unit, not divergence-free or not orthogonal to another
-        # at the same mode (k and -k are one mode) and phase, a field given
-        # twice included, would make P_m no orthogonal projection.
+        # band half and a short sine array would broadcast.  A fibre that is
+        # not unit, not divergence-free or not orthogonal to another at the
+        # same mode (k and -k are one mode) and phase, a field given twice
+        # included, would make P_m no orthogonal projection.
         with pytest.raises(ValueError, match=problem):
-            GalerkinBasis(G16, 1, modes, fibres, sine, eigenvalues)
+            GalerkinBasis(G16, 1, modes, fibres, sine)
+
+    @pytest.mark.parametrize("grid, m, reverse", [
+        (G16, None, False), (SpectralGrid(3, 8), 13, False), (G16, 24, True)],
+        ids=["full", "truncated", "reordered"])
+    def test_eigenvalues_are_the_mode_squares(self, grid, m, reverse):
+        basis = build_basis(grid, 1, m)
+        if reverse:
+            basis = basis.reordered(list(reversed(range(basis.m))))
+        assert basis.eigenvalues.dtype == np.float64
+        assert np.array_equal(basis.eigenvalues, np.sum(basis.modes**2, axis=1))
 
     def test_mode_indexed_storage(self):
         # Nothing of size m x res^n is stored; the full 3-D res-32 band
@@ -1148,8 +1153,8 @@ class TestTimeData:
             lambda d, bad: nonlinear_term(bad, NS2), "nonlinear_term argument v"),
         "bilinear_term": (
             lambda d, bad: bilinear_term(d.u0, bad, NS2), "bilinear_term argument v"),
-        "GalerkinBasis.project": (
-            lambda d, bad: d.basis.project(bad), "projected field"),
+        "galerkin_project": (
+            lambda d, bad: galerkin_project(d.basis, bad), "projected field"),
     }
 
     # A lone argument of nonlinear_term has no other grid to mismatch.
@@ -1382,8 +1387,8 @@ def _linearized_case(basis_name, w_kind):
     mats = []
     for wj in samples:
         if id(wj) not in rows:
-            rows[id(wj)] = (np.zeros((basis.m, basis.m)) if wj is None else
-                            np.array([basis.project(bilinear_term(wj, b, ns)) for b in fields]))
+            rows[id(wj)] = (np.zeros((basis.m, basis.m)) if wj is None else np.array(
+                [galerkin_project(basis, bilinear_term(wj, b, ns)) for b in fields]))
         mats.append(cfg.mu * np.diag(basis.eigenvalues) + rows[id(wj)])
     return basis, cfg, w, (lambda t: fa + fb * shape(t)), u0, mats
 
@@ -1393,7 +1398,7 @@ def _dense_inverse(basis, cfg, f, u0, mats):
     exp(-mu tau lam) on the coefficients, the explicit part mat.T @ g, and
     the forcing and the matrices averaged at the rk2 midpoint."""
     times, dt = cfg.times(), cfg.T / cfg.steps
-    fvec = np.array([basis.project(f(float(t))) for t in times])
+    fvec = np.array([galerkin_project(basis, f(float(t))) for t in times])
     expl = [mat - cfg.mu * np.diag(basis.eigenvalues) for mat in mats]
 
     def decay(g, tau):
@@ -1404,7 +1409,7 @@ def _dense_inverse(basis, cfg, f, u0, mats):
             return 0.5 * (fvec[j] + fvec[j + 1]) - (0.5 * (expl[j] + expl[j + 1])).T @ g
         return fvec[j] - expl[j].T @ g
 
-    g = basis.project(u0)
+    g = galerkin_project(basis, u0)
     g_states = [g]
     for j in range(cfg.steps):
         if cfg.scheme == "imex-euler":
@@ -1452,10 +1457,9 @@ class TestLinearizedOperator:
                             lambda *args: grid_passes.append(1) or on_grid(*args))
         monkeypatch.setattr(solver_module, "bilinear_term",
                             lambda *args, **kw: products.append(1) or bilinear(*args, **kw))
-        for name in ("_scatter", "_project_halves"):
-            original = getattr(GalerkinBasis, name)
-            monkeypatch.setattr(GalerkinBasis, name, lambda self, *args, name=name,
-                                original=original: gathers.append(name) or original(self, *args))
+        original = GalerkinBasis._scatter
+        monkeypatch.setattr(GalerkinBasis, "_scatter", lambda self, *args: (
+            gathers.append("_scatter") or original(self, *args)))
         op = assemble_linearized(w, cfg.mu, basis, cfg.times(), NS2)
         assert grid_passes == [] and products == []
         apply_inverse(op, f, u0, cfg, store_every=2)
@@ -1525,7 +1529,7 @@ class TestApplyInverse:
         tilted = exact.fibres + 1e-11 * exact.modes / np.sqrt(exact.eigenvalues)[:, None]
         tilted /= np.linalg.norm(tilted, axis=1)[:, None]
         with pytest.raises(ValueError, match="field 0: .* not divergence-free at its mode"):
-            GalerkinBasis(G16, 1, exact.modes, tilted, exact.sine, exact.eigenvalues)
+            GalerkinBasis(G16, 1, exact.modes, tilted, exact.sine)
         modes, original = [], solver_module.bilinear_term
         monkeypatch.setattr(solver_module, "bilinear_term", lambda *args, exact="add": (
             modes.append(exact) or original(*args, exact=exact)))
@@ -1611,9 +1615,9 @@ class TestApplyInverse:
             op, f, u0, dataclasses.replace(cfg, preset="zero")),
         "cfg-degree": lambda op, cfg, f, u0, far: apply_inverse(
             op, f, u0, dataclasses.replace(cfg, preset="zero", degree=2)),
-        "project-grid": lambda op, cfg, f, u0, far: op.basis.project(far),
-        "project-degree": lambda op, cfg, f, u0, far: op.basis.project(
-            FormField.zeros(G16, 0)),
+        "project-grid": lambda op, cfg, f, u0, far: galerkin_project(op.basis, far),
+        "project-degree": lambda op, cfg, f, u0, far: galerkin_project(
+            op.basis, FormField.zeros(G16, 0)),
         "study-forcing-grid": lambda op, cfg, f, u0, far: galerkin_convergence_study(
             far, u0, cfg, ms=(8,)),
         "study-u0-grid": lambda op, cfg, f, u0, far: galerkin_convergence_study(

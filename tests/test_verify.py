@@ -9,11 +9,12 @@ import pytest
 import torusforms.verify as verify_module
 
 from oracles import gn_survey_ratios, taylor_green_pressure, taylor_green_velocity
+from torusforms.nonlinear import PRESETS
 from torusforms.norms import TimeSeriesSolution
 from torusforms.solver import (
     SolverConfig,
+    SolverDivergenceError,
     build_basis,
-    project_state,
     solve_nonlinear,
 )
 from torusforms.spectral import FormField, SpectralGrid, l2_norm
@@ -125,14 +126,10 @@ class TestRunExperiment:
             run_experiment(ExperimentSpec("spin-glass"))
 
     def test_unknown_preset_rejected(self):
+        # The experiment's nonlinearity is its config's preset, which the
+        # config checks when it is built.
         with pytest.raises(ValueError, match="preset"):
-            run_experiment(ExperimentSpec("taylor-green", preset="nope"))
-
-    def test_empty_check_list_empty_report(self):
-        report = run_experiment(ExperimentSpec("taylor-green", checks=()))
-        assert report.checks == ()
-        assert report.experiment == "taylor-green"
-        assert report.passed
+            SolverConfig(mu=0.1, T=0.1, dt=5e-3, res=16, preset="nope")
 
     def test_benchmark_checks_pass(self, tmp_path):
         spec = ExperimentSpec("taylor-green", config=self.SMALL_CFG,
@@ -146,43 +143,30 @@ class TestRunExperiment:
         assert (tmp_path / "run" / "solution" / "manifest.csv").exists()
         assert (tmp_path / "run" / "energy.csv").exists()
 
-    def test_check_subset_selected(self):
-        spec = ExperimentSpec("taylor-green", config=self.SMALL_CFG,
-                              checks=("taylor-green/divergence-free",))
-        report = run_experiment(spec)
-        assert [c.id for c in report.checks] == ["taylor-green/divergence-free"]
+    def test_solver_divergence_reported_not_raised(self, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise SolverDivergenceError("norm crossed the guard")
 
-    def test_unknown_check_rejected(self):
-        spec = ExperimentSpec("taylor-green", config=self.SMALL_CFG,
-                              checks=("taylor-green/does-not-exist",))
-        with pytest.raises(ValueError, match="unknown checks"):
-            run_experiment(spec)
-
-    def test_custom_data_drops_exact_solution_checks(self):
-        def u0_maker(grid, rng):
-            x, y = grid.meshes()
-            raw = FormField.from_physical(
-                grid, 1, [np.sin(x + 2 * y), np.zeros(grid.shape)])
-            return project_state(raw)
-
-        spec = ExperimentSpec("taylor-green", config=self.SMALL_CFG,
-                              u0_maker=u0_maker)
-        report = run_experiment(spec)
-        ids = [c.id for c in report.checks]
-        assert "taylor-green/velocity-error" not in ids
-        assert "taylor-green/divergence-free" in ids
-        assert report.passed
-
-    def test_solver_divergence_reported_not_raised(self):
-        def f_maker(grid, rng):
-            return build_basis(grid, 1, 1).fields[0] * 1e15
-
-        spec = ExperimentSpec("taylor-green", config=self.SMALL_CFG,
-                              f_maker=f_maker)
-        report = run_experiment(spec)
-        assert [c.id for c in report.checks] == [
-            "taylor-green/solver-divergence"]
+        monkeypatch.setattr(verify_module, "solve_nonlinear", diverge)
+        report = run_experiment(ExperimentSpec("taylor-green", config=self.SMALL_CFG))
+        assert report.checks == (CheckRecord(
+            "taylor-green/solver-divergence", "plumbing", "fail", 1.0, 0.0),)
         assert not report.passed
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_nonlinearity_is_the_config_preset(self, monkeypatch, preset):
+        # The spec has no preset of its own: the run's nonlinearity is the
+        # one its config names.
+        seen = []
+
+        def capture(f_series, u0, cfg, nonlinearity, **kwargs):
+            seen.append(nonlinearity)
+            raise SolverDivergenceError("stop after the call")
+
+        monkeypatch.setattr(verify_module, "solve_nonlinear", capture)
+        cfg = SolverConfig(mu=0.1, T=0.1, dt=5e-3, res=16, preset=preset)
+        run_experiment(ExperimentSpec("taylor-green", config=cfg))
+        assert [(c.tag, c.degree) for c in seen] == [(preset, 1)]
 
     def test_hodge_identities_all_pass(self):
         report = run_experiment(ExperimentSpec(
