@@ -48,7 +48,11 @@ This is the rotational form of Navier-Stokes, where the kinetic energy
 |u|^2 / 2 folds into the pressure.  "drop" takes 5 transforms per N on
 T^2 and 9 on T^3, and 8 and 15 per B: every solver stage uses it (or
 "apart" where a stored sample needs M2 for its pressure), so an imex-rk2
-step on T^3 makes 18 transforms, not 20.
+step on T^3 makes 18 transforms, not 20.  A stored sample that also takes
+B(u, du/dt) (second derivatives, or the pressure's first) keeps the grid
+values of its N(u) pass, so B transforms du/dt alone: in "apart" N and B
+take 6 transforms each on T^2 and 10 each on T^3, where B of a state
+without kept values takes 9 and 16.
 
 Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves, one
 array per component, with leading batch axes or none: the spectrum buffer
@@ -95,6 +99,7 @@ from .spectral import (
     _apply_d,
     _band_half,
     _band_shape,
+    _band_slabs,
     _box_transform,
     _derivative_symbol,
     _is_hermitian,
@@ -357,19 +362,24 @@ class BandHalves:
     kernel returns a list.  ``nonlinear_term`` and ``bilinear_term`` take
     such states in place of fields and return the band halves of the
     result, stacked.  With ``keep`` the grid values are made on first use
-    and kept, so a state used in many products is transformed once per
-    nonlinearity.
+    and kept until ``drop_grid``, so a state used in many products is
+    transformed once per nonlinearity.
     """
 
     def __init__(self, grid: SpectralGrid, degree: int, halves, keep: bool = False):
         self.grid, self.degree, self.halves = grid, degree, halves
         self._kept = {} if keep else None
 
+    def drop_grid(self) -> None:
+        """Forget kept grid values and keep none from now on."""
+        self._kept = None
+
     def field(self) -> FormField:
-        """The field: each band half written into a zero half."""
-        out, band = FormField.zeros(self.grid, self.degree), _band_half(self.grid)
+        """The field: each band half written into a zero half, slab by slab."""
+        out, slabs = FormField.zeros(self.grid, self.degree), _band_slabs(self.grid)
         for c, half in zip(out.components, self.halves):
-            c[band] = half
+            for at, part in slabs:
+                c[at] = half[part]
         return out
 
 
@@ -386,12 +396,13 @@ def checked_state(u, grid: SpectralGrid, degree: int, what: str,
         raise ValueError(f"{what} is a field of degree {u.degree} on {u.grid}, which "
                          f"does not match degree {degree} on {grid}")
     # The state keeps u's own grid object, which holds its cached arrays.
-    band = _band_half(u.grid)
+    slabs = _band_slabs(u.grid)
     halves = np.empty((len(u.components),) + _band_shape(u.grid), dtype=np.complex128)
     for half, c in zip(halves, u.components):
         if not np.all(np.isfinite(c)):
             raise FieldIntegrityError(f"{what} has non-finite coefficients")
-        half[...] = c[band]
+        for at, part in slabs:
+            half[part] = c[at]
         if not _is_hermitian(half[..., 0], 1e-10):
             raise FieldIntegrityError(f"{what}: coefficients are not Hermitian symmetric")
     return BandHalves(u.grid, degree, halves, keep)

@@ -430,22 +430,30 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
     stage that starts a sample with pressures takes M2 from the same grid
     pass.  The stage that starts at a stored index, and one more stage call
     at the final state, hands these parts to the ``_sampler``.  With
-    ``f_dt``, the df/dt pairs, the samples also take Q'(u) du = B(u, du) and
-    df/dt."""
+    ``f_dt``, the df/dt pairs, the samples that need them (``derivatives``
+    2, or 1 with pressures) also take Q'(u) du = B(u, du) and df/dt.
+
+    Such a sample's state keeps the grid values its N(u) made until ``take``
+    returns, so B(u, du) transforms du alone.  For ``navier-stokes-i1`` a
+    sample stage with pressures then makes 6 component transforms for N and
+    6 for B on T^2 (10 and 10 on T^3), where an unkept state would make 9
+    (16) for B; every other stage makes 5 (9)."""
     grid, degree = u0.grid, u0.degree
     if with_pressure and ns.degree == 0:
         raise ValueError("a degree-0 equation has no pressure: pass with_pressure=False")
     project = partial(_band_projection, grid, degree) if basis is None else basis._project_band
     state0 = project(u0.halves)
     sample_mode = "apart" if with_pressure else "drop"
+    takes_dq = f_dt is not None and (derivatives == 2 or (derivatives == 1 and with_pressure))
     take, solution = _sampler(
-        cfg.mu, project, derivatives, with_pressure, None if f_dt is None else
-        lambda i, u, du: (*_split(bilinear_term(u, du, ns, exact=sample_mode)), f_dt(i)))
+        cfg.mu, project, derivatives, with_pressure,
+        (lambda i, u, du: (*_split(bilinear_term(u, du, ns, exact=sample_mode)), f_dt(i)))
+        if takes_dq else None)
     starts = frozenset(stored)
 
     def rhs(j, midpoint, state):
-        u = BandHalves(grid, degree, state)
         sample = not midpoint and j in starts
+        u = BandHalves(grid, degree, state, keep=sample and takes_dq)
         exact = sample_mode if sample else "drop"
         if advection is None:
             q, m2 = _split(nonlinear_term(u, ns, exact=exact))
@@ -457,6 +465,7 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
         r = _explicit(project, q, fj)
         if sample:
             take(j, u, q, m2, fj, r)
+            u.drop_grid()
         return r
 
     last, = _run_scheme(
@@ -502,14 +511,16 @@ def _sampler(mu: float, project, derivatives: int, with_pressure: bool, quad_dt=
     half, f) or None, and r = -P q + P f (only u where neither derivatives
     nor pressures are asked for).  Then du/dt = -mu |k|^2 u + r on the band
     half and p = ``_pressure`` of f, q and m2.  ``quad_dt(i, u, du)``,
-    where the solver has it, gives Q'(u) du split alike and the df/dt pair
-    once per sample, for the second derivative and the pressure's first.
+    where the solver passes it (only when the samples need it), gives
+    Q'(u) du split alike and the df/dt pair once per sample, for the second
+    derivative and the pressure's first; u comes with the grid values of
+    the stage's N(u) kept, so B(u, du) transforms du alone (3 inverse and 3
+    forward component transforms for ``navier-stokes-i1`` on T^2 with
+    pressures, 6 and 4 on T^3).
     States and derivatives are held as band halves and become fields in
     ``solution``, after the stepping.
     """
     u_list, first, second, p_list, p_first = [], [], [], [], []
-    if not (derivatives == 2 or (derivatives == 1 and with_pressure)):
-        quad_dt = None
 
     def take(i: int, u: BandHalves, q=None, m2=None, forcing=None, r=None) -> None:
         u_list.append(u)
@@ -744,15 +755,16 @@ class GalerkinBasis:
                         fibres)
         div = np.linalg.norm(div, axis=1) / np.sqrt(squares)
         # With unit fibres, P_m at a mode is idempotent iff the fibres of its
-        # fields of one phase are orthogonal.
-        mats = np.moveaxis(self._projector, (1, 2), (-2, -1))
+        # fields of one phase are orthogonal; tested at each field's own
+        # half position and phase only, (m, ncomp, ncomp).
+        at = (self.sine.astype(int), slice(None), slice(None)) + self._half_index[0][0]
+        mats = self._projector[at]
         overlap = np.max(np.abs(mats @ mats - mats), axis=(-2, -1))
         for problem, bad in (("is not a unit vector",
                               ~(np.abs(np.linalg.norm(fibres, axis=1) - 1.0) <= 1e-10)),
                              ("is not divergence-free at its mode", ~(div <= 1e-13)),
                              ("is not orthogonal to another field's at its mode and phase",
-                              overlap[(self.sine.astype(int),) + self._half_index[0][0]]
-                              > 1e-10)):
+                              overlap > 1e-10)):
             if np.any(bad):
                 j = int(np.argmax(bad))
                 raise ValueError(f"field {j}: fibre {fibres[j].tolist()} {problem}")

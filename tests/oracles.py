@@ -3,8 +3,11 @@
 Everything here works on physical sample arrays, with periodic rolls and
 plain quadrature sums or numpy's n-D FFTs on the whole grid; nothing
 touches the package's transforms, band halves or exterior calculus, so
-agreement between the two is a real check.  The Galerkin-basis oracles
-enumerate wavevectors one by one and take kernels by numpy's pinv.  The
+agreement between the two is a real check.  The snapshot oracles write and
+read the snapshot format with numpy's whole-grid transforms, a
+``.tobytes()`` copy per component and ``np.frombuffer``.  The
+Galerkin-basis oracles enumerate wavevectors one by one and take kernels
+by numpy's pinv.  The
 one exception is ``galerkin_project``, the dense-Galerkin oracle's
 coefficients of a field in a basis: it gathers them from the field's band
 halves, the inverse of ``GalerkinBasis.synthesize``.
@@ -13,6 +16,7 @@ halves, the inverse of ``GalerkinBasis.synthesize``.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -221,3 +225,35 @@ def gn_survey_ratios(seed: int, trials: int, res: int = 32,
             half[np.ix_(keep, keep, np.arange(res // 2))]
         ratios[i], doubled[i] = _sobolev_ratio(half), _sobolev_ratio(fine)
     return ratios, doubled
+
+
+# -- the snapshot format, written and read in plain numpy ----------------------
+
+
+def snapshot_bytes(u) -> bytes:
+    """The snapshot file of the field u: magic "HPFORM1", n, degree and res
+    as <i4, then numpy's whole-grid ``irfftn`` samples of each component as
+    <f8, each through a ``.tobytes()`` copy."""
+    grid = u.grid
+    out = [b"HPFORM1", np.array([grid.n, u.degree, grid.res], dtype="<i4").tobytes()]
+    for c in u.components:
+        samples = np.fft.irfftn(c, s=grid.shape, axes=tuple(range(grid.n)), norm="forward")
+        out.append(np.ascontiguousarray(samples, dtype="<f8").tobytes())
+    return b"".join(out)
+
+
+def snapshot_components(raw: bytes) -> list[np.ndarray]:
+    """The half spectra a snapshot file holds: numpy's ``rfftn`` of its <f8
+    samples (read with ``np.frombuffer``), with every mode that has
+    |k_j| = res/2 on some axis zeroed through a boolean mask."""
+    n, degree, res = (int(v) for v in np.frombuffer(raw[7:19], dtype="<i4"))
+    samples = np.frombuffer(raw[19:], dtype="<f8").reshape((comb(n, degree),) + (res,) * n)
+    modes = np.meshgrid(*[np.fft.fftfreq(res, 1 / res)] * (n - 1),
+                        np.fft.rfftfreq(res, 1 / res), indexing="ij")
+    nyquist = np.any([np.abs(k) == res // 2 for k in modes], axis=0)
+    halves = []
+    for s in samples:
+        half = np.fft.rfftn(s, norm="forward")
+        half[nyquist] = 0.0
+        halves.append(half)
+    return halves

@@ -459,6 +459,24 @@ class TestBandHalves:
             assert _state(u).halves.tobytes() == halves.tobytes()
             assert l2_norm(u - dealias(v)) <= 1e-14 * l2_norm(v)
 
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 16), SpectralGrid(2, 256),
+                                      SpectralGrid(3, 8), SpectralGrid(3, 64)])
+    def test_slabs_move_what_the_ix_index_moves(self, grid):
+        # The gather of checked_state and the scatter of field, slab by
+        # slab, against the np.ix_ forms of _band_half.
+        band = spectral_module._band_half(grid)
+        rng = np.random.default_rng(101)
+        for degree in range(grid.n + 1):
+            v = random_form(grid, degree, rng)
+            halves = _state(v).halves
+            assert halves.tobytes() == np.stack([c[band] for c in v.components]).tobytes()
+            noise = rng.standard_normal((2,) + halves.shape)
+            u = BandHalves(grid, degree, noise[0] + 1j * noise[1]).field()
+            for c, h in zip(u.components, noise[0] + 1j * noise[1], strict=True):
+                expected = np.zeros(grid.half_shape, dtype=np.complex128)
+                expected[band] = h
+                assert c.tobytes() == expected.tobytes()
+
     def test_kept_state_is_transformed_once(self, monkeypatch):
         w, v = _pair(G2, 53)
         cfg = _ns(G2)

@@ -2,6 +2,8 @@
 removed API stays removed."""
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -34,3 +36,13 @@ def test_exports_resolve_once():
 def test_removed_name_gone(owner, name):
     assert name not in torusforms.__all__
     assert not hasattr(owner, name)
+
+
+def test_numpy_floor_is_at_least_2_0():
+    # spectral._box_transform passes out= to np.fft, which NumPy 2.0 added.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    floor, = [re.fullmatch(r"numpy>=(\d+)\.(\d+)", d) for d in dependencies
+              if d.startswith("numpy")]
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)

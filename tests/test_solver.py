@@ -748,6 +748,95 @@ class TestEvaluationCounts:
                         <= 1e-12 * l2_norm(grad_part))
 
 
+class TestSampleGridReuse:
+    """A stored sample that takes B(u, du/dt) (second derivatives, or the
+    pressure's first) keeps the grid values of its stage's N(u): B puts
+    only du/dt on the grid, the kept values go with the sample, and every
+    output is the bytes of a B on a state without kept values."""
+
+    def test_b_puts_only_du_on_the_grid(self, monkeypatch):
+        passes, inside, seen = [], [], []
+        on_grid, bilinear = nonlinear_module._on_grid, solver_module.bilinear_term
+
+        def spied_on_grid(cfg, grid, halves):
+            passes.append((bool(inside), halves))
+            return on_grid(cfg, grid, halves)
+
+        def spied_bilinear(u, du, cfg, **kwargs):
+            # The stage's N(u) left u's grid values; no earlier sample's are
+            # still kept.
+            assert u._kept and all(s._kept is None for s, _ in seen)
+            seen.append((u, du.halves))
+            inside.append(True)
+            try:
+                return bilinear(u, du, cfg, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(nonlinear_module, "_on_grid", spied_on_grid)
+        monkeypatch.setattr(solver_module, "bilinear_term", spied_bilinear)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        sol = solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2,
+                              derivatives=1, with_pressure=True)
+        assert len(seen) == len(sol.p_dt_cache[1]) == 3
+        # 8 stages and the final sample put u on the grid; each B only du.
+        assert sum(not b for b, _ in passes) == 8 + 1
+        b_passes = [h for b, h in passes if b]
+        assert len(b_passes) == 3
+        assert all(h is du for h, (_, du) in zip(b_passes, seen))
+        assert all(u._kept is None for u, _ in seen)
+
+    @pytest.mark.parametrize("derivatives, with_pressure, kept", [
+        (0, False, 0), (0, True, 0), (1, False, 0), (1, True, 6), (2, False, 6),
+        (2, True, 6)])
+    def test_only_samples_that_take_b_keep(self, monkeypatch, derivatives, with_pressure,
+                                           kept):
+        # Kept states in kernel passes: per stored sample its N(u) and its
+        # B(u, du/dt), none where no B(u, du/dt) follows.
+        passes, original = [], nonlinear_module._states_on_grid
+
+        def spied(cfg, states):
+            passes.append(any(s._kept is not None for s in states))
+            return original(cfg, states)
+
+        monkeypatch.setattr(nonlinear_module, "_states_on_grid", spied)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+        solve_nonlinear(None, _two_band_state(G16), cfg, store_every=2,
+                        derivatives=derivatives, with_pressure=with_pressure)
+        assert sum(passes) == kept
+
+    @pytest.mark.parametrize("derivatives", [1, 2])
+    @pytest.mark.parametrize("grid, forcing", [
+        (G16, "callable"), (SpectralGrid(3, 8), "constant"), (SpectralGrid(3, 32), "none")])
+    def test_outputs_equal_b_on_a_fresh_state(self, monkeypatch, grid, forcing, derivatives):
+        rng = np.random.default_rng(97)
+        u0 = project_state(random_form(grid, 1, rng, kmax=grid.res / 6))
+        g = random_form(grid, 1, rng, kmax=grid.res / 6)
+        f, f_dt = {"none": (None, None), "constant": (g, None),
+                   "callable": (lambda t: g * float(np.cos(t)),
+                                lambda t: g * float(-np.sin(t)))}[forcing]
+        cfg = SolverConfig(mu=0.1, T=2e-3, dt=1e-3, res=grid.res, n=grid.n)
+
+        def solve():
+            return solve_nonlinear(f, u0, cfg, derivatives=derivatives,
+                                   with_pressure=True, f_dt_series=f_dt)
+
+        got = solve()
+        original = solver_module.bilinear_term
+        monkeypatch.setattr(solver_module, "bilinear_term", lambda u, du, cfg, **kwargs: (
+            original(nonlinear_module.BandHalves(u.grid, u.degree, u.halves), du, cfg,
+                     **kwargs)))
+        expected = solve()
+        _assert_same_states(got.u, expected.u)
+        _assert_same_states(got.p, expected.p)
+        assert sorted(got.dt_cache) == sorted(expected.dt_cache) == list(
+            range(1, derivatives + 1))
+        for d in got.dt_cache:
+            _assert_same_states(got.dt_cache[d], expected.dt_cache[d])
+        assert sorted(got.p_dt_cache) == sorted(expected.p_dt_cache) == [1]
+        _assert_same_states(got.p_dt_cache[1], expected.p_dt_cache[1])
+
+
 class TestKernelPasses:
     """Newton and the discrete maps put their independent evaluations in
     batched kernel passes, counted through ``nonlinear._quadratic``."""

@@ -35,7 +35,7 @@ from torusforms.spectral import (
     to_physical,
 )
 
-from oracles import periodic_derivative, quadrature_inner
+from oracles import periodic_derivative, quadrature_inner, snapshot_bytes, snapshot_components
 
 
 def rel_err(a: float, b: float) -> float:
@@ -588,6 +588,35 @@ class TestSnapshotIO:
         expected = FormField.from_physical(grid, degree, to_physical(u))
         for a, b in zip(v.components, expected.components):
             assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kmax", [None, 2])
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 8), SpectralGrid(2, 256),
+                                      SpectralGrid(3, 8), SpectralGrid(3, 16)])
+    def test_files_and_loaded_halves_match_the_numpy_oracle(self, tmp_path, grid, kmax):
+        # Written from each component's buffer and read into one array, the
+        # files and the loaded halves are those of tobytes and frombuffer,
+        # with every Nyquist line zeroed; a small kmax takes the pruned
+        # inverse transform.
+        rng = np.random.default_rng(89)
+        for degree in range(grid.n + 1):
+            u = random_form(grid, degree, rng, kmax=kmax)
+            path = tmp_path / f"field{degree}.bin"
+            save_field(u, path)
+            raw = path.read_bytes()
+            assert raw == snapshot_bytes(u)
+            noisy = raw[:19] + rng.standard_normal(len(raw[19:]) // 8).astype("<f8").tobytes()
+            path.write_bytes(noisy)
+            v = load_field(path)
+            assert (v.grid, v.degree) == (grid, degree)
+            for a, b in zip(v.components, snapshot_components(noisy), strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    def test_from_coefficients_copies(self):
+        grid = SpectralGrid(2, 8)
+        c = np.ones(grid.half_shape, dtype=np.complex128)
+        u = FormField.from_coefficients(grid, 0, [c])
+        assert np.all(c == 1.0) and not np.shares_memory(u.components[0], c)
+        assert np.all(u.components[0][grid.nyquist_mask] == 0.0)
 
     def test_round_trip(self, tmp_path):
         grid = SpectralGrid(3, 12)
