@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from torusforms import emit_plot_data, gn_ratio_survey
+from torusforms import gn_ratio_survey, write_csv
 
 
 def main() -> int:
@@ -35,9 +35,9 @@ def main() -> int:
     print(f"doubled-resolution max ratio: {survey.doubled_max_ratio:.4f}")
     print(f"relative change under doubling: {survey.relative_change:.3e}")
     if args.out is not None:
-        paths = emit_plot_data(None, ("gn-ratios",), args.out,
-                               gn_ratios=ratios)
-        print(f"wrote {paths['gn-ratios']}")
+        path = write_csv(args.out / "gn-ratios.csv", ("iteration", "value"),
+                         enumerate(ratios))
+        print(f"wrote {path}")
     return 0
 
 

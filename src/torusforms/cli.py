@@ -34,17 +34,19 @@ import numpy as np
 from .nonlinear import PRESETS, get_preset
 from .solver import (
     SolverConfig,
+    energy_series,
     load_solver_config,
     project_state,
     save_solution,
     solve_linearized,
     solve_nonlinear,
+    write_csv,
 )
-from .spectral import codifferential, fractional_power, l2_norm, random_form
+from .spectral import codifferential, l2_norm, random_form
 from .verify import (
+    ENERGY_NAMES,
     ExperimentSpec,
     VerificationReport,
-    emit_plot_data,
     gn_ratio_survey,
     gn_survey_records,
     measured_check,
@@ -55,8 +57,7 @@ from .verify import (
     taylor_green_state,
     upper_check,
     verify_all,
-    write_norm_series,
-    write_norm_table,
+    write_energy_series,
     write_report,
 )
 
@@ -131,7 +132,7 @@ def _cmd_solve_linear(args) -> int:
     ]
     if args.out is not None:
         save_solution(sol, args.out / "solution")
-        emit_plot_data(sol, ("energy", "grad-energy"), args.out)
+        write_energy_series(sol, args.out)
     report = _command_report("solve-linear", args, records)
     return _finish(report, args.out)
 
@@ -175,15 +176,12 @@ def _cmd_norms(args) -> int:
         for (_, name, k, s, p, value) in rows
     ]
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        write_norm_table(args.out / "norms.csv", rows)
-        series = []
-        for t, u in zip(sol.times, sol.u):
-            series.append((float(t), "energy", l2_norm(u) ** 2))
-        for t, u in zip(sol.times, sol.u):
-            series.append((float(t), "grad-energy",
-                           l2_norm(fractional_power(u, 1)) ** 2))
-        write_norm_series(args.out / "series.csv", series)
+        write_csv(args.out / "norms.csv",
+                  ("experiment_id", "norm_name", "k", "s", "p", "value"), rows)
+        series = energy_series(sol)
+        write_csv(args.out / "series.csv", ("t", "quantity", "value"),
+                  [(t, name, e[j]) for j, name in enumerate(ENERGY_NAMES)
+                   for t, e in zip(sol.times, series)])
     report = _command_report("norms", args, records)
     return _finish(report, args.out)
 
@@ -196,8 +194,8 @@ def _cmd_gn_survey(args) -> int:
                                   "interpolation-inequality",
                                   survey.doubled_max_ratio))
     if args.out is not None:
-        emit_plot_data(None, ("gn-ratios",), args.out,
-                       gn_ratios=survey.ratios)
+        write_csv(args.out / "gn-ratios.csv", ("iteration", "value"),
+                  enumerate(survey.ratios))
     report = _command_report("gn-survey", args,
                              sorted(records, key=lambda r: r.id))
     return _finish(report, args.out)
@@ -225,8 +223,8 @@ def _cmd_newton(args) -> int:
                     _contraction_factor(residual_history), 1e-4),
     ]
     if args.out is not None:
-        emit_plot_data(None, ("newton-residuals",), args.out,
-                       newton_residuals=residual_history)
+        write_csv(args.out / "newton-residuals.csv", ("iteration", "value"),
+                  enumerate(residual_history))
     report = _command_report("newton", args, records)
     return _finish(report, args.out)
 

@@ -1290,27 +1290,45 @@ MANIFEST_NAME = "manifest.csv"
 MANIFEST_COLUMNS = ("t", "file", "energy", "grad_energy")
 
 
+def write_csv(path, header, rows) -> Path:
+    """Write ``header`` and ``rows`` as CSV, making the parent directory.
+
+    A float cell (Python or NumPy) is written as ``repr(float(x))``, which
+    reads back exactly; any other cell with ``str``.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(x)) if isinstance(x, (float, np.floating)) else x
+             for x in row] for row in rows)
+    return path
+
+
+def energy_series(sol: TimeSeriesSolution) -> list[tuple[float, float]]:
+    """(|u|_{L2}^2, |grad u|_{L2}^2) at each sample time."""
+    return [(l2_norm(u) ** 2, l2_norm(fractional_power(u, 1)) ** 2)
+            for u in sol.u]
+
+
 def save_solution(sol: TimeSeriesSolution, directory) -> Path:
     """Write snapshots plus a CSV manifest (t, file, energy, grad_energy).
 
-    energy = |u|_{L2}^2 and grad_energy = |grad u|_{L2}^2 per sample time;
-    pressure snapshots, when present, sit alongside as p_*.hpform.
+    energy and grad_energy come from ``energy_series``; pressure
+    snapshots, when present, sit alongside as p_*.hpform.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = directory / MANIFEST_NAME
-    with open(manifest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for j, (t, u) in enumerate(zip(sol.times, sol.u)):
-            name = f"u_{j:05d}.hpform"
-            save_field(u, directory / name)
-            energy = l2_norm(u) ** 2
-            grad_energy = l2_norm(fractional_power(u, 1)) ** 2
-            writer.writerow([repr(float(t)), name, repr(energy), repr(grad_energy)])
-            if sol.p is not None:
-                save_field(sol.p[j], directory / f"p_{j:05d}.hpform")
-    return manifest
+    rows = []
+    for j, (t, u, energies) in enumerate(zip(sol.times, sol.u, energy_series(sol))):
+        name = f"u_{j:05d}.hpform"
+        save_field(u, directory / name)
+        if sol.p is not None:
+            save_field(sol.p[j], directory / f"p_{j:05d}.hpform")
+        rows.append((t, name) + energies)
+    return write_csv(directory / MANIFEST_NAME, MANIFEST_COLUMNS, rows)
 
 
 def load_solution(directory) -> TimeSeriesSolution:

@@ -34,6 +34,7 @@ reality.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -719,6 +720,9 @@ def load_field(path) -> FormField:
                 raise FieldIntegrityError(f"snapshot header has a bad {name}: {value}")
         grid = SpectralGrid(n, res)
         count = grid.component_count(degree)
+        # the header's promise, checked in Python ints before anything is allocated
+        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * count * res ** n:
+            raise FieldIntegrityError("snapshot payload truncated")
         samples = np.empty((count,) + grid.shape, dtype="<f8")
         if fh.readinto(memoryview(samples).cast("B")) != samples.nbytes:
             raise FieldIntegrityError("snapshot payload truncated")

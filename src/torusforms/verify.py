@@ -16,7 +16,6 @@ yields a bit-identical report on one platform.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -57,12 +56,14 @@ from .solver import (
     discrete_linearized_data,
     discrete_residual,
     energy_identity_residual,
+    energy_series,
     galerkin_convergence_study,
     lions_identity_residual,
     newton_local_inverse,
     project_state,
     save_solution,
     solve_nonlinear,
+    write_csv,
     _worst,
 )
 from .spectral import (
@@ -873,7 +874,7 @@ def _taylor_green_experiment(spec: ExperimentSpec) -> list[CheckRecord]:
     ]
     if spec.out_dir is not None:
         save_solution(sol, Path(spec.out_dir) / "solution")
-        emit_plot_data(sol, ("energy", "grad-energy"), spec.out_dir)
+        write_energy_series(sol, spec.out_dir)
     return records
 
 
@@ -935,102 +936,16 @@ def verify_all(seed: int = 0, sizes: Mapping | None = None) -> VerificationRepor
 
 # -- CSV emission ----------------------------------------------------------------
 
-
-PLOT_QUANTITIES = ("energy", "grad-energy", "bochner", "gn-ratios",
-                   "newton-residuals")
+ENERGY_NAMES = ("energy", "grad-energy")
 
 
-def _prefix_bochner(sol: TimeSeriesSolution) -> list[tuple[float, float]]:
-    idx = BochnerIndex(0, 1 if 1 in sol.dt_cache else 0)
-    rows = []
-    for j in range(1, len(sol.times)):
-        cache = ({1: sol.dt_cache[1][: j + 1]} if 1 in sol.dt_cache else {})
-        prefix = TimeSeriesSolution(sol.times[: j + 1], sol.u[: j + 1],
-                                    dt_cache=cache)
-        rows.append((float(sol.times[j]), bochner_norm(prefix, idx)))
-    return rows
-
-
-def emit_plot_data(
-    solution: TimeSeriesSolution | None,
-    quantities: Sequence[str],
-    out_dir,
-    *,
-    gn_ratios: np.ndarray | None = None,
-    newton_residuals: Sequence[float] | None = None,
-) -> dict[str, Path]:
-    """Write one two-column CSV per quantity; returns quantity -> path."""
-    unknown = set(quantities) - set(PLOT_QUANTITIES)
-    if unknown:
-        raise ValueError(
-            f"unknown plot quantities {sorted(unknown)}; "
-            f"available: {list(PLOT_QUANTITIES)}"
-        )
-    out = {}
-    if not quantities:
-        return out
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for quantity in quantities:
-        if quantity in ("energy", "grad-energy", "bochner"):
-            if solution is None:
-                raise ValueError(f"quantity {quantity!r} needs a solution")
-            if quantity == "energy":
-                rows = [(float(t), l2_norm(u) ** 2)
-                        for t, u in zip(solution.times, solution.u)]
-            elif quantity == "grad-energy":
-                rows = [(float(t), l2_norm(fractional_power(u, 1)) ** 2)
-                        for t, u in zip(solution.times, solution.u)]
-            else:
-                rows = _prefix_bochner(solution)
-            label = "t"
-        elif quantity == "gn-ratios":
-            if gn_ratios is None:
-                raise ValueError("quantity 'gn-ratios' needs gn_ratios data")
-            rows = list(enumerate(np.asarray(gn_ratios, dtype=float).tolist()))
-            label = "iteration"
-        else:
-            if newton_residuals is None:
-                raise ValueError(
-                    "quantity 'newton-residuals' needs newton_residuals data")
-            rows = list(enumerate(float(r) for r in newton_residuals))
-            label = "iteration"
-        path = out_dir / f"{quantity}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([label, "value"])
-            for key, value in rows:
-                writer.writerow([repr(float(key)) if label == "t" else key,
-                                 repr(float(value))])
-        out[quantity] = path
-    return out
-
-
-def write_norm_series(path, rows: Sequence[tuple[float, str, float]]) -> Path:
-    """Time series CSV with columns (t, quantity, value)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "quantity", "value"])
-        for t, quantity, value in rows:
-            writer.writerow([repr(float(t)), quantity, repr(float(value))])
-    return path
-
-
-def write_norm_table(
-    path, rows: Sequence[tuple[str, str, int, float, float, float]]
-) -> Path:
-    """Norm report CSV with columns (experiment_id, norm_name, k, s, p, value)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experiment_id", "norm_name", "k", "s", "p", "value"])
-        for experiment_id, norm_name, k, s, p, value in rows:
-            writer.writerow([experiment_id, norm_name, k, repr(float(s)),
-                             repr(float(p)), repr(float(value))])
-    return path
+def write_energy_series(sol: TimeSeriesSolution, out_dir) -> None:
+    """``energy.csv`` and ``grad-energy.csv``: (t, value) per sample of
+    ``energy_series``."""
+    series = energy_series(sol)
+    for j, name in enumerate(ENERGY_NAMES):
+        write_csv(Path(out_dir) / f"{name}.csv", ("t", "value"),
+                  [(t, e[j]) for t, e in zip(sol.times, series)])
 
 
 def solution_norm_rows(

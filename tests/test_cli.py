@@ -6,7 +6,10 @@ import json
 import pytest
 
 from torusforms.cli import build_parser, main
-from torusforms.solver import load_solution
+from torusforms.nonlinear import get_preset
+from torusforms.solver import SolverConfig, load_solution, solve_nonlinear
+from torusforms.spectral import fractional_power, l2_norm
+from torusforms.verify import taylor_green_state
 
 CONFIG_TEXT = """\
 # linearized smoke-test configuration
@@ -210,10 +213,22 @@ class TestNorms:
         assert all(row.split(",")[0] == "norms" for row in table[1:])
         series = (out / "series.csv").read_text().splitlines()
         assert series[0] == "t,quantity,value"
-        quantities = {row.split(",")[1] for row in series[1:]}
-        assert quantities == {"energy", "grad-energy"}
+        # the run the command makes, repeated here: rows are exact reprs of
+        # |u|^2, then of |grad u|^2, at each stored time
+        cfg = SolverConfig(mu=0.1, T=0.2, dt=2e-3, res=16, scheme="imex-rk2")
+        sol = solve_nonlinear(
+            None, taylor_green_state(cfg.grid(), 0.0, cfg.mu), cfg,
+            get_preset(cfg.preset, cfg.n, cfg.degree),
+            store_every=max(1, cfg.steps // 50))
+        assert series[1:] == [
+            f"{float(t)!r},{name},{float(energy(u))!r}"
+            for name, energy in (
+                ("energy", lambda u: l2_norm(u) ** 2),
+                ("grad-energy", lambda u: l2_norm(fractional_power(u, 1)) ** 2))
+            for t, u in zip(sol.times, sol.u)]
         report = json.loads((out / "report.json").read_text())
         assert all(c["status"] == "measured" for c in report["checks"])
+        assert len(table) == len(report["checks"]) + 1
 
 
 class TestGNSurvey:
@@ -224,10 +239,12 @@ class TestGNSurvey:
         assert rc == 0
         csv_lines = (out / "gn-ratios.csv").read_text().splitlines()
         assert csv_lines[0] == "iteration,value"
-        assert len(csv_lines) == 5
+        assert [row.split(",")[0] for row in csv_lines[1:]] == ["0", "1", "2", "3"]
         report = json.loads((out / "report.json").read_text())
         by_id = {c["id"]: c for c in report["checks"]}
         assert by_id["gn/interpolation-max-ratio"]["status"] == "measured"
+        assert by_id["gn/interpolation-max-ratio"]["value"] == max(
+            float(row.split(",")[1]) for row in csv_lines[1:])
         assert by_id["gn/interpolation-doubled-max-ratio"]["status"] == \
             "measured"
         assert by_id["gn/interpolation-stability"]["status"] == "pass"
@@ -246,8 +263,13 @@ class TestNewton:
         assert by_id["newton/contraction-factor"]["status"] == "pass"
         residuals = (out / "newton-residuals.csv").read_text().splitlines()
         assert residuals[0] == "iteration,value"
+        assert [r.split(",")[0] for r in residuals[1:]] == [
+            str(j) for j in range(len(residuals) - 1)]
         values = [float(r.split(",")[1]) for r in residuals[1:]]
         assert values == sorted(values, reverse=True)
+        # the history as Newton made it: the last entry is the reported residual
+        assert values[-1] == by_id["newton/residual"]["value"]
+        assert len(values) - 1 == by_id["newton/iterations"]["value"]
         assert (out / "solution" / "manifest.csv").exists()
 
 

@@ -18,6 +18,10 @@ REMOVED = [
     (torusforms.HodgeDecomposition, "reconstruct"),
     (torusforms.GalerkinBasis, "project"),
     (torusforms.GalerkinBasis, "_project_halves"),
+    (torusforms.verify, "emit_plot_data"),
+    (torusforms.verify, "PLOT_QUANTITIES"),
+    (torusforms.verify, "write_norm_series"),
+    (torusforms.verify, "write_norm_table"),
 ]
 
 

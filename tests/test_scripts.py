@@ -22,14 +22,25 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SCRIPTS))
-def test_script_runs(name):
+def _run(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *SCRIPTS[name]],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_script_runs(name):
+    _run(name, *SCRIPTS[name])
+
+
+def test_gn_survey_writes_its_csv(tmp_path):
+    _run("gn_survey.py", "--trials", "3", "--res", "16", "--out", str(tmp_path))
+    lines = (tmp_path / "gn-ratios.csv").read_text().splitlines()
+    assert lines[0] == "iteration,value"
+    assert [row.split(",")[0] for row in lines[1:]] == ["0", "1", "2"]

@@ -7,6 +7,7 @@ algebraic identities of the discrete quadratic forward map.
 """
 
 import dataclasses
+import math
 import sys
 import tracemalloc
 from functools import lru_cache, partial
@@ -61,6 +62,7 @@ from torusforms.solver import (
     save_solution,
     solve_linearized,
     solve_nonlinear,
+    write_csv,
 )
 from torusforms.hodge import helmholtz_project, recover_pressure
 from torusforms.spectral import (
@@ -2102,11 +2104,11 @@ class TestSolutionIO:
         save_solution(sol, tmp_path / "run")
         lines = (tmp_path / "run" / "manifest.csv").read_text().splitlines()
         assert lines[0] == "t,file,energy,grad_energy"
-        first = lines[1].split(",")
-        assert first[0] == "0.0" and first[1] == "u_00000.hpform"
-        assert float(first[2]) == pytest.approx(l2_norm(sol.u[0]) ** 2)
-        assert float(first[3]) == pytest.approx(
-            l2_norm(fractional_power(sol.u[0], 1)) ** 2)
+        assert lines[1:] == [
+            f"{float(t)!r},u_{j:05d}.hpform,{l2_norm(u) ** 2!r},"
+            f"{l2_norm(fractional_power(u, 1)) ** 2!r}"
+            for j, (t, u) in enumerate(zip(sol.times, sol.u))]
+        assert lines[1].startswith("0.0,u_00000.hpform,")
 
     def test_pressure_optional(self, tmp_path):
         cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16)
@@ -2147,6 +2149,27 @@ class TestSolutionIO:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="sample times must be finite"):
             load_solution(tmp_path / "run")
+
+
+class TestWriteCSV:
+    def test_float_cells_round_trip_exactly(self, tmp_path):
+        values = [0.1, 1 / 3, np.float64(2 / 3), np.float64(-1e-300), 5e-324,
+                  math.inf, -np.inf, math.nan, np.float64(np.nan)]
+        path = write_csv(tmp_path / "x.csv", ("i", "value"), enumerate(values))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "i,value"
+        for j, (line, x) in enumerate(zip(lines[1:], values, strict=True)):
+            key, cell = line.split(",")
+            assert key == str(j) and cell == repr(float(x))
+            back = float(cell)
+            assert (math.isnan(back) and math.isnan(x)) or back == x
+
+    def test_other_cells_by_str_and_parents_made(self, tmp_path):
+        path = write_csv(tmp_path / "a" / "b" / "x.csv", ["name", "k", "n"],
+                         [("energy", 3, np.int64(-4)), ("grad-energy", 0, True)])
+        assert path == tmp_path / "a" / "b" / "x.csv"
+        assert path.read_bytes() == (b"name,k,n\r\nenergy,3,-4\r\n"
+                                     b"grad-energy,0,True\r\n")
 
 
 class TestIdentitySemantics:

@@ -667,6 +667,23 @@ class TestSnapshotIO:
         with pytest.raises(FieldIntegrityError, match=f"bad {problem}"):
             load_field(path)
 
+    @pytest.mark.parametrize("header", [(3, 1, 16384), (3, 1, 2**30)])
+    def test_payload_checked_against_the_file_before_allocating(self, tmp_path, header):
+        # An 83-byte file: its header promises far more than it holds (96 TiB
+        # and 2**93 bytes), so the size check must come before np.empty.
+        path = tmp_path / "field.bin"
+        path.write_bytes(b"HPFORM1" + np.array(header, dtype="<i4").tobytes() + b"\0" * 64)
+        assert path.stat().st_size == 83
+        with pytest.raises(FieldIntegrityError, match="snapshot payload truncated"):
+            load_field(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "field.bin"
+        save_field(FormField.zeros(SpectralGrid(2, 8), 1), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(FieldIntegrityError, match="snapshot payload truncated"):
+            load_field(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "field.bin"
         save_field(FormField.zeros(SpectralGrid(2, 8), 1), path)

@@ -16,15 +16,14 @@ from torusforms.solver import (
     SolverDivergenceError,
     build_basis,
     solve_nonlinear,
+    write_csv,
 )
 from torusforms.spectral import FormField, SpectralGrid, l2_norm
 from torusforms.verify import (
     DEFAULT_SIZES,
-    PLOT_QUANTITIES,
     CheckRecord,
     ExperimentSpec,
     VerificationReport,
-    emit_plot_data,
     gn_ratio_survey,
     gn_survey_records,
     lower_check,
@@ -35,8 +34,7 @@ from torusforms.verify import (
     taylor_green_state,
     upper_check,
     verify_all,
-    write_norm_series,
-    write_norm_table,
+    write_energy_series,
     write_report,
 )
 
@@ -251,70 +249,18 @@ class TestGNSurvey:
             gn_ratio_survey(trials=0)
 
 
-class TestEmitPlotData:
+class TestCSVSeries:
     def test_energy_monotone_decreasing(self, tmp_path):
         sol = _heat_solution()
-        paths = emit_plot_data(sol, ("energy", "grad-energy"), tmp_path)
-        lines = paths["energy"].read_text().splitlines()
+        write_energy_series(sol, tmp_path / "plots")
+        lines = (tmp_path / "plots" / "energy.csv").read_text().splitlines()
         assert lines[0] == "t,value"
+        assert [row.split(",")[0] for row in lines[1:]] == [
+            repr(float(t)) for t in sol.times]
         values = [float(row.split(",")[1]) for row in lines[1:]]
-        assert len(values) == len(sol.times)
         assert all(b < a for a, b in zip(values, values[1:]))
-        assert paths["grad-energy"].read_text().splitlines()[0] == "t,value"
-
-    def test_bochner_prefix_nondecreasing(self, tmp_path):
-        sol = _heat_solution()
-        paths = emit_plot_data(sol, ("bochner",), tmp_path)
-        lines = paths["bochner"].read_text().splitlines()
-        values = [float(row.split(",")[1]) for row in lines[1:]]
-        assert len(values) == len(sol.times) - 1
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_newton_residuals_quadratic_column(self, tmp_path):
-        history = [1e-3, 1.2e-8, 5.0e-14]
-        paths = emit_plot_data(None, ("newton-residuals",), tmp_path,
-                               newton_residuals=history)
-        lines = paths["newton-residuals"].read_text().splitlines()
-        assert lines[0] == "iteration,value"
-        values = [float(row.split(",")[1]) for row in lines[1:]]
-        assert values == history
-        ratios = [b / a for a, b in zip(values, values[1:])]
-        assert all(r < 1e-4 for r in ratios)
-
-    def test_gn_ratio_rows(self, tmp_path):
-        paths = emit_plot_data(None, ("gn-ratios",), tmp_path,
-                               gn_ratios=np.array([0.1, 0.2]))
-        lines = paths["gn-ratios"].read_text().splitlines()
-        assert lines[0] == "iteration,value"
-        assert lines[1].startswith("0,") and lines[2].startswith("1,")
-
-    def test_empty_quantity_list_no_files(self, tmp_path):
-        out = tmp_path / "plots"
-        assert emit_plot_data(_heat_solution(), (), out) == {}
-        assert not out.exists()
-
-    def test_usage_errors(self, tmp_path):
-        sol = _heat_solution()
-        with pytest.raises(ValueError, match="unknown plot quantities"):
-            emit_plot_data(sol, ("vorticity",), tmp_path)
-        with pytest.raises(ValueError, match="needs a solution"):
-            emit_plot_data(None, ("energy",), tmp_path)
-        with pytest.raises(ValueError, match="gn_ratios"):
-            emit_plot_data(sol, ("gn-ratios",), tmp_path)
-        with pytest.raises(ValueError, match="newton_residuals"):
-            emit_plot_data(sol, ("newton-residuals",), tmp_path)
-        assert set(PLOT_QUANTITIES) == {
-            "energy", "grad-energy", "bochner", "gn-ratios",
-            "newton-residuals"}
-
-
-class TestNormCSV:
-    def test_norm_series_columns(self, tmp_path):
-        path = write_norm_series(tmp_path / "series.csv",
-                                 [(0.0, "energy", 1.0), (0.5, "energy", 0.5)])
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,quantity,value"
-        assert lines[1] == "0.0,energy,1.0"
+        grad = (tmp_path / "plots" / "grad-energy.csv").read_text().splitlines()
+        assert grad[0] == "t,value" and len(grad) == len(lines)
 
     def test_norm_table_columns_and_rows(self, tmp_path):
         sol = _heat_solution()
@@ -322,7 +268,14 @@ class TestNormCSV:
         assert all(np.isfinite(r[-1]) and r[-1] >= 0 for r in rows)
         names = {r[1] for r in rows}
         assert "sobolev-final" in names and "bochner-vel" in names
-        path = write_norm_table(tmp_path / "norms.csv", rows)
+        path = write_csv(tmp_path / "norms.csv",
+                         ("experiment_id", "norm_name", "k", "s", "p", "value"),
+                         rows)
         lines = path.read_text().splitlines()
         assert lines[0] == "experiment_id,norm_name,k,s,p,value"
         assert len(lines) == len(rows) + 1
+        # write_csv formats by cell type: k is an int, s, p and the value floats
+        for line, row in zip(lines[1:], rows):
+            cells = line.split(",")
+            assert cells[2] == str(row[2]) and cells[2] in ("0", "1")
+            assert cells[3:] == [repr(float(x)) for x in row[3:]]
