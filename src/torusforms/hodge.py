@@ -1,9 +1,10 @@
-"""Helmholtz projection, Hodge decomposition, and pressure recovery.
+"""Helmholtz projection and Hodge decomposition.
 
 Everything is assembled from the complex operations; the projection is
 P = delta d phi + Pi, equal to I - d delta phi away from degree edges.
 On the flat torus P is the orthogonal projection onto coclosed fields
-(divergence-free plus harmonic), the kernel of the codifferential.
+(divergence-free plus harmonic), the kernel of the codifferential.  The
+solvers' pressure is ``solver._pressure``, in closed form on band halves.
 """
 
 from __future__ import annotations
@@ -11,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .spectral import (
-    ConsistencyError,
     FormField,
     codifferential,
     exterior_derivative,
     harmonic_projection,
-    l2_norm,
     parametrix,
 )
 
@@ -62,23 +61,3 @@ def hodge_decompose(u: FormField) -> HodgeDecomposition:
     )
     return HodgeDecomposition(exact, coexact, harmonic_projection(u))
 
-
-def recover_pressure(source: FormField) -> FormField:
-    """Potential p with d p = source for a source in the exact range.
-
-    Returns p = delta phi source, the unique potential that is coclosed
-    and orthogonal to harmonics.  The source must be (numerically) free
-    of any coclosed part: ``|P source| <= 1e-10 * |source|``.
-    """
-    if source.degree < 1:
-        raise ValueError("pressure recovery needs a source of degree >= 1")
-    scale = l2_norm(source)
-    coclosed = helmholtz_project(source)
-    residual = l2_norm(coclosed)
-    if residual > 1e-10 * max(scale, 1e-300):
-        raise ConsistencyError(
-            f"source is not an exact field: |P source| = {residual:.3e} "
-            f"exceeds 1.0e-10 * |source| = {1e-10 * scale:.3e}"
-        )
-    cleaned = source - coclosed
-    return codifferential(parametrix(cleaned))

@@ -105,7 +105,6 @@ from .spectral import (
     _is_hermitian,
     _to_grid,
     dealias,
-    inner_product,
     multi_indices,
     random_form,
     remove_harmonic,
@@ -550,18 +549,6 @@ def convective_term(w: FormField, u: FormField) -> FormField:
             acc += w_phys[j] * _to_grid(grid, _derivative_symbol(grid, j, 1, False) * c)
         comps.append(acc)
     return dealias(FormField.from_physical(grid, 1, comps))
-
-
-def trilinear_form(w: FormField, u: FormField, cfg: NonlinearityConfig) -> float:
-    """Trilinear pairing of the nonlinearity against the state.
-
-    For the navier-stokes-i1 preset it is ((w . grad) u, u), the classical
-    form that vanishes for divergence-free w; for any other configuration
-    (B(w, u), u).
-    """
-    if cfg.tag == "navier-stokes-i1":
-        return inner_product(convective_term(w, u), u)
-    return inner_product(bilinear_term(w, u, cfg), u)
 
 
 # -- empirical continuity bound ------------------------------------------------

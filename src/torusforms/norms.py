@@ -102,6 +102,8 @@ class TimeSeriesSolution:
     ``dt_cache[j]`` holds the j-th time derivative of u at every sample
     time, produced by substituting the evolution equation (not by finite
     differences).  ``p`` and ``p_dt_cache`` carry the pressure series.
+    Each series has one field per time, all on u[0]'s grid; u and
+    ``dt_cache`` have u[0]'s degree, ``p`` and ``p_dt_cache`` their first's.
     """
 
     times: np.ndarray
@@ -118,16 +120,19 @@ class TimeSeriesSolution:
             raise ValueError(f"sample times must be finite, got {self.times}")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("sample times must increase strictly")
-        if len(self.u) != len(self.times):
-            raise ValueError("one velocity snapshot per sample time required")
-        if self.p is not None and len(self.p) != len(self.times):
-            raise ValueError("one pressure snapshot per sample time required")
-        for name, cache in (("dt_cache", self.dt_cache), ("p_dt_cache", self.p_dt_cache)):
-            for order, series in cache.items():
+        velocity = [("u", self.u)] + [(f"dt_cache[{k}]", s) for k, s in self.dt_cache.items()]
+        pressure = ([] if self.p is None else [("p", self.p)]) + [
+            (f"p_dt_cache[{k}]", s) for k, s in self.p_dt_cache.items()]
+        for group in (velocity, pressure):
+            for name, series in group:
                 if len(series) != len(self.times):
-                    raise ValueError(
-                        f"{name}[{order}] has {len(series)} samples for "
-                        f"{len(self.times)} sample times")
+                    raise ValueError(f"{name} has {len(series)} samples for "
+                                     f"{len(self.times)} sample times")
+                grid, degree = self.u[0].grid, group[0][1][0].degree
+                for i, x in enumerate(series):
+                    if x.grid != grid or x.degree != degree:
+                        raise ValueError(f"{name}[{i}] is a field of degree {x.degree} on "
+                                         f"{x.grid}, not of degree {degree} on {grid}")
 
     def derivative_series(self, j: int, of_pressure: bool = False) -> list[FormField]:
         if j == 0:

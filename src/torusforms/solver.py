@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import comb
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -877,15 +877,15 @@ class LinearizedOperator:
     acts on the state u = sum_k g_k b_k as mu Lap u + P_m B(w(t), u), whose
     coefficients are C(t)^T g, so the operator holds what the kernel needs
     and no matrix: the basis (and through it P_m), mu, the sample
-    ``times``, ``samples`` (w at each time as a ``BandHalves``, one kept
-    object for a constant w, None where w is zero) and the nonlinearity
-    ``ns_cfg``.
+    ``times``, ``advection`` (the ``_draw`` of w on the time grid: a
+    ``BandHalves`` at each time or midpoint, one kept object for a
+    constant w, None where w is zero) and the nonlinearity ``ns_cfg``.
     """
 
     basis: GalerkinBasis
     mu: float
     times: np.ndarray
-    samples: tuple[BandHalves | None, ...]
+    advection: Callable
     ns_cfg: NonlinearityConfig
 
 
@@ -904,9 +904,8 @@ def assemble_linearized(
     if basis.degree != ns_cfg.degree:
         raise ValueError("basis degree does not match the nonlinearity degree")
 
-    sample = _draw(w_series, times, "advection field", basis.grid, ns_cfg.degree)
-    return LinearizedOperator(basis, mu, times,
-                              tuple(sample(j, False) for j in range(len(times))), ns_cfg)
+    return LinearizedOperator(basis, mu, times, _draw(
+        w_series, times, "advection field", basis.grid, ns_cfg.degree, on_grid=True), ns_cfg)
 
 
 def apply_inverse(
@@ -945,17 +944,10 @@ def apply_inverse(
             raise ValueError(f"configuration {what} {got} does not match the "
                              f"operator's {expected}")
 
-    def advection(j, midpoint):
-        w = op.samples[j]
-        if midpoint and op.samples[j + 1] is not w:
-            parts = [s.halves for s in op.samples[j:j + 2] if s is not None]
-            w = BandHalves(basis.grid, basis.degree, sum(parts) * 0.5)
-        return w
-
     state0 = _initial_state(u0, basis.grid, basis.degree)
     f = _draw(f_series, times, "forcing", basis.grid, basis.degree,
               _forcing(basis._project_band), on_grid=True)
-    return _field_solve(cfg, ns, state0, f, advection, None,
+    return _field_solve(cfg, ns, state0, f, op.advection, None,
                         _stored_indices(cfg.steps, store_every), derivatives, False, basis)
 
 
@@ -1332,24 +1324,27 @@ def save_solution(sol: TimeSeriesSolution, directory) -> Path:
 
 
 def load_solution(directory) -> TimeSeriesSolution:
-    """Read a solution directory back (no derivative caches)."""
+    """Read a solution directory back (no derivative caches); a bad manifest
+    row (the header is row 0) raises a ``ValueError`` that names it."""
     directory = Path(directory)
     times = []
     u_list = []
     p_list = []
     with open(directory / MANIFEST_NAME, newline="") as fh:
         reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames) != MANIFEST_COLUMNS:
-            raise ValueError(
-                f"manifest columns {reader.fieldnames} != {list(MANIFEST_COLUMNS)}"
-            )
+        if tuple(reader.fieldnames or ()) != MANIFEST_COLUMNS:
+            raise ValueError(f"manifest columns {reader.fieldnames or []} != "
+                             f"{list(MANIFEST_COLUMNS)} in header row 0")
         for j, row in enumerate(reader):
             name = row["file"]
-            if name in ("", ".", "..") or Path(name).name != name:
+            if name in (None, "", ".", "..") or Path(name).name != name:
                 raise ValueError(
-                    f"manifest row {j + 1}: file {name!r} is not a bare file name"
-                )
-            times.append(float(row["t"]))
+                    f"manifest row {j + 1}: file {name!r} is not a bare file name")
+            try:
+                times.append(float(row["t"]))
+            except ValueError:
+                raise ValueError(
+                    f"manifest row {j + 1}: t {row['t']!r} is not a number") from None
             u_list.append(load_field(directory / name))
             p_path = directory / f"p_{j:05d}.hpform"
             if p_path.exists():

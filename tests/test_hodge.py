@@ -1,4 +1,4 @@
-"""Projection and decomposition identities, pressure recovery."""
+"""Projection and decomposition identities, and the solvers' pressure."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,9 @@ from torusforms.hodge import (
     HodgeDecomposition,
     helmholtz_project,
     hodge_decompose,
-    recover_pressure,
 )
+from torusforms.solver import SolverConfig, solve_nonlinear
 from torusforms.spectral import (
-    ConsistencyError,
     FormField,
     SpectralGrid,
     codifferential,
@@ -144,58 +143,33 @@ class TestHodgeDecomposition:
         assert l2_norm(dec.harmonic) <= 1e-12 * l2_norm(da)
 
 
-class TestPressureRecovery:
-    def test_recovers_known_potential(self):
-        for grid in GRIDS:
-            rng = np.random.default_rng(137)
-            # coclosed mean-free potential of degree 0: any mean-free scalar
-            q = remove_harmonic(random_form(grid, 0, rng))
-            p = recover_pressure(exterior_derivative(q))
+class TestSolverPressure:
+    # The solvers' pressure is the potential of the source's gradient part:
+    # with forcing d q, zero u0 and the zero preset, u stays 0 and every
+    # stored p is q, for q mean-free and coclosed (its own potential).
+    @pytest.mark.parametrize("case", ["T2-degree1", "T2-degree2", "T3-degree1",
+                                      "T3-degree2", "cos-x-cos-y", "zero-forcing"])
+    def test_gradient_forcing_stores_its_potential(self, case):
+        rng = np.random.default_rng(137)
+        grid, degree = {"T2-degree2": (GRIDS[0], 2), "T3-degree1": (GRIDS[1], 1),
+                        "T3-degree2": (GRIDS[1], 2)}.get(case, (GRIDS[0], 1))
+        q = remove_harmonic(helmholtz_project(random_form(grid, degree - 1, rng)))
+        if case == "cos-x-cos-y":
+            x, y = grid.meshes()
+            q = FormField.from_physical(grid, 0, [np.cos(x) * np.cos(y)])
+        elif case == "zero-forcing":
+            q = FormField.zeros(grid, 0)
+        cfg = SolverConfig(mu=0.1, T=0.02, dt=0.01, res=grid.res, degree=degree,
+                           preset="zero", n=grid.n)
+        dq = exterior_derivative(q)
+        sol = solve_nonlinear(dq, FormField.zeros(grid, degree), cfg)
+        assert len(sol.p) == 3
+        for p in sol.p:
+            if case == "zero-forcing":
+                assert all(not np.any(c) for c in p.components)
+                continue
             assert field_close(p, q, 1e-12)
-
-    def test_analytic_gradient(self):
-        grid = SpectralGrid(2, 32)
-        x, y = grid.meshes()
-        q = FormField.from_physical(grid, 0, [np.cos(x) * np.cos(y)])
-        p = recover_pressure(exterior_derivative(q))
-        assert field_close(p, q, 1e-12)
-
-    def test_zero_source(self):
-        grid = SpectralGrid(2, 16)
-        p = recover_pressure(FormField.zeros(grid, 1))
-        assert l2_norm(p) == 0.0
-
-    def test_properties_of_result(self):
-        grid = SpectralGrid(3, 12)
-        rng = np.random.default_rng(139)
-        q = remove_harmonic(random_form(grid, 1, rng))
-        # build an exact degree-2 source, recover its degree-1 potential
-        source = exterior_derivative(q)
-        p = recover_pressure(source)
-        # coclosed and orthogonal to harmonics
-        assert l2_norm(codifferential(p)) <= 1e-12 * max(l2_norm(p), 1.0)
-        assert l2_norm(harmonic_projection(p)) <= 1e-13
-        # reproduces the source
-        assert field_close(exterior_derivative(p), source, 1e-12)
-
-    def test_rejects_divergence_free_contamination(self):
-        grid = SpectralGrid(2, 16)
-        rng = np.random.default_rng(149)
-        u = random_form(grid, 1, rng)
-        contaminated = helmholtz_project(u) - harmonic_projection(u)
-        with pytest.raises(ConsistencyError):
-            recover_pressure(contaminated)
-
-    def test_degree_zero_rejected(self):
-        grid = SpectralGrid(2, 16)
-        with pytest.raises(ValueError):
-            recover_pressure(FormField.zeros(grid, 0))
-
-    def test_roundtrip_with_projection_complement(self):
-        # recover_pressure((I-P)F) then d p reproduces (I-P)F
-        grid = SpectralGrid(2, 16)
-        rng = np.random.default_rng(151)
-        F = random_form(grid, 1, rng)
-        complement = F - helmholtz_project(F)
-        p = recover_pressure(complement)
-        assert field_close(exterior_derivative(p), complement, 1e-11)
+            if p.degree >= 1:
+                assert l2_norm(codifferential(p)) <= 1e-12 * l2_norm(p)
+            assert l2_norm(harmonic_projection(p)) <= 1e-13
+            assert field_close(exterior_derivative(p), dq, 1e-12)

@@ -35,7 +35,6 @@ from torusforms.nonlinear import (
     interior_product_map,
     navier_stokes_config,
     nonlinear_term,
-    trilinear_form,
     zero_config,
 )
 from torusforms.solver import (
@@ -758,12 +757,11 @@ class TestTrilinear:
     def test_vanishes_for_divergence_free_advection(self, grid):
         # ((w . grad) u, u) = 0 when div w = 0: exact for band-limited
         # fields because the dealiased product introduces no aliasing.
-        cfg = _ns(grid)
         rng = np.random.default_rng(31)
         for _ in range(5):
             w = helmholtz_project(random_form(grid, 1, rng))
             u = random_form(grid, 1, rng)
-            value = trilinear_form(w, u, cfg)
+            value = inner_product(convective_term(w, u), u)
             assert abs(value) <= 1e-10 * max(l2_norm(w) * l2_norm(u) ** 2, 1e-30)
 
     def test_does_not_vanish_for_gradient_advection(self):
@@ -773,7 +771,7 @@ class TestTrilinear:
         phi = random_form(G2, 0, rng)
         w = exterior_derivative(phi)
         u = random_form(G2, 1, rng)
-        value = trilinear_form(w, u, _ns(G2))
+        value = inner_product(convective_term(w, u), u)
         assert abs(value) > 1e-6 * l2_norm(w) * l2_norm(u) ** 2
 
     def test_quadrature_oracle(self):
@@ -797,16 +795,6 @@ class TestTrilinear:
             conv.append(acc)
         oracle = quadrature_inner(conv, u_phys)
         assert ours == pytest.approx(oracle, abs=1e-8)
-
-    def test_pairing_follows_the_config(self):
-        # navier-stokes-i1 pairs the convective term against u, any other
-        # configuration B(w, u); both exactly.
-        w, u = _pair(G2, 34)
-        ns = _ns(G2)
-        assert trilinear_form(w, u, ns) == inner_product(convective_term(w, u), u)
-        custom = NonlinearityConfig(1, m1=interior_product_map(2))
-        assert (trilinear_form(w, u, custom)
-                == inner_product(bilinear_term(w, u, custom), u))
 
 
 class TestResolutionConsistency:
@@ -859,5 +847,4 @@ class TestZeroPreset:
         w, v = _pair(G2, 51)
         assert l2_norm(nonlinear_term(v, cfg)) == 0.0
         assert l2_norm(bilinear_term(w, v, cfg)) == 0.0
-        assert trilinear_form(w, v, cfg) == 0.0
 

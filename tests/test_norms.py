@@ -1,5 +1,7 @@
 """Sobolev and Bochner norms, interpolation report, Gronwall check."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -377,3 +379,30 @@ class TestTimeSeriesValidation:
                                              "samples for 3 sample times"):
             TimeSeriesSolution(np.array([0.0, 0.5, 1.0]), [zero] * 3, p=[zero] * 3,
                                **caches)
+
+    @pytest.mark.parametrize("series, index, expected", [
+        ("u", 2, "u[2] is a field of degree 1 on SpectralGrid(n=2, res=8), not of "
+                 "degree 1 on SpectralGrid(n=2, res=16)"),
+        ("dt_cache", 1, "dt_cache[1][1] is a field of degree 0 on SpectralGrid(n=2, "
+                        "res=16), not of degree 1"),
+        ("p", 1, "p[1] is a field of degree 0 on SpectralGrid(n=3, res=16), not of "
+                 "degree 0 on SpectralGrid(n=2, res=16)"),
+        ("p_dt_cache", 0, "p_dt_cache[1][0] is a field of degree 1 on "
+                          "SpectralGrid(n=2, res=16), not of degree 0"),
+    ])
+    def test_fields_share_one_grid_and_degree(self, series, index, expected):
+        # Mixed grids loaded and then failed inside bochner_norm with a
+        # broadcast error.  p may have any degree, but one for all samples.
+        grid = SpectralGrid(2, 16)
+        stray = {"u": FormField.zeros(SpectralGrid(2, 8), 1),
+                 "dt_cache": FormField.zeros(grid, 0),
+                 "p": FormField.zeros(SpectralGrid(3, 16), 0),
+                 "p_dt_cache": FormField.zeros(grid, 1)}[series]
+        data = {"u": [FormField.zeros(grid, 1)] * 3, "p": [FormField.zeros(grid, 0)] * 3,
+                "dt_cache": [FormField.zeros(grid, 1)] * 3,
+                "p_dt_cache": [FormField.zeros(grid, 0)] * 3}
+        data[series] = data[series][:index] + [stray] + data[series][index + 1:]
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            TimeSeriesSolution(np.array([0.0, 0.5, 1.0]), data["u"], p=data["p"],
+                               dt_cache={1: data["dt_cache"]},
+                               p_dt_cache={1: data["p_dt_cache"]})

@@ -8,6 +8,7 @@ algebraic identities of the discrete quadratic forward map.
 
 import dataclasses
 import math
+import re
 import sys
 import tracemalloc
 from functools import lru_cache, partial
@@ -64,7 +65,7 @@ from torusforms.solver import (
     solve_nonlinear,
     write_csv,
 )
-from torusforms.hodge import helmholtz_project, recover_pressure
+from torusforms.hodge import helmholtz_project
 from torusforms.spectral import (
     ConsistencyError,
     FieldIntegrityError,
@@ -78,8 +79,10 @@ from torusforms.spectral import (
     hodge_laplacian,
     inner_product,
     l2_norm,
+    parametrix,
     random_form,
     remove_harmonic,
+    save_field,
     to_physical,
 )
 
@@ -449,7 +452,7 @@ def _reference_lawson(cfg, u0, quad, forcing):
 
 def _reference_pressure(source: FormField) -> FormField:
     """The potential of the source's gradient part, through public hodge."""
-    return recover_pressure(source - helmholtz_project(source))
+    return codifferential(parametrix(source - helmholtz_project(source)))
 
 
 def _reference_samples(sol, mu, quad, forcing, forcing_dt=None, ns=None):
@@ -712,22 +715,17 @@ class TestEvaluationCounts:
         assert len(calls) == 3
 
     def test_pressure_needs_no_projection(self, monkeypatch):
-        # p = delta Lap^-1 (f - Q): no solve calls helmholtz_project or
-        # recover_pressure, in any package namespace that holds them, and
-        # d p is still the gradient part of the source.
+        # p = delta Lap^-1 (f - Q): no solve calls helmholtz_project, in
+        # any package namespace that holds it, and d p is still the
+        # gradient part of the source.
         calls = []
-
-        def counted(name, original):
-            return lambda *args: calls.append(name) or original(*args)
-
-        for name in ("helmholtz_project", "recover_pressure"):
-            original = getattr(hodge_module, name)
-            for module in [m for key, m in list(sys.modules.items())
-                           if key.split(".")[0] == "torusforms"]:
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted(name, original))
+        original = hodge_module.helmholtz_project
+        for module in [m for key, m in list(sys.modules.items())
+                       if key.split(".")[0] == "torusforms"]:
+            if getattr(module, "helmholtz_project", None) is original:
+                monkeypatch.setattr(module, "helmholtz_project",
+                                    lambda *args: calls.append(args) or original(*args))
         assert not hasattr(solver_module, "helmholtz_project")
-        assert not hasattr(solver_module, "recover_pressure")
         u0, w = _two_band_state(G16), _taylor_green(G16)
         f = random_form(G16, 1, np.random.default_rng(47), kmax=4)
         cfg = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
@@ -892,9 +890,9 @@ class TestKernelPasses:
 class TestSamplePass:
     """The stored samples' derivative caches and pressures, taken on the
     band-half state, against the same formulas on full fields: -mu Lap u
-    through hodge_laplacian and the pressure through helmholtz_project and
-    recover_pressure.  The operations differ (|k|^2 and delta Lap^-1 on
-    the half), so they agree to rounding, not bit for bit."""
+    through hodge_laplacian and the pressure through helmholtz_project,
+    codifferential and parametrix.  The operations differ (|k|^2 and
+    delta Lap^-1 on the half), so they agree to rounding, not bit for bit."""
 
     GRIDS = [G16, SpectralGrid(3, 8)]
 
@@ -2139,11 +2137,54 @@ class TestSolutionIO:
             load_solution(tmp_path / "run")
 
 
-    def test_non_finite_manifest_time_rejected(self, tmp_path):
+    @staticmethod
+    def _run(tmp_path):
+        """A saved T^2 res-16 run of 3 samples without pressures."""
         cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16)
         sol = solve_nonlinear(None, _taylor_green(G16), cfg, with_pressure=False)
         save_solution(sol, tmp_path / "run")
-        manifest = tmp_path / "run" / "manifest.csv"
+        return tmp_path / "run"
+
+    def test_empty_manifest_rejected(self, tmp_path):
+        run = self._run(tmp_path)
+        (run / "manifest.csv").write_text("")
+        with pytest.raises(ValueError, match="manifest columns .* in header row 0"):
+            load_solution(run)
+
+    def test_row_without_file_rejected(self, tmp_path):
+        run = self._run(tmp_path)
+        manifest = run / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = lines[2].split(",")[0]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="manifest row 2: file None is not a bare"):
+            load_solution(run)
+
+    def test_non_numeric_manifest_time_rejected(self, tmp_path):
+        run = self._run(tmp_path)
+        manifest = run / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[3] = "abc," + lines[3].split(",", 1)[1]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="manifest row 3: t 'abc' is not a number"):
+            load_solution(run)
+
+    @pytest.mark.parametrize("snapshot, grid, degree", [
+        ("u", SpectralGrid(2, 8), 1), ("u", G16, 2), ("p", SpectralGrid(3, 16), 0),
+    ])
+    def test_snapshot_on_another_grid_rejected(self, tmp_path, snapshot, grid, degree):
+        # Such a run loaded and then failed inside bochner_norm with a
+        # broadcast error.
+        cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16)
+        save_solution(solve_nonlinear(None, _taylor_green(G16), cfg), tmp_path / "run")
+        stray = random_form(grid, degree, np.random.default_rng(53))
+        save_field(stray, tmp_path / "run" / f"{snapshot}_00001.hpform")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{snapshot}[1] is a field of degree {degree} on {grid}")):
+            load_solution(tmp_path / "run")
+
+    def test_non_finite_manifest_time_rejected(self, tmp_path):
+        manifest = self._run(tmp_path) / "manifest.csv"
         lines = manifest.read_text().splitlines()
         lines[2] = "nan," + lines[2].split(",", 1)[1]
         manifest.write_text("\n".join(lines) + "\n")
