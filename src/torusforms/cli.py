@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .nonlinear import PRESETS, get_preset
+from .nonlinear import PRESETS
 from .solver import (
     SolverConfig,
     energy_series,
@@ -120,9 +120,7 @@ def _cmd_solve_linear(args) -> int:
     w = project_state(random_form(grid, cfg.degree, rng, kmax=kmax))
     f = project_state(random_form(grid, cfg.degree, rng, kmax=kmax))
     u0 = project_state(random_form(grid, cfg.degree, rng, kmax=kmax))
-    ns = get_preset(cfg.preset, cfg.n, cfg.degree)
-    sol = solve_linearized(w, f, u0, cfg, ns,
-                           store_every=max(1, cfg.steps // 50))
+    sol = solve_linearized(w, f, u0, cfg, store_every=max(1, cfg.steps // 50))
     div = max(relative(l2_norm(codifferential(u)), l2_norm(u)) for u in sol.u)
     records = [
         upper_check("solve-linear/divergence-free", "state-space-constraint",
@@ -166,9 +164,7 @@ def _cmd_hodge(args) -> int:
 def _cmd_norms(args) -> int:
     cfg = _resolve_config(
         args, SolverConfig(mu=0.1, T=0.2, dt=2e-3, res=32, scheme="imex-rk2"))
-    grid = cfg.grid()
-    ns = get_preset(cfg.preset, cfg.n, cfg.degree)
-    sol = solve_nonlinear(None, taylor_green_state(grid, 0.0, cfg.mu), cfg, ns,
+    sol = solve_nonlinear(None, taylor_green_state(cfg.grid(), 0.0, cfg.mu), cfg,
                           store_every=max(1, cfg.steps // 50))
     rows = solution_norm_rows("norms", sol)
     records = [
@@ -205,9 +201,8 @@ def _cmd_newton(args) -> int:
     cfg = _resolve_config(
         args,
         SolverConfig(mu=0.1, T=0.1, dt=2e-3, res=16, scheme="imex-euler"))
-    ns = get_preset(cfg.preset, cfg.n, cfg.degree)
     _, _, results, displacements = newton_openness(
-        cfg, ns, np.random.default_rng(args.seed))
+        cfg, cfg.nonlinearity(), np.random.default_rng(args.seed))
     residual_history = results[0].residual_history
     if args.out is not None:
         save_solution(results[0].solution, args.out / "solution")
@@ -271,9 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run a command; a ``ValueError`` or ``FileNotFoundError`` exits 2."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     args.started = time.perf_counter()
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, FileNotFoundError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ The state space is the band-limited divergence-free mean-free subspace
 integrating-factor schemes: the stiff diffusion is integrated exactly by
 the multiplier exp(-mu |k|^2 dt) and the advection/nonlinear term is
 explicit, either forward-Euler (``imex-euler``) or a two-stage midpoint
-rule (``imex-rk2``).
+rule (``imex-rk2``).  One loop, ``_run_scheme``, steps every solve and
+keeps no state but the current one; the field solves' stage guards
+against blow-up, and Newton's linear solve is unguarded by design.
 
 Equations integrated (all terms projected onto the state space):
 
@@ -98,6 +100,7 @@ from .spectral import (
     _apply_d,
     _band_half,
     _band_shape,
+    _check_integer,
     _insertion_table,
     _inverse_squares,
     _parseval_norm,
@@ -141,6 +144,8 @@ class SolverConfig:
     n: int = 2
 
     def __post_init__(self):
+        for key, value in (("degree", self.degree), ("newton.max_iter", self.newton_max_iter)):
+            _check_integer(key, value)
         for key, value in (("mu", self.mu), ("T", self.T), ("dt", self.dt),
                            ("newton.tol", self.newton_tol)):
             if not math.isfinite(value):
@@ -156,10 +161,7 @@ class SolverConfig:
             raise ValueError("dt must divide the horizon T into whole steps")
         if self.newton_max_iter < 1 or self.newton_tol <= 0:
             raise ValueError("newton parameters must be positive")
-        if self.n not in (2, 3):
-            raise ValueError(f"n (torus dimension) must be 2 or 3, got {self.n}")
-        if self.res < 4 or self.res % 2 != 0:
-            raise ValueError(f"res must be even and >= 4, got {self.res}")
+        self.grid()  # a bad n or res fails here, named
         if not 0 <= self.degree <= self.n:
             raise ValueError(f"degree must lie in 0..{self.n}, got {self.degree}")
         if self.preset not in PRESETS:
@@ -292,19 +294,6 @@ def _initial_state(u0, grid: SpectralGrid, degree: int) -> BandHalves:
     return state
 
 
-def _lawson_decay(multiplier):
-    """``apply_decay`` of ``_run_scheme``: state * multiplier(tau), the
-    multiplier (exp(-mu tau |k|^2) on the band half) built once per tau."""
-    multipliers: dict[float, np.ndarray] = {}
-
-    def apply(state, tau: float):
-        if tau not in multipliers:
-            multipliers[tau] = multiplier(tau)
-        return state * multipliers[tau]
-
-    return apply
-
-
 # -- data samplers -------------------------------------------------------------
 
 
@@ -363,27 +352,24 @@ def _draw(series, times: np.ndarray, what: str, grid: SpectralGrid, degree: int,
 # -- generic Lawson stepping ---------------------------------------------------
 
 
-def _run_scheme(scheme, state0, steps, dt, apply_decay, rhs, guard, keep=None):
-    """Integrate d/dt g = L g + rhs with exact decay for L.
-
-    ``apply_decay(state, tau)`` applies exp(tau L); ``rhs(j, midpoint,
-    state)`` evaluates the explicit term, on band-half states.  Returns the
-    states at the time indices ``keep``, in order (every state for None);
-    no other state outlives its step.
+def _run_scheme(cfg: SolverConfig, state0, rhs):
+    """Integrate d/dt g = -mu Lap g + rhs from ``state0`` over cfg's time
+    grid by cfg's scheme, the diffusion exactly: a step of tau multiplies
+    the band-half state by exp(-mu tau |k|^2).  ``rhs(j, midpoint, state)``
+    evaluates the explicit term on band-half states.  Returns the final
+    state; no other state outlives its step.
     """
-    keep = range(steps + 1) if keep is None else frozenset(keep)
-    states = [state0] if 0 in keep else []
+    dt = cfg.T / cfg.steps
+    k2 = _half_k_squared(cfg.grid())
+    full, half = (np.exp(-cfg.mu * tau * k2) for tau in (dt, 0.5 * dt))
     u = state0
-    for j in range(steps):
-        if scheme == "imex-euler":
-            u = apply_decay(u + rhs(j, False, u) * dt, dt)
+    for j in range(cfg.steps):
+        if cfg.scheme == "imex-euler":
+            u = (u + rhs(j, False, u) * dt) * full
         else:
-            u_mid = apply_decay(u + rhs(j, False, u) * (0.5 * dt), 0.5 * dt)
-            u = apply_decay(u, dt) + apply_decay(rhs(j, True, u_mid), 0.5 * dt) * dt
-        guard(u, j)
-        if j + 1 in keep:
-            states.append(u)
-    return states
+            u_mid = (u + rhs(j, False, u) * (0.5 * dt)) * half
+            u = u * full + rhs(j, True, u_mid) * half * dt
+    return u
 
 
 def _half_norm(state: np.ndarray) -> float:
@@ -393,10 +379,11 @@ def _half_norm(state: np.ndarray) -> float:
 
 
 def _half_guard(state: np.ndarray, j: int) -> None:
+    """The blow-up guard on the state at time index j (after step j)."""
     norm = _half_norm(state)
     if not np.isfinite(norm) or norm > BLOWUP_THRESHOLD:
         raise SolverDivergenceError(
-            f"trajectory norm exceeded {BLOWUP_THRESHOLD:.0e} at step {j + 1}"
+            f"trajectory norm exceeded {BLOWUP_THRESHOLD:.0e} at step {j}"
         )
 
 
@@ -429,7 +416,9 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
     divergence-free to rounding), so Q is Q1, the kernel's M1 output, and a
     stage that starts a sample with pressures takes M2 from the same grid
     pass.  The stage that starts at a stored index, and one more stage call
-    at the final state, hands these parts to the ``_sampler``.  With
+    at the final state, hands these parts to the ``_sampler``.  A stage at
+    time index j > 0 first guards its state (``_half_guard``), and so does
+    the final state, by that call or before it is stored.  With
     ``f_dt``, the df/dt pairs, the samples that need them (``derivatives``
     2, or 1 with pressures) also take Q'(u) du = B(u, du) and df/dt.
 
@@ -452,6 +441,8 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
     starts = frozenset(stored)
 
     def rhs(j, midpoint, state):
+        if not midpoint and j:
+            _half_guard(state, j)
         sample = not midpoint and j in starts
         u = BandHalves(grid, degree, state, keep=sample and takes_dq)
         exact = sample_mode if sample else "drop"
@@ -468,14 +459,11 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
             u.drop_grid()
         return r
 
-    last, = _run_scheme(
-        cfg.scheme, state0, cfg.steps, cfg.T / cfg.steps,
-        _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid))),
-        rhs, _half_guard, [cfg.steps],
-    )
+    last = _run_scheme(cfg, state0, rhs)
     if derivatives >= 1 or with_pressure:
         rhs(cfg.steps, False, last)
     else:
+        _half_guard(last, cfg.steps)
         take(cfg.steps, BandHalves(grid, degree, last))
     return solution(cfg.times()[list(stored)])
 
@@ -1177,7 +1165,6 @@ def newton_local_inverse(
         if len(f_cells) != cfg.steps:
             raise ValueError("need one forcing cell per time step")
     u0 = target(u0_target, "u0 target")
-    decay = _lawson_decay(lambda tau: np.exp(-cfg.mu * tau * _half_k_squared(grid)))
     history = []
     while True:
         # N(u_j) of every state in one batched pass, whose grid values
@@ -1191,14 +1178,16 @@ def newton_local_inverse(
         if converged or not np.isfinite(history[-1]) or len(history) > cfg.newton_max_iter:
             break
 
+        deltas = []
+
         def explicit(j, midpoint, delta):
+            deltas.append(delta)
             q = bilinear_term(states[j], BandHalves(grid, degree, delta), ns, exact="drop")
             return r_cells[j] - _band_projection(grid, degree, q)
 
-        delta = _run_scheme("imex-euler", r0, cfg.steps, cfg.T / cfg.steps, decay,
-                            explicit, lambda state, j: None)
+        deltas.append(_run_scheme(cfg, r0, explicit))
         states = [BandHalves(grid, degree, u.halves + d, keep=True)
-                  for u, d in zip(states, delta)]
+                  for u, d in zip(states, deltas)]
 
     # The last residual evaluated Q1 = M1(d u, u) at every final state but
     # the last; the pressure takes M2 in one more batched pass over them, on

@@ -85,6 +85,12 @@ def _insertion_table(n: int, degree: int) -> tuple[tuple[int, int, int, int], ..
     return tuple(table)
 
 
+def _check_integer(key: str, value) -> None:
+    """A ``ValueError`` naming ``key`` unless ``value`` is a (NumPy) integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Uniform FFT grid on the flat torus [0, 2*pi)^n.
@@ -97,10 +103,12 @@ class SpectralGrid:
     res: int
 
     def __post_init__(self):
+        for key in ("n", "res"):
+            _check_integer(key, getattr(self, key))
         if self.n not in (2, 3):
-            raise ValueError(f"torus dimension must be 2 or 3, got {self.n}")
+            raise ValueError(f"n (torus dimension) must be 2 or 3, got {self.n}")
         if self.res < 4 or self.res % 2 != 0:
-            raise ValueError(f"resolution must be even and >= 4, got {self.res}")
+            raise ValueError(f"res must be even and >= 4, got {self.res}")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -160,11 +160,20 @@ class TestConfigPlumbing:
         manifest = (out / "solution" / "manifest.csv").read_text().splitlines()
         assert len(manifest) == 7  # header + 6 snapshots at dt=0.02
 
-    def test_invalid_config_propagates(self, tmp_path):
+    def test_invalid_config_propagates(self, tmp_path, capsys):
+        # A bad value is one error line and exit code 2, not a traceback.
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(CONFIG_TEXT.replace("dt = 0.01", "dt = 0.03"))
-        with pytest.raises(ValueError, match="divide"):
+        with pytest.raises(SystemExit) as info:
             main(["solve-linear", "--config", str(cfg_path)])
+        assert info.value.code == 2
+        assert "error: dt must divide" in capsys.readouterr().err
+
+    def test_missing_config_is_one_error_line(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["solve-linear", "--config", str(tmp_path / "absent.cfg")])
+        assert info.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestSolveNonlinear:
@@ -286,6 +295,8 @@ class TestVerify:
         assert all(c["status"] in ("pass", "measured")
                    for c in report["checks"])
 
-    def test_bad_resolution_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
+    def test_bad_resolution_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
             main(["verify", "--res", "0"])
+        assert info.value.code == 2
+        assert "positive" in capsys.readouterr().err

@@ -210,6 +210,25 @@ class TestSolverConfig:
         for field in dataclasses.fields(SolverConfig):
             assert getattr(back, field.name) == getattr(cfg, field.name)
 
+    @pytest.mark.parametrize("build, key, bad, good", [
+        (SolverConfig, "res", 16.0, np.int64(16)),
+        (SolverConfig, "res", True, 16),
+        (SolverConfig, "n", 2.0, np.int32(2)),
+        (SolverConfig, "degree", 1.0, np.int64(1)),
+        (SolverConfig, "newton_max_iter", 2.5, np.int64(3)),
+        (SpectralGrid, "res", 16.0, np.int64(16)),
+        (SpectralGrid, "n", 2.0, np.int64(2)),
+        (SpectralGrid, "n", True, 2),
+    ])
+    def test_non_integer_counts_rejected(self, build, key, bad, good):
+        # A float or bool count fails at construction, with its key named,
+        # not later inside grid() or FormField.zeros; a NumPy integer passes.
+        args = dict(n=2, res=16) if build is SpectralGrid else dict(mu=1.0, T=1.0, dt=0.5)
+        name = key.replace("newton_", "newton.")
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got"):
+            build(**{**args, key: bad})
+        assert getattr(build(**{**args, key: good}), key) == good
+
     def test_format_round_trip(self, tmp_path):
         cfg = SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=48, scheme="imex-euler")
         path = tmp_path / "solver.cfg"
@@ -633,9 +652,10 @@ class TestBandHalfState:
 
 class TestSchemeMemory:
     def test_peak_does_not_grow_with_the_step_count(self):
-        # The Lawson loop keeps only the stored states: with 2 stored
-        # samples the tracemalloc peak at 80 steps stays within one
-        # state's bytes of the peak at 10 steps.
+        # The Lawson loop keeps no state but the current one, and the
+        # stage stores the samples: with 2 stored samples the tracemalloc
+        # peak at 80 steps stays within one state's bytes of the peak at
+        # 10 steps.
         grid = SpectralGrid(3, 12)
         u0 = project_state(random_form(grid, 1, np.random.default_rng(3), kmax=4))
         state_bytes = 3 * _state(u0).halves[0].nbytes
@@ -651,6 +671,25 @@ class TestSchemeMemory:
 
         peak(2)  # fill the grid's multiplier caches
         assert peak(80) - peak(10) < state_bytes
+
+
+class TestBlowupGuard:
+    @pytest.mark.parametrize("scheme, T, step", [
+        ("imex-rk2", 0.2, 2), ("imex-euler", 0.4, 4),  # the last step
+        ("imex-rk2", 0.5, 2), ("imex-euler", 0.5, 4),  # mid-run
+    ])
+    @pytest.mark.parametrize("samples", [dict(derivatives=0, with_pressure=False),
+                                         dict(derivatives=1, with_pressure=True)],
+                             ids=["states-only", "derivatives-pressure"])
+    def test_message_names_the_step(self, scheme, T, step, samples):
+        # The state after step N is guarded as the stage at time index N
+        # starts, and the final state too: by the final stage call where
+        # samples take derivatives or pressures, else before it is stored.
+        u0 = project_state(random_form(G16, 1, np.random.default_rng(1), kmax=5)) * 3e2
+        cfg = SolverConfig(mu=0.1, T=T, dt=0.1, res=16, scheme=scheme)
+        with pytest.raises(SolverDivergenceError,
+                           match=rf"^trajectory norm exceeded 1e\+12 at step {step}$"):
+            solve_nonlinear(None, u0, cfg, **samples)
 
 
 class TestEvaluationCounts:
