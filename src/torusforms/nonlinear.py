@@ -101,6 +101,7 @@ from .spectral import (
     _band_shape,
     _band_slabs,
     _box_transform,
+    _check_integer,
     _derivative_symbol,
     _is_hermitian,
     _to_grid,
@@ -175,6 +176,7 @@ class NonlinearityConfig:
 
     def __post_init__(self):
         i = self.degree
+        _check_integer("degree", i)
         if self.m1 is not None:
             got = (self.m1.degree_first, self.m1.degree_second, self.m1.degree_out)
             if got != (i + 1, i, i):
@@ -360,9 +362,10 @@ class BandHalves:
     (ncomp, 2L+1, ..., L+1) array, the field solvers step one, and the
     kernel returns a list.  ``nonlinear_term`` and ``bilinear_term`` take
     such states in place of fields and return the band halves of the
-    result, stacked.  With ``keep`` the grid values are made on first use
-    and kept until ``drop_grid``, so a state used in many products is
-    transformed once per nonlinearity.
+    result, stacked.  With ``keep`` the grid values and the projections
+    (``projected``) are made on first use and kept until ``drop_grid``, so a
+    state used in many products is transformed once per nonlinearity, and
+    a state used in many stages is projected once per projector.
     """
 
     def __init__(self, grid: SpectralGrid, degree: int, halves, keep: bool = False):
@@ -370,8 +373,17 @@ class BandHalves:
         self._kept = {} if keep else None
 
     def drop_grid(self) -> None:
-        """Forget kept grid values and keep none from now on."""
+        """Forget kept grid values and projections and keep none from now on."""
         self._kept = None
+
+    def projected(self, project) -> np.ndarray:
+        """``project(halves)``: made once per projector and kept with the grid
+        values where the state is kept, made on every call otherwise."""
+        if self._kept is None:
+            return project(self.halves)
+        if project not in self._kept:
+            self._kept[project] = project(self.halves)
+        return self._kept[project]
 
     def field(self) -> FormField:
         """The field: each band half written into a zero half, slab by slab."""

@@ -298,54 +298,49 @@ def _initial_state(u0, grid: SpectralGrid, degree: int) -> BandHalves:
 
 
 def _draw(series, times: np.ndarray, what: str, grid: SpectralGrid, degree: int,
-          prepare=lambda state, field: state, on_grid: bool = False):
-    """(j, midpoint) -> ``prepare(state, field)`` of the data at t_j or at the
-    midpoint of [t_j, t_j+1], None where the data are zero.
+          on_grid: bool = False):
+    """(j, midpoint) -> the checked pair (state, field) of the data at t_j or
+    at the midpoint of [t_j, t_j+1], None where the data are zero.
 
-    ``series`` is None (zero), a field (constant: prepared once, here), a
-    sequence on the time grid ``times`` or a callable of time, which is
-    evaluated at the midpoint.  A sequence gives the mean of its two
-    neighbouring samples there (second order, as the midpoint scheme), and
-    so does a callable ``on_grid``: it is sampled on the time grid, here.
-    A sample may be None, which is zero, under both schemes.  Every other
-    sample passes ``checked_state`` against ``grid`` and ``degree`` once,
-    named "<what> (constant)", "<what> sample i" or "<what> at t = ...": a
-    constant and a sequence's samples here, at entry, a callable's values
-    when they are drawn.  ``prepare`` gets the sample's state, kept (``keep``)
-    for a constant, which goes on the grid once however many stages use it,
-    and the sample; by default it returns the state.  A mean is taken on the
-    states of checked samples and has no field (None): only the pressure
-    reads a forcing's field, at stored samples, never at a midpoint.
+    ``series`` is None (zero), a field (constant), a sequence on the time
+    grid ``times`` or a callable of time, which is evaluated at the
+    midpoint.  A sequence gives the mean of its two neighbouring samples
+    there (second order, as the midpoint scheme), and so does a callable
+    ``on_grid``: it is sampled on the time grid, here.  A sample may be
+    None, which is zero, under both schemes.  Every other sample passes
+    ``checked_state`` against ``grid`` and ``degree`` once, named "<what>
+    (constant)", "<what> sample i" or "<what> at t = ...": a constant and a
+    sequence's samples here, at entry, a callable's values when they are
+    drawn.  A constant's state is kept (``keep``), so it goes on the grid
+    and makes its projection (``BandHalves.projected``) once however many
+    stages use it.  A mean is taken on the states of checked samples and
+    has no field (None): only the pressure reads a forcing's field, at
+    stored samples, never at a midpoint.
     """
     def checked(sample, where, keep=False):
         return None if sample is None else (
             checked_state(sample, grid, degree, f"{what} {where}", keep), sample)
 
     if series is None or isinstance(series, FormField):
-        constant = None if series is None else prepare(*checked(series, "(constant)", True))
+        constant = checked(series, "(constant)", True)
         return lambda j, midpoint=False: constant
     if callable(series) and not on_grid:
-        def value(j, midpoint):
+        def draw(j, midpoint=False):
             t = float(0.5 * (times[j] + times[j + 1]) if midpoint else times[j])
             return checked(series(t), f"at t = {t!r}")
-    else:
-        samples = [series(float(t)) for t in times] if callable(series) else list(series)
-        if len(samples) != len(times):
-            raise ValueError(f"{what} series has {len(samples)} samples for "
-                             f"{len(times)} time grid points")
-        samples = [checked(sample, f"sample {i}") for i, sample in enumerate(samples)]
-
-        def value(j, midpoint):
-            if not midpoint:
-                return samples[j]
-            pair = [state.halves for state, _ in filter(None, samples[j:j + 2])]
-            return None if not pair else (
-                BandHalves(grid, degree, sum(pair[1:], pair[0]) * 0.5), None)
+        return draw
+    samples = [series(float(t)) for t in times] if callable(series) else list(series)
+    if len(samples) != len(times):
+        raise ValueError(f"{what} series has {len(samples)} samples for "
+                         f"{len(times)} time grid points")
+    samples = [checked(sample, f"sample {i}") for i, sample in enumerate(samples)]
 
     def draw(j, midpoint=False):
-        sample = value(j, midpoint)
-        return None if sample is None else prepare(*sample)
-
+        if not midpoint:
+            return samples[j]
+        pair = [state.halves for state, _ in filter(None, samples[j:j + 2])]
+        return None if not pair else (
+            BandHalves(grid, degree, sum(pair[1:], pair[0]) * 0.5), None)
     return draw
 
 
@@ -409,9 +404,9 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
     P is the projector of ``basis`` on stacked band halves, P_m, or the
     state-space projection for None.  A stage is r = -P Q + P f on the
     half, from Q's band halves at a ``BandHalves`` state (N(u) for
-    ``advection`` None, else B(w_j, u) with w_j = advection(j, midpoint),
-    zero where w_j is None; the kernel checks the degrees) and the forcing
-    pair f(j, midpoint) (``_draw`` with ``_forcing``, once a stage).  Both
+    ``advection`` None, else B(w_j, u) with w_j the state of the pair
+    advection(j, midpoint), zero where that is None; the kernel checks the
+    degrees) and the forcing pair f(j, midpoint), both ``_draw``s.  Both
     projectors kill exact forms (a basis is admitted only with fibres
     divergence-free to rounding), so Q is Q1, the kernel's M1 output, and a
     stage that starts a sample with pressures takes M2 from the same grid
@@ -451,11 +446,11 @@ def _field_solve(cfg: SolverConfig, ns: NonlinearityConfig, u0: BandHalves, f,
         else:
             wj = advection(j, midpoint)
             q, m2 = ((np.zeros_like(state), None) if wj is None
-                     else _split(bilinear_term(wj, u, ns, exact=exact)))
+                     else _split(bilinear_term(wj[0], u, ns, exact=exact)))
         fj = f(j, midpoint)
         r = _explicit(project, q, fj)
         if sample:
-            take(j, u, q, m2, fj, r)
+            take(j, u, q, m2, None if fj is None else fj[1], r)
             u.drop_grid()
         return r
 
@@ -474,17 +469,12 @@ def _split(out) -> tuple:
     return out if isinstance(out, tuple) else (out, None)
 
 
-def _forcing(project):
-    """``_draw``'s prepare of a forcing sample f: the pair (P f on the band
-    half, f), P ``project`` on stacked band halves."""
-    return lambda state, fj: (project(state.halves), fj)
-
-
 def _explicit(project, q: np.ndarray, forcing) -> np.ndarray:
-    """-P q + P f, from Q's band halves q and the forcing pair (P f on the
-    half, f), None for no forcing."""
+    """-P q + P f, from Q's band halves q and a ``_draw``'s forcing pair
+    (None for no forcing), P ``project`` on stacked band halves and P f the
+    state's ``projected``, which a kept (constant) state makes once."""
     out = -project(q)
-    return out if forcing is None else out + forcing[0]
+    return out if forcing is None else out + forcing[0].projected(project)
 
 
 def _sampler(mu: float, project, derivatives: int, with_pressure: bool, quad_dt=None):
@@ -492,16 +482,16 @@ def _sampler(mu: float, project, derivatives: int, with_pressure: bool, quad_dt=
     as fields, with equation-substituted derivatives and pressures, and
     ``project`` as P.
 
-    ``take(i, u, q, m2, forcing, r)`` gets the parts of the stage that
-    starts at the stored time index i: the ``BandHalves`` state u, Q's band
-    halves q (Q1 where the exact part d M2 is left out, with M2's band
-    halves m2; the full Q and None otherwise), the forcing pair (P f on the
-    half, f) or None, and r = -P q + P f (only u where neither derivatives
-    nor pressures are asked for).  Then du/dt = -mu |k|^2 u + r on the band
-    half and p = ``_pressure`` of f, q and m2.  ``quad_dt(i, u, du)``,
-    where the solver passes it (only when the samples need it), gives
-    Q'(u) du split alike and the df/dt pair once per sample, for the second
-    derivative and the pressure's first; u comes with the grid values of
+    ``take(i, u, q, m2, f, r)`` gets the parts of the stage that starts at
+    the stored time index i: the ``BandHalves`` state u, Q's band halves q
+    (Q1 where the exact part d M2 is left out, with M2's band halves m2;
+    the full Q and None otherwise), the forcing field f or None, and r = -P
+    q + P f (only u where neither derivatives nor pressures are asked for).
+    Then du/dt = -mu |k|^2 u + r on the band half and p = ``_pressure`` of
+    f, q and m2.  ``quad_dt(i, u, du)``, where the solver passes it (only
+    when the samples need it), gives Q'(u) du split alike and the df/dt
+    pair of a ``_draw`` once per sample, for the second derivative and the
+    pressure's first; u comes with the grid values of
     the stage's N(u) kept, so B(u, du) transforms du alone (3 inverse and 3
     forward component transforms for ``navier-stokes-i1`` on T^2 with
     pressures, 6 and 4 on T^3).
@@ -510,10 +500,10 @@ def _sampler(mu: float, project, derivatives: int, with_pressure: bool, quad_dt=
     """
     u_list, first, second, p_list, p_first = [], [], [], [], []
 
-    def take(i: int, u: BandHalves, q=None, m2=None, forcing=None, r=None) -> None:
+    def take(i: int, u: BandHalves, q=None, m2=None, f=None, r=None) -> None:
         u_list.append(u)
         if with_pressure:
-            p_list.append(_pressure(u, q, m2, forcing))
+            p_list.append(_pressure(u, q, m2, f))
         if derivatives == 0:
             return
         decay = -mu * _half_k_squared(u.grid)
@@ -521,12 +511,12 @@ def _sampler(mu: float, project, derivatives: int, with_pressure: bool, quad_dt=
         first.append(du)
         if quad_dt is None:
             return
-        dq, dm2, dforcing = quad_dt(i, u, du)
+        dq, dm2, df = quad_dt(i, u, du)
         if derivatives == 2:
-            r_dt = _explicit(project, dq, dforcing)
+            r_dt = _explicit(project, dq, df)
             second.append(BandHalves(u.grid, u.degree, du.halves * decay + r_dt))
         if with_pressure:
-            p_first.append(_pressure(u, dq, dm2, dforcing))
+            p_first.append(_pressure(u, dq, dm2, None if df is None else df[1]))
 
     def solution(times: np.ndarray) -> TimeSeriesSolution:
         dt_cache = {d: [s.field() for s in states]
@@ -539,9 +529,9 @@ def _sampler(mu: float, project, derivatives: int, with_pressure: bool, quad_dt=
     return take, solution
 
 
-def _pressure(u: BandHalves, q: np.ndarray, m2, forcing) -> FormField:
+def _pressure(u: BandHalves, q: np.ndarray, m2, f) -> FormField:
     """p = delta Lap^-1 (f - Q) for Q = q + d m2 (q and m2 band halves on
-    u's grid, m2 None for no exact part; f from the forcing pair, zero for
+    u's grid, m2 None for no exact part; f the forcing field, zero for
     None), split as
 
         p = delta Lap^-1 (f - q) - delta d Lap^-1 m2,
@@ -560,9 +550,9 @@ def _pressure(u: BandHalves, q: np.ndarray, m2, forcing) -> FormField:
         parts = [a - b for a, b in zip(parts, _band_projection(grid, degree - 1, m2))]
         scale += _half_norm(np.stack(_apply_d(grid, degree - 1, m2, band=True)))
     p = BandHalves(grid, degree - 1, parts).field()
-    if forcing is not None:
-        p = p + codifferential(parametrix(forcing[1]))
-        scale += l2_norm(forcing[1])
+    if f is not None:
+        p = p + codifferential(parametrix(f))
+        scale += l2_norm(f)
     if l2_norm(exterior_derivative(p)) <= 1e-12 * max(scale, 1.0):
         return FormField.zeros(grid, degree - 1)
     return p
@@ -591,8 +581,7 @@ def solve_linearized(
     times, grid, degree = cfg.times(), cfg.grid(), ns.degree
     state0 = _initial_state(u0, grid, degree)
     advection = _draw(w_series, times, "advection field", grid, degree)
-    f = _draw(f_series, times, "forcing", grid, degree,
-              _forcing(partial(_band_projection, grid, degree)))
+    f = _draw(f_series, times, "forcing", grid, degree)
     return _field_solve(cfg, ns, state0, f, advection, None,
                         _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
 
@@ -624,8 +613,7 @@ def solve_nonlinear(
             "second derivatives of a time-dependent forcing need f_dt_series")
     times, grid, degree = cfg.times(), cfg.grid(), ns.degree
     state0 = _initial_state(u0, grid, degree)
-    data = partial(_draw, times=times, grid=grid, degree=degree,
-                   prepare=_forcing(partial(_band_projection, grid, degree)))
+    data = partial(_draw, times=times, grid=grid, degree=degree)
     f_dt = None if no_f_dt else data(f_dt_series, what="forcing derivative")
     return _field_solve(cfg, ns, state0, data(f_series, what="forcing"), None, f_dt,
                         _stored_indices(cfg.steps, store_every), derivatives, with_pressure)
@@ -835,10 +823,12 @@ def build_basis(grid: SpectralGrid, degree: int, m: int | None = None) -> Galerk
     a parameter error, as are an m that is not a positive integer and a
     degree outside 0..n-1.
     """
+    _check_integer("degree", degree)
     if not 0 <= degree < grid.n:
         raise ValueError(f"degree must lie in 0..{grid.n - 1} (degree {grid.n} has no "
                          f"divergence-free eigenfields off the harmonic mode), got {degree}")
-    if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
+    if m is not None and (isinstance(m, bool) or not isinstance(m, (int, np.integer))
+                          or m < 1):
         raise ValueError(f"truncation m must be a positive integer, got {m!r}")
     modes = _canonical_modes(grid)
     per_mode = 2 * comb(grid.n - 1, degree)
@@ -865,9 +855,9 @@ class LinearizedOperator:
     acts on the state u = sum_k g_k b_k as mu Lap u + P_m B(w(t), u), whose
     coefficients are C(t)^T g, so the operator holds what the kernel needs
     and no matrix: the basis (and through it P_m), mu, the sample
-    ``times``, ``advection`` (the ``_draw`` of w on the time grid: a
-    ``BandHalves`` at each time or midpoint, one kept object for a
-    constant w, None where w is zero) and the nonlinearity ``ns_cfg``.
+    ``times``, ``advection`` (the ``_draw`` of w on the time grid: a pair
+    (state, field) at each time or midpoint, one kept state for a constant
+    w, None where w is zero) and the nonlinearity ``ns_cfg``.
     """
 
     basis: GalerkinBasis
@@ -933,8 +923,7 @@ def apply_inverse(
                              f"operator's {expected}")
 
     state0 = _initial_state(u0, basis.grid, basis.degree)
-    f = _draw(f_series, times, "forcing", basis.grid, basis.degree,
-              _forcing(basis._project_band), on_grid=True)
+    f = _draw(f_series, times, "forcing", basis.grid, basis.degree, on_grid=True)
     return _field_solve(cfg, ns, state0, f, op.advection, None,
                         _stored_indices(cfg.steps, store_every), derivatives, False, basis)
 
@@ -962,7 +951,7 @@ def discrete_residual(
     """
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times, grid, degree = sol.times, sol.u[0].grid, sol.u[0].degree
-    f = _draw(f_series, times, "forcing", grid, degree, lambda state, fj: fj)
+    f = _draw(f_series, times, "forcing", grid, degree)
     w = _draw(w_series, times, "advection field", grid, degree)
     norms = []
     euler = cfg.scheme == "imex-euler"
@@ -975,7 +964,7 @@ def discrete_residual(
             res = res + project_state(q)
         fj = f(j)
         if fj is not None:
-            res = res - project_state(fj)
+            res = res - project_state(fj[1])
         norms.append(l2_norm(res))
     return _worst(norms)
 
@@ -997,7 +986,7 @@ def energy_identity_residual(
     if (nonlinear or w_series is not None) and ns_cfg is None:
         raise ValueError("the quadratic term needs a nonlinearity config")
     times, grid, degree = sol.times, sol.u[0].grid, sol.u[0].degree
-    f = _draw(f_series, times, "forcing", grid, degree, lambda state, fj: fj)
+    f = _draw(f_series, times, "forcing", grid, degree)
     w = _draw(w_series, times, "advection field", grid, degree)
     energies = [l2_norm(u) ** 2 for u in sol.u]
     gaps = []
@@ -1007,7 +996,7 @@ def energy_identity_residual(
         rhs = 0.0
         fj = f(j)
         if fj is not None:
-            rhs += 2.0 * inner_product(fj, u)
+            rhs += 2.0 * inner_product(fj[1], u)
         q = _quadratic_at(u, j, w, ns_cfg, nonlinear)
         if q is not None:
             rhs -= 2.0 * inner_product(q, u)
@@ -1017,14 +1006,14 @@ def energy_identity_residual(
 
 
 def _quadratic_at(u, j, w, ns, nonlinear: bool) -> FormField | None:
-    """Q(u) at sample j: N(u), else B(w(j), u) (w a ``_draw`` of states),
-    None where w(j) is None.  u enters the kernel through ``checked_state``,
-    named "trajectory sample j"."""
+    """Q(u) at sample j: N(u), else B(w_j, u) with w_j the state of the
+    ``_draw`` pair w(j), None where that is None.  u enters the kernel
+    through ``checked_state``, named "trajectory sample j"."""
     wj = None if nonlinear else w(j)
     if not nonlinear and wj is None:
         return None
     v = checked_state(u, u.grid, ns.degree, f"trajectory sample {j}")
-    q = nonlinear_term(v, ns) if nonlinear else bilinear_term(wj, v, ns)
+    q = nonlinear_term(v, ns) if nonlinear else bilinear_term(wj[0], v, ns)
     return BandHalves(v.grid, ns.degree, q).field()
 
 
@@ -1198,8 +1187,7 @@ def newton_local_inverse(
     m2s = _quadratic_term(ns, states[:-1], exact="only") + [m2_last]
     take, solution = _sampler(cfg.mu, project, 1, True)
     for i, (u, q, m2, cell) in enumerate(zip(states, quads, m2s, f_cells + f_cells[-1:])):
-        forcing = (cell, BandHalves(grid, degree, cell).field())
-        take(i, u, q, m2, forcing, _explicit(project, q, forcing))
+        take(i, u, q, m2, BandHalves(grid, degree, cell).field(), -project(q) + cell)
     return NewtonResult(solution(cfg.times()), history, converged)
 
 
@@ -1236,20 +1224,13 @@ def galerkin_convergence_study(
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     times = cfg.times()
     state0 = _initial_state(u0, cfg.grid(), cfg.degree)
-    # The forcing is checked, and a callable sampled on the time grid, once
-    # for every m; each m projects the drawn samples with its own P_m.
-    drawn = _draw(f_series, times, "forcing", cfg.grid(), cfg.degree,
-                  lambda state, fj: (state, fj), on_grid=True)
+    # One draw for every m checks the forcing and samples a callable once;
+    # each m projects the samples with its own P_m, a constant once.
+    f = _draw(f_series, times, "forcing", cfg.grid(), cfg.degree, on_grid=True)
     trajectories = []
     bounded = []
     for m in ms:
         basis = build_basis(cfg.grid(), cfg.degree, m)
-        prepare = _forcing(basis._project_band)
-
-        def f(j, midpoint=False, prepare=prepare):
-            sample = drawn(j, midpoint)
-            return None if sample is None else prepare(*sample)
-
         fields = _field_solve(cfg, ns, state0, f, None, None, range(len(times)),
                               0, False, basis).u
         trajectories.append(fields)
@@ -1313,13 +1294,16 @@ def save_solution(sol: TimeSeriesSolution, directory) -> Path:
 
 
 def load_solution(directory) -> TimeSeriesSolution:
-    """Read a solution directory back (no derivative caches); a bad manifest
-    row (the header is row 0) raises a ``ValueError`` that names it."""
+    """Read a solution directory back (no derivative caches).  A bad
+    manifest row (the header is row 0) raises a ``ValueError`` naming it, a
+    bad snapshot ``load_field``'s error naming its file, and samples that
+    are not one ``TimeSeriesSolution`` a ``ValueError`` naming the manifest."""
     directory = Path(directory)
     times = []
     u_list = []
     p_list = []
-    with open(directory / MANIFEST_NAME, newline="") as fh:
+    # Undecodable bytes read as U+FFFD: every cell that is read is checked.
+    with open(directory / MANIFEST_NAME, newline="", errors="replace") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != MANIFEST_COLUMNS:
             raise ValueError(f"manifest columns {reader.fieldnames or []} != "
@@ -1334,12 +1318,14 @@ def load_solution(directory) -> TimeSeriesSolution:
             except ValueError:
                 raise ValueError(
                     f"manifest row {j + 1}: t {row['t']!r} is not a number") from None
+            if not math.isfinite(times[-1]):
+                raise ValueError(f"manifest row {j + 1}: t {row['t']!r}: sample times "
+                                 "must be finite")
             u_list.append(load_field(directory / name))
             p_path = directory / f"p_{j:05d}.hpform"
             if p_path.exists():
                 p_list.append(load_field(p_path))
-    if len(p_list) not in (0, len(u_list)):
-        raise ValueError("pressure snapshots do not match the manifest")
-    return TimeSeriesSolution(
-        np.array(times), u_list, p=p_list if p_list else None
-    )
+    try:
+        return TimeSeriesSolution(np.array(times), u_list, p=p_list if p_list else None)
+    except ValueError as exc:
+        raise ValueError(f"{MANIFEST_NAME}: {exc}") from None

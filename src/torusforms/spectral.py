@@ -156,18 +156,13 @@ class SpectralGrid:
         return reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= self.res / 3.0
                                        for j in range(self.n)))
 
-    @cached_property
-    def nyquist_mask(self) -> np.ndarray:
-        """Modes containing the unpaired frequency res/2 along any axis."""
-        return reduce(np.logical_or, (np.abs(self._axis_mesh(j)) == self.res // 2
-                                      for j in range(self.n)))
-
     def meshes(self) -> list[np.ndarray]:
         """Physical coordinate meshes x_1..x_n."""
         x = np.arange(self.res) * self.spacing
         return list(np.meshgrid(*([x] * self.n), indexing="ij"))
 
     def component_count(self, degree: int) -> int:
+        _check_integer("degree", degree)
         return comb(self.n, degree)
 
 
@@ -370,8 +365,8 @@ class FormField:
         grid: SpectralGrid, degree: int, comps: Sequence[np.ndarray]
     ) -> "FormField":
         """Wrap copies of half-spectrum coefficient arrays, zeroing Nyquist
-        modes: the lines at index res/2 of every axis (``nyquist_mask``),
-        by slices."""
+        modes, the unpaired frequency res/2: the lines at index res/2 of
+        every axis, by slices."""
         cleaned = []
         for c in comps:
             arr = np.array(c, dtype=np.complex128)
@@ -399,14 +394,6 @@ class FormField:
         return FormField.from_coefficients(grid, degree, comps)
 
     # -- basic queries ---------------------------------------------------
-
-    def coefficient(self, k: Sequence[int], component: int = 0) -> complex:
-        """Fourier coefficient at integer wavevector k; for k_last < 0 the
-        conjugate of the stored one at -k."""
-        if k[-1] < 0:
-            return self.coefficient([-kj for kj in k], component).conjugate()
-        idx = tuple(int(kj) % self.grid.res for kj in k)
-        return complex(self.components[component][idx])
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Whether every component's k_last = 0 plane is finite and
@@ -713,27 +700,31 @@ def save_field(u: FormField, path) -> None:
 
 
 def load_field(path) -> FormField:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise FieldIntegrityError(f"bad snapshot magic {magic!r}")
-        header = fh.read(12)
-        if len(header) != 12:
-            raise FieldIntegrityError("snapshot header truncated")
-        n, degree, res = struct.unpack("<iii", header)
-        for name, value, ok in (("torus dimension n", n, n in (2, 3)),
-                                ("degree", degree, 0 <= degree <= n),
-                                ("resolution res", res, res >= 4 and res % 2 == 0)):
-            if not ok:
-                raise FieldIntegrityError(f"snapshot header has a bad {name}: {value}")
-        grid = SpectralGrid(n, res)
-        count = grid.component_count(degree)
-        # the header's promise, checked in Python ints before anything is allocated
-        if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * count * res ** n:
-            raise FieldIntegrityError("snapshot payload truncated")
-        samples = np.empty((count,) + grid.shape, dtype="<f8")
-        if fh.readinto(memoryview(samples).cast("B")) != samples.nbytes:
-            raise FieldIntegrityError("snapshot payload truncated")
-        if fh.read(1):
-            raise FieldIntegrityError("snapshot has bytes after its payload")
-    return FormField.from_physical(grid, degree, list(samples))
+    """Read a snapshot; a bad one raises ``FieldIntegrityError`` led by its file name."""
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(len(MAGIC))
+            if magic != MAGIC:
+                raise FieldIntegrityError(f"bad snapshot magic {magic!r}")
+            header = fh.read(12)
+            if len(header) != 12:
+                raise FieldIntegrityError("snapshot header truncated")
+            n, degree, res = struct.unpack("<iii", header)
+            for name, value, ok in (("torus dimension n", n, n in (2, 3)),
+                                    ("degree", degree, 0 <= degree <= n),
+                                    ("resolution res", res, res >= 4 and res % 2 == 0)):
+                if not ok:
+                    raise FieldIntegrityError(f"snapshot header has a bad {name}: {value}")
+            grid = SpectralGrid(n, res)
+            count = grid.component_count(degree)
+            # the header's promise, checked in Python ints before anything is allocated
+            if os.fstat(fh.fileno()).st_size - fh.tell() < 8 * count * res ** n:
+                raise FieldIntegrityError("snapshot payload truncated")
+            samples = np.empty((count,) + grid.shape, dtype="<f8")
+            if fh.readinto(memoryview(samples).cast("B")) != samples.nbytes:
+                raise FieldIntegrityError("snapshot payload truncated")
+            if fh.read(1):
+                raise FieldIntegrityError("snapshot has bytes after its payload")
+        return FormField.from_physical(grid, degree, list(samples))
+    except FieldIntegrityError as exc:
+        raise FieldIntegrityError(f"{os.path.basename(path)}: {exc}") from None

@@ -230,6 +230,14 @@ def gn_survey_ratios(seed: int, trials: int, res: int = 32,
 # -- the snapshot format, written and read in plain numpy ----------------------
 
 
+def nyquist_mask(n: int, res: int) -> np.ndarray:
+    """The modes of an rfftn half on T^n that have |k_j| = res/2 on some
+    axis, the unpaired frequency."""
+    modes = np.meshgrid(*[np.fft.fftfreq(res, 1 / res)] * (n - 1),
+                        np.fft.rfftfreq(res, 1 / res), indexing="ij")
+    return np.any([np.abs(k) == res // 2 for k in modes], axis=0)
+
+
 def snapshot_bytes(u) -> bytes:
     """The snapshot file of the field u: magic "HPFORM1", n, degree and res
     as <i4, then numpy's whole-grid ``irfftn`` samples of each component as
@@ -248,9 +256,7 @@ def snapshot_components(raw: bytes) -> list[np.ndarray]:
     |k_j| = res/2 on some axis zeroed through a boolean mask."""
     n, degree, res = (int(v) for v in np.frombuffer(raw[7:19], dtype="<i4"))
     samples = np.frombuffer(raw[19:], dtype="<f8").reshape((comb(n, degree),) + (res,) * n)
-    modes = np.meshgrid(*[np.fft.fftfreq(res, 1 / res)] * (n - 1),
-                        np.fft.rfftfreq(res, 1 / res), indexing="ij")
-    nyquist = np.any([np.abs(k) == res // 2 for k in modes], axis=0)
+    nyquist = nyquist_mask(n, res)
     halves = []
     for s in samples:
         half = np.fft.rfftn(s, norm="forward")

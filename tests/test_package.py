@@ -25,6 +25,8 @@ REMOVED = [
     (torusforms.verify, "write_norm_table"),
     (torusforms.hodge, "recover_pressure"),
     (torusforms.nonlinear, "trilinear_form"),
+    (torusforms.FormField, "coefficient"),
+    (torusforms.SpectralGrid, "nyquist_mask"),
 ]
 
 

@@ -9,10 +9,12 @@ algebraic identities of the discrete quadratic forward map.
 import dataclasses
 import math
 import re
+import struct
 import sys
 import tracemalloc
 from functools import lru_cache, partial
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +32,7 @@ from oracles import (
     pinv_kernel_projector,
     pressure_split,
     product_canonical_modes,
+    snapshot_components,
     taylor_green_pressure,
     taylor_green_velocity,
     viscous_term,
@@ -42,6 +45,7 @@ from torusforms.nonlinear import (
     zero_config,
 )
 from torusforms.solver import (
+    MANIFEST_NAME as MANIFEST,
     GalerkinBasis,
     SolverConfig,
     SolverDivergenceError,
@@ -228,6 +232,25 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an integer, got"):
             build(**{**args, key: bad})
         assert getattr(build(**{**args, key: good}), key) == good
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: build_basis(G16, 1, True),
+         "truncation m must be a positive integer, got True"),
+        (lambda: build_basis(G16, 1.0, 4), "degree must be an integer, got 1.0"),
+        (lambda: FormField.zeros(G16, 1.0), "degree must be an integer, got 1.0"),
+        (lambda: random_form(G16, 1.0, np.random.default_rng(0)),
+         "degree must be an integer, got 1.0"),
+        (lambda: get_preset("zero", 2, 1.0), "degree must be an integer, got 1.0"),
+        (lambda: zero_config(True), "degree must be an integer, got True"),
+        (lambda: nonlinear_module.NonlinearityConfig(1.5),
+         "degree must be an integer, got 1.5"),
+    ], ids=["basis-bool-m", "basis-float-degree", "zeros", "random-form", "preset",
+            "zero-config", "nonlinearity"])
+    def test_non_integer_degree_or_truncation_rejected(self, call, message):
+        # Each fails at entry with the argument named, not inside comb or
+        # later with a basis or nonlinearity of the wrong kind.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_format_round_trip(self, tmp_path):
         cfg = SolverConfig(mu=0.1, T=1.0, dt=1e-3, res=48, scheme="imex-euler")
@@ -785,6 +808,46 @@ class TestEvaluationCounts:
                 grad_part = source - helmholtz_project(source)
                 assert (l2_norm(exterior_derivative(p) - grad_part)
                         <= 1e-12 * l2_norm(grad_part))
+
+
+class TestForcingProjections:
+    # A constant forcing is a kept state, so P f is made once per solve and
+    # projector (once per m in the study); a sequence's samples and their
+    # midpoint means are not kept and are projected at every draw.  Counted
+    # as the projector calls that the forcing adds to an unforced solve
+    # (without pressures, whose df/dt terms differ between the two).
+    CFG = SolverConfig(mu=0.1, T=0.02, dt=5e-3, res=16)
+    F = random_form(G16, 1, np.random.default_rng(61), kmax=4)
+
+    @classmethod
+    def _solves(cls, u0):
+        cfg, ns = cls.CFG, cls.CFG.nonlinearity()
+        op = assemble_linearized(u0, cfg.mu, build_basis(G16, 1, 24), cfg.times(), ns)
+        return {
+            "nonlinear": lambda f: solve_nonlinear(f, u0, cfg, store_every=2, with_pressure=False),
+            "linearized": lambda f: solve_linearized(u0, f, u0, cfg, store_every=2),
+            "inverse": lambda f: apply_inverse(op, f, u0, cfg),
+            "study": lambda f: galerkin_convergence_study(f, u0, cfg, ms=(8, 16)),
+        }
+
+    @pytest.mark.parametrize("solve, sequence, added", [
+        ("nonlinear", False, 1), ("linearized", False, 1), ("inverse", False, 1),
+        ("study", False, 2),
+        # 4 rk2 steps draw 8 stage samples and the final state one more
+        ("nonlinear", True, 9), ("inverse", True, 9), ("study", True, 2 * 8),
+    ])
+    def test_projections_a_forcing_adds(self, monkeypatch, solve, sequence, added):
+        run = self._solves(_two_band_state(G16))[solve]
+        f = [self.F * (1.0 + t) for t in self.CFG.times()] if sequence else self.F
+        galerkin = solve in ("inverse", "study")
+        owner = GalerkinBasis if galerkin else solver_module
+        name = "_project_band" if galerkin else "_band_projection"
+        calls, original = [], getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or original(*args))
+        run(None)
+        unforced = len(calls)
+        run(f)
+        assert len(calls) - 2 * unforced == added
 
 
 class TestSampleGridReuse:
@@ -2227,8 +2290,99 @@ class TestSolutionIO:
         lines = manifest.read_text().splitlines()
         lines[2] = "nan," + lines[2].split(",", 1)[1]
         manifest.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="sample times must be finite"):
+        with pytest.raises(ValueError, match="sample times must be finite") as caught:
             load_solution(tmp_path / "run")
+        assert str(caught.value).startswith("manifest row 2: t 'nan': ")
+
+    CELLS = ("", "nan", "1e999", "-1", "0.05", "x", "..", "a/b", '"', "manifest.csv",
+             "u_00001.hpform", "p_00001.hpform", "u_99999.hpform")
+
+    @classmethod
+    def _corruption(cls, rng, files: dict) -> tuple[str, str, bytes]:
+        """(kind, file, new bytes) of one seeded corruption of a run."""
+        kind = ("flip", "truncate", "header", "cell", "row", "column")[rng.integers(6)]
+        names = sorted(files) if kind == "flip" else (
+            [MANIFEST] if kind in ("cell", "row", "column")
+            else sorted(name for name in files if name != MANIFEST))
+        name = names[rng.integers(len(names))]
+        raw = bytearray(files[name])
+        if kind == "flip":
+            for at in rng.integers(len(raw), size=rng.integers(1, 4)):
+                raw[at] ^= int(rng.integers(1, 256))
+        elif kind == "truncate":
+            del raw[rng.integers(len(raw)):]
+        elif kind == "header":  # n, degree or res
+            at = 7 + 4 * rng.integers(3)
+            value = rng.choice([-1, 0, 1, 2, 3, 4, 8, 15, 32, 2**31 - 1])
+            raw[at:at + 4] = struct.pack("<i", value)
+        else:
+            rows = [line.split(",") for line in raw.decode().splitlines()]
+            op, r, s = rng.integers(4), *(1 + rng.integers(len(rows) - 1, size=2))
+            c, d = rng.integers(4, size=2)
+            if kind == "cell":  # of any row, the header too
+                rows[rng.integers(len(rows))][c] = cls.CELLS[rng.integers(len(cls.CELLS))]
+            elif kind == "row":  # drop, repeat, garble or replace data row r
+                if op == 0:
+                    del rows[r]
+                elif op == 3:
+                    rows[r] = rows[s]
+                else:
+                    rows.insert(r, rows[s] if op == 1 else ["garbage"])
+            else:  # drop column c, add one, or copy column d into c
+                for row in rows:
+                    if op == 0:
+                        del row[c]
+                    elif op == 1:
+                        row.append("extra")
+                    else:
+                        row[c] = row[d]
+            raw = bytearray(("\n".join(",".join(row) for row in rows) + "\n").encode())
+        return kind, name, bytes(raw)
+
+    def test_seeded_corruption_sweep(self, tmp_path):
+        # 400 seeded corruptions of a T^2 res-16 run with pressures.  Each
+        # loads, or fails with a FieldIntegrityError or ValueError that names
+        # the file it broke, a manifest row or the manifest ("manifest.csv: "),
+        # or with a FileNotFoundError for a file cell that names no file.
+        cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16)
+        sol = solve_nonlinear(None, _two_band_state(G16), cfg)
+        run = tmp_path / "run"
+        save_solution(sol, run)
+        files = {path.name: path.read_bytes() for path in run.iterdir()}
+        rng, seen = np.random.default_rng(28), set()
+        for case in range(400):
+            kind, name, raw = self._corruption(rng, files)
+            for other, content in files.items():
+                (run / other).write_bytes(raw if other == name else content)
+            try:
+                load_solution(run)
+                seen.add((kind, "loads"))
+            except FileNotFoundError as exc:
+                assert name == MANIFEST and exc.filename is not None, (case, exc)
+                assert Path(exc.filename).parent == run, (case, exc)
+                assert Path(exc.filename).name not in files, (case, exc)
+                seen.add((kind, "missing file"))
+            except ValueError as exc:  # FieldIntegrityError is one
+                message = str(exc)
+                assert (message.startswith((f"{name}: ", f"{MANIFEST}: ", "manifest row "))
+                        or message.endswith(" in header row 0")), (case, kind, name, message)
+                seen.add((kind, type(exc).__name__))
+        # every kind was drawn, and truncations and header edits reached
+        # load_field's checks (a flip mostly changes a sample and loads)
+        assert {kind for kind, _ in seen} == {"flip", "truncate", "header", "cell", "row",
+                                             "column"}
+        assert {("truncate", "FieldIntegrityError"), ("header", "FieldIntegrityError"),
+                ("cell", "missing file")} <= seen
+        # the valid run, written back, loads to the snapshots' own bytes
+        for other, content in files.items():
+            (run / other).write_bytes(content)
+        back = load_solution(run)
+        assert back.times.tobytes() == sol.times.tobytes()
+        for j, (u, p) in enumerate(zip(back.u, back.p, strict=True)):
+            for field, prefix in ((u, "u"), (p, "p")):
+                expect = snapshot_components(files[f"{prefix}_{j:05d}.hpform"])
+                for a, b in zip(field.components, expect, strict=True):
+                    assert a.tobytes() == b.tobytes()
 
 
 class TestWriteCSV:
