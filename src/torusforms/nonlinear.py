@@ -102,7 +102,6 @@ from .spectral import (
     _band_slabs,
     _box_transform,
     _check_integer,
-    _derivative_symbol,
     _is_hermitian,
     _to_grid,
     dealias,
@@ -557,8 +556,8 @@ def convective_term(w: FormField, u: FormField) -> FormField:
     comps = []
     for c in dealias(u).components:
         acc = np.zeros(grid.shape)
-        for j in range(grid.n):
-            acc += w_phys[j] * _to_grid(grid, _derivative_symbol(grid, j, 1, False) * c)
+        for wj, dc in zip(w_phys, _apply_d(grid, 0, [c])):  # the gradient of c
+            acc += wj * _to_grid(grid, dc)
         comps.append(acc)
     return dealias(FormField.from_physical(grid, 1, comps))
 

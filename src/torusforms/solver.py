@@ -104,6 +104,7 @@ from .spectral import (
     _insertion_table,
     _inverse_squares,
     _parseval_norm,
+    _read_only,
     _rescaled,
     codifferential,
     exterior_derivative,
@@ -244,13 +245,13 @@ def format_solver_config(cfg: SolverConfig) -> str:
 @lru_cache(maxsize=None)
 def _half_k_squared(grid: SpectralGrid) -> np.ndarray:
     """|k|^2 on the band half."""
-    return grid.k_squared[_band_half(grid)]
+    return _read_only(grid.k_squared[_band_half(grid)])
 
 
 @lru_cache(maxsize=None)
 def _band_parametrix(grid: SpectralGrid) -> np.ndarray:
     """1/|k|^2 (zero at k = 0) on the band half."""
-    return _inverse_squares(_half_k_squared(grid))
+    return _read_only(_inverse_squares(_half_k_squared(grid)))
 
 
 def project_state(u: FormField) -> FormField:
@@ -1294,14 +1295,14 @@ def save_solution(sol: TimeSeriesSolution, directory) -> Path:
 
 
 def load_solution(directory) -> TimeSeriesSolution:
-    """Read a solution directory back (no derivative caches).  A bad
-    manifest row (the header is row 0) raises a ``ValueError`` naming it, a
-    bad snapshot ``load_field``'s error naming its file, and samples that
-    are not one ``TimeSeriesSolution`` a ``ValueError`` naming the manifest."""
+    """Read a solution directory back (no derivative caches), a row's
+    u_j.hpform with its p_j.hpform.  A bad manifest row (the header is row 0)
+    raises a ``ValueError`` naming it, a bad snapshot ``load_field``'s error
+    naming its file, one unlike the first of its series (u or p) a
+    ``ValueError`` naming the row and both files, and samples that are not
+    one ``TimeSeriesSolution`` a ``ValueError`` naming the manifest."""
     directory = Path(directory)
-    times = []
-    u_list = []
-    p_list = []
+    times, loaded, firsts = [], {"u": [], "p": []}, {}
     # Undecodable bytes read as U+FFFD: every cell that is read is checked.
     with open(directory / MANIFEST_NAME, newline="", errors="replace") as fh:
         reader = csv.DictReader(fh)
@@ -1321,11 +1322,19 @@ def load_solution(directory) -> TimeSeriesSolution:
             if not math.isfinite(times[-1]):
                 raise ValueError(f"manifest row {j + 1}: t {row['t']!r}: sample times "
                                  "must be finite")
-            u_list.append(load_field(directory / name))
-            p_path = directory / f"p_{j:05d}.hpform"
-            if p_path.exists():
-                p_list.append(load_field(p_path))
+            files = [("u", name)]
+            if name.startswith("u_") and (directory / f"p{name[1:]}").exists():
+                files.append(("p", f"p{name[1:]}"))
+            for kind, file in files:
+                field = load_field(directory / file)
+                first, ref = firsts.setdefault(kind, (file, field))
+                if (field.grid, field.degree) != (ref.grid, ref.degree):
+                    raise ValueError(
+                        f"manifest row {j + 1}: {kind}[{len(loaded[kind])}] is a field of "
+                        f"degree {field.degree} on {field.grid}, not of degree {ref.degree} "
+                        f"on {ref.grid}: {file} disagrees with {first}")
+                loaded[kind].append(field)
     try:
-        return TimeSeriesSolution(np.array(times), u_list, p=p_list if p_list else None)
+        return TimeSeriesSolution(np.array(times), loaded["u"], p=loaded["p"] or None)
     except ValueError as exc:
         raise ValueError(f"{MANIFEST_NAME}: {exc}") from None

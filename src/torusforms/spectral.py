@@ -95,8 +95,8 @@ def _check_integer(key: str, value) -> None:
 class SpectralGrid:
     """Uniform FFT grid on the flat torus [0, 2*pi)^n.
 
-    ``shape`` is the physical grid, ``half_shape`` the stored half spectrum;
-    the multipliers below live on the half.
+    ``shape`` is the physical grid, ``half_shape`` the stored half spectrum
+    (k_last = 0..res/2); the multipliers below live on the half.
     """
 
     n: int
@@ -109,15 +109,14 @@ class SpectralGrid:
             raise ValueError(f"n (torus dimension) must be 2 or 3, got {self.n}")
         if self.res < 4 or self.res % 2 != 0:
             raise ValueError(f"res must be even and >= 4, got {self.res}")
+        # Made once: the shapes, and the hash every grid-keyed cache lookup takes.
+        for key, value in (("shape", (self.res,) * self.n),
+                           ("half_shape", (self.res,) * (self.n - 1) + (self.res // 2 + 1,)),
+                           ("_hash", hash((self.n, self.res)))):
+            object.__setattr__(self, key, value)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.res,) * self.n
-
-    @property
-    def half_shape(self) -> tuple[int, ...]:
-        """Shape of an rfftn half spectrum: k_last = 0..res/2."""
-        return self.shape[:-1] + (self.res // 2 + 1,)
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def spacing(self) -> float:
@@ -126,7 +125,7 @@ class SpectralGrid:
     @cached_property
     def axis_modes(self) -> np.ndarray:
         """Integer wavenumbers along a leading axis in fftn layout."""
-        return np.rint(np.fft.fftfreq(self.res) * self.res).astype(np.int64)
+        return _read_only(np.rint(np.fft.fftfreq(self.res) * self.res).astype(np.int64))
 
     def _axis_mesh(self, axis: int) -> np.ndarray:
         """The modes of ``axis`` in the half (k_last = 0..res/2 on the last),
@@ -138,7 +137,7 @@ class SpectralGrid:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        return self._squared_modes()
+        return _read_only(self._squared_modes())
 
     def _squared_modes(self) -> np.ndarray:
         """|k|^2 on the half, a new array on every call."""
@@ -148,13 +147,13 @@ class SpectralGrid:
     @cached_property
     def inv_k_squared(self) -> np.ndarray:
         """1/|k|^2 with the zero mode mapped to zero (parametrix multiplier)."""
-        return _inverse_squares(self.k_squared)
+        return _read_only(_inverse_squares(self.k_squared))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         """Keep-mask of the two-thirds rule: drop modes with any |k_j| > res/3."""
-        return reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= self.res / 3.0
-                                       for j in range(self.n)))
+        return _read_only(reduce(np.logical_and, (np.abs(self._axis_mesh(j)) <= self.res / 3.0
+                                                  for j in range(self.n))))
 
     def meshes(self) -> list[np.ndarray]:
         """Physical coordinate meshes x_1..x_n."""
@@ -166,11 +165,24 @@ class SpectralGrid:
         return comb(self.n, degree)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: caches share it between equal grids, so a write would
+    change every later use."""
+    a.flags.writeable = False
+    return a
+
+
 def _inverse_squares(k2: np.ndarray) -> np.ndarray:
     """1/k2 where k2 > 0, zero elsewhere."""
     out = np.zeros_like(k2)
     np.divide(1.0, k2, out=out, where=k2 > 0)
     return out
+
+
+@lru_cache(maxsize=None)
+def _mirror(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """np.ix_ index of the reflection k -> -k of a plane of ``shape`` in fftn layout."""
+    return tuple(_read_only(i) for i in np.ix_(*((-np.arange(m)) % m for m in shape)))
 
 
 def _is_hermitian(plane: np.ndarray, tol: float) -> bool:
@@ -184,7 +196,7 @@ def _is_hermitian(plane: np.ndarray, tol: float) -> bool:
     scale = np.max(np.abs(plane))
     if not np.isfinite(scale):
         return False
-    gap = plane[np.ix_(*((-np.arange(m)) % m for m in plane.shape))]
+    gap = plane[_mirror(plane.shape)]
     np.conjugate(gap, out=gap)
     np.subtract(plane, gap, out=gap)
     return bool(np.max(np.abs(gap)) <= tol * max(scale, 1.0))
@@ -259,7 +271,7 @@ def _band_half(grid: SpectralGrid) -> tuple[np.ndarray, ...]:
     """
     limit = grid.res // 3
     lead = np.r_[0:limit + 1, grid.res - limit:grid.res]
-    return np.ix_(*([lead] * (grid.n - 1)), np.arange(limit + 1))
+    return tuple(_read_only(i) for i in np.ix_(*([lead] * (grid.n - 1)), np.arange(limit + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -285,35 +297,36 @@ def _band_shape(grid: SpectralGrid) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _derivative_symbol(
-    grid: SpectralGrid, axis: int, sign: int, adjoint: bool, band: bool = False
-) -> np.ndarray:
-    """The multiplier (sign * i) k_axis of d, or its conjugate for the adjoint.
-
-    Shaped (1, .., m, .., 1) so it broadcasts along ``axis`` of a half
-    spectrum, or along ``axis`` of a band half with ``band``.
-    """
-    modes = grid._axis_mesh(axis)
-    if band:
-        modes = np.take(modes, _band_half(grid)[axis].ravel(), axis=axis)
-    factor = sign * -1j if adjoint else sign * 1j
-    return factor * modes
+def _d_plan(grid: SpectralGrid, degree: int, adjoint: bool, band: bool):
+    """d (delta with ``adjoint``) of a degree-``degree`` form as the target's
+    component count and one (src, dst, symbol) triple per insertion-table
+    term; the symbol (sign * i) k_axis, conjugated for delta, broadcasts
+    along ``axis`` of a half spectrum, or of a band half with ``band``."""
+    target = degree - 1 if adjoint else degree + 1
+    terms = []
+    for j_up, j_down, axis, sign in _insertion_table(grid.n, min(degree, target)):
+        modes = grid._axis_mesh(axis)
+        if band:
+            modes = np.take(modes, _band_half(grid)[axis].ravel(), axis=axis)
+        symbol = _read_only((sign * -1j if adjoint else sign * 1j) * modes)
+        terms.append((j_up, j_down, symbol) if adjoint else (j_down, j_up, symbol))
+    return comb(grid.n, target), tuple(terms)
 
 
 def _apply_d(grid: SpectralGrid, degree: int, comps, adjoint: bool = False,
              band: bool = False, out: list | None = None) -> list:
     """d of the degree-``degree`` form with components ``comps``, or its
-    adjoint delta with ``adjoint``: the one walk of the insertion table.
+    adjoint delta with ``adjoint``: the one walk of the insertion table
+    (``_d_plan``).
 
     ``comps`` are halves, or band halves with ``band``.  Each term is added
     into ``out``, where None stands for a zero not yet allocated (all None
     by default); returns ``out``.
     """
-    target = degree - 1 if adjoint else degree + 1
-    out = [None] * comb(grid.n, target) if out is None else out
-    for j_up, j_down, axis, sign in _insertion_table(grid.n, min(degree, target)):
-        src, dst = (j_up, j_down) if adjoint else (j_down, j_up)
-        term = _derivative_symbol(grid, axis, sign, adjoint, band) * comps[src]
+    count, terms = _d_plan(grid, degree, adjoint, band)
+    out = [None] * count if out is None else out
+    for src, dst, symbol in terms:
+        term = symbol * comps[src]
         out[dst] = term if out[dst] is None else np.add(out[dst], term, out=out[dst])
         del term  # freed before the next product is allocated, so its block is reused
     return out
@@ -547,8 +560,7 @@ def _power_symbol(grid: SpectralGrid, s: float) -> np.ndarray:
     k2 = grid._squared_modes()
     mult = np.zeros_like(k2)
     np.power(k2, s / 2.0, out=mult, where=k2 > 0)
-    mult.flags.writeable = False
-    return mult
+    return _read_only(mult)
 
 
 def split_derivative(

@@ -2294,6 +2294,44 @@ class TestSolutionIO:
             load_solution(tmp_path / "run")
         assert str(caught.value).startswith("manifest row 2: t 'nan': ")
 
+    @staticmethod
+    def _run_with_pressures(tmp_path):
+        """A saved T^2 res-16 run of 3 samples with pressures."""
+        cfg = SolverConfig(mu=0.1, T=0.1, dt=0.05, res=16)
+        save_solution(solve_nonlinear(None, _two_band_state(G16), cfg), tmp_path / "run")
+        return tmp_path / "run"
+
+    def test_pressure_follows_its_row_file(self, tmp_path):
+        # Deleting data row 2 used to load u_00002 with p_00001.
+        run = self._run_with_pressures(tmp_path)
+        manifest = run / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        back = load_solution(run)
+        assert back.times.tolist() == [0.0, 0.1]
+        for j, stem in enumerate(("00000", "00002")):
+            for field, prefix in ((back.u[j], "u"), (back.p[j], "p")):
+                expect = snapshot_components((run / f"{prefix}_{stem}.hpform").read_bytes())
+                for a, b in zip(field.components, expect, strict=True):
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("edited, row, other", [
+        ("p_00000.hpform", 2, "p_00001.hpform"), ("p_00002.hpform", 3, "p_00002.hpform"),
+    ])
+    def test_size_keeping_header_edit_names_both_files(self, tmp_path, edited, row, other):
+        # Degree 0 -> 2 on T^2 keeps one component and the file's size, so
+        # the snapshot loads; the error names the row and the two files
+        # that disagree, the edited one among them.
+        run = self._run_with_pressures(tmp_path)
+        raw = bytearray((run / edited).read_bytes())
+        struct.pack_into("<i", raw, len(b"HPFORM1") + 4, 2)
+        (run / edited).write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as caught:
+            load_solution(run)
+        message = str(caught.value)
+        assert message.startswith(f"manifest row {row}: p[{row - 1}] is a field of degree ")
+        assert message.endswith(f": {other} disagrees with p_00000.hpform")
+
     CELLS = ("", "nan", "1e999", "-1", "0.05", "x", "..", "a/b", '"', "manifest.csv",
              "u_00001.hpform", "p_00001.hpform", "u_99999.hpform")
 

@@ -1,11 +1,15 @@
 """Core complex operations: derivative, adjoint, Laplacian, projections."""
 
+import dataclasses
+import pickle
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torusforms.solver as solver_module
 import torusforms.spectral as spectral_module
 from torusforms.nonlinear import checked_state
 from torusforms.spectral import (
@@ -235,6 +239,98 @@ class TestOneInsertionTableWalk:
             field = self._halves(codifferential(u))
             assert len(band) == len(field)
             assert all(np.array_equal(a, b) for a, b in zip(field, band))
+
+
+def _per_term_walk(grid, degree, comps, adjoint, band, out):
+    """d (or delta) term by term through ``_insertion_table``, each symbol
+    made on the spot, in the walk's order: the oracle for the cached plans."""
+    target = degree - 1 if adjoint else degree + 1
+    for j_up, j_down, axis, sign in spectral_module._insertion_table(
+            grid.n, min(degree, target)):
+        src, dst = (j_up, j_down) if adjoint else (j_down, j_up)
+        modes = grid._axis_mesh(axis)
+        if band:
+            modes = np.take(modes, spectral_module._band_half(grid)[axis].ravel(), axis=axis)
+        term = ((sign * -1j if adjoint else sign * 1j) * modes) * comps[src]
+        out[dst] = term if out[dst] is None else np.add(out[dst], term, out=out[dst])
+    return out
+
+
+class TestCachedConstants:
+    """Per-grid constants are made once, shared by equal grids and read-only."""
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 16), SpectralGrid(3, 8)])
+    def test_plans_give_the_bytes_of_the_per_term_walk(self, grid):
+        rng = np.random.default_rng(29)
+        for degree, adjoint, band in product(range(grid.n + 1), (False, True), (False, True)):
+            if (adjoint and degree == 0) or (not adjoint and degree == grid.n):
+                continue
+            shape = spectral_module._band_shape(grid) if band else grid.half_shape
+            comps = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                     for _ in range(grid.component_count(degree))]
+            target = grid.component_count(degree - 1 if adjoint else degree + 1)
+            seeds = [rng.standard_normal(shape) + 0j for _ in range(target)]
+            for start in ([None] * target, seeds):
+                got = _apply_d(grid, degree, comps, adjoint=adjoint, band=band,
+                               out=[None if s is None else s.copy() for s in start])
+                expect = _per_term_walk(grid, degree, comps, adjoint, band,
+                                        [None if s is None else s.copy() for s in start])
+                assert len(got) == target
+                for a, b in zip(got, expect, strict=True):
+                    assert _same_bytes(a, b), (degree, adjoint, band)
+
+    @pytest.mark.parametrize("shape", [(16,), (11,), (16, 16), (11, 11), (5, 8)])
+    def test_cached_mirror_matches_np_ix(self, shape):
+        mirror = spectral_module._mirror(shape)
+        assert spectral_module._mirror(tuple(shape)) is mirror
+        expect = np.ix_(*((-np.arange(m)) % m for m in shape))
+        assert all(_same_bytes(a, b) for a, b in zip(mirror, expect, strict=True))
+        rng = np.random.default_rng(31)
+        plane = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        symmetric = 0.5 * (plane + np.conj(plane[expect]))
+        for case, verdict in ((symmetric, True), (plane, False),
+                              (symmetric + 1e-9j, False), (symmetric + np.inf, False)):
+            assert spectral_module._is_hermitian(case, 1e-10) is verdict
+
+    def test_equal_grids_built_apart_share_one_plan(self):
+        a, b = SpectralGrid(2, 16), SpectralGrid(2, 16)
+        assert a is not b
+        for degree, adjoint, band in ((0, False, False), (1, False, True), (1, True, True)):
+            assert spectral_module._d_plan(a, degree, adjoint, band) is \
+                spectral_module._d_plan(b, degree, adjoint, band)
+        assert spectral_module._band_half(a) is spectral_module._band_half(b)
+
+    def test_grid_keeps_equality_hash_and_pickle(self):
+        a, b, c = SpectralGrid(2, 16), SpectralGrid(2, 16), SpectralGrid(3, 16)
+        assert a.half_shape == (16, 9) and a.shape == (16, 16) and a.k_squared.shape == (16, 9)
+        assert a == b and a != c and not a != b
+        assert hash(a) == hash(b) == hash((2, 16)) and hash(c) == hash((3, 16))
+        assert len({a, b, c}) == 2 and {a: 1}[b] == 1
+        assert repr(a) == "SpectralGrid(n=2, res=16)"
+        for grid in (a, c):
+            back = pickle.loads(pickle.dumps(grid))
+            assert back == grid and hash(back) == hash(grid)
+            assert back.shape == grid.shape and back.half_shape == grid.half_shape
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.res = 8
+        assert dataclasses.replace(a, res=32) == SpectralGrid(2, 32)
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 16), SpectralGrid(3, 8)])
+    def test_cached_arrays_are_read_only(self, grid):
+        # One in-place write would change every later solve on the grid.
+        plans = [spectral_module._d_plan(grid, degree, adjoint, band)
+                 for degree, adjoint, band in product(range(1, grid.n), (False, True),
+                                                      (False, True))]
+        cached = ([grid.axis_modes, grid.k_squared, grid.inv_k_squared, grid.dealias_mask,
+                   solver_module._half_k_squared(grid), solver_module._band_parametrix(grid),
+                   _power_symbol(grid, 1.0)]
+                  + list(spectral_module._band_half(grid))
+                  + list(spectral_module._mirror(grid.half_shape[:-1]))
+                  + [symbol for _, terms in plans for _, _, symbol in terms])
+        for array in cached:
+            at = (0,) * array.ndim
+            with pytest.raises(ValueError, match="read-only"):
+                array[at] = array[at]
 
 
 class TestLaplacian:
