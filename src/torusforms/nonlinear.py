@@ -54,19 +54,20 @@ values of its N(u) pass, so B transforms du/dt alone: in "apart" N and B
 take 6 transforms each on T^2 and 10 each on T^3, where B of a state
 without kept values takes 9 and 16.
 
-Steps 2-5 (``_on_grid`` and ``_quadratic``) work on band halves, one
-array per component, with leading batch axes or none: the spectrum buffer
-is (B, *half_shape), the products (B, *grid.shape), every transform runs
-on the last n axes and the band index is (slice(None), *band); the
-symbols of ``spectral._apply_d``, the same walk of the insertion table as
-the d of fields, broadcast from the right.  A pass over B states makes as
-many component transforms as one evaluation (the budgets above), each over
-B grids, so it moves B times the points and saves the Python and
-small-array cost of B - 1 calls.  ``nonlinear_term`` and ``bilinear_term``
-share one body, ``_quadratic_term`` on ``BandHalves`` states: fields enter
-through ``checked_state`` and the result leaves through ``field``.  Every
-solver (the field solvers, the Galerkin solves and Newton) steps its
-states through that form.
+Steps 2-5 (``_on_grid`` and ``_quadratic``) work on stacked band halves,
+one array (ncomp, *B, 2L+1, ..., L+1) with batch axes B or none: the
+spectrum buffer is (B, *half_shape), the products (B, *grid.shape), every
+transform runs on one component's last n axes and the band index is
+(slice(None), *band); the symbols of ``spectral._apply_d``, the same walk
+of the insertion table as the d of fields, broadcast from the right.  A
+pass over B states makes as many component transforms as one evaluation
+(the budgets above), each over B grids, so it moves B times the points
+and saves the Python and small-array cost of B - 1 calls.
+``nonlinear_term`` and ``bilinear_term`` share one body,
+``_quadratic_term`` on ``BandHalves`` states: fields enter through
+``checked_state`` and the result leaves through ``field``.  Every solver
+(the field solvers, the Galerkin solves and Newton) steps its states
+through that form.
 
 ``_quadratic_term`` takes a list of states (two aligned lists for B) and
 runs them through the kernel in batches of ``_batch_size``: as many states
@@ -283,8 +284,8 @@ def _on_grid(cfg: NonlinearityConfig, grid: SpectralGrid, halves) -> tuple[list,
     """One input of the kernel on the grid: its components and, where M1
     needs it, the components of its d.
 
-    ``halves`` are band halves, one per component, all with the same
-    leading batch axes (or none); the grid values keep those axes.
+    ``halves`` are stacked band halves (ncomp, *B, 2L+1, ..., L+1) with
+    batch axes B or none; the grid values, one array per component, keep B.
     """
     band, axes, box = _band_half(grid), tuple(range(-grid.n, 0)), _band_box(grid)
     lead = np.shape(halves[0])[:-grid.n]
@@ -312,9 +313,9 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str 
     ``exact`` says what becomes of the exact part d M2: "add" makes Q,
     "drop" only the M1 output Q1, "apart" the pair (Q1, M2's band halves)
     and "only" M2's band halves alone; M2's halves are None where cfg has
-    no M2.  The inputs' grid values share their leading batch axes (or
-    have none), and so do the outputs.  See the module docstring for the
-    steps and the transform budget.
+    no M2.  The inputs' grid values share their leading batch axes B (or
+    have none), and each output is a stack (ncomp, *B, 2L+1, ..., L+1).
+    See the module docstring for the steps and the transform budget.
     """
     values = [v for v, _ in inputs]
     derivs = [d for _, d in inputs]
@@ -322,49 +323,45 @@ def _quadratic(cfg: NonlinearityConfig, grid: SpectralGrid, *inputs, exact: str 
     band, axes = (slice(None),) * len(lead) + _band_half(grid), tuple(range(-grid.n, 0))
     pairs, box = ((0, 0),) if len(inputs) == 1 else ((0, 1), (1, 0)), _band_box(grid)
 
-    def spectral(entries, first, second):
+    def spectral(bilinear, first, second):
         # Each pair's product in its own buffer, summed afterwards: then
         # B(v, v) is the exact double of N(v).
-        prod = None
-        for i, j in pairs:
-            term = _contract(entries, first[i], second[j], lead + grid.shape)
-            if prod is None:
-                prod = term
-            else:
-                prod += term
-        if box:
-            return _box_transform(grid, prod, box)
-        return np.fft.rfftn(prod, axes=axes, norm="forward")[band]
+        out = np.empty((len(bilinear._entries),) + lead + _band_shape(grid), np.complex128)
+        for row, entries in zip(out, bilinear._entries):
+            prod = _contract(entries, first[pairs[0][0]], second[pairs[0][1]], lead + grid.shape)
+            for i, j in pairs[1:]:
+                prod += _contract(entries, first[i], second[j], lead + grid.shape)
+            row[...] = (_box_transform(grid, prod, box) if box else np.fft.rfftn(
+                prod, s=grid.shape, axes=axes, norm="forward")[band])
+        return out
 
-    out = [None] * grid.component_count(cfg.degree)
+    out = None
     if exact != "only" and cfg.m1 is not None and cfg.degree < grid.n:
-        out = [spectral(e, derivs, values) for e in cfg.m1._entries]
+        out = spectral(cfg.m1, derivs, values)
     m2 = None
     if exact != "drop" and cfg.m2 is not None:
-        m2 = [spectral(e, values, values) for e in cfg.m2._entries]
+        m2 = spectral(cfg.m2, values, values)
         if exact == "add":
             out = _apply_d(grid, cfg.degree - 1, m2, band=True, out=out)
     if exact == "only":
         return m2
-    out = [np.zeros(lead + _band_shape(grid), dtype=np.complex128) if h is None else h
-           for h in out]
+    if out is None:
+        out = np.zeros((grid.component_count(cfg.degree),) + lead + _band_shape(grid),
+                       dtype=np.complex128)
     return (out, m2) if exact == "apart" else out
 
 
 class BandHalves:
     """A real field held as the band halves of its components.
 
-    ``halves`` holds, one array per component, the band part of the
-    component's half (every |k_j| <= L = res // 3, k_last = 0..L), shape
-    (2L+1, ..., L+1); the field has no modes outside the band.  Any
-    per-component sequence will do: ``checked_state`` gathers a stacked
-    (ncomp, 2L+1, ..., L+1) array, the field solvers step one, and the
-    kernel returns a list.  ``nonlinear_term`` and ``bilinear_term`` take
-    such states in place of fields and return the band halves of the
-    result, stacked.  With ``keep`` the grid values and the projections
-    (``projected``) are made on first use and kept until ``drop_grid``, so a
-    state used in many products is transformed once per nonlinearity, and
-    a state used in many stages is projected once per projector.
+    ``halves`` is one array (ncomp, 2L+1, ..., L+1) of the components' band
+    halves (every |k_j| <= L = res // 3, k_last = 0..L); the field has no
+    modes outside the band.  ``nonlinear_term`` and ``bilinear_term`` take
+    such states for fields and return the result's band halves alike.  With
+    ``keep`` the grid values and projections (``projected``) are made on
+    first use and kept until ``drop_grid``, so a state used in many products
+    is transformed once per nonlinearity, and one used in many stages is
+    projected once per projector.
     """
 
     def __init__(self, grid: SpectralGrid, degree: int, halves, keep: bool = False):
@@ -385,7 +382,7 @@ class BandHalves:
         return self._kept[project]
 
     def field(self) -> FormField:
-        """The field: each band half written into a zero half, slab by slab."""
+        """The field: the band halves written into a stack of zero halves, slab by slab."""
         out, slabs = FormField.zeros(self.grid, self.degree), _band_slabs(self.grid)
         for c, half in zip(out.components, self.halves):
             for at, part in slabs:
@@ -452,7 +449,7 @@ def _states_on_grid(cfg: NonlinearityConfig, states: list) -> tuple[list, list]:
         out = _on_grid(cfg, grid, states[0].halves)
         slices = [out]
     else:
-        out = _on_grid(cfg, grid, [np.stack(c) for c in zip(*(s.halves for s in states))])
+        out = _on_grid(cfg, grid, np.stack([s.halves for s in states], axis=1))
         slices = [tuple([part[j] for part in parts] for parts in out)
                   for j in range(len(states))]
     for k, own in zip(kept, slices):
@@ -467,8 +464,9 @@ EXACT_MODES = ("add", "drop", "apart", "only")
 def _quadratic_term(cfg: NonlinearityConfig, *columns, exact: str = "add") -> list:
     """``_quadratic`` of each row of ``columns``, ``BandHalves`` states:
     one sequence of inputs for N, two aligned ones for B.  Each row gets
-    stacked band halves back (a pair of them for "apart", None for a
-    missing M2).  Rows go through the kernel in passes of ``_batch_size``.
+    its slice of the pass's stacked band halves (a pair of them for
+    "apart", None for a missing M2).  Rows go through the kernel in passes
+    of ``_batch_size``.
     """
     if exact not in EXACT_MODES:
         raise ValueError(f"exact must be one of {EXACT_MODES}, got {exact!r}")
@@ -482,19 +480,18 @@ def _quadratic_term(cfg: NonlinearityConfig, *columns, exact: str = "add") -> li
     rows, size = len(columns[0]), _batch_size(grid)
 
     def leave(halves, count) -> list:
-        # Per-component halves, with a batch axis for count > 1, to one
-        # output per row.
+        # A stack (ncomp, count, ...) for count > 1 to one output per row.
         if halves is None:
             return [None] * count
-        return list(np.stack(halves, axis=1)) if count > 1 else [np.stack(halves)]
+        return list(np.ascontiguousarray(halves.swapaxes(0, 1))) if count > 1 else [halves]
 
     results = []
     for lo in range(0, rows, size):
         batch = [column[lo:lo + size] for column in columns]
         count = len(batch[0])
         if cfg.is_zero:
-            zeros = [np.zeros(((count,) if count > 1 else ()) + np.shape(h),
-                              dtype=np.complex128) for h in batch[-1][0].halves]
+            zeros = np.zeros((grid.component_count(cfg.degree),) + ((count,) if count > 1 else ())
+                             + _band_shape(grid), dtype=np.complex128)
             out = {"add": zeros, "drop": zeros, "apart": (zeros, None), "only": None}[exact]
         else:
             out = _quadratic(cfg, grid, *(_states_on_grid(cfg, b) for b in batch),

@@ -264,21 +264,18 @@ def project_state(u: FormField) -> FormField:
     makes the operations of remove_harmonic(helmholtz_project(dealias(u)))
     in their order, so the two agree bit for bit.
     """
-    out = FormField.zeros(u.grid, u.degree)
-    band = _band_half(u.grid)
-    parts = [c[band] for c in u.components]
-    for c, part in zip(out.components, _band_projection(u.grid, u.degree, parts)):
-        c[band] = part
-    return out
+    band = (slice(None),) + _band_half(u.grid)
+    out = np.zeros((len(u.components),) + u.grid.half_shape, dtype=np.complex128)
+    out[band] = _band_projection(u.grid, u.degree, np.stack(u.components)[band])
+    return FormField(u.grid, u.degree, tuple(out))
 
 
-def _band_projection(grid: SpectralGrid, degree: int, parts) -> np.ndarray:
-    """project_state of components given on the band half, stacked."""
+def _band_projection(grid: SpectralGrid, degree: int, parts: np.ndarray) -> np.ndarray:
+    """project_state of stacked band halves ``parts``, stacked."""
     if degree == grid.n:
-        return np.zeros((len(parts),) + parts[0].shape, dtype=np.complex128)
-    phi = [_band_parametrix(grid) * p for p in parts]
-    dphi = _apply_d(grid, degree, phi, band=True)
-    return np.stack(_apply_d(grid, degree + 1, dphi, adjoint=True, band=True))
+        return np.zeros_like(parts)
+    dphi = _apply_d(grid, degree, _band_parametrix(grid) * parts, band=True)
+    return _apply_d(grid, degree + 1, dphi, adjoint=True, band=True)
 
 
 def _initial_state(u0, grid: SpectralGrid, degree: int) -> BandHalves:
@@ -544,12 +541,11 @@ def _pressure(u: BandHalves, q: np.ndarray, m2, f) -> FormField:
     below rounding level relative to the parts it is made from: |d p| <=
     1e-12 max(|f| + |q| + |d m2|, 1)."""
     grid, degree = u.grid, u.degree
-    parts = _apply_d(grid, degree, [h * -_band_parametrix(grid) for h in q],
-                     adjoint=True, band=True)
+    parts = _apply_d(grid, degree, q * -_band_parametrix(grid), adjoint=True, band=True)
     scale = _half_norm(q)
     if m2 is not None:
-        parts = [a - b for a, b in zip(parts, _band_projection(grid, degree - 1, m2))]
-        scale += _half_norm(np.stack(_apply_d(grid, degree - 1, m2, band=True)))
+        parts = parts - _band_projection(grid, degree - 1, m2)
+        scale += _half_norm(_apply_d(grid, degree - 1, m2, band=True))
     p = BandHalves(grid, degree - 1, parts).field()
     if f is not None:
         p = p + codifferential(parametrix(f))
@@ -1064,16 +1060,16 @@ def _band_trajectory(states: Sequence[FormField], cfg: SolverConfig, degree: int
     return [checked_state(u, grid, degree, f"{what} {j}", keep) for j, u in enumerate(states)]
 
 
-def _euler_cells(states: list[BandHalves], quads, cfg: SolverConfig) -> list[BandHalves]:
+def _euler_cells(states: list[BandHalves], quads, cfg: SolverConfig) -> tuple[list, list]:
     """The cells (E^-1 s_j+1 - s_j)/dt + P q_j, j < steps, of the discrete
     forward map (q_j = N(s_j)) and of its derivative (q_j = B(u_j, s_j)),
-    from the kernel's "drop" output: P kills the exact part of q_j."""
+    and the P q_j, from the kernel's "drop" output: P kills q_j's exact part."""
     grid, degree = states[0].grid, states[0].degree
     dt = cfg.T / cfg.steps
     inv = np.exp(cfg.mu * dt * _half_k_squared(grid))
+    projected = [_band_projection(grid, degree, q) for q in quads]
     return [BandHalves(grid, degree, (states[j + 1].halves * inv - states[j].halves)
-                       * (1.0 / dt) + _band_projection(grid, degree, q))
-            for j, q in enumerate(quads)]
+                       * (1.0 / dt) + pq) for j, pq in enumerate(projected)], projected
 
 
 def discrete_forward_data(
@@ -1085,7 +1081,7 @@ def discrete_forward_data(
     dropped)."""
     ns = ns_cfg if ns_cfg is not None else cfg.nonlinearity()
     states = _band_trajectory(states, cfg, ns.degree, "state")
-    cells = _euler_cells(states, _quadratic_term(ns, states[:-1], exact="drop"), cfg)
+    cells, _ = _euler_cells(states, _quadratic_term(ns, states[:-1], exact="drop"), cfg)
     return [c.field() for c in cells], states[0].field()
 
 
@@ -1100,7 +1096,8 @@ def discrete_linearized_data(
     states, directions = (_band_trajectory(t, cfg, ns.degree, what)
                           for t, what in ((states, "state"), (directions, "direction")))
     quads = _quadratic_term(ns, states[:-1], directions[:-1], exact="drop")
-    return [c.field() for c in _euler_cells(directions, quads, cfg)], directions[0].field()
+    cells, _ = _euler_cells(directions, quads, cfg)
+    return [c.field() for c in cells], directions[0].field()
 
 
 @dataclass
@@ -1161,7 +1158,8 @@ def newton_local_inverse(
         # B(u_j, delta_j) in the solve reuses; P kills their exact parts, so
         # the kernel leaves them out.
         quads = _quadratic_term(ns, states[:-1], exact="drop")
-        r_cells = [f - c.halves for f, c in zip(f_cells, _euler_cells(states, quads, cfg))]
+        cells, projected = _euler_cells(states, quads, cfg)
+        r_cells = [f - c.halves for f, c in zip(f_cells, cells)]
         r0 = u0 - states[0].halves
         history.append(_worst([_half_norm(r) for r in r_cells + [r0]]))
         converged = history[-1] <= cfg.newton_tol
@@ -1179,16 +1177,17 @@ def newton_local_inverse(
         states = [BandHalves(grid, degree, u.halves + d, keep=True)
                   for u, d in zip(states, deltas)]
 
-    # The last residual evaluated Q1 = M1(d u, u) at every final state but
-    # the last; the pressure takes M2 in one more batched pass over them, on
-    # their kept grid values.  The cells are P f already, not projected
-    # again, and the pressure's source.
+    # The last residual made Q1 = M1(d u, u) and P Q1 at every final state but
+    # the last; M2 takes one more batched pass over them, on their kept grid
+    # values.  The cells, P f already, are the pressure's source as they are.
     last, m2_last = nonlinear_term(states[-1], ns, exact="apart")
     quads.append(last)
+    projected.append(project(last))
     m2s = _quadratic_term(ns, states[:-1], exact="only") + [m2_last]
     take, solution = _sampler(cfg.mu, project, 1, True)
-    for i, (u, q, m2, cell) in enumerate(zip(states, quads, m2s, f_cells + f_cells[-1:])):
-        take(i, u, q, m2, BandHalves(grid, degree, cell).field(), -project(q) + cell)
+    for i, (u, q, pq, m2, cell) in enumerate(zip(states, quads, projected, m2s,
+                                                 f_cells + f_cells[-1:])):
+        take(i, u, q, m2, BandHalves(grid, degree, cell).field(), -pq + cell)
     return NewtonResult(solution(cfg.times()), history, converged)
 
 

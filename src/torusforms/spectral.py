@@ -26,7 +26,7 @@ The codifferential is derived as the literal spectral adjoint of the
 exterior derivative (same insertion table, conjugated multiplier), never
 from hand-written sign rules.  ``_apply_d`` is the one walk of that table:
 d and delta of fields, the nonlinear kernel's derivatives and the solvers'
-state-space projection all call it, on halves or on band halves.
+state-space projection all call it, on halves or band halves, into a stack.
 Nyquist modes (|k_j| = res/2) are zeroed on field creation, so the
 Nyquist plane k_last = res/2 holds nothing and every multiplier preserves
 reality.
@@ -310,25 +310,29 @@ def _d_plan(grid: SpectralGrid, degree: int, adjoint: bool, band: bool):
             modes = np.take(modes, _band_half(grid)[axis].ravel(), axis=axis)
         symbol = _read_only((sign * -1j if adjoint else sign * 1j) * modes)
         terms.append((j_up, j_down, symbol) if adjoint else (j_down, j_up, symbol))
-    return comb(grid.n, target), tuple(terms)
+    # By target row; the stable sort keeps each row's order, so its sum keeps its bytes.
+    return comb(grid.n, target), tuple(sorted(terms, key=lambda term: term[1]))
 
 
 def _apply_d(grid: SpectralGrid, degree: int, comps, adjoint: bool = False,
-             band: bool = False, out: list | None = None) -> list:
+             band: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """d of the degree-``degree`` form with components ``comps``, or its
     adjoint delta with ``adjoint``: the one walk of the insertion table
-    (``_d_plan``).
+    (``_d_plan``), into one stack (ncomp, *comps[0].shape), returned.
 
-    ``comps`` are halves, or band halves with ``band``.  Each term is added
-    into ``out``, where None stands for a zero not yet allocated (all None
-    by default); returns ``out``.
+    ``comps`` are halves, or band halves with ``band``, a row per component
+    (batch axes may follow).  Each term is added into its row of ``out``;
+    without ``out`` a new stack takes the first term of each row as it is.
     """
     count, terms = _d_plan(grid, degree, adjoint, band)
-    out = [None] * count if out is None else out
+    fresh, row = out is None, None
+    out = np.empty((count,) + np.shape(comps[0]), dtype=np.complex128) if fresh else out
     for src, dst, symbol in terms:
-        term = symbol * comps[src]
-        out[dst] = term if out[dst] is None else np.add(out[dst], term, out=out[dst])
-        del term  # freed before the next product is allocated, so its block is reused
+        if fresh and dst != row:
+            np.multiply(symbol, comps[src], out=out[dst])
+        else:  # the product is freed before the next one is allocated
+            np.add(out[dst], symbol * comps[src], out=out[dst])
+        row = dst
     return out
 
 

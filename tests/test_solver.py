@@ -969,6 +969,18 @@ class TestKernelPasses:
         assert passes.count((1, "drop", cfg.steps)) == 3
         assert passes.count((2, "drop", 1)) == 2 * cfg.steps
 
+    def test_newton_projections(self, monkeypatch):
+        # 4 forcing cells and the u0 target, 3 residuals of 4 cells, 2 solves
+        # of 4 stages, and the final pass: P q at the last state (the others
+        # come from the last residual) and one pressure projection a state.
+        cfg, base, _, targets = self._open_map()
+        calls, original = [], solver_module._band_projection
+        monkeypatch.setattr(solver_module, "_band_projection",
+                            lambda *args: calls.append(1) or original(*args))
+        result = newton_local_inverse(targets[0], base.u[0], base, cfg)
+        assert result.converged and result.iterations == 2
+        assert len(calls) == 5 + 3 * 4 + 2 * 4 + 1 + 5 == 31
+
     def test_open_map_round_passes(self, monkeypatch):
         # A round of the open-map benchmark: the linearized operator, one
         # apply_inverse (4 B) and Newton at two targets: 30 passes, from 54.

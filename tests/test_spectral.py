@@ -270,14 +270,50 @@ class TestCachedConstants:
                      for _ in range(grid.component_count(degree))]
             target = grid.component_count(degree - 1 if adjoint else degree + 1)
             seeds = [rng.standard_normal(shape) + 0j for _ in range(target)]
-            for start in ([None] * target, seeds):
-                got = _apply_d(grid, degree, comps, adjoint=adjoint, band=band,
-                               out=[None if s is None else s.copy() for s in start])
+            # One stacked result, with and without a stacked ``out``, from a
+            # stack or a list of components: the walk's bytes row by row.
+            for start, source in product((None, seeds), (np.stack(comps), comps)):
+                out = None if start is None else np.stack(start)
+                got = _apply_d(grid, degree, source, adjoint=adjoint, band=band, out=out)
                 expect = _per_term_walk(grid, degree, comps, adjoint, band,
-                                        [None if s is None else s.copy() for s in start])
-                assert len(got) == target
+                                        [None] * target if start is None
+                                        else [s.copy() for s in start])
+                assert isinstance(got, np.ndarray) and got.shape == (target,) + shape
+                assert out is None or got is out
                 for a, b in zip(got, expect, strict=True):
                     assert _same_bytes(a, b), (degree, adjoint, band)
+            # A batch axis after the component axis: each slice is its own walk.
+            batch = np.stack([np.stack(comps), np.stack(comps)[::-1].conj()], axis=1)
+            got = _apply_d(grid, degree, batch, adjoint=adjoint, band=band)
+            assert got.shape == (target, 2) + shape
+            for b in range(2):
+                expect = _per_term_walk(grid, degree, batch[:, b], adjoint, band,
+                                        [None] * target)
+                assert all(_same_bytes(x, y) for x, y in zip(got[:, b], expect, strict=True))
+
+    @pytest.mark.parametrize("grid", [SpectralGrid(2, 16), SpectralGrid(3, 8)])
+    def test_stacked_derivatives_are_fields_that_round_trip(self, grid, tmp_path):
+        # d and delta give a field whose components are rows of one stack; it
+        # passes FormField's checks and its snapshot loads back byte-equal.
+        rng = np.random.default_rng(37)
+        for degree in range(grid.n + 1):
+            u = random_form(grid, degree, rng)
+            for op in ((exterior_derivative,) if degree < grid.n else ()) + \
+                      ((codifferential,) if degree > 0 else ()):
+                v = op(u)
+                rows = v.components
+                assert all(r.base is not None and r.base is rows[0].base for r in rows)
+                FormField(grid, v.degree, rows)
+                assert v.is_hermitian()
+                path = tmp_path / f"{op.__name__}-{degree}.hpform"
+                save_field(v, path)
+                raw = path.read_bytes()
+                assert raw == snapshot_bytes(FormField(grid, v.degree, tuple(
+                    r.copy() for r in rows)))
+                back = load_field(path)
+                assert (back.grid, back.degree) == (grid, v.degree)
+                for a, b in zip(back.components, snapshot_components(raw), strict=True):
+                    assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("shape", [(16,), (11,), (16, 16), (11, 11), (5, 8)])
     def test_cached_mirror_matches_np_ix(self, shape):
